@@ -7,6 +7,7 @@ use crate::column::Column;
 use crate::error::CatalogError;
 use crate::instance::Instance;
 use crate::schema::{AttrId, AttrRef, RelId, Schema};
+use crate::tuple::Tuple;
 use crate::value::Value;
 use std::sync::Arc;
 
@@ -62,20 +63,32 @@ impl Catalog {
     /// Verify the inclusion constraint `R.X ⊆ Col_{R.X}` for every tuple of
     /// every relation. Returns the first violation found.
     pub fn check_instance(&self, d: &Instance) -> Result<(), CatalogError> {
-        for (rid, rel) in self.schema.iter() {
+        for (rid, _) in self.schema.iter() {
             for t in d.relation(rid).iter() {
-                for (pos, v) in t.iter().enumerate() {
-                    let aref = AttrRef {
-                        rel: rid,
-                        attr: AttrId(pos as u32),
-                    };
-                    if !self.column(aref).contains(v) {
-                        return Err(CatalogError::ValueOutsideColumn {
-                            attr: format!("{}.{}", rel.name(), rel.attr_name(AttrId(pos as u32))),
-                            value: v.to_string(),
-                        });
-                    }
-                }
+                self.check_tuple(rid, t)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Verify one tuple of `rel`: its arity matches the schema and each
+    /// value lies in its attribute's column.
+    pub fn check_tuple(&self, rel: RelId, t: &Tuple) -> Result<(), CatalogError> {
+        let rs = self.schema.relation(rel);
+        if t.arity() != rs.arity() {
+            return Err(CatalogError::ArityMismatch {
+                relation: rs.name().to_string(),
+                expected: rs.arity(),
+                got: t.arity(),
+            });
+        }
+        for (pos, v) in t.iter().enumerate() {
+            let attr = AttrId(pos as u32);
+            if !self.column(AttrRef { rel, attr }).contains(v) {
+                return Err(CatalogError::ValueOutsideColumn {
+                    attr: format!("{}.{}", rs.name(), rs.attr_name(attr)),
+                    value: v.to_string(),
+                });
             }
         }
         Ok(())
@@ -175,6 +188,16 @@ mod tests {
         d.insert(s, tuple![1, 99]).unwrap();
         let err = c.check_instance(&d).unwrap_err();
         assert!(err.to_string().contains("S.Y"));
+        assert_eq!(c.check_tuple(s, &tuple![1, 99]), Err(err));
+        assert!(c.check_tuple(s, &tuple![0, 2]).is_ok());
+        assert!(matches!(
+            c.check_tuple(s, &tuple![1]),
+            Err(CatalogError::ArityMismatch {
+                expected: 2,
+                got: 1,
+                ..
+            })
+        ));
     }
 
     #[test]
@@ -198,6 +221,4 @@ mod tests {
         assert!(!completed);
         assert_eq!(count, 3);
     }
-
-    use crate::tuple::Tuple;
 }

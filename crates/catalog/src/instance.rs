@@ -3,10 +3,18 @@
 //! The paper's dynamic setting (§2.7) considers only insertions, so
 //! [`Relation`] and [`Instance`] are insert-only; this keeps the indexes
 //! append-only and makes the `D_1 ⊆ D_2` monotonicity experiments exact.
+//!
+//! Relations are copy-on-write: an [`Instance`] holds each one behind an
+//! [`Arc`], so cloning an instance costs one reference count per relation,
+//! and a write copies only the relation it touches, and only while another
+//! instance still shares it. The normalization steps of the pricing
+//! pipeline derive their instances with [`Instance::retain`] and
+//! [`Instance::project_out`], which rebuild the one relation they change
+//! and share the rest.
 
 use crate::error::CatalogError;
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::schema::{AttrId, RelId, Schema};
+use crate::schema::{AttrId, RelId, RelationSchema, Schema};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::sync::Arc;
@@ -70,6 +78,10 @@ impl Relation {
         self.index[attr.0 as usize].keys()
     }
 
+    fn arity(&self) -> usize {
+        self.index.len()
+    }
+
     fn insert(&mut self, t: Tuple) -> bool {
         if !self.set.insert(t.clone()) {
             return false;
@@ -83,11 +95,12 @@ impl Relation {
     }
 }
 
-/// A database instance over a shared [`Schema`].
+/// A database instance over a shared [`Schema`]. Cloning shares every
+/// relation; writes copy a relation only while it is shared.
 #[derive(Clone, Debug)]
 pub struct Instance {
     schema: Arc<Schema>,
-    relations: Vec<Relation>,
+    relations: Vec<Arc<Relation>>,
 }
 
 impl Instance {
@@ -95,7 +108,7 @@ impl Instance {
     pub fn empty(schema: Arc<Schema>) -> Self {
         let relations = schema
             .iter()
-            .map(|(_, r)| Relation::with_arity(r.arity()))
+            .map(|(_, r)| Arc::new(Relation::with_arity(r.arity())))
             .collect();
         Instance { schema, relations }
     }
@@ -121,7 +134,15 @@ impl Instance {
                 got: t.arity(),
             });
         }
-        Ok(self.relations[rel.0 as usize].insert(t))
+        let r = &mut self.relations[rel.0 as usize];
+        if let Some(unshared) = Arc::get_mut(r) {
+            return Ok(unshared.insert(t));
+        }
+        // A duplicate must not copy a shared relation.
+        if r.contains(&t) {
+            return Ok(false);
+        }
+        Ok(Arc::make_mut(r).insert(t))
     }
 
     /// Insert many tuples into one relation.
@@ -139,9 +160,52 @@ impl Instance {
         Ok(added)
     }
 
+    /// Keep only the tuples of `rel` that satisfy `keep`. The survivors
+    /// keep their insertion order and get fresh indexes; when every tuple
+    /// survives, the relation stays shared.
+    pub fn retain(&mut self, rel: RelId, mut keep: impl FnMut(&Tuple) -> bool) {
+        let old = &self.relations[rel.0 as usize];
+        let kept: Vec<&Tuple> = old.iter().filter(|t| keep(t)).collect();
+        if kept.len() == old.len() {
+            return;
+        }
+        let mut fresh = Relation::with_arity(old.arity());
+        for t in kept {
+            fresh.insert(t.clone());
+        }
+        self.relations[rel.0 as usize] = Arc::new(fresh);
+    }
+
+    /// This instance with position `pos` of `rel` projected away: the
+    /// schema loses that attribute, `rel` keeps the first occurrence of
+    /// each projected tuple in insertion order, and every other relation
+    /// is shared.
+    pub fn project_out(&self, rel: RelId, pos: usize) -> Result<Instance, CatalogError> {
+        let mut schema = Schema::new();
+        for (rid, r) in self.schema.iter() {
+            let attrs = r
+                .attrs()
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| rid != rel || i != pos)
+                .map(|(_, a)| a.clone());
+            schema.add_relation(RelationSchema::new(r.name(), attrs)?)?;
+        }
+        let mut projected = Relation::with_arity(schema.relation(rel).arity());
+        for t in self.relation(rel).iter() {
+            projected.insert(t.without_position(pos));
+        }
+        let mut relations = self.relations.clone();
+        relations[rel.0 as usize] = Arc::new(projected);
+        Ok(Instance {
+            schema: Arc::new(schema),
+            relations,
+        })
+    }
+
     /// Total number of tuples across all relations.
     pub fn total_tuples(&self) -> usize {
-        self.relations.iter().map(Relation::len).sum()
+        self.relations.iter().map(|r| r.len()).sum()
     }
 
     /// `self ⊆ other`: every tuple of every relation of `self` appears in
@@ -247,5 +311,118 @@ mod tests {
         vals.sort();
         assert_eq!(vals, ["a"]);
         assert_eq!(d.relation(s_id).active_values(AttrId(1)).count(), 2);
+    }
+
+    fn sorted_values(rel: &Relation, attr: AttrId) -> Vec<String> {
+        let mut vals: Vec<String> = rel.active_values(attr).map(|v| v.to_string()).collect();
+        vals.sort();
+        vals
+    }
+
+    #[test]
+    fn writes_to_a_clone_leave_the_original_unchanged() {
+        let schema = schema_rs();
+        let (r_id, s_id) = (schema.rel_id("R").unwrap(), schema.rel_id("S").unwrap());
+        let mut d = Instance::empty(schema);
+        d.insert(r_id, tuple!["a"]).unwrap();
+        d.insert_all(s_id, [tuple!["a", "b"], tuple!["a", "c"]])
+            .unwrap();
+        let mut e = d.clone();
+        assert!(Arc::ptr_eq(&d.relations[1], &e.relations[1]));
+        assert!(e.insert(s_id, tuple!["z", "b"]).unwrap());
+        assert!(!e.insert(r_id, tuple!["a"]).unwrap());
+        // Only the written relation was copied; the duplicate insert into
+        // R copied nothing.
+        assert!(!Arc::ptr_eq(&d.relations[1], &e.relations[1]));
+        assert!(Arc::ptr_eq(&d.relations[0], &e.relations[0]));
+
+        let s = d.relation(s_id);
+        assert_eq!(s.len(), 2);
+        assert!(!s.contains(&tuple!["z", "b"]));
+        assert_eq!(s.select(AttrId(1), &Value::text("b")).count(), 1);
+        assert_eq!(s.select_count(AttrId(0), &Value::text("z")), 0);
+        assert_eq!(sorted_values(s, AttrId(0)), ["a"]);
+        assert_eq!(d.total_tuples(), 3);
+
+        let s2 = e.relation(s_id);
+        assert_eq!(s2.len(), 3);
+        assert_eq!(s2.select(AttrId(1), &Value::text("b")).count(), 2);
+        assert_eq!(sorted_values(s2, AttrId(0)), ["a", "z"]);
+        assert_eq!(e.total_tuples(), 4);
+        assert!(d.is_subset_of(&e));
+    }
+
+    #[test]
+    fn retain_keeps_order_and_rebuilds_indexes() {
+        let schema = schema_rs();
+        let (r_id, s_id) = (schema.rel_id("R").unwrap(), schema.rel_id("S").unwrap());
+        let mut d = Instance::empty(schema);
+        d.insert(r_id, tuple!["a"]).unwrap();
+        d.insert_all(
+            s_id,
+            [
+                tuple!["a", "b"],
+                tuple!["x", "c"],
+                tuple!["a", "c"],
+                tuple!["y", "b"],
+            ],
+        )
+        .unwrap();
+        let original = d.clone();
+        d.retain(s_id, |t| t.get(0) != &Value::text("x"));
+        let kept: Vec<&Tuple> = d.relation(s_id).iter().collect();
+        assert_eq!(
+            kept,
+            [&tuple!["a", "b"], &tuple!["a", "c"], &tuple!["y", "b"]]
+        );
+        let s = d.relation(s_id);
+        assert_eq!(
+            s.select(AttrId(1), &Value::text("c")).collect::<Vec<_>>(),
+            [&tuple!["a", "c"]]
+        );
+        assert_eq!(s.select_count(AttrId(0), &Value::text("x")), 0);
+        assert_eq!(sorted_values(s, AttrId(0)), ["a", "y"]);
+        // The source instance is untouched, and R is still shared.
+        assert_eq!(original.relation(s_id).len(), 4);
+        assert!(original.relation(s_id).contains(&tuple!["x", "c"]));
+        assert!(Arc::ptr_eq(&d.relations[0], &original.relations[0]));
+        // Keeping everything shares the relation instead of copying it.
+        let mut same = original.clone();
+        same.retain(s_id, |_| true);
+        assert!(Arc::ptr_eq(&same.relations[1], &original.relations[1]));
+    }
+
+    #[test]
+    fn project_out_dedups_in_order_and_shares_the_rest() {
+        let schema = schema_rs();
+        let (r_id, s_id) = (schema.rel_id("R").unwrap(), schema.rel_id("S").unwrap());
+        let mut d = Instance::empty(schema);
+        d.insert(r_id, tuple!["a"]).unwrap();
+        d.insert_all(
+            s_id,
+            [
+                tuple!["a", "c"],
+                tuple!["b", "d"],
+                tuple!["a", "d"],
+                tuple!["e", "c"],
+            ],
+        )
+        .unwrap();
+        let p = d.project_out(s_id, 0).unwrap();
+        assert_eq!(p.schema().relation(s_id).attrs(), ["Y"]);
+        let rows: Vec<&Tuple> = p.relation(s_id).iter().collect();
+        assert_eq!(rows, [&tuple!["c"], &tuple!["d"]]);
+        assert_eq!(
+            p.relation(s_id).select_count(AttrId(0), &Value::text("d")),
+            1
+        );
+        assert!(Arc::ptr_eq(&p.relations[0], &d.relations[0]));
+        assert_eq!(d.relation(s_id).len(), 4);
+        // A unary relation has nothing left to project onto.
+        assert!(p.project_out(r_id, 0).is_err());
+        // Writes to the projection stay out of the source.
+        let mut p = p;
+        p.insert(r_id, tuple!["q"]).unwrap();
+        assert_eq!(d.relation(r_id).len(), 1);
     }
 }

@@ -16,7 +16,7 @@
 
 use crate::money::Price;
 use crate::price_points::PriceList;
-use qbdp_catalog::{AttrRef, Catalog};
+use qbdp_catalog::{AttrRef, Catalog, RelId, Value};
 use qbdp_determinacy::selection::SelectionView;
 
 /// One violation of Proposition 3.2: the selection view is overpriced
@@ -49,39 +49,72 @@ impl ListArbitrage {
 /// All Proposition 3.2 violations of a price list (empty ⇒ consistent).
 pub fn find_list_arbitrage(catalog: &Catalog, prices: &PriceList) -> Vec<ListArbitrage> {
     let mut out = Vec::new();
-    for (rid, rel) in catalog.schema().iter() {
-        let arity = rel.arity();
-        // Cheapest full cover per attribute, precomputed.
-        let covers: Vec<Price> = (0..arity)
-            .map(|pos| prices.full_cover_price(catalog, AttrRef::new(rid, pos as u32)))
-            .collect();
-        for x in 0..arity {
-            let x_attr = AttrRef::new(rid, x as u32);
-            // The binding constraint is the *cheapest* other cover.
-            let Some((y, &cover_price)) = covers
+    for rel in catalog.schema().rel_ids() {
+        relation_arbitrage(catalog, prices, rel, None, &mut out);
+    }
+    out
+}
+
+/// The Proposition 3.2 violations of one relation, as if `revision` (a
+/// selection view on `rel` and its new price) were applied to `prices`.
+/// Lemma 3.1 confines every violation to a single relation, so a consistent
+/// list revised on `rel` needs only this check to stay consistent — and it
+/// reads the candidate price without copying or mutating the list.
+pub fn relation_arbitrage(
+    catalog: &Catalog,
+    prices: &PriceList,
+    rel: RelId,
+    revision: Option<(&SelectionView, Price)>,
+    out: &mut Vec<ListArbitrage>,
+) {
+    // The candidate price when `(attr, value)` is the revised view.
+    let revised = |attr: AttrRef, value: &Value| match revision {
+        Some((view, price)) if view.attr == attr && view.value == *value => Some(price),
+        _ => None,
+    };
+    let arity = catalog.schema().relation(rel).arity();
+    // Cheapest full cover per attribute, precomputed.
+    let covers: Vec<Price> = (0..arity)
+        .map(|pos| {
+            let attr = AttrRef::new(rel, pos as u32);
+            catalog
+                .column(attr)
                 .iter()
-                .enumerate()
-                .filter(|&(y, _)| y != x)
-                .min_by_key(|&(_, p)| *p)
-            else {
-                continue; // unary relation: no cross-attribute arbitrage
-            };
-            if cover_price.is_infinite() {
-                continue;
-            }
-            for (value, price) in prices.views_on(x_attr) {
-                if price > cover_price {
-                    out.push(ListArbitrage {
-                        view: SelectionView::new(x_attr, value.clone()),
-                        price,
-                        via_cover_of: AttrRef::new(rid, y as u32),
-                        cover_price,
-                    });
-                }
+                .map(|v| revised(attr, v).unwrap_or_else(|| prices.get_at(attr, v)))
+                .sum()
+        })
+        .collect();
+    for x in 0..arity {
+        let x_attr = AttrRef::new(rel, x as u32);
+        // The binding constraint is the *cheapest* other cover.
+        let Some((y, &cover_price)) = covers
+            .iter()
+            .enumerate()
+            .filter(|&(y, _)| y != x)
+            .min_by_key(|&(_, p)| *p)
+        else {
+            continue; // unary relation: no cross-attribute arbitrage
+        };
+        if cover_price.is_infinite() {
+            continue;
+        }
+        // A revision that puts a view on sale adds it to the priced views.
+        let added = revision.filter(|(view, _)| view.attr == x_attr && !prices.is_priced(view));
+        let priced = prices
+            .views_on(x_attr)
+            .map(|(value, price)| (value, revised(x_attr, value).unwrap_or(price)))
+            .chain(added.map(|(view, price)| (&view.value, price)));
+        for (value, price) in priced {
+            if price > cover_price {
+                out.push(ListArbitrage {
+                    view: SelectionView::new(x_attr, value.clone()),
+                    price,
+                    via_cover_of: AttrRef::new(rel, y as u32),
+                    cover_price,
+                });
             }
         }
     }
-    out
 }
 
 /// Whether the price list is consistent (Proposition 3.2).

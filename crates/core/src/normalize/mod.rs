@@ -25,10 +25,9 @@ pub mod step3_hanging;
 
 use crate::error::PricingError;
 use crate::price_points::PriceList;
-use qbdp_catalog::{AttrRef, Catalog, Column, FxHashMap, Instance, RelationSchema, Schema, Value};
+use qbdp_catalog::{AttrRef, Catalog, Column, FxHashMap, Instance, Value};
 use qbdp_determinacy::selection::SelectionView;
 use qbdp_query::ast::ConjunctiveQuery;
-use std::sync::Arc;
 
 /// Maps a view of the *reduced* problem to the original views it stands
 /// for. Absent keys map to themselves (the common case: untouched views).
@@ -95,7 +94,8 @@ impl Problem {
 /// from one relation (the projection underlying Step 3 and — via collapse —
 /// Step 2). Returns the new pieces plus the [`AttrRef`] remap function's
 /// data: all other relations keep their ids and positions; positions after
-/// `drop_pos` within `rel` shift down by one.
+/// `drop_pos` within `rel` shift down by one. Only `rel`'s tuples are
+/// copied; every other relation is shared with `instance`.
 ///
 /// The query is **not** rewritten here — callers rewrite atoms themselves,
 /// because what replaces the dropped position differs per step.
@@ -107,47 +107,23 @@ pub fn drop_attribute(
     rel: qbdp_catalog::RelId,
     drop_pos: usize,
 ) -> Result<(Catalog, Instance, PriceList, Provenance), PricingError> {
-    let old_schema = catalog.schema();
-    let mut schema = Schema::new();
-    let mut columns: Vec<Vec<Column>> = Vec::with_capacity(old_schema.len());
-    for (rid, r) in old_schema.iter() {
-        if rid == rel {
-            let attrs: Vec<String> = r
-                .attrs()
+    // The projected instance's schema — `rel` without `drop_pos` — is the
+    // new catalog's.
+    let new_instance = instance.project_out(rel, drop_pos)?;
+    let columns: Vec<Vec<Column>> = catalog
+        .schema()
+        .rel_ids()
+        .map(|rid| {
+            catalog
+                .relation_columns(rid)
                 .iter()
                 .enumerate()
-                .filter(|&(i, _)| i != drop_pos)
-                .map(|(_, a)| a.clone())
-                .collect();
-            schema.add_relation(RelationSchema::new(r.name(), attrs)?)?;
-            columns.push(
-                catalog
-                    .relation_columns(rid)
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != drop_pos)
-                    .map(|(_, c)| c.clone())
-                    .collect(),
-            );
-        } else {
-            schema.add_relation(RelationSchema::new(r.name(), r.attrs().to_vec())?)?;
-            columns.push(catalog.relation_columns(rid).to_vec());
-        }
-    }
-    let new_catalog = Catalog::new(Arc::new(schema), columns)?;
-
-    // Project the instance.
-    let mut new_instance = new_catalog.empty_instance();
-    for (rid, _) in old_schema.iter() {
-        for t in instance.relation(rid).iter() {
-            let t = if rid == rel {
-                t.without_position(drop_pos)
-            } else {
-                t.clone()
-            };
-            new_instance.insert(rid, t)?;
-        }
-    }
+                .filter(|&(i, _)| rid != rel || i != drop_pos)
+                .map(|(_, c)| c.clone())
+                .collect()
+        })
+        .collect();
+    let new_catalog = Catalog::new(new_instance.schema().clone(), columns)?;
 
     // Remap prices and provenance: same relation ids; shifted positions.
     let remap = |attr: AttrRef| -> Option<AttrRef> {
@@ -175,7 +151,7 @@ pub fn drop_attribute(
     }
     // Shifted positions that had *identity* provenance must now point back
     // to their original (unshifted) selves explicitly.
-    let r_arity = old_schema.relation(rel).arity();
+    let r_arity = catalog.schema().relation(rel).arity();
     for pos in drop_pos + 1..r_arity {
         let old_attr = AttrRef::new(rel, pos as u32);
         let new_attr = AttrRef::new(rel, (pos - 1) as u32);

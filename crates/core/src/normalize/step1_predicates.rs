@@ -126,20 +126,20 @@ fn shrink_by_predicates(problem: Problem) -> Result<Problem, PricingError> {
     }
     let catalog = Catalog::new(old_schema.clone(), columns)?;
 
-    // Filter the database to the new columns.
-    let mut instance = catalog.empty_instance();
+    // Filter the relations whose columns shrank to the new columns; every
+    // other relation already satisfies its columns and is shared.
+    let mut instance = problem.instance.clone();
     for (rid, rel) in old_schema.iter() {
-        'tuples: for t in problem.instance.relation(rid).iter() {
-            for pos in 0..rel.arity() {
-                if !catalog
+        if !shrink.iter().any(|(a, _)| a.rel == rid) {
+            continue;
+        }
+        instance.retain(rid, |t| {
+            (0..rel.arity()).all(|pos| {
+                catalog
                     .column(AttrRef::new(rid, pos as u32))
                     .contains(t.get(pos))
-                {
-                    continue 'tuples;
-                }
-            }
-            instance.insert(rid, t.clone())?;
-        }
+            })
+        });
     }
 
     // Drop prices on removed values.

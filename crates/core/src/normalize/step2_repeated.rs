@@ -9,10 +9,9 @@
 
 use super::{drop_attribute, Problem};
 use crate::error::PricingError;
-use qbdp_catalog::{AttrRef, Column, Instance, RelationSchema, Schema};
+use qbdp_catalog::{AttrRef, Column};
 use qbdp_determinacy::selection::SelectionView;
 use qbdp_query::ast::{Atom, Term};
-use std::sync::Arc;
 
 /// Apply Step 2 until no atom repeats a variable.
 pub fn apply(mut problem: Problem) -> Result<Problem, PricingError> {
@@ -63,29 +62,24 @@ fn collapse(
 
     // Rebuild the catalog with position a's column replaced.
     let old_schema = problem.catalog.schema();
-    let mut schema = Schema::new();
-    let mut columns = Vec::with_capacity(old_schema.len());
-    for (rid, r) in old_schema.iter() {
-        schema.add_relation(RelationSchema::new(r.name(), r.attrs().to_vec())?)?;
-        let mut cols = problem.catalog.relation_columns(rid).to_vec();
-        if rid == rel {
-            cols[pos_a] = col_ab.clone();
-        }
-        columns.push(cols);
-    }
-    let catalog = qbdp_catalog::Catalog::new(Arc::new(schema), columns)?;
+    let columns = old_schema
+        .rel_ids()
+        .map(|rid| {
+            let mut cols = problem.catalog.relation_columns(rid).to_vec();
+            if rid == rel {
+                cols[pos_a] = col_ab.clone();
+            }
+            cols
+        })
+        .collect();
+    let catalog = qbdp_catalog::Catalog::new(old_schema.clone(), columns)?;
 
     // 2. Restrict the relation to the diagonal (t[a] == t[b], within the
-    //    intersected column).
-    let mut instance = Instance::empty(catalog.schema().clone());
-    for (rid, _) in old_schema.iter() {
-        for t in problem.instance.relation(rid).iter() {
-            if rid == rel && (t.get(pos_a) != t.get(pos_b) || !col_ab.contains(t.get(pos_a))) {
-                continue;
-            }
-            instance.insert(rid, t.clone())?;
-        }
-    }
+    //    intersected column); every other relation is shared.
+    let mut instance = problem.instance.clone();
+    instance.retain(rel, |t| {
+        t.get(pos_a) == t.get(pos_b) && col_ab.contains(t.get(pos_a))
+    });
 
     // 3. Price minima on the merged position, with provenance to whichever
     //    original view is cheaper.

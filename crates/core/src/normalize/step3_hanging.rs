@@ -102,8 +102,8 @@ fn expand(
     out: &mut Vec<ReducedBranch>,
     budget: &Budget,
 ) -> Result<bool, PricingError> {
-    // Projection copies the instance, so each expansion node costs about
-    // one instance scan.
+    // Each expansion node is charged about one instance scan, the cost of
+    // the projections below in the worst case.
     if !budget.charge(16 + problem.instance.total_tuples() as u64) {
         return Ok(false);
     }

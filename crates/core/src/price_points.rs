@@ -231,6 +231,13 @@ impl PriceList {
             .unwrap_or(Price::INFINITE)
     }
 
+    /// Whether a view is on the list (at any price).
+    pub fn is_priced(&self, view: &SelectionView) -> bool {
+        self.prices
+            .get(&view.attr)
+            .is_some_and(|m| m.contains_key(&view.value))
+    }
+
     /// Price of `σ_{attr=value}`.
     pub fn get_at(&self, attr: AttrRef, value: &Value) -> Price {
         self.prices
@@ -369,6 +376,8 @@ mod tests {
         pl.set(sel(&c, "R.X", 0), Price::dollars(5));
         assert_eq!(pl.get(&sel(&c, "R.X", 0)), Price::dollars(5));
         assert_eq!(pl.len(), 1);
+        assert!(pl.is_priced(&sel(&c, "R.X", 0)));
+        assert!(!pl.is_priced(&sel(&c, "R.X", 1)));
         pl.set(sel(&c, "R.X", 0), Price::dollars(7)); // replace
         assert_eq!(pl.len(), 1);
         assert_eq!(pl.get(&sel(&c, "R.X", 0)), Price::dollars(7));

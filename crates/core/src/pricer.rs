@@ -5,7 +5,7 @@ use crate::boolean::secure_witness_price;
 use crate::budget::{Budget, Metered, QuoteQuality};
 use crate::chain::graph::TupleEdgeMode;
 use crate::chain::price::{chain_price_within, FlowAlgo};
-use crate::consistency::{find_list_arbitrage, ListArbitrage};
+use crate::consistency::{find_list_arbitrage, relation_arbitrage, ListArbitrage};
 use crate::cycle::cycle_price_within;
 use crate::degrade::{relevant_rels, relevant_rels_cq, structural_cover};
 use crate::dichotomy::{classify, component_query, QueryClass};
@@ -276,17 +276,43 @@ impl Pricer {
         find_list_arbitrage(&self.catalog, &self.prices)
     }
 
-    /// Insert tuples (the dynamic setting of §2.7 — insertions only).
+    /// Revise the price of one selection view, keeping the list
+    /// consistent. Only the view's relation is re-checked (Proposition 3.2
+    /// with Lemma 3.1; the list is assumed consistent before the call). A
+    /// revision that would admit arbitrage is refused with its first
+    /// violation and leaves the list untouched.
+    pub fn revise_price(&mut self, view: SelectionView, price: Price) -> Result<(), ListArbitrage> {
+        let mut violations = Vec::new();
+        relation_arbitrage(
+            &self.catalog,
+            &self.prices,
+            view.attr.rel,
+            Some((&view, price)),
+            &mut violations,
+        );
+        match violations.into_iter().next() {
+            Some(v) => Err(v),
+            None => {
+                self.prices.set(view, price);
+                Ok(())
+            }
+        }
+    }
+
+    /// Insert tuples (the dynamic setting of §2.7 — insertions only). Every
+    /// new tuple is checked against its columns before any is inserted, so
+    /// a rejected batch changes nothing; the relations already held are
+    /// not re-checked.
     pub fn insert(
         &mut self,
         rel: qbdp_catalog::RelId,
         tuples: impl IntoIterator<Item = qbdp_catalog::Tuple>,
     ) -> Result<usize, PricingError> {
-        let mut staged = self.instance.clone();
-        let added = staged.insert_all(rel, tuples)?;
-        self.catalog.check_instance(&staged)?;
-        self.instance = staged;
-        Ok(added)
+        let tuples: Vec<qbdp_catalog::Tuple> = tuples.into_iter().collect();
+        for t in &tuples {
+            self.catalog.check_tuple(rel, t)?;
+        }
+        Ok(self.instance.insert_all(rel, tuples)?)
     }
 
     /// Parse a datalog rule against this pricer's schema and price it.
@@ -756,7 +782,7 @@ mod tests {
     use super::*;
     use crate::exact::certificates::certificate_price;
     use crate::exact::subset::subset_price;
-    use qbdp_catalog::{tuple, CatalogBuilder, Column};
+    use qbdp_catalog::{tuple, CatalogBuilder, Column, Value};
     use qbdp_query::parser::parse_rule;
 
     fn figure1_pricer() -> Pricer {
@@ -950,5 +976,32 @@ mod tests {
         // Outside the column: rejected, instance unchanged.
         assert!(p.insert(r, [tuple!["zz"]]).is_err());
         assert_eq!(p.instance().relation(r).len(), 3);
+        // A batch with one bad tuple inserts none of them.
+        assert!(p.insert(r, [tuple!["a4"], tuple!["a1", "b1"]]).is_err());
+        assert!(!p.instance().relation(r).contains(&tuple!["a4"]));
+        // The inserted tuple lands only in the pricer's copy.
+        let before = p.instance().clone();
+        assert_eq!(p.insert(r, [tuple!["a4"]]).unwrap(), 1);
+        assert_eq!(before.relation(r).len(), 3);
+    }
+
+    #[test]
+    fn price_revisions_are_checked_on_their_relation() {
+        let mut p = figure1_pricer();
+        let cat = p.catalog().clone();
+        let view = |dotted: &str, v: &str| {
+            SelectionView::new(cat.schema().resolve_attr(dotted).unwrap(), Value::text(v))
+        };
+        // The full cover of S.Y costs $3: σ_{S.X=a1} may rise to $3, not $4.
+        p.revise_price(view("S.X", "a1"), Price::dollars(3))
+            .unwrap();
+        let err = p
+            .revise_price(view("S.X", "a1"), Price::dollars(4))
+            .unwrap_err();
+        assert_eq!(err.cover_price, Price::dollars(3));
+        assert_eq!(p.prices().get(&view("S.X", "a1")), Price::dollars(3));
+        // Cutting S.Y under the cover S.X=a1 relies on is refused too.
+        assert!(p.revise_price(view("S.Y", "b1"), Price::ZERO).is_err());
+        assert!(p.check_consistency().is_empty());
     }
 }

@@ -218,15 +218,9 @@ pub fn determines_relation(catalog: &Catalog, views: &ViewSet, rel: RelId) -> bo
 /// of `D` covered by some view of `V`.
 pub fn min_world(d: &Instance, views: &ViewSet) -> Instance {
     let schema = d.schema().clone();
-    let mut out = Instance::empty(schema.clone());
-    for (rid, _) in schema.iter() {
-        for t in d.relation(rid).iter() {
-            if views.covers_tuple(&schema, rid, t) {
-                // audit: allow(R2: tuples of d reinserted under d's own schema)
-                #[allow(clippy::expect_used)]
-                out.insert(rid, t.clone()).expect("arity preserved");
-            }
-        }
+    let mut out = d.clone();
+    for rid in schema.rel_ids() {
+        out.retain(rid, |t| views.covers_tuple(&schema, rid, t));
     }
     out
 }

@@ -758,9 +758,10 @@ impl Market {
     }
 
     /// Seller-side price revision: set (or add) the price of one selection
-    /// view. The revised list must remain arbitrage-free (Proposition 3.2)
-    /// or the update is rejected and nothing changes. Quotes are
-    /// re-derived from the new list (the cache is cleared).
+    /// view, in place. The revised list must remain arbitrage-free
+    /// (Proposition 3.2, checked on the view's relation only) or the
+    /// update is rejected and nothing changes. Quotes whose footprint
+    /// holds the revised column are re-derived from the new list.
     // audit: holds-lock(state)
     pub fn set_price(&self, view: &str, price: Price) -> Result<(), MarketError> {
         let mut state = self.state.write();
@@ -781,23 +782,12 @@ impl Market {
                 "value {value} is outside the column of {attr}"
             )));
         }
-        // Stage the change and re-check Prop 3.2.
-        let mut staged = state.pricer.prices().clone();
-        staged.set(SelectionView::new(aref, value), price);
-        let violations =
-            qbdp_core::consistency::find_list_arbitrage(state.pricer.catalog(), &staged);
-        if let Some(v) = violations.first() {
-            return Err(MarketError::InconsistentPrices(
-                v.display(state.pricer.catalog()),
-            ));
-        }
-        let pricer = Pricer::new(
-            state.pricer.catalog().clone(),
-            state.pricer.instance().clone(),
-            staged,
-        )
-        .map_err(MarketError::Pricing)?;
-        state.pricer = pricer;
+        // Re-check Prop 3.2 on the revised relation only; a rejected
+        // revision leaves the list untouched.
+        state
+            .pricer
+            .revise_price(SelectionView::new(aref, value), price)
+            .map_err(|v| MarketError::InconsistentPrices(v.display(state.pricer.catalog())))?;
         // Only quotes whose footprint contains the revised column can
         // change; everything disjoint stays cached. The plan cache needs
         // no eviction here — it diffs its stored price vector against

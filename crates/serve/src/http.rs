@@ -110,10 +110,18 @@ enum State {
 
 /// Incremental request parser: `feed` bytes, then drain with
 /// `next_request` until [`Step::NeedMore`].
+///
+/// Requests are consumed by advancing a read offset, and the consumed
+/// prefix is dropped once per `feed`, so draining a pipelined backlog of
+/// `n` requests costs `O(n)` rather than one copy of the rest per request.
+/// Each body is copied into a `Vec` of exactly its length.
 pub struct RequestParser {
     buf: Vec<u8>,
-    /// Resume offset for the head-terminator scan, so a header split
-    /// across N reads costs one pass total, not N.
+    /// Start of the unconsumed bytes in `buf`.
+    start: usize,
+    /// Resume offset (into `buf`, never before `start`) for the
+    /// head-terminator scan, so a header split across N reads costs one
+    /// pass total, not N.
     scanned: usize,
     state: State,
     limits: Limits,
@@ -124,20 +132,26 @@ impl RequestParser {
     pub fn new(limits: Limits) -> RequestParser {
         RequestParser {
             buf: Vec::new(),
+            start: 0,
             scanned: 0,
             state: State::Head,
             limits,
         }
     }
 
-    /// Append newly-read bytes.
+    /// Append newly-read bytes, first dropping what was consumed.
     pub fn feed(&mut self, bytes: &[u8]) {
+        if self.start > 0 {
+            self.buf.drain(..self.start);
+            self.scanned -= self.start;
+            self.start = 0;
+        }
         self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes buffered but not yet consumed as a message.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
     }
 
     /// Pull the next complete request out of the buffer.
@@ -147,12 +161,12 @@ impl RequestParser {
             State::Head => self.scan_head(),
             State::Body { need, .. } => {
                 let need = *need;
-                if self.buf.len() < need {
+                let Some(body) = self.buf.get(self.start..self.start + need) else {
                     return Step::NeedMore;
-                }
-                let rest = self.buf.split_off(need);
-                let body = std::mem::replace(&mut self.buf, rest);
-                self.scanned = 0;
+                };
+                let body = body.to_vec();
+                self.start += need;
+                self.scanned = self.start;
                 let prev = std::mem::replace(&mut self.state, State::Head);
                 match prev {
                     State::Body { mut req, .. } => {
@@ -174,19 +188,18 @@ impl RequestParser {
     fn scan_head(&mut self) -> Step {
         let terminator = find_terminator(&self.buf, self.scanned);
         let Some(head_end) = terminator else {
-            if self.buf.len() > self.limits.max_head {
+            if self.buffered() > self.limits.max_head {
                 return self.fail(HttpError::too_large("request head exceeds max_head"));
             }
-            self.scanned = self.buf.len().saturating_sub(3);
+            self.scanned = self.buf.len().saturating_sub(3).max(self.start);
             return Step::NeedMore;
         };
-        if head_end + 4 > self.limits.max_head {
+        if head_end - self.start + 4 > self.limits.max_head {
             return self.fail(HttpError::too_large("request head exceeds max_head"));
         }
-        let parsed = parse_head(&self.buf[..head_end], self.limits);
-        let rest = self.buf.split_off(head_end + 4);
-        self.buf = rest;
-        self.scanned = 0;
+        let parsed = parse_head(&self.buf[self.start..head_end], self.limits);
+        self.start = head_end + 4;
+        self.scanned = self.start;
         match parsed {
             Err(e) => self.fail(e),
             Ok((req, 0)) => Step::Ready(req),

@@ -13,7 +13,7 @@ use qbdp::prelude::*;
 use qbdp::store::Wal;
 use qbdp::workload::scenarios::{business, sports, webgraph};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -164,6 +164,72 @@ fn business_scenario_roundtrips() {
         ],
         "Q(n, c) :- Business(n, 'S1', c)",
     );
+}
+
+/// A long seller revision log replays to the live state. Thousands of
+/// seeded `SetPrice` events, some refused for admitting arbitrage (the
+/// log keeps refused events too; replay refuses them again), must
+/// recover to the live market's canonical fingerprint, both from the log
+/// and from the snapshot a compaction writes.
+#[test]
+fn long_revision_log_replays_to_the_live_state() {
+    const REVISIONS: usize = 5_000;
+    let mut rng = StdRng::seed_from_u64(15);
+    let m = business::generate(
+        &mut rng,
+        business::BusinessConfig {
+            states: 4,
+            counties_per_state: 3,
+            businesses: 40,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let market = Market::open(m.catalog, m.instance, m.prices).unwrap();
+    let qdp = market.to_qdp();
+    // Every priced view as a `R.X=a` selector with its opening price.
+    let priced: Vec<(&str, u64)> = qdp
+        .lines()
+        .filter_map(|l| l.strip_prefix("price "))
+        .map(|l| {
+            let (view, cents) = l.rsplit_once(' ').unwrap();
+            (view, cents.parse().unwrap())
+        })
+        .collect();
+    assert!(!priced.is_empty());
+
+    let dir = temp_dir("revisions");
+    let dm = DurableMarket::create(&dir, &qdp, FsyncPolicy::Never).unwrap();
+    let (mut accepted, mut refused) = (0usize, 0usize);
+    for _ in 0..REVISIONS {
+        let (view, base) = priced[rng.gen_range(0..priced.len())];
+        // Up to 40× the opening price: large raises undercut a cover.
+        let cents = rng.gen_range(0..=base.max(1) * 40);
+        match dm.set_price(view, Price::cents(cents)) {
+            Ok(()) => accepted += 1,
+            Err(MarketError::InconsistentPrices(_)) => refused += 1,
+            Err(e) => panic!("{view} @ {cents}: {e}"),
+        }
+    }
+    assert!(
+        accepted > 0 && refused > 0,
+        "{accepted} accepted, {refused} refused"
+    );
+    let live = qbdp::market::fingerprint(dm.market());
+    drop(dm);
+
+    for compacted in [false, true] {
+        let recovered = DurableMarket::open(&dir, FsyncPolicy::Never).unwrap();
+        assert_eq!(
+            qbdp::market::fingerprint(recovered.market()),
+            live,
+            "compacted={compacted}"
+        );
+        if !compacted {
+            recovered.compact().unwrap();
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Kill-and-recover at **every byte** of the log: the recovered market
