@@ -98,7 +98,7 @@ impl Config {
         Config {
             taint_words: s(&["price", "prices", "revenue", "cents", "proceeds"]),
             blessed_fn_prefixes: s(&["checked_", "saturating_", "wrapping_"]),
-            guarded_locks: s(&["wal", "cache-shard", "vfs-state", "health"]),
+            guarded_locks: s(&["wal", "cache-shard", "vfs-state", "health", "plan"]),
             pricing_entries: s(&[
                 "price_rule",
                 "price_rule_within",
@@ -108,11 +108,11 @@ impl Config {
                 "price_ucq_within",
                 "price_bundle",
                 "price_bundle_within",
-                "price_batch_within",
-                "price_batch_with_workers",
+                "price_rules_batch_within",
                 "quote_str",
                 "quote_batch",
-                "quote_inner",
+                "price_planned",
+                "price_miss",
                 "evaluate_purchase",
                 "explain_str",
             ]),
@@ -142,12 +142,7 @@ impl Config {
                 "crates/market/src/",
                 "crates/serve/src/",
             ]),
-            panic_entries: s(&[
-                "Market::quote*",
-                "DurableMarket::quote*",
-                "Server::run",
-                "Wal::append",
-            ]),
+            panic_entries: s(&["Market::quote*", "Server::run", "Wal::append"]),
             foreign_types: s(&[
                 // std collections / strings / io / net / time / sync
                 "Vec",

@@ -1,10 +1,12 @@
-//! R3 — lock discipline: the WAL mutex and the cache-shard `RwLock`s
-//! must never be held across a call into the pricing engines.
+//! R3 — lock discipline: the WAL mutex, the cache-shard `RwLock`s and
+//! the market's plan-cache mutex must never be held across a call into
+//! the pricing engines.
 //!
 //! Pricing is worst-case exponential (Theorem 3.5). A guard held across
 //! it turns one expensive quote into a stall of every durable mutation
-//! (WAL mutex) or every cache hit in a shard (shard lock). The
-//! discipline is annotation-driven:
+//! (WAL mutex), every cache hit in a shard (shard lock), or every
+//! batch worker pricing a miss (plan mutex). The discipline is
+//! annotation-driven:
 //!
 //! * A fn that acquires or receives one of the guarded locks is marked
 //!   `// audit: holds-lock(wal)` / `// audit: holds-lock(cache-shard)`.

@@ -10,3 +10,11 @@ fn flush_with_quote(&self) {
 }
 
 fn peek(&self) { let guard = self.inner.lock(); } //~ R3
+
+// The plan mutex guards only check-out/check-in; pricing with a plan
+// happens after it is released.
+// audit: holds-lock(plan)
+fn reprice_under_plan_lock(&self) {
+    let mut plan = self.plan.lock();
+    price_planned(pricer, q, plan.checkout(key)); //~ R3
+}

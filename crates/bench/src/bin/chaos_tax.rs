@@ -7,7 +7,7 @@
 //! isolates the same delta without pricing in the loop. Results print as
 //! a table and land in `BENCH_chaos.json` for the experiment index.
 
-use qbdp_market::{DurableMarket, FsyncPolicy, Market};
+use qbdp_market::{DurableMarket, DurableOptions, FsyncPolicy, Market};
 use qbdp_store::{FaultFs, FaultPlan, MarketEvent, RealFs, RetryPolicy, Wal};
 use qbdp_workload::scenarios::business::{generate, BusinessConfig};
 use rand::rngs::StdRng;
@@ -124,14 +124,12 @@ fn purchase_rates(qdp: &str) -> (f64, f64, f64) {
 
     let fault_dir = scratch("buy_fault");
     std::fs::remove_dir_all(&fault_dir).ok();
-    let dm = DurableMarket::create_with(
-        Arc::new(FaultFs::new(FaultPlan::none())),
-        &fault_dir,
-        qdp,
-        FsyncPolicy::Always,
-        RetryPolicy::default(),
-    )
-    .expect("durable market");
+    let options = DurableOptions {
+        vfs: Arc::new(FaultFs::new(FaultPlan::none())),
+        seed: Some(qdp),
+        ..DurableOptions::new(FsyncPolicy::Always)
+    };
+    let dm = DurableMarket::open_with(&fault_dir, options).expect("durable market");
     let faulted = rate(PURCHASES, || {
         black_box(dm.purchase_str(&next()).expect("purchase"));
     });

@@ -815,7 +815,9 @@ fn e13() {
     let mut priced = 0usize;
     while t.elapsed().as_secs_f64() < 2.0 {
         for q in &parsed {
-            market.quote(q).expect("pricing succeeds");
+            market
+                .with_pricer(|p| p.price_cq(q))
+                .expect("pricing succeeds");
             priced += 1;
         }
     }

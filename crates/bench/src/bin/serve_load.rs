@@ -242,7 +242,7 @@ fn main() {
     let seed_qdp = seed_market().to_qdp();
 
     // ---- phases 1+2: throughput + latency under one server run -------
-    let dm = DurableMarket::open_or_create(&dir, Some(&seed_qdp), FsyncPolicy::EveryN(8))
+    let dm = DurableMarket::create(&dir, &seed_qdp, FsyncPolicy::EveryN(8))
         .expect("durable market opens");
     dm.set_policy(MarketPolicy {
         telemetry: true,
@@ -322,7 +322,7 @@ fn main() {
     let fp_drained = fingerprint(dm.market());
     let sales_drained = dm.market().sales();
     drop(dm);
-    let dm = DurableMarket::open_or_create(&dir, None, FsyncPolicy::Always).expect("cold reopen");
+    let dm = DurableMarket::open(&dir, FsyncPolicy::Always).expect("cold reopen");
     let fp_recovered = fingerprint(dm.market());
     let sales_recovered = dm.market().sales();
     println!(

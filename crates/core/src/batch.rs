@@ -1,5 +1,5 @@
-//! Parallel batch pricing: fan a slice of bundles over a scoped worker
-//! pool.
+//! Parallel batch pricing: fan a slice of jobs over a scoped worker
+//! pool ([`fan_out`]; the market prices its quote misses on it too).
 //!
 //! Equation 2 makes the arbitrage-price a pure function of the instance
 //! epoch, the (normalized) query, and the price points — quotes for
@@ -20,19 +20,24 @@ use crate::budget::Budget;
 use crate::error::PricingError;
 use crate::pricer::{Pricer, Quote};
 use crossbeam::deque::{Injector, Steal};
-use qbdp_query::ast::Ucq;
-use qbdp_query::bundle::Bundle;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Worker count used when the caller does not pick one: the machine's
-/// available parallelism (1 when it cannot be determined).
+/// available parallelism (1 when it cannot be determined). Read once per
+/// process — on Linux the query parses cgroup files, which cost more
+/// than a warm reprice.
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The message of a caught panic payload, for the `Internal` errors
+/// that report contained engine panics.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| s.to_string())
@@ -40,145 +45,90 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "pricing engine panicked".to_string())
 }
 
-impl Pricer {
-    /// Price one bundle the way the serial façade would: single-query
-    /// bundles go through the dichotomy dispatch (so batch results are
-    /// bit-identical to [`Pricer::price_ucq_within`]), genuine bundles
-    /// through the bundle engines.
-    fn price_job(&self, bundle: &Bundle, budget: &Budget) -> Result<Quote, PricingError> {
-        match bundle.queries() {
-            [single] => self.price_ucq_within(single, budget),
-            _ => self.price_bundle_within(bundle, budget),
-        }
+/// Run `job` over every input on a scoped pool of `workers` threads
+/// stealing from a shared [`Injector`]; `workers` is clamped to
+/// `[1, jobs.len()]`, and one worker runs the jobs inline on the
+/// caller's thread. Outputs are positionally aligned with the inputs.
+/// `job` must contain its own panics: a worker that dies anyway leaves
+/// `None` in the slots it had not finished.
+pub fn fan_out<J: Send, T: Send>(
+    jobs: Vec<J>,
+    workers: usize,
+    job: impl Fn(J) -> T + Sync,
+) -> Vec<Option<T>> {
+    let n = jobs.len();
+    if workers.clamp(1, n.max(1)) == 1 {
+        return jobs.into_iter().map(|j| Some(job(j))).collect();
     }
-
-    /// Price a batch of bundles in parallel under one shared [`Budget`],
-    /// with [`default_workers`] worker threads.
-    ///
-    /// Results are positionally aligned with `bundles`. Per-job failures
-    /// (including engine panics) land in that job's slot only.
-    pub fn price_batch_within(
-        &self,
-        bundles: &[Bundle],
-        budget: &Budget,
-    ) -> Vec<Result<Quote, PricingError>> {
-        self.price_batch_with_workers(bundles, budget, default_workers())
+    let injector = Injector::new();
+    for pair in jobs.into_iter().enumerate() {
+        injector.push(pair);
     }
-
-    /// [`Pricer::price_batch_within`] with an explicit worker count.
-    ///
-    /// The budget is [split][Budget::split] into one sub-budget per job:
-    /// fuel is divided evenly across the batch, the deadline is shared,
-    /// and cancelling the parent budget stops every job. `workers` is
-    /// clamped to `[1, bundles.len()]`; one worker degenerates to the
-    /// serial loop (still under split budgets, so results match the
-    /// parallel path exactly).
-    pub fn price_batch_with_workers(
-        &self,
-        bundles: &[Bundle],
-        budget: &Budget,
-        workers: usize,
-    ) -> Vec<Result<Quote, PricingError>> {
-        if bundles.is_empty() {
-            return Vec::new();
-        }
-        let budgets = budget.split(bundles.len());
-        let workers = workers.clamp(1, bundles.len());
-        if workers == 1 {
-            return bundles
-                .iter()
-                .zip(&budgets)
-                .map(|(bundle, sub)| {
-                    catch_unwind(AssertUnwindSafe(|| self.price_job(bundle, sub)))
-                        .unwrap_or_else(|p| Err(PricingError::Internal(panic_message(p))))
-                })
-                .collect();
-        }
-        let injector = Injector::new();
-        for i in 0..bundles.len() {
-            injector.push(i);
-        }
-        let mut slots: Vec<Option<Result<Quote, PricingError>>> = Vec::new();
-        slots.resize_with(bundles.len(), || None);
-        let priced = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        // One worker = one OS thread = one thread-local
-                        // Dinic arena reused across every stolen job.
-                        let mut out: Vec<(usize, Result<Quote, PricingError>)> = Vec::new();
-                        loop {
-                            match injector.steal() {
-                                Steal::Success(i) => {
-                                    let r = catch_unwind(AssertUnwindSafe(|| {
-                                        self.price_job(&bundles[i], &budgets[i])
-                                    }))
-                                    .unwrap_or_else(|p| {
-                                        Err(PricingError::Internal(panic_message(p)))
-                                    });
-                                    out.push((i, r));
-                                }
-                                Steal::Empty => break,
-                                Steal::Retry => continue,
-                            }
+    let done = crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.min(n))
+            .map(|_| {
+                scope.spawn(|_| {
+                    // One worker = one OS thread = one thread-local
+                    // Dinic arena reused across every stolen job.
+                    let mut out: Vec<(usize, T)> = Vec::new();
+                    loop {
+                        match injector.steal() {
+                            Steal::Success((i, j)) => out.push((i, job(j))),
+                            Steal::Empty => break,
+                            Steal::Retry => continue,
                         }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap_or_default())
-                .collect::<Vec<_>>()
-        })
-        .unwrap_or_default();
-        for (i, r) in priced {
-            slots[i] = Some(r);
-        }
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| {
-                    Err(PricingError::Internal(
-                        "batch worker died before pricing this job".to_string(),
-                    ))
+                    }
+                    out
                 })
             })
-            .collect()
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_default())
+            .collect::<Vec<_>>()
+    })
+    .unwrap_or_default();
+    let mut slots: Vec<Option<T>> = Vec::new();
+    slots.resize_with(n, || None);
+    for (i, t) in done {
+        slots[i] = Some(t);
     }
+    slots
+}
 
-    /// Convenience: parse and price a batch of datalog rules in parallel.
-    /// One parse error fails only its own slot.
+impl Pricer {
+    /// Parse and price a batch of datalog rules in parallel on
+    /// `workers` threads (see [`fan_out`]).
+    ///
+    /// The budget is [split][Budget::split] into one sub-budget per
+    /// rule: fuel is divided evenly across the batch, the deadline is
+    /// shared, and cancelling the parent budget stops every job. Results
+    /// are positionally aligned with `rules`; a parse error or an engine
+    /// panic fails only its own slot.
     pub fn price_rules_batch_within(
         &self,
         rules: &[&str],
         budget: &Budget,
         workers: usize,
     ) -> Vec<Result<Quote, PricingError>> {
-        let parsed: Vec<Result<Bundle, PricingError>> = rules
+        let jobs: Vec<(&str, Budget)> = rules
             .iter()
-            .map(|rule| {
-                qbdp_query::parser::parse_rule(self.catalog().schema(), rule)
-                    .map(|q| Bundle::single(Ucq::single(q)))
-                    .map_err(PricingError::from)
-            })
+            .copied()
+            .zip(budget.split(rules.len()))
             .collect();
-        let bundles: Vec<Bundle> = parsed
-            .iter()
-            .filter_map(|r| r.as_ref().ok().cloned())
-            .collect();
-        let mut priced = self
-            .price_batch_with_workers(&bundles, budget, workers)
-            .into_iter();
-        parsed
-            .into_iter()
-            .map(|slot| match slot {
-                Ok(_) => priced
-                    .next()
-                    .unwrap_or_else(|| Err(PricingError::Internal("missing batch slot".into()))),
-                Err(e) => Err(e),
+        fan_out(jobs, workers, |(rule, sub)| {
+            catch_unwind(AssertUnwindSafe(|| self.price_rule_within(rule, &sub)))
+                .unwrap_or_else(|p| Err(PricingError::Internal(panic_message(p))))
+        })
+        .into_iter()
+        .map(|slot| {
+            slot.unwrap_or_else(|| {
+                Err(PricingError::Internal(
+                    "batch worker died before pricing this job".to_string(),
+                ))
             })
-            .collect()
+        })
+        .collect()
     }
 }
 
@@ -262,7 +212,9 @@ mod tests {
     #[test]
     fn empty_batch_is_empty() {
         let p = pricer();
-        assert!(p.price_batch_within(&[], &Budget::unlimited()).is_empty());
+        assert!(p
+            .price_rules_batch_within(&[], &Budget::unlimited(), 2)
+            .is_empty());
     }
 
     #[test]

@@ -141,10 +141,12 @@ impl Budget {
     pub fn split(&self, jobs: usize) -> Vec<Budget> {
         let jobs = jobs.max(1);
         let fuel = self.inner.fuel.load(Ordering::Relaxed);
-        let share = if fuel == UNLIMITED_FUEL {
-            UNLIMITED_FUEL
-        } else {
-            (fuel / jobs as u64).max(1)
+        let share = match fuel {
+            UNLIMITED_FUEL => UNLIMITED_FUEL,
+            // A dry tank splits into dry tanks, so a zero-fuel policy
+            // means the same for a batched quote as for a lone one.
+            0 => 0,
+            _ => (fuel / jobs as u64).max(1),
         };
         (0..jobs)
             .map(|_| Budget {

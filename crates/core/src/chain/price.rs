@@ -13,8 +13,15 @@ use std::cell::RefCell;
 thread_local! {
     /// One Dinic arena per thread: batch-pricing workers (and the serial
     /// path alike) reuse the solver's scratch allocations across every
-    /// quote they price instead of rebuilding them per flow run.
+    /// quote they price — cold or through the plan cache — instead of
+    /// rebuilding them per flow run.
     static DINIC_ARENA: RefCell<DinicArena> = RefCell::new(DinicArena::new());
+}
+
+/// Run `f` on this thread's Dinic arena — the one the cold chain
+/// pricer uses, shared with the plan cache's builds and warm starts.
+pub(crate) fn with_dinic_arena<R>(f: impl FnOnce(&mut DinicArena) -> R) -> R {
+    DINIC_ARENA.with(|a| f(&mut a.borrow_mut()))
 }
 
 /// Which max-flow algorithm to run (Edmonds–Karp is the ablation baseline).
@@ -78,9 +85,7 @@ pub fn chain_price_within(
     let pa = chain.partial_answers(&problem.catalog, &problem.instance);
     let cg = ChainGraph::build(&problem.catalog, &problem.prices, &chain, &pa, mode);
     let flow = match algo {
-        FlowAlgo::Dinic => {
-            DINIC_ARENA.with(|a| a.borrow_mut().max_flow(&cg.graph, cg.s, cg.t, budget))
-        }
+        FlowAlgo::Dinic => with_dinic_arena(|a| a.max_flow(&cg.graph, cg.s, cg.t, budget)),
         FlowAlgo::EdmondsKarp => edmonds_karp_metered(&cg.graph, cg.s, cg.t, budget),
     };
     let flow = match flow {
@@ -109,7 +114,7 @@ pub fn chain_price_within(
     };
     if algo == FlowAlgo::Dinic {
         // Hand the residual allocation back for the next quote's run.
-        DINIC_ARENA.with(|a| a.borrow_mut().recycle(flow));
+        with_dinic_arena(|a| a.recycle(flow));
     }
     Ok(Metered::Done(ChainPriceResult {
         price,

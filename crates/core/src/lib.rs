@@ -40,7 +40,7 @@
 //!   quotes (upper bound + lower bound) returned when a budget runs out;
 //! * [`batch`] — parallel batch pricing: a scoped worker pool (shared
 //!   injector, per-worker Dinic arenas, fuel split across jobs) that
-//!   prices many bundles concurrently with per-job panic containment;
+//!   prices many jobs concurrently with per-job panic containment;
 //! * [`plan_cache`] — the incremental pricing engine: a shape-keyed cache
 //!   of normalized plans + solved flow networks, repriced by residual
 //!   warm starts so repeated query shapes under changed price vectors pay
@@ -70,6 +70,6 @@ pub mod support;
 pub use budget::{Budget, QuoteQuality};
 pub use error::PricingError;
 pub use money::Price;
-pub use plan_cache::{query_footprint, shape_key, PlanCache, PlanStats};
+pub use plan_cache::{price_planned, query_footprint, shape_key, PlanCache, PlanStats};
 pub use price_points::{PriceList, PricePoint, PriceSchedule, ViewDef};
 pub use pricer::{Pricer, PricingMethod, Quote};

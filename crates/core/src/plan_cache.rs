@@ -14,6 +14,15 @@
 //! [`ResidualState`], and a map from *original* price-list views to the
 //! graph edge whose capacity they control.
 //!
+//! ## Which shapes get a plan
+//!
+//! A shape's first miss prices cold and records only its key; its second
+//! miss builds the plan. Building costs more than a cold solve, so
+//! one-off queries never pay for it (DESIGN.md §4.5 has the numbers).
+//! [`PlanCache::checkout`] takes a shape's state out of the map,
+//! [`price_planned`] prices with it outside the owner's lock, and
+//! [`PlanCache::checkin`] puts the plan back.
+//!
 //! ## Repricing protocol
 //!
 //! On a cache hit the current price list is diffed against the entry's
@@ -23,8 +32,8 @@
 //!
 //! * no change — the cached quote is returned verbatim;
 //! * a changed view maps to graph edges and stays finite — each affected
-//!   branch gets [`DinicArena::warm_start`] capacity repairs, branch base
-//!   costs are re-summed from their recorded cover views, and the quote is
+//!   branch gets residual warm-start capacity repairs, branch base costs
+//!   are re-summed from their recorded cover views, and the quote is
 //!   reassembled by the same branch-minimum rule the cold path uses;
 //! * a change touches a *transformed* attribute (Step 2 collapsed its
 //!   relation, or the build recorded a non-invertible provenance), or a
@@ -45,6 +54,7 @@
 
 use crate::budget::QuoteQuality;
 use crate::chain::graph::ChainGraph;
+use crate::chain::price::with_dinic_arena;
 use crate::chain::price::FlowAlgo;
 use crate::dichotomy::{classify, QueryClass};
 use crate::error::PricingError;
@@ -55,7 +65,7 @@ use crate::price_points::PriceList;
 use crate::pricer::{Pricer, PricingMethod, Quote};
 use qbdp_catalog::{AttrRef, Catalog, FxHashMap, FxHashSet, RelId};
 use qbdp_determinacy::selection::SelectionView;
-use qbdp_flow::{DinicArena, EdgeId, FlowGraph, NodeId, ResidualState, Unmetered};
+use qbdp_flow::{EdgeId, FlowGraph, NodeId, ResidualState, Unmetered};
 use qbdp_query::ast::{ConjunctiveQuery, Term, Var};
 use qbdp_query::chain::ChainQuery;
 
@@ -63,10 +73,14 @@ use qbdp_query::chain::ChainQuery;
 /// tests; not part of any equivalence argument).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PlanStats {
-    /// Hits with an unchanged footprint: cached quote returned verbatim.
+    /// Lookups whose plan was reused with an unchanged footprint: the
+    /// cached quote returned verbatim.
     pub hits: u64,
-    /// Shapes never seen before (cold build).
+    /// Lookups that found no plan: a shape's first miss prices cold,
+    /// later ones build a plan.
     pub misses: u64,
+    /// Plans built (a shape's repeat miss, or a rebuild after eviction).
+    pub builds: u64,
     /// Hits repriced through warm-start capacity repair.
     pub warm_reprices: u64,
     /// Warm repairs that exceeded their fuel fraction and re-solved cold
@@ -77,33 +91,23 @@ pub struct PlanStats {
 }
 
 impl PlanStats {
-    // The per-instance tallies (asserted exactly by tests and printed by
-    // `qbdp price --incremental`) and the global registry are fed from
-    // one increment site each, so the two views can never diverge.
-
-    fn hit(&mut self) {
-        self.hits += 1;
-        qbdp_obs::record(qbdp_obs::Ctr::PlanCacheHits, 1);
-    }
-
-    fn miss(&mut self) {
-        self.misses += 1;
-        qbdp_obs::record(qbdp_obs::Ctr::PlanCacheMisses, 1);
-    }
-
-    fn warm_reprice(&mut self) {
-        self.warm_reprices += 1;
-        qbdp_obs::record(qbdp_obs::Ctr::PlanCacheWarmReprices, 1);
-    }
-
-    fn flow_fallback(&mut self) {
-        self.flow_fallbacks += 1;
-        qbdp_obs::record(qbdp_obs::Ctr::PlanCacheFlowFallbacks, 1);
-    }
-
-    fn evict(&mut self, n: u64) {
-        self.evictions += n;
-        qbdp_obs::record(qbdp_obs::Ctr::PlanCacheEvictions, n);
+    /// Fold `d` into these tallies and the global registry — the one
+    /// increment site, so the per-cache view (asserted exactly by tests)
+    /// and the registry (`qbdp stats`) can never diverge.
+    fn add(&mut self, d: PlanStats) {
+        use qbdp_obs::{record, Ctr};
+        self.hits += d.hits;
+        self.misses += d.misses;
+        self.builds += d.builds;
+        self.warm_reprices += d.warm_reprices;
+        self.flow_fallbacks += d.flow_fallbacks;
+        self.evictions += d.evictions;
+        record(Ctr::PlanCacheHits, d.hits);
+        record(Ctr::PlanCacheMisses, d.misses);
+        record(Ctr::PlanCacheBuilds, d.builds);
+        record(Ctr::PlanCacheWarmReprices, d.warm_reprices);
+        record(Ctr::PlanCacheFlowFallbacks, d.flow_fallbacks);
+        record(Ctr::PlanCacheEvictions, d.evictions);
     }
 }
 
@@ -126,8 +130,9 @@ struct CachedBranch {
     state: ResidualState,
 }
 
-/// A cached plan for one query shape.
-struct PlanEntry {
+/// A cached plan for one query shape. Opaque: it only travels between
+/// [`PlanCache::checkout`], [`price_planned`] and [`PlanCache::checkin`].
+pub struct PlanEntry {
     /// Relations the query mentions (entries die when one is inserted to).
     mentioned: Vec<RelId>,
     /// Every attribute of every mentioned relation (original coordinates):
@@ -143,14 +148,29 @@ struct PlanEntry {
     /// The quote those branches produced (returned verbatim while the
     /// footprint prices are unchanged).
     quote: Quote,
+    /// What pricing did with this entry since its checkout, folded into
+    /// the cache's [`PlanStats`] at check-in.
+    tally: PlanStats,
 }
 
-/// The plan cache. One per market (or per pricing session); interior
-/// solver scratch is reused across entries via a private [`DinicArena`].
+/// A shape's state taken out of the cache by [`PlanCache::checkout`].
+pub enum Checkout {
+    /// The shape's first miss: price cold, build nothing.
+    Cold,
+    /// A repeat miss: build the shape's plan while pricing.
+    Build,
+    /// The shape's plan, out of the cache until it is checked back in.
+    Plan(Box<PlanEntry>),
+}
+
+/// The plan cache: one per market (or per pricing session), behind its
+/// owner's lock. Flow solver scratch comes from the pricing thread's
+/// Dinic arena, so the cache holds no solver state of its own.
 #[derive(Default)]
 pub struct PlanCache {
     map: FxHashMap<String, PlanEntry>,
-    arena: DinicArena,
+    /// Shapes that have missed once (see the module docs).
+    seen: FxHashSet<String>,
     stats: PlanStats,
 }
 
@@ -262,98 +282,137 @@ impl PlanCache {
         self.stats
     }
 
-    /// Number of cached shapes.
+    /// Number of cached plans.
     pub fn len(&self) -> usize {
         self.map.len()
     }
 
-    /// Whether the cache is empty.
+    /// Whether the cache holds no plan.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
 
-    /// Drop every entry (e.g. after recovery replay).
+    /// Drop every plan and every recorded shape (e.g. after recovery
+    /// replay).
     pub fn clear(&mut self) {
         self.map.clear();
+        self.seen.clear();
     }
 
     /// Drop entries mentioning any of `rels` — required after an insert,
     /// because cached partial answers and networks embed the instance.
+    /// Their shapes stay recorded, so the next miss rebuilds at once.
     pub fn invalidate_rels(&mut self, rels: &[RelId]) {
         let before = self.map.len();
         self.map
             .retain(|_, e| !e.mentioned.iter().any(|r| rels.contains(r)));
-        self.stats.evict((before - self.map.len()) as u64);
+        self.stats.add(PlanStats {
+            evictions: (before - self.map.len()) as u64,
+            ..PlanStats::default()
+        });
     }
 
-    /// Whether this query takes the cached chain-flow path. Everything
-    /// else delegates to [`Pricer::price_cq`] unchanged.
-    fn cacheable(pricer: &Pricer, q: &ConjunctiveQuery, class: &QueryClass) -> bool {
-        *class == QueryClass::GeneralizedChain
-            && !q.atoms().is_empty()
-            && !q.is_boolean()
-            && pricer.config().flow_algo == FlowAlgo::Dinic
-    }
-
-    /// Price `q` exactly (unlimited budget), reusing a cached plan for its
-    /// shape when one exists. The result is bit-identical to
-    /// [`Pricer::price_cq`] — prices, views, method, class, quality — which
-    /// the `incremental_equiv` differential battery enforces.
-    pub fn quote(&mut self, pricer: &Pricer, q: &ConjunctiveQuery) -> Result<Quote, PricingError> {
-        let class = classify(q);
-        if !Self::cacheable(pricer, q, &class) {
-            return pricer.price_cq(q);
+    /// Take the state of shape `key` (see [`shape_key`]) out of the
+    /// cache, to price with [`price_planned`] outside the owner's lock.
+    pub fn checkout(&mut self, key: &str) -> Checkout {
+        if let Some(entry) = self.map.remove(key) {
+            return Checkout::Plan(Box::new(entry));
         }
-        crate::fault::maybe_panic();
-        let key = shape_key(q);
-        // Entries are taken out of the map for mutation; a build failure
-        // simply leaves the shape uncached (exactly like a cold error).
-        if let Some(mut entry) = self.map.remove(&key) {
+        self.stats.add(PlanStats {
+            misses: 1,
+            ..PlanStats::default()
+        });
+        if self.seen.insert(key.to_string()) {
+            Checkout::Cold
+        } else {
+            Checkout::Build
+        }
+    }
+
+    /// Put a plan returned by [`price_planned`] back under `key`. A plan
+    /// a concurrent pricing of the same shape checked in meanwhile is
+    /// replaced; both describe the same live data.
+    pub fn checkin(&mut self, key: String, mut entry: Box<PlanEntry>) {
+        self.stats.add(std::mem::take(&mut entry.tally));
+        self.map.insert(key, *entry);
+    }
+}
+
+/// Whether this query takes the cached chain-flow path. Everything else
+/// is priced by [`Pricer::price_cq`] unchanged.
+fn cacheable(pricer: &Pricer, q: &ConjunctiveQuery, class: &QueryClass) -> bool {
+    *class == QueryClass::GeneralizedChain
+        && !q.atoms().is_empty()
+        && !q.is_boolean()
+        && pricer.config().flow_algo == FlowAlgo::Dinic
+}
+
+/// Price `q` exactly (unlimited budget) with the state
+/// [`PlanCache::checkout`] gave for its shape, returning the quote and
+/// the plan to check back in, if there is one. The result is
+/// bit-identical to [`Pricer::price_cq`] — prices, views, method, class,
+/// quality — which the `incremental_equiv` differential battery
+/// enforces. Runs with no lock held; a panic here loses only the
+/// checked-out plan.
+pub fn price_planned(
+    pricer: &Pricer,
+    q: &ConjunctiveQuery,
+    checkout: Checkout,
+) -> Result<(Quote, Option<Box<PlanEntry>>), PricingError> {
+    let mut tally = PlanStats::default();
+    match checkout {
+        Checkout::Cold => {
+            qbdp_obs::trace::event("plan_cache", "cold");
+            return Ok((pricer.price_cq(q)?, None));
+        }
+        Checkout::Build => qbdp_obs::trace::event("plan_cache", "build"),
+        Checkout::Plan(mut entry) => {
+            crate::fault::maybe_panic();
             let mut span = qbdp_obs::trace::span("plan_cache");
             let changed = entry.diff(pricer);
             span.n(changed.len() as u64);
             if changed.is_empty() {
-                self.stats.hit();
                 span.detail("hit");
-                let quote = entry.quote.clone();
-                self.map.insert(key, entry);
-                return Ok(quote);
+                entry.tally.hits += 1;
+                return Ok((entry.quote.clone(), Some(entry)));
             }
             let patchable = changed.iter().all(|(view, old, new)| {
                 old.is_finite() && new.is_finite() && !entry.transformed.contains(&view.attr)
             });
             if patchable {
                 span.detail("warm");
-                let quote = self.reprice(&mut entry, pricer, &changed)?;
-                self.stats.warm_reprice();
-                self.map.insert(key, entry);
-                return Ok(quote);
+                let quote = entry.reprice(pricer, &changed)?;
+                entry.tally.warm_reprices += 1;
+                return Ok((quote, Some(entry)));
             }
-            self.stats.evict(1);
             span.detail("evict");
-        } else {
-            self.stats.miss();
-            qbdp_obs::trace::event("plan_cache", "miss");
+            tally.evictions = 1;
         }
-        let build_span = qbdp_obs::trace::span("plan_build");
-        let (entry, quote) = self.build(pricer, q, class)?;
-        drop(build_span);
-        self.map.insert(key, entry);
-        Ok(quote)
     }
+    // Build a plan — unless the class does not take the cached path.
+    let class = classify(q);
+    if !cacheable(pricer, q, &class) {
+        return Ok((pricer.price_cq(q)?, None));
+    }
+    crate::fault::maybe_panic();
+    let _span = qbdp_obs::trace::span("plan_build");
+    let (mut entry, quote) = PlanEntry::build(pricer, q, class)?;
+    entry.tally = PlanStats { builds: 1, ..tally };
+    Ok((quote, Some(Box::new(entry))))
+}
 
+impl PlanEntry {
     /// Warm-reprice a cached entry under `changed` footprint prices (all
     /// finite → finite, none transformed).
     fn reprice(
         &mut self,
-        entry: &mut PlanEntry,
         pricer: &Pricer,
         changed: &[(SelectionView, Price, Price)],
     ) -> Result<Quote, PricingError> {
         let prices = pricer.prices();
         let mut best = Price::INFINITE;
         let mut best_views: Vec<SelectionView> = Vec::new();
-        for branch in &mut entry.branches {
+        for branch in &mut self.branches {
             let patches: Vec<(EdgeId, u64)> = changed
                 .iter()
                 .filter_map(|(view, _, new)| {
@@ -364,9 +423,8 @@ impl PlanCache {
                 })
                 .collect();
             if !patches.is_empty() {
-                let out = self
-                    .arena
-                    .warm_start(
+                let out = with_dinic_arena(|a| {
+                    a.warm_start(
                         &mut branch.graph,
                         branch.s,
                         branch.t,
@@ -374,11 +432,10 @@ impl PlanCache {
                         &patches,
                         &Unmetered,
                     )
-                    .map_err(|_| {
-                        PricingError::Internal("unmetered warm start interrupted".into())
-                    })?;
+                })
+                .map_err(|_| PricingError::Internal("unmetered warm start interrupted".into()))?;
                 if out.fell_back {
-                    self.stats.flow_fallback();
+                    self.tally.flow_fallbacks += 1;
                 }
             }
             // Base cost re-summed from the recorded cover views: equal to
@@ -414,19 +471,18 @@ impl PlanCache {
             price: best,
             views: best_views,
             method: PricingMethod::ChainFlow,
-            class: entry.quote.class.clone(),
+            class: self.quote.class.clone(),
             quality: QuoteQuality::Exact,
             lower_bound: best,
         };
-        entry.prices = prices.clone();
-        entry.quote = quote.clone();
+        self.prices = prices.clone();
+        self.quote = quote.clone();
         Ok(quote)
     }
 
     /// Cold-build an entry: the GChQ pipeline with every branch's network
     /// and residual state captured for later warm starts.
     fn build(
-        &mut self,
         pricer: &Pricer,
         q: &ConjunctiveQuery,
         class: QueryClass,
@@ -468,9 +524,7 @@ impl PlanCache {
                 t,
                 view_edges,
             } = cg;
-            let flow = self
-                .arena
-                .max_flow(&graph, s, t, &Unmetered)
+            let flow = with_dinic_arena(|a| a.max_flow(&graph, s, t, &Unmetered))
                 .map_err(|_| PricingError::Internal("unmetered max flow interrupted".into()))?;
             let state = ResidualState::from(flow);
             // Invert view edges back to original price points. Anything
@@ -547,12 +601,11 @@ impl PlanCache {
             prices: pricer.prices().clone(),
             branches: cached,
             quote: quote.clone(),
+            tally: PlanStats::default(),
         };
         Ok((entry, quote))
     }
-}
 
-impl PlanEntry {
     /// Footprint price points whose value differs between the snapshot and
     /// the pricer's current list: `(view, old, new)`.
     fn diff(&self, pricer: &Pricer) -> Vec<(SelectionView, Price, Price)> {
@@ -613,6 +666,32 @@ mod tests {
         Pricer::new(cat, d, prices).unwrap()
     }
 
+    /// One lookup the way the market makes it: check out, price
+    /// unlocked, check the plan back in.
+    fn quote(
+        plan: &mut PlanCache,
+        p: &Pricer,
+        q: &ConjunctiveQuery,
+    ) -> Result<Quote, PricingError> {
+        let key = shape_key(q);
+        let (quote, entry) = price_planned(p, q, plan.checkout(&key))?;
+        if let Some(entry) = entry {
+            plan.checkin(key, entry);
+        }
+        Ok(quote)
+    }
+
+    /// A cache holding `q`'s plan: its first miss prices cold, its second
+    /// builds.
+    fn primed(p: &Pricer, q: &ConjunctiveQuery) -> PlanCache {
+        let mut plan = PlanCache::new();
+        quote(&mut plan, p, q).unwrap();
+        assert!(plan.is_empty(), "a first miss builds no plan");
+        quote(&mut plan, p, q).unwrap();
+        assert_eq!(plan.len(), 1);
+        plan
+    }
+
     fn assert_quotes_equal(a: &Quote, b: &Quote) {
         assert_eq!(a.price, b.price);
         assert_eq!(a.views, b.views);
@@ -641,12 +720,11 @@ mod tests {
         let q = parse_rule(p.catalog().schema(), "Q(x, y) :- R(x), S(x, y), T(y)").unwrap();
         let mut plan = PlanCache::new();
         let cold = p.price_cq(&q).unwrap();
-        let warm1 = plan.quote(&p, &q).unwrap();
-        let warm2 = plan.quote(&p, &q).unwrap();
-        assert_quotes_equal(&cold, &warm1);
-        assert_quotes_equal(&cold, &warm2);
-        assert_eq!(plan.stats().misses, 1);
-        assert_eq!(plan.stats().hits, 1);
+        for _ in 0..3 {
+            assert_quotes_equal(&cold, &quote(&mut plan, &p, &q).unwrap());
+        }
+        let stats = plan.stats();
+        assert_eq!((stats.misses, stats.builds, stats.hits), (2, 1, 1));
         assert_eq!(plan.len(), 1);
     }
 
@@ -654,8 +732,7 @@ mod tests {
     fn price_change_warm_reprices_to_cold_answer() {
         let mut p = figure1_pricer();
         let q = parse_rule(p.catalog().schema(), "Q(x, y) :- R(x), S(x, y), T(y)").unwrap();
-        let mut plan = PlanCache::new();
-        plan.quote(&p, &q).unwrap();
+        let mut plan = primed(&p, &q);
         // Raise one R.X view: the cut should route around it.
         let rx = p.catalog().schema().resolve_attr("R.X").unwrap();
         let mut prices = p.prices().clone();
@@ -664,7 +741,7 @@ mod tests {
             Price::dollars(50),
         );
         p = Pricer::new(p.catalog().clone(), p.instance().clone(), prices).unwrap();
-        let warm = plan.quote(&p, &q).unwrap();
+        let warm = quote(&mut plan, &p, &q).unwrap();
         let cold = p.price_cq(&q).unwrap();
         assert_quotes_equal(&cold, &warm);
         assert_eq!(plan.stats().warm_reprices, 1);
@@ -684,15 +761,14 @@ mod tests {
         let prices = PriceList::uniform(&cat, Price::dollars(2));
         let mut p = Pricer::new(cat, d, prices).unwrap();
         let q = parse_rule(p.catalog().schema(), "Q(x) :- R(x, x)").unwrap();
-        let mut plan = PlanCache::new();
-        plan.quote(&p, &q).unwrap();
+        let mut plan = primed(&p, &q);
         // Drop the price of the "loser" position below the winner: the min
         // flips, which only an eviction can observe.
         let ry = AttrRef::new(r, 1);
         let mut prices = p.prices().clone();
         prices.set(SelectionView::new(ry, Value::Int(0)), Price::dollars(1));
         p = Pricer::new(p.catalog().clone(), p.instance().clone(), prices).unwrap();
-        let warm = plan.quote(&p, &q).unwrap();
+        let warm = quote(&mut plan, &p, &q).unwrap();
         let cold = p.price_cq(&q).unwrap();
         assert_quotes_equal(&cold, &warm);
         assert_eq!(plan.stats().evictions, 1);
@@ -703,15 +779,14 @@ mod tests {
     fn infinite_transitions_evict() {
         let mut p = figure1_pricer();
         let q = parse_rule(p.catalog().schema(), "Q(x, y) :- R(x), S(x, y), T(y)").unwrap();
-        let mut plan = PlanCache::new();
-        plan.quote(&p, &q).unwrap();
+        let mut plan = primed(&p, &q);
         // Unprice a view: finite → ∞ must evict, and the rebuilt entry
         // must agree with cold.
         let rx = p.catalog().schema().resolve_attr("R.X").unwrap();
         let mut prices = p.prices().clone();
         prices.remove(&SelectionView::new(rx, Value::text("a1")));
         p = Pricer::new(p.catalog().clone(), p.instance().clone(), prices).unwrap();
-        let warm = plan.quote(&p, &q).unwrap();
+        let warm = quote(&mut plan, &p, &q).unwrap();
         let cold = p.price_cq(&q).unwrap();
         assert_quotes_equal(&cold, &warm);
         assert_eq!(plan.stats().evictions, 1);
@@ -721,15 +796,15 @@ mod tests {
     fn insert_invalidates_mentioning_entries() {
         let mut p = figure1_pricer();
         let q = parse_rule(p.catalog().schema(), "Q(x, y) :- R(x), S(x, y), T(y)").unwrap();
-        let mut plan = PlanCache::new();
-        plan.quote(&p, &q).unwrap();
+        let mut plan = primed(&p, &q);
         let r = p.catalog().schema().rel_id("R").unwrap();
         plan.invalidate_rels(&[r]);
         assert!(plan.is_empty());
         p.insert(r, [tuple!["a3"]]).unwrap();
-        let warm = plan.quote(&p, &q).unwrap();
+        let warm = quote(&mut plan, &p, &q).unwrap();
         let cold = p.price_cq(&q).unwrap();
         assert_quotes_equal(&cold, &warm);
+        assert_eq!(plan.len(), 1, "a known shape rebuilds on its next miss");
     }
 
     #[test]
@@ -753,14 +828,13 @@ mod tests {
         let prices = PriceList::uniform(&cat, Price::dollars(1));
         let mut p = Pricer::new(cat, d, prices).unwrap();
         let q = parse_rule(p.catalog().schema(), "Q(x, y, z) :- R(x, y), S(y, z), T(z)").unwrap();
-        let mut plan = PlanCache::new();
-        plan.quote(&p, &q).unwrap();
+        let mut plan = primed(&p, &q);
         let rx = p.catalog().schema().resolve_attr("R.X").unwrap();
         for cents in [40u64, 250, 700] {
             let mut prices = p.prices().clone();
             prices.set(SelectionView::new(rx, Value::Int(1)), Price::cents(cents));
             p = Pricer::new(p.catalog().clone(), p.instance().clone(), prices).unwrap();
-            let warm = plan.quote(&p, &q).unwrap();
+            let warm = quote(&mut plan, &p, &q).unwrap();
             let cold = p.price_cq(&q).unwrap();
             assert_quotes_equal(&cold, &warm);
         }
@@ -774,9 +848,24 @@ mod tests {
         let mut plan = PlanCache::new();
         // Boolean query: bypasses the cache entirely.
         let q = parse_rule(p.catalog().schema(), "B() :- R(x), S(x, y), T(y)").unwrap();
-        let warm = plan.quote(&p, &q).unwrap();
-        let cold = p.price_cq(&q).unwrap();
-        assert_quotes_equal(&cold, &warm);
+        for _ in 0..2 {
+            let warm = quote(&mut plan, &p, &q).unwrap();
+            let cold = p.price_cq(&q).unwrap();
+            assert_quotes_equal(&cold, &warm);
+        }
         assert!(plan.is_empty());
+    }
+
+    #[test]
+    fn one_off_shapes_build_no_plans() {
+        let p = figure1_pricer();
+        let mut plan = PlanCache::new();
+        for a in ["a1", "a2", "a3", "a4"] {
+            let rule = format!("Q(y) :- R('{a}'), S('{a}', y), T(y)");
+            let q = parse_rule(p.catalog().schema(), &rule).unwrap();
+            assert_quotes_equal(&p.price_cq(&q).unwrap(), &quote(&mut plan, &p, &q).unwrap());
+        }
+        assert!(plan.is_empty());
+        assert_eq!((plan.stats().misses, plan.stats().builds), (4, 0));
     }
 }

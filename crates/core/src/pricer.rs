@@ -259,18 +259,6 @@ impl Pricer {
         &self.config
     }
 
-    /// Price a conjunctive query exactly, reusing `plan`'s cached
-    /// normalized networks when the shape was priced before (see
-    /// [`crate::plan_cache::PlanCache`]). Bit-identical to
-    /// [`Pricer::price_cq`].
-    pub fn price_cq_with_plan(
-        &self,
-        q: &ConjunctiveQuery,
-        plan: &mut crate::plan_cache::PlanCache,
-    ) -> Result<Quote, PricingError> {
-        plan.quote(self, q)
-    }
-
     /// Proposition 3.2 violations (empty ⇒ consistent).
     pub fn check_consistency(&self) -> Vec<ListArbitrage> {
         find_list_arbitrage(&self.catalog, &self.prices)

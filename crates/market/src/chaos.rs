@@ -29,7 +29,7 @@
 //! than panicking, so a single schedule reports *all* the damage and
 //! the harness stays usable from the CLI.
 
-use crate::durable::{DurableMarket, MarketHealth};
+use crate::durable::{DurableMarket, DurableOptions, MarketHealth};
 use crate::error::MarketError;
 use crate::ledger::Ledger;
 use crate::market::Market;
@@ -463,7 +463,15 @@ pub fn run_schedule(qdp: &str, dir: &Path, cfg: &ChaosConfig) -> Result<ChaosRep
         max_delay_micros: 10,
         jitter_seed: cfg.seed,
     };
-    let dm = DurableMarket::create_with(Arc::new(fs.clone()), dir, qdp, cfg.fsync, retry)?;
+    let dm = DurableMarket::open_with(
+        dir,
+        DurableOptions {
+            vfs: Arc::new(fs.clone()),
+            retry,
+            seed: Some(qdp),
+            ..DurableOptions::new(cfg.fsync)
+        },
+    )?;
     let shape = Shape::parse(&dm.market().to_qdp())?;
     let mut rng = SplitMix64::new(cfg.seed);
     fs.set_plan(FaultPlan {
@@ -487,7 +495,7 @@ pub fn run_schedule(qdp: &str, dir: &Path, cfg: &ChaosConfig) -> Result<ChaosRep
         };
         if let Op::Quote { query } = &op {
             let degraded = matches!(dm.health(), MarketHealth::ReadOnly { .. });
-            match dm.quote_str(query) {
+            match dm.market().quote_str(query) {
                 Ok(quote) => {
                     if quote.lower_bound > quote.price {
                         report.violations.push(format!(
@@ -574,11 +582,13 @@ pub fn run_schedule(qdp: &str, dir: &Path, cfg: &ChaosConfig) -> Result<ChaosRep
             .push(format!("crash simulation failed: {e}"));
         return Ok(report);
     }
-    let recovered = match DurableMarket::open_on(
-        Arc::new(fs.clone()),
+    let recovered = match DurableMarket::open_with(
         dir,
-        FsyncPolicy::Never,
-        RetryPolicy::none(),
+        DurableOptions {
+            vfs: Arc::new(fs.clone()),
+            retry: RetryPolicy::none(),
+            ..DurableOptions::new(FsyncPolicy::Never)
+        },
     ) {
         Ok(m) => m,
         Err(e) => {
@@ -630,7 +640,7 @@ pub fn run_schedule(qdp: &str, dir: &Path, cfg: &ChaosConfig) -> Result<ChaosRep
         }
     }
     if let Some(query) = gen_query(&shape, &mut rng) {
-        match recovered.quote_str(&query) {
+        match recovered.market().quote_str(&query) {
             Ok(quote) => {
                 if quote.lower_bound > quote.price {
                     report

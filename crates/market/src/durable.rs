@@ -46,7 +46,7 @@
 
 use crate::error::MarketError;
 use crate::ledger::Ledger;
-use crate::market::{Market, MarketPolicy, MarketQuote, Purchase};
+use crate::market::{Market, MarketPolicy, MarketQuote, Purchase, Served};
 use parking_lot::{Mutex, RwLock};
 use qbdp_catalog::{Tuple, Value};
 use qbdp_core::Price;
@@ -158,13 +158,9 @@ fn parse_policy(text: &str) -> Result<MarketPolicy, StoreError> {
         sell_degraded,
         max_in_flight,
         batch_workers,
-        // In-process serving knobs, deliberately not persisted: a
-        // recovered market prices cold until the operator re-enables
-        // the incremental engine (its plan cache died with the process
-        // anyway, so there is nothing warm to preserve), and telemetry
-        // is an operator decision about *this* process, not market
-        // state.
-        incremental: false,
+        // An in-process serving knob, deliberately not persisted:
+        // telemetry is an operator decision about *this* process, not
+        // market state.
         telemetry: false,
     })
 }
@@ -179,6 +175,43 @@ fn policy_event(p: &MarketPolicy) -> MarketEvent {
     }
 }
 
+/// How [`DurableMarket::open_with`] opens — or, given a seed, creates —
+/// a durable market. Start from [`DurableOptions::new`] and override
+/// fields with struct-update syntax.
+pub struct DurableOptions<'a> {
+    /// When the write-ahead log reaches stable storage.
+    pub fsync: FsyncPolicy,
+    /// The filesystem the snapshot and log live on (a [`qbdp_store::FaultFs`]
+    /// in the chaos harness; the seam a replicated store would plug into).
+    pub vfs: Arc<dyn Vfs>,
+    /// Bounded retries for transient I/O faults.
+    pub retry: RetryPolicy,
+    /// Seed `.qdp` text: initialize the directory from it when it holds
+    /// no snapshot yet. Without a seed, an uninitialized directory is
+    /// [`StoreError::SnapshotMissing`].
+    pub seed: Option<&'a str>,
+    /// Called once after the snapshot loads and once after each replayed
+    /// event — the hook the CLI `replay` verb uses to record §2.7 price
+    /// trajectories without duplicating recovery logic.
+    pub observer: Option<&'a mut ReplayObserver<'a>>,
+}
+
+/// A recovery replay callback (see [`DurableOptions::observer`]).
+pub type ReplayObserver<'a> = dyn FnMut(ReplayStep<'_>, &Market) + 'a;
+
+impl DurableOptions<'_> {
+    /// The real filesystem, default retries, no seed, no observer.
+    pub fn new(fsync: FsyncPolicy) -> Self {
+        DurableOptions {
+            fsync,
+            vfs: Arc::new(RealFs),
+            retry: RetryPolicy::default(),
+            seed: None,
+            observer: None,
+        }
+    }
+}
+
 impl DurableMarket {
     /// Initialize `dir` as a durable market seeded from `.qdp` text:
     /// write the genesis snapshot (covering log position 0) and an empty
@@ -189,20 +222,45 @@ impl DurableMarket {
         qdp: &str,
         fsync: FsyncPolicy,
     ) -> Result<DurableMarket, MarketError> {
-        Self::create_with(Arc::new(RealFs), dir, qdp, fsync, RetryPolicy::default())
+        Self::create_in(dir.as_ref(), qdp, DurableOptions::new(fsync))
     }
 
-    /// [`DurableMarket::create`] on an explicit [`Vfs`] with an explicit
-    /// transient-fault [`RetryPolicy`] — the chaos harness's entry
-    /// point, and the seam a future replicated store plugs into.
-    pub fn create_with(
-        vfs: Arc<dyn Vfs>,
+    /// Open an initialized durable market: load the snapshot, replay the
+    /// log suffix it does not cover, reset the quote cache to epoch 0.
+    pub fn open(dir: impl AsRef<Path>, fsync: FsyncPolicy) -> Result<DurableMarket, MarketError> {
+        Self::open_with(dir, DurableOptions::new(fsync))
+    }
+
+    /// Open `dir` if it is initialized; otherwise, when `options` carry
+    /// a seed, initialize it from the seed (the CLI `serve-dir` verb's
+    /// semantics). Recovery always reopens Healthy: whatever poisoned
+    /// the previous handle, the reopened log starts from a repaired,
+    /// verified prefix.
+    pub fn open_with(
         dir: impl AsRef<Path>,
-        qdp: &str,
-        fsync: FsyncPolicy,
-        retry: RetryPolicy,
+        options: DurableOptions<'_>,
     ) -> Result<DurableMarket, MarketError> {
-        let dir = dir.as_ref().to_path_buf();
+        let dir = dir.as_ref();
+        if options.vfs.exists(&dir.join(SNAPSHOT_FILE)) {
+            Self::recover(dir, options)
+        } else if let Some(qdp) = options.seed {
+            Self::create_in(dir, qdp, options)
+        } else {
+            Err(MarketError::Store(StoreError::SnapshotMissing))
+        }
+    }
+
+    /// [`DurableMarket::create`] under explicit options (the seed field
+    /// is ignored: `qdp` is the seed).
+    fn create_in(
+        dir: &Path,
+        qdp: &str,
+        options: DurableOptions<'_>,
+    ) -> Result<DurableMarket, MarketError> {
+        let DurableOptions {
+            fsync, vfs, retry, ..
+        } = options;
+        let dir = dir.to_path_buf();
         vfs.create_dir_all(&dir).map_err(StoreError::from)?;
         let snapshot_path = dir.join(SNAPSHOT_FILE);
         if vfs.exists(&snapshot_path) {
@@ -241,52 +299,22 @@ impl DurableMarket {
         })
     }
 
-    /// Open an initialized durable market: load the snapshot, replay the
-    /// log suffix it does not cover, reset the quote cache to epoch 0.
-    pub fn open(dir: impl AsRef<Path>, fsync: FsyncPolicy) -> Result<DurableMarket, MarketError> {
-        Self::open_with_observer(dir, fsync, |_, _| {})
-    }
-
-    /// [`DurableMarket::open`] on an explicit [`Vfs`] with an explicit
-    /// retry policy. Recovery always reopens Healthy: whatever poisoned
-    /// the previous handle, the reopened log starts from a repaired,
-    /// verified prefix.
-    pub fn open_on(
-        vfs: Arc<dyn Vfs>,
-        dir: impl AsRef<Path>,
-        fsync: FsyncPolicy,
-        retry: RetryPolicy,
-    ) -> Result<DurableMarket, MarketError> {
-        Self::open_with_observer_on(vfs, dir, fsync, retry, |_, _| {})
-    }
-
-    /// [`DurableMarket::open`] with a callback invoked once after the
-    /// snapshot loads and once after each replayed event — the hook the
-    /// CLI `replay` verb uses to record §2.7 price trajectories without
-    /// duplicating recovery logic.
-    pub fn open_with_observer(
-        dir: impl AsRef<Path>,
-        fsync: FsyncPolicy,
-        observer: impl FnMut(ReplayStep<'_>, &Market),
-    ) -> Result<DurableMarket, MarketError> {
-        Self::open_with_observer_on(
-            Arc::new(RealFs),
-            dir,
+    /// Load the snapshot under `dir` and replay the log suffix it does
+    /// not cover, reporting each step to the options' observer.
+    fn recover(dir: &Path, options: DurableOptions<'_>) -> Result<DurableMarket, MarketError> {
+        let DurableOptions {
             fsync,
-            RetryPolicy::default(),
-            observer,
-        )
-    }
-
-    /// [`DurableMarket::open_with_observer`] on an explicit [`Vfs`].
-    pub fn open_with_observer_on(
-        vfs: Arc<dyn Vfs>,
-        dir: impl AsRef<Path>,
-        fsync: FsyncPolicy,
-        retry: RetryPolicy,
-        mut observer: impl FnMut(ReplayStep<'_>, &Market),
-    ) -> Result<DurableMarket, MarketError> {
-        let dir = dir.as_ref().to_path_buf();
+            vfs,
+            retry,
+            mut observer,
+            ..
+        } = options;
+        let mut observe = |step: ReplayStep<'_>, market: &Market| {
+            if let Some(f) = observer.as_mut() {
+                f(step, market);
+            }
+        };
+        let dir = dir.to_path_buf();
         let mut snapshot = Snapshot::load_with(vfs.as_ref(), dir.join(SNAPSHOT_FILE))?;
         let qdp = snapshot
             .section("market")
@@ -318,10 +346,10 @@ impl DurableMarket {
             snapshot.wal_pos = wal.position();
             snapshot.write_with(vfs.as_ref(), dir.join(SNAPSHOT_FILE), &retry)?;
         }
-        observer(ReplayStep::SnapshotLoaded, &market);
+        observe(ReplayStep::SnapshotLoaded, &market);
         for record in wal.replay_from(snapshot.wal_pos)? {
             apply_event(&market, &record.event, record.start)?;
-            observer(ReplayStep::Applied(&record.event), &market);
+            observe(ReplayStep::Applied(&record.event), &market);
         }
         market.reset_cache();
         Ok(DurableMarket {
@@ -332,40 +360,6 @@ impl DurableMarket {
             health: RwLock::new(MarketHealth::Healthy),
             dir,
         })
-    }
-
-    /// Open `dir` if initialized; otherwise, when seed `.qdp` text is
-    /// provided, initialize it. The CLI `serve-dir` verb's semantics.
-    pub fn open_or_create(
-        dir: impl AsRef<Path>,
-        seed_qdp: Option<&str>,
-        fsync: FsyncPolicy,
-    ) -> Result<DurableMarket, MarketError> {
-        Self::open_or_create_with(
-            Arc::new(RealFs),
-            dir,
-            seed_qdp,
-            fsync,
-            RetryPolicy::default(),
-        )
-    }
-
-    /// [`DurableMarket::open_or_create`] on an explicit [`Vfs`].
-    pub fn open_or_create_with(
-        vfs: Arc<dyn Vfs>,
-        dir: impl AsRef<Path>,
-        seed_qdp: Option<&str>,
-        fsync: FsyncPolicy,
-        retry: RetryPolicy,
-    ) -> Result<DurableMarket, MarketError> {
-        let dir = dir.as_ref();
-        if vfs.exists(&dir.join(SNAPSHOT_FILE)) {
-            Self::open_on(vfs, dir, fsync, retry)
-        } else if let Some(qdp) = seed_qdp {
-            Self::create_with(vfs, dir, qdp, fsync, retry)
-        } else {
-            Err(MarketError::Store(StoreError::SnapshotMissing))
-        }
     }
 
     /// Whether the market is accepting mutations or has degraded to
@@ -484,7 +478,6 @@ impl DurableMarket {
     /// [`MarketError::Contended`]). Overflowing revenue is refused
     /// *before* the event is logged, so the log never contains an
     /// unreplayable purchase.
-    // audit: holds-lock(wal)
     pub fn purchase_str(&self, query: &str) -> Result<Purchase, MarketError> {
         const RETRIES: usize = 8;
         let sw = qbdp_obs::Stopwatch::start();
@@ -492,40 +485,12 @@ impl DurableMarket {
         // audit: bounded(fixed retry cap; each round does one pricing call)
         for _ in 0..RETRIES {
             let epoch = self.market.cache_epoch();
-            let (quote, answer) = self.market.evaluate_purchase(query)?;
-            self.ensure_writable()?;
-            let mut wal = self.wal.lock();
-            if self.market.cache_epoch() != epoch {
-                // A mutation slipped in between pricing and the append;
-                // the quote may no longer match the market. Drop the
-                // lock and re-price against the new state.
-                drop(wal);
-                qbdp_obs::record(qbdp_obs::Ctr::MarketPurchaseRetries, 1);
-                continue;
+            let Served { out, spans, .. } = self.market.evaluate_purchase(query);
+            let out = out.and_then(|(quote, answer)| self.log_purchase(epoch, quote, answer));
+            if let Some(out) = out.transpose() {
+                return Served { out, sw, spans }.observe_purchase(query);
             }
-            if self.market.revenue().checked_add(quote.price).is_none() {
-                return Err(MarketError::RevenueOverflow);
-            }
-            wal.append(&MarketEvent::Purchase {
-                query: quote.query.clone(),
-                price_cents: quote.price.as_cents(),
-                answer_tuples: answer.len() as u64,
-                views: quote.views.len() as u64,
-            })
-            .map_err(|e| self.degrade_on(e))?;
-            let transaction_id = self.market.apply_recorded_sale(
-                quote.query.clone(),
-                quote.price,
-                answer.len(),
-                quote.views.len(),
-            )?;
-            qbdp_obs::record(qbdp_obs::Ctr::MarketPurchases, 1);
-            sw.stop(qbdp_obs::Hst::PurchaseLatencyUs);
-            return Ok(Purchase {
-                transaction_id,
-                quote,
-                answer,
-            });
+            qbdp_obs::record(qbdp_obs::Ctr::MarketPurchaseRetries, 1);
         }
         qbdp_obs::record(qbdp_obs::Ctr::MarketPurchaseContended, 1);
         qbdp_obs::flight::capture(
@@ -538,6 +503,44 @@ impl DurableMarket {
         Err(MarketError::Contended)
     }
 
+    /// Log and record a purchase priced while the cache epoch was
+    /// `epoch`, or `Ok(None)` when a mutation slipped in since: the quote
+    /// may no longer match the market and must be re-priced.
+    // audit: holds-lock(wal)
+    fn log_purchase(
+        &self,
+        epoch: u64,
+        quote: MarketQuote,
+        answer: Vec<Tuple>,
+    ) -> Result<Option<Purchase>, MarketError> {
+        self.ensure_writable()?;
+        let mut wal = self.wal.lock();
+        if self.market.cache_epoch() != epoch {
+            return Ok(None);
+        }
+        if self.market.revenue().checked_add(quote.price).is_none() {
+            return Err(MarketError::RevenueOverflow);
+        }
+        wal.append(&MarketEvent::Purchase {
+            query: quote.query.clone(),
+            price_cents: quote.price.as_cents(),
+            answer_tuples: answer.len() as u64,
+            views: quote.views.len() as u64,
+        })
+        .map_err(|e| self.degrade_on(e))?;
+        let transaction_id = self.market.apply_recorded_sale(
+            quote.query.clone(),
+            quote.price,
+            answer.len(),
+            quote.views.len(),
+        )?;
+        Ok(Some(Purchase {
+            transaction_id,
+            quote,
+            answer,
+        }))
+    }
+
     /// Durable policy change.
     // audit: holds-lock(wal)
     pub fn set_policy(&self, policy: MarketPolicy) -> Result<(), MarketError> {
@@ -547,16 +550,6 @@ impl DurableMarket {
             .map_err(|e| self.degrade_on(e))?;
         self.market.set_policy(policy);
         Ok(())
-    }
-
-    /// Quote (read-only; served from the in-memory market and its cache).
-    pub fn quote_str(&self, query: &str) -> Result<MarketQuote, MarketError> {
-        self.market.quote_str(query)
-    }
-
-    /// Batch quote (read-only).
-    pub fn quote_batch(&self, queries: &[&str]) -> Vec<Result<MarketQuote, MarketError>> {
-        self.market.quote_batch(queries)
     }
 
     /// Force the log to stable storage regardless of the fsync policy.
@@ -658,7 +651,6 @@ fn apply_event(market: &Market, event: &MarketEvent, offset: u64) -> Result<(), 
                 max_in_flight: *max_in_flight as usize,
                 batch_workers: *batch_workers as usize,
                 // Not carried by the event; see `parse_policy`.
-                incremental: false,
                 telemetry: false,
             });
         }
@@ -839,7 +831,7 @@ price T.Y=b3 100
         let back = DurableMarket::open(&dir, FsyncPolicy::Never).unwrap();
         assert_eq!(back.market().to_qdp(), seeded_qdp);
         assert_eq!(
-            back.quote_str("Q(x) :- R(x)").unwrap().price,
+            back.market().quote_str("Q(x) :- R(x)").unwrap().price,
             Market::open_qdp(QDP)
                 .unwrap()
                 .quote_str("Q(x) :- R(x)")
@@ -858,8 +850,12 @@ price T.Y=b3 100
             Err(MarketError::Store(StoreError::AlreadyInitialized)) => {}
             other => panic!("expected AlreadyInitialized, got {other:?}"),
         }
-        // open_or_create falls through to open.
-        assert!(DurableMarket::open_or_create(&dir, None, FsyncPolicy::Never).is_ok());
+        // open_with falls through to open, seed or not.
+        let seeded = DurableOptions {
+            seed: Some(QDP),
+            ..DurableOptions::new(FsyncPolicy::Never)
+        };
+        assert!(DurableMarket::open_with(&dir, seeded).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -870,7 +866,7 @@ price T.Y=b3 100
             Err(MarketError::Store(StoreError::SnapshotMissing)) => {}
             other => panic!("expected SnapshotMissing, got {other:?}"),
         }
-        match DurableMarket::open_or_create(&dir, None, FsyncPolicy::Never) {
+        match DurableMarket::open_with(&dir, DurableOptions::new(FsyncPolicy::Never)) {
             Err(MarketError::Store(StoreError::SnapshotMissing)) => {}
             other => panic!("expected SnapshotMissing, got {other:?}"),
         }
@@ -896,6 +892,15 @@ price T.Y=b3 100
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Options opening on `fs` with no retries and no fsync.
+    fn faulty(fs: &qbdp_store::FaultFs) -> DurableOptions<'static> {
+        DurableOptions {
+            vfs: Arc::new(fs.clone()),
+            retry: RetryPolicy::none(),
+            ..DurableOptions::new(FsyncPolicy::Never)
+        }
+    }
+
     fn fault_setup(
         tag: &str,
         script: Vec<qbdp_store::ScriptedFault>,
@@ -911,9 +916,16 @@ price T.Y=b3 100
             max_delay_micros: 2,
             jitter_seed: 7,
         };
-        let dm =
-            DurableMarket::create_with(Arc::new(fs.clone()), &dir, QDP, FsyncPolicy::Always, retry)
-                .unwrap();
+        let dm = DurableMarket::open_with(
+            &dir,
+            DurableOptions {
+                vfs: Arc::new(fs.clone()),
+                retry,
+                seed: Some(QDP),
+                ..DurableOptions::new(FsyncPolicy::Always)
+            },
+        )
+        .unwrap();
         (dir, fs, dm)
     }
 
@@ -931,7 +943,7 @@ price T.Y=b3 100
         );
         dm.purchase_str("Q(x) :- R(x)").unwrap();
         let revenue = dm.market().revenue();
-        let quote_before = dm.quote_str("Q(x, y) :- R(x), S(x, y)").unwrap();
+        let quote_before = dm.market().quote_str("Q(x, y) :- R(x), S(x, y)").unwrap();
         // The scripted ENOSPC hits this append: mutation refused, market
         // flips to read-only.
         let err = dm.set_price("T.Y=b2", Price::cents(250)).unwrap_err();
@@ -939,7 +951,7 @@ price T.Y=b3 100
         assert!(matches!(dm.health(), MarketHealth::ReadOnly { .. }));
         // Quotes keep serving the last consistent state; further
         // mutations are refused with the typed Degraded error.
-        let quote_after = dm.quote_str("Q(x, y) :- R(x), S(x, y)").unwrap();
+        let quote_after = dm.market().quote_str("Q(x, y) :- R(x), S(x, y)").unwrap();
         assert_eq!(quote_before.price, quote_after.price);
         assert!(quote_after.lower_bound <= quote_after.price);
         assert!(matches!(
@@ -951,9 +963,7 @@ price T.Y=b3 100
         // Reopening (fault cleared) recovers the acknowledged state and
         // a healthy market.
         drop(dm);
-        let back =
-            DurableMarket::open_on(Arc::new(fs), &dir, FsyncPolicy::Never, RetryPolicy::none())
-                .unwrap();
+        let back = DurableMarket::open_with(&dir, faulty(&fs)).unwrap();
         assert_eq!(back.health(), MarketHealth::Healthy);
         assert_eq!(back.market().revenue(), revenue);
         back.set_price("T.Y=b2", Price::cents(250)).unwrap();
@@ -982,11 +992,9 @@ price T.Y=b3 100
             "{err:?}"
         );
         assert!(matches!(dm.health(), MarketHealth::ReadOnly { .. }));
-        assert!(dm.quote_str("Q(x) :- R(x)").is_ok());
+        assert!(dm.market().quote_str("Q(x) :- R(x)").is_ok());
         drop(dm);
-        let back =
-            DurableMarket::open_on(Arc::new(fs), &dir, FsyncPolicy::Never, RetryPolicy::none())
-                .unwrap();
+        let back = DurableMarket::open_with(&dir, faulty(&fs)).unwrap();
         // The acked purchase survives; the refused one may or may not
         // have reached disk (fsyncgate uncertainty) but never partially.
         let doubled = revenue.checked_add(revenue);
@@ -1009,12 +1017,12 @@ price T.Y=b3 100
         });
         // Zero retries: a single transient immediately exhausts the
         // budget and must surface as the typed Transient error.
-        let dm = DurableMarket::create_with(
-            Arc::new(fs.clone()),
+        let dm = DurableMarket::open_with(
             &dir,
-            QDP,
-            FsyncPolicy::Never,
-            RetryPolicy::none(),
+            DurableOptions {
+                seed: Some(QDP),
+                ..faulty(&fs)
+            },
         )
         .unwrap();
         dm.purchase_str("Q(x) :- R(x)").unwrap();

@@ -1,6 +1,20 @@
 //! The [`Market`]: quotes, purchases, and live updates over the pricing
 //! engine, behind a `parking_lot::RwLock`.
 //!
+//! # One quote pipeline
+//!
+//! Every quote — [`Market::quote_str`] (a batch of one),
+//! [`Market::quote_batch`], and the pricing half of both purchase paths —
+//! runs through one private pipeline: admit the requests against
+//! [`MarketPolicy::max_in_flight`], parse each query and look it up in
+//! the sharded quote cache, price each miss in one job function
+//! (`Market::price_miss`, the only place the market prices) on the
+//! batch worker pool, then finish each quote, fill the cache, and hand
+//! it to the caller. Each request is traced on its own — the trace
+//! follows a miss onto its pool worker — so every served quote records
+//! `QuoteLatencyUs`, and a slow, degraded, or panicked one hands its span
+//! tree to the flight recorder.
+//!
 //! # Resource governance
 //!
 //! A [`MarketPolicy`] bounds every quote: an optional wall-clock deadline
@@ -19,14 +33,18 @@ use crate::error::MarketError;
 use crate::ledger::Ledger;
 use parking_lot::{Mutex, RwLock};
 use qbdp_catalog::{AttrRef, Catalog, Instance, QdpFile, RelId, Tuple};
+use qbdp_core::batch::{default_workers, fan_out, panic_message};
 use qbdp_core::dichotomy::QueryClass;
+use qbdp_core::plan_cache::{Checkout, PlanEntry};
 use qbdp_core::price_points::PriceList;
 use qbdp_core::{
-    query_footprint, Budget, PlanCache, PlanStats, Price, Pricer, PricingMethod, QuoteQuality,
+    price_planned, query_footprint, shape_key, Budget, PlanCache, PlanStats, Price, Pricer,
+    PricingMethod, QuoteQuality,
 };
 use qbdp_determinacy::selection::SelectionView;
-use qbdp_query::ast::{ConjunctiveQuery, Ucq};
-use qbdp_query::bundle::Bundle;
+use qbdp_obs::trace::{self, Span};
+use qbdp_obs::{Ctr, Hst, Stopwatch};
+use qbdp_query::ast::ConjunctiveQuery;
 use qbdp_query::parser::parse_rule;
 use qbdp_query::pretty;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -47,24 +65,14 @@ pub struct MarketPolicy {
     /// excess requests are refused with [`MarketError::Overloaded`]. A
     /// batch of `k` queries counts as `k` in-flight requests, not 1.
     pub max_in_flight: usize,
-    /// Worker threads used by [`Market::quote_batch`]; `0` means one per
-    /// available core.
+    /// Worker threads used to price a batch's cache misses; `0` means
+    /// one per available core.
     pub batch_workers: usize,
-    /// Serve serial quotes through the incremental pricing engine (the
-    /// shape-keyed [`PlanCache`]): a repeated query shape under a changed
-    /// price vector is repriced by a residual warm start instead of a
-    /// cold solve, with bit-identical results. Only unlimited-budget
-    /// quotes go through the plan cache (a fuel or deadline policy prices
-    /// cold, so degraded `[lower, upper]` intervals are unaffected by
-    /// this flag). An in-process serving knob: it is not persisted by the
-    /// durable market, and recovery resets it to `false`.
-    pub incremental: bool,
     /// Turn on the process-wide telemetry pipeline (`qbdp-obs`): metric
     /// recording, per-quote trace spans, and the degraded-quote flight
-    /// recorder. Off, every probe is a single relaxed atomic load. Like
-    /// [`MarketPolicy::incremental`] this is an in-process serving knob:
-    /// it is not persisted by the durable market, and recovery resets it
-    /// to `false`.
+    /// recorder. Off, every probe is a single relaxed atomic load. An
+    /// in-process serving knob: it is not persisted by the durable
+    /// market, and recovery resets it to `false`.
     pub telemetry: bool,
 }
 
@@ -76,7 +84,6 @@ impl Default for MarketPolicy {
             sell_degraded: false,
             max_in_flight: usize::MAX,
             batch_workers: 0,
-            incremental: false,
             telemetry: false,
         }
     }
@@ -94,11 +101,6 @@ impl MarketPolicy {
             (None, Some(d)) => Budget::with_deadline(d),
             (Some(f), Some(d)) => Budget::with_fuel_and_deadline(f.saturating_mul(jobs), d),
         }
-    }
-
-    /// A fresh [`Budget`] implementing this policy for one pricing call.
-    fn budget(&self) -> Budget {
-        self.budget_for(1)
     }
 }
 
@@ -152,11 +154,11 @@ pub struct Market {
     /// of the data.
     cache: ShardedQuoteCache,
     /// The incremental pricing engine: shape-keyed normalized plans plus
-    /// solved flow networks, repriced by residual warm starts
-    /// ([`MarketPolicy::incremental`]). Guarded by its own mutex, locked
-    /// *after* the state lock (never the other way around); pricing
-    /// through it happens while the caller holds the state read lock, so
-    /// the plans it patches always describe the live catalog/instance.
+    /// solved flow networks, repriced by residual warm starts. Its mutex
+    /// is locked *after* the state lock (never the other way around) and
+    /// only to check a plan out or in; pricing with a plan happens while
+    /// the pipeline holds the state lock, so the plans it patches always
+    /// describe the live catalog/instance.
     plan: Mutex<PlanCache>,
     in_flight: AtomicUsize,
 }
@@ -187,68 +189,95 @@ where
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(result) => Ok(result?),
         Err(payload) => {
-            qbdp_obs::record(qbdp_obs::Ctr::MarketPanicsContained, 1);
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "pricing engine panicked".to_string());
-            Err(MarketError::Internal(msg))
+            qbdp_obs::record(Ctr::MarketPanicsContained, 1);
+            Err(MarketError::Internal(panic_message(payload)))
         }
     }
 }
 
-/// Telemetry epilogue for the serial serving paths: close the trace,
-/// record the latency histogram and outcome counters, and hand the span
-/// tree to the flight recorder when the quote went wrong (degraded,
-/// refused-degraded, panicked) or crossed the slow threshold. Free when
-/// telemetry is off: the stopwatch never read the clock and the trace
-/// was never begun.
-fn observe_served(
-    query: &str,
-    sw: qbdp_obs::Stopwatch,
-    hist: qbdp_obs::Hst,
-    served: qbdp_obs::Ctr,
-    quote: Option<&MarketQuote>,
-    err: Option<&MarketError>,
-) {
-    use qbdp_obs::flight::{self, Why};
-    let spans = qbdp_obs::trace::finish();
-    let Some(us) = sw.stop(hist) else { return };
-    match (quote, err) {
-        (Some(q), _) => {
-            qbdp_obs::record(served, 1);
-            if !q.quality.is_exact() {
-                qbdp_obs::record(qbdp_obs::Ctr::MarketQuotesDegraded, 1);
+/// One request out of the pipeline: its outcome, plus the latency clock
+/// and span tree the caller closes with [`Served::observe`].
+pub(crate) struct Served<T> {
+    pub(crate) out: Result<T, MarketError>,
+    pub(crate) sw: Stopwatch,
+    pub(crate) spans: Vec<Span>,
+}
+
+impl<T> Served<T> {
+    /// Telemetry epilogue: record the latency histogram and outcome
+    /// counters, and hand the span tree to the flight recorder when the
+    /// quote went wrong (degraded, refused-degraded, panicked) or
+    /// crossed the slow threshold. Free when telemetry is off: the
+    /// stopwatch never read the clock and the trace was never begun.
+    pub(crate) fn observe(
+        self,
+        query: &str,
+        hist: Hst,
+        served: Ctr,
+        quote_of: impl Fn(&T) -> &MarketQuote,
+    ) -> Result<T, MarketError> {
+        use qbdp_obs::flight::{self, Why};
+        let Some(us) = self.sw.stop(hist) else {
+            return self.out;
+        };
+        let spans = self.spans;
+        match &self.out {
+            Ok(t) => {
+                qbdp_obs::record(served, 1);
+                let q = quote_of(t);
+                if !q.quality.is_exact() {
+                    qbdp_obs::record(Ctr::MarketQuotesDegraded, 1);
+                    flight::capture(
+                        Why::Degraded,
+                        query,
+                        us,
+                        format!(
+                            "sold upper bound; true price in [{}, {}]",
+                            q.lower_bound, q.price
+                        ),
+                        spans,
+                    );
+                } else if us >= flight::slow_threshold_us() {
+                    flight::capture(Why::Slow, query, us, String::new(), spans);
+                }
+            }
+            Err(MarketError::Internal(msg)) => {
+                flight::capture(Why::Panicked, query, us, msg.clone(), spans);
+            }
+            Err(MarketError::DeadlineExceeded) => {
+                qbdp_obs::record(Ctr::MarketQuotesDegraded, 1);
                 flight::capture(
                     Why::Degraded,
                     query,
                     us,
-                    format!(
-                        "sold upper bound; true price in [{}, {}]",
-                        q.lower_bound, q.price
-                    ),
+                    "refused: budget exhausted and sell_degraded is off".to_string(),
                     spans,
                 );
-            } else if us >= flight::slow_threshold_us() {
-                flight::capture(Why::Slow, query, us, String::new(), spans);
             }
+            Err(_) => {}
         }
-        (None, Some(MarketError::Internal(msg))) => {
-            flight::capture(Why::Panicked, query, us, msg.clone(), spans);
-        }
-        (None, Some(MarketError::DeadlineExceeded)) => {
-            qbdp_obs::record(qbdp_obs::Ctr::MarketQuotesDegraded, 1);
-            flight::capture(
-                Why::Degraded,
-                query,
-                us,
-                "refused: budget exhausted and sell_degraded is off".to_string(),
-                spans,
-            );
-        }
-        _ => {}
+        self.out
     }
+}
+
+impl Served<Purchase> {
+    /// [`Served::observe`] for a purchase.
+    pub(crate) fn observe_purchase(self, query: &str) -> Result<Purchase, MarketError> {
+        self.observe(query, Hst::PurchaseLatencyUs, Ctr::MarketPurchases, |p| {
+            &p.quote
+        })
+    }
+}
+
+/// The one slot of a single-query pipeline run.
+fn only<T>(mut served: Vec<Served<T>>) -> Served<T> {
+    served.pop().unwrap_or_else(|| Served {
+        out: Err(MarketError::Internal(
+            "pipeline returned no slot".to_string(),
+        )),
+        sw: Stopwatch::start(),
+        spans: Vec::new(),
+    })
 }
 
 impl Market {
@@ -298,20 +327,15 @@ impl Market {
         self.state.read().policy
     }
 
-    /// Claim one admission slot, or refuse with [`MarketError::Overloaded`].
-    fn admit(&self, max: usize) -> Result<InFlightGuard<'_>, MarketError> {
-        self.admit_many(1, max)
-    }
-
     /// Claim `slots` admission slots atomically, or refuse with
     /// [`MarketError::Overloaded`]. A batch of `k` queries is `k` units of
     /// concurrent pricing work, so it must claim `k` slots — counting it
     /// as one would let `max_in_flight` be exceeded `k`-fold.
-    fn admit_many(&self, slots: usize, max: usize) -> Result<InFlightGuard<'_>, MarketError> {
+    fn admit(&self, slots: usize, max: usize) -> Result<InFlightGuard<'_>, MarketError> {
         let prev = self.in_flight.fetch_add(slots, Ordering::Relaxed);
         if prev.checked_add(slots).is_none_or(|total| total > max) {
             self.in_flight.fetch_sub(slots, Ordering::Relaxed);
-            qbdp_obs::record(qbdp_obs::Ctr::MarketAdmissionRejects, 1);
+            qbdp_obs::record(Ctr::MarketAdmissionRejects, 1);
             return Err(MarketError::Overloaded);
         }
         qbdp_obs::record_gauge(qbdp_obs::Gauge::InFlight, (prev + slots) as u64);
@@ -332,65 +356,13 @@ impl Market {
         Market::open(file.catalog, file.instance, prices)
     }
 
-    /// Open (recover) a durable market persisted under `dir` — snapshot
-    /// load plus write-ahead-log suffix replay. See [`crate::durable`].
-    pub fn open_durable(
-        dir: impl AsRef<std::path::Path>,
-        fsync: qbdp_store::FsyncPolicy,
-    ) -> Result<crate::durable::DurableMarket, MarketError> {
-        crate::durable::DurableMarket::open(dir, fsync)
-    }
-
     /// Quote a query given in datalog syntax
-    /// (`"Q(x, y) :- R(x), S(x, y)"`). Exact quotes are cached until the
-    /// next data update.
-    // audit: holds-lock(state)
+    /// (`"Q(x, y) :- R(x), S(x, y)"`): a batch of one. Exact quotes are
+    /// cached until the next update touching the query's relations.
     pub fn quote_str(&self, query: &str) -> Result<MarketQuote, MarketError> {
-        let sw = qbdp_obs::Stopwatch::start();
-        if qbdp_obs::enabled() {
-            qbdp_obs::trace::begin();
-        }
-        let out = self.quote_str_inner(query);
-        observe_served(
-            query,
-            sw,
-            qbdp_obs::Hst::QuoteLatencyUs,
-            qbdp_obs::Ctr::MarketQuotes,
-            out.as_ref().ok(),
-            out.as_ref().err(),
-        );
-        out
-    }
-
-    /// The uninstrumented body of [`Market::quote_str`].
-    // audit: holds-lock(state)
-    fn quote_str_inner(&self, query: &str) -> Result<MarketQuote, MarketError> {
-        let state = self.state.read();
-        let _slot = self.admit(state.policy.max_in_flight)?;
-        let q = parse_rule(state.pricer.catalog().schema(), query)?;
-        let key = pretty::render(&q, state.pricer.catalog().schema());
-        let hit = {
-            let mut span = qbdp_obs::trace::span("cache_lookup");
-            let hit = self.cache.get(&key);
-            span.detail(if hit.is_some() { "hit" } else { "miss" });
-            hit
-        };
-        if let Some(hit) = hit {
-            return Ok(hit);
-        }
-        // Compute the footprint stamp *under the read lock*: it names
-        // exactly the data snapshot this quote is derived from, and the
-        // cache will discard the insert if an update touching one of the
-        // footprint's columns lands in between (caching it then would
-        // serve stale prices until the *next* touching update).
-        let footprint = query_footprint(state.pricer.catalog(), &q);
-        let stamp = self.cache.stamp(&footprint);
-        let quote = self.quote_inner(&state, &q)?;
-        drop(state);
-        if quote.quality.is_exact() {
-            self.cache.insert(key, quote.clone(), footprint, stamp);
-        }
-        Ok(quote)
+        self.quote_batch(&[query])
+            .pop()
+            .unwrap_or_else(|| Err(MarketError::Internal("empty batch".to_string())))
     }
 
     /// Quote a batch of datalog-syntax queries in one call, pricing cache
@@ -408,129 +380,163 @@ impl Market {
     /// are served from / fill the sharded cache.
     // audit: holds-lock(state)
     pub fn quote_batch(&self, queries: &[&str]) -> Vec<Result<MarketQuote, MarketError>> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
         let state = self.state.read();
-        let slot = self.admit_many(queries.len(), state.policy.max_in_flight);
-        if slot.is_err() {
-            return queries
-                .iter()
-                .map(|_| Err(MarketError::Overloaded))
+        let served = self.pipeline(&state, queries, |_, quote| Ok(quote));
+        drop(state);
+        served
+            .into_iter()
+            .zip(queries)
+            .map(|(s, query)| s.observe(query, Hst::QuoteLatencyUs, Ctr::MarketQuotes, |q| q))
+            .collect()
+    }
+
+    /// The quote pipeline (see the module docs). Slots are positionally
+    /// aligned with `queries`; each finished quote is passed to
+    /// `deliver`, still under admission.
+    fn pipeline<T>(
+        &self,
+        state: &State,
+        queries: &[&str],
+        deliver: impl Fn(&ConjunctiveQuery, MarketQuote) -> Result<T, MarketError>,
+    ) -> Vec<Served<T>> {
+        let clocks: Vec<Stopwatch> = queries.iter().map(|_| Stopwatch::start()).collect();
+        let Ok(_admitted) = self.admit(queries.len(), state.policy.max_in_flight) else {
+            return clocks
+                .into_iter()
+                .map(|sw| Served {
+                    out: Err(MarketError::Overloaded),
+                    sw,
+                    spans: Vec::new(),
+                })
                 .collect();
-        }
+        };
         let schema = state.pricer.catalog().schema();
-        let mut slots: Vec<Option<Result<MarketQuote, MarketError>>> = Vec::new();
-        slots.resize_with(queries.len(), || None);
         // Parse every query and serve what the cache already has. Each
-        // slot carries its *own* footprint stamp, computed at its own
-        // lookup under the state read lock — one whole-batch stamp would
-        // be wrong at both granularities (different queries have
-        // different footprints, and a single load taken before the loop
-        // could tag a late slot with an epoch older than the lookup that
-        // missed for it).
-        let mut misses: Vec<(usize, String, ConjunctiveQuery, Vec<AttrRef>, u64)> = Vec::new();
+        // miss carries its *own* footprint stamp, computed at its own
+        // lookup under the state lock: it names exactly the data
+        // snapshot the quote derives from, and the cache discards the
+        // insert if an update touching the footprint lands in between.
+        // One whole-batch stamp would be wrong at both granularities:
+        // queries have different footprints, and a stamp taken before
+        // the loop could tag a late slot with an epoch older than the
+        // lookup that missed for it.
+        let mut slots: Vec<Result<(ConjunctiveQuery, MarketQuote), MarketError>> =
+            Vec::with_capacity(queries.len());
+        let mut spans: Vec<Vec<Span>> = Vec::with_capacity(queries.len());
+        let mut misses: Vec<(usize, String, Vec<AttrRef>, u64)> = Vec::new();
+        let mut jobs: Vec<(ConjunctiveQuery, trace::Suspended)> = Vec::new();
         for (i, text) in queries.iter().enumerate() {
-            match parse_rule(schema, text) {
-                Ok(q) => {
-                    let key = pretty::render(&q, schema);
-                    match self.cache.get(&key) {
-                        Some(hit) => slots[i] = Some(Ok(hit)),
-                        None => {
-                            let footprint = query_footprint(state.pricer.catalog(), &q);
-                            let stamp = self.cache.stamp(&footprint);
-                            misses.push((i, key, q, footprint, stamp));
-                        }
-                    }
-                }
-                Err(e) => slots[i] = Some(Err(e.into())),
+            if qbdp_obs::enabled() {
+                trace::begin();
             }
+            let q = match parse_rule(schema, text) {
+                Ok(q) => q,
+                Err(e) => {
+                    slots.push(Err(e.into()));
+                    spans.push(trace::finish());
+                    continue;
+                }
+            };
+            let key = pretty::render(&q, schema);
+            let hit = {
+                let mut span = trace::span("cache_lookup");
+                let hit = self.cache.get(&key);
+                span.detail(if hit.is_some() { "hit" } else { "miss" });
+                hit
+            };
+            if let Some(hit) = hit {
+                slots.push(Ok((q, hit)));
+                spans.push(trace::finish());
+                continue;
+            }
+            let footprint = query_footprint(state.pricer.catalog(), &q);
+            let stamp = self.cache.stamp(&footprint);
+            misses.push((i, key, footprint, stamp));
+            // The trace follows the miss onto its pool worker.
+            jobs.push((q, trace::suspend()));
+            slots.push(Err(MarketError::Internal(
+                "batch worker died before pricing this query".to_string(),
+            )));
+            spans.push(Vec::new());
         }
-        // Fan the misses over the worker pool. Panic containment is per
-        // job inside the pool, so `contain_panic` is not needed here.
-        if !misses.is_empty() {
-            let budget = state.policy.budget_for(misses.len() as u64);
+        if !jobs.is_empty() {
             let workers = match state.policy.batch_workers {
-                0 => qbdp_core::batch::default_workers(),
+                0 => default_workers(),
                 n => n,
             };
-            let bundles: Vec<Bundle> = misses
-                .iter()
-                .map(|(_, _, q, _, _)| Bundle::single(Ucq::single(q.clone())))
-                .collect();
-            let priced = state
-                .pricer
-                .price_batch_with_workers(&bundles, &budget, workers);
-            for ((i, key, q, footprint, stamp), result) in misses.into_iter().zip(priced) {
-                let finished = result
-                    .map_err(|e| match e {
-                        // The pool contains per-job panics as
-                        // `PricingError::Internal`; surface them the same
-                        // way `contain_panic` does on the serial path.
-                        qbdp_core::PricingError::Internal(m) => MarketError::Internal(m),
-                        other => MarketError::Pricing(other),
-                    })
-                    .and_then(|quote| Self::finish_quote(&state, &q, quote));
-                if let Ok(mq) = &finished {
-                    if mq.quality.is_exact() {
-                        self.cache.insert(key, mq.clone(), footprint, stamp);
-                    }
-                }
-                slots[i] = Some(finished);
+            let budgets = state.policy.budget_for(jobs.len() as u64).split(jobs.len());
+            let jobs: Vec<_> = jobs.into_iter().zip(budgets).collect();
+            let priced = fan_out(jobs, workers, |((q, parked), budget)| {
+                trace::resume(parked);
+                let quote = self.price_miss(&state.pricer, &q, &budget);
+                (q, quote, trace::finish())
+            });
+            for ((i, key, footprint, stamp), done) in misses.into_iter().zip(priced) {
+                let Some((q, quote, tree)) = done else {
+                    continue;
+                };
+                spans[i] = tree;
+                slots[i] = quote
+                    .and_then(|quote| Self::finish_quote(state, &q, quote))
+                    .map(|quote| {
+                        if quote.quality.is_exact() {
+                            self.cache.insert(key, quote.clone(), footprint, stamp);
+                        }
+                        (q, quote)
+                    });
             }
         }
-        if qbdp_obs::enabled() {
-            for q in slots.iter().flatten().flatten() {
-                qbdp_obs::record(qbdp_obs::Ctr::MarketQuotes, 1);
-                if !q.quality.is_exact() {
-                    qbdp_obs::record(qbdp_obs::Ctr::MarketQuotesDegraded, 1);
-                }
-            }
-        }
-        slots
+        clocks
             .into_iter()
-            .map(|s| {
-                s.unwrap_or_else(|| {
-                    Err(MarketError::Internal(
-                        "batch slot was never filled".to_string(),
-                    ))
-                })
+            .zip(slots)
+            .zip(spans)
+            .map(|((sw, slot), spans)| Served {
+                out: slot.and_then(|(q, quote)| deliver(&q, quote)),
+                sw,
+                spans,
             })
             .collect()
     }
 
-    /// Quote a parsed query (uncached path).
-    // audit: holds-lock(state)
-    pub fn quote(&self, q: &ConjunctiveQuery) -> Result<MarketQuote, MarketError> {
-        let state = self.state.read();
-        let _slot = self.admit(state.policy.max_in_flight)?;
-        self.quote_inner(&state, q)
+    /// Price one quote-cache miss: the only place the market prices.
+    /// A fuel or deadline policy prices cold under its budget, so
+    /// degraded `[lower, upper]` intervals never depend on the plan
+    /// cache. An unlimited budget goes through the plan cache — the
+    /// shape's plan is checked out, priced with no lock held, and
+    /// checked back in. Panics are contained here, on whichever thread
+    /// the job runs.
+    fn price_miss(
+        &self,
+        pricer: &Pricer,
+        q: &ConjunctiveQuery,
+        budget: &Budget,
+    ) -> Result<qbdp_core::Quote, MarketError> {
+        if budget.is_limited() {
+            return contain_panic(|| pricer.price_cq_within(q, budget));
+        }
+        let key = shape_key(q);
+        let checkout = self.checkout_plan(&key);
+        let (quote, plan) = contain_panic(|| price_planned(pricer, q, checkout))?;
+        if let Some(plan) = plan {
+            self.checkin_plan(key, plan);
+        }
+        Ok(quote)
     }
 
-    /// Price one query under the current policy. The incremental path
-    /// (plan cache + warm start) serves only unlimited-budget quotes:
-    /// under a fuel or deadline policy every quote is priced cold, so
-    /// degraded `[lower, upper]` intervals come from exactly the same
-    /// computation whether `incremental` is set or not.
+    /// Take shape `key`'s plan-cache state out under the plan mutex.
     // audit: holds-lock(plan)
-    fn quote_inner(&self, state: &State, q: &ConjunctiveQuery) -> Result<MarketQuote, MarketError> {
-        let policy = state.policy;
-        let quote = if policy.incremental && policy.fuel.is_none() && policy.deadline.is_none() {
-            let mut plan = self.plan.lock();
-            // A panic mid-reprice is contained: `PlanCache::quote` takes
-            // the entry out of the map before mutating it, so the
-            // poisonable state unwinds away with the panic.
-            contain_panic(|| state.pricer.price_cq_with_plan(q, &mut plan))?
-        } else {
-            let budget = policy.budget();
-            contain_panic(|| state.pricer.price_cq_within(q, &budget))?
-        };
-        Self::finish_quote(state, q, quote)
+    fn checkout_plan(&self, key: &str) -> Checkout {
+        self.plan.lock().checkout(key)
+    }
+
+    /// Put a priced plan back under the plan mutex.
+    // audit: holds-lock(plan)
+    fn checkin_plan(&self, key: String, plan: Box<PlanEntry>) {
+        self.plan.lock().checkin(key, plan);
     }
 
     /// Apply market policy to a raw engine quote and dress it up for the
-    /// buyer (shared by the serial and batch paths, so a batched quote is
-    /// indistinguishable from a serial one).
+    /// buyer.
     fn finish_quote(
         state: &State,
         q: &ConjunctiveQuery,
@@ -560,57 +566,46 @@ impl Market {
         })
     }
 
-    /// Purchase a query (datalog syntax): quote, evaluate, record, deliver.
-    // audit: holds-lock(state)
-    pub fn purchase_str(&self, query: &str) -> Result<Purchase, MarketError> {
-        let sw = qbdp_obs::Stopwatch::start();
-        if qbdp_obs::enabled() {
-            qbdp_obs::trace::begin();
-        }
-        let out = self.purchase_str_inner(query);
-        observe_served(
-            query,
-            sw,
-            qbdp_obs::Hst::PurchaseLatencyUs,
-            qbdp_obs::Ctr::MarketPurchases,
-            out.as_ref().ok().map(|p| &p.quote),
-            out.as_ref().err(),
-        );
-        out
-    }
-
-    /// The uninstrumented body of [`Market::purchase_str`].
-    // audit: holds-lock(state)
-    fn purchase_str_inner(&self, query: &str) -> Result<Purchase, MarketError> {
-        let mut state = self.state.write();
-        let _slot = self.admit(state.policy.max_in_flight)?;
-        let q = parse_rule(state.pricer.catalog().schema(), query)?;
-        let quote = self.quote_inner(&state, &q)?;
-        // Evaluation runs the same buyer-controlled query the pricing
-        // engine just priced; a panic here must not unwind through the
-        // serving thread any more than a pricing panic may (the quote
-        // paths already contain those).
+    /// The sorted answer a purchase of `q` delivers. Evaluation runs the
+    /// same buyer-controlled query the pricing engine priced, so a panic
+    /// here is contained exactly like a pricing panic.
+    fn answer(state: &State, q: &ConjunctiveQuery) -> Result<Vec<Tuple>, MarketError> {
         let mut answer: Vec<Tuple> =
-            contain_panic(|| qbdp_query::eval::eval_cq(&q, state.pricer.instance()))?
+            contain_panic(|| qbdp_query::eval::eval_cq(q, state.pricer.instance()))?
                 .into_iter()
                 .collect();
         answer.sort();
-        let transaction_id = state.ledger.record_sale(
-            quote.query.clone(),
-            quote.price,
-            answer.len(),
-            quote.views.len(),
-        );
-        Ok(Purchase {
-            transaction_id,
-            quote,
-            answer,
-        })
+        Ok(answer)
+    }
+
+    /// Purchase a query (datalog syntax): quote, evaluate, record, deliver.
+    // audit: holds-lock(state)
+    pub fn purchase_str(&self, query: &str) -> Result<Purchase, MarketError> {
+        let mut state = self.state.write();
+        let Served { out, sw, spans } = only(self.pipeline(&state, &[query], |q, quote| {
+            Ok((quote, Self::answer(&state, q)?))
+        }));
+        let out = out.map(|(quote, answer)| {
+            let transaction_id = state.ledger.record_sale(
+                quote.query.clone(),
+                quote.price,
+                answer.len(),
+                quote.views.len(),
+            );
+            Purchase {
+                transaction_id,
+                quote,
+                answer,
+            }
+        });
+        drop(state);
+        Served { out, sw, spans }.observe_purchase(query)
     }
 
     /// Seller-side data insertion (§2.7). Prices stay fixed; consistency is
     /// automatic for selection-view lists.
     // audit: holds-lock(state)
+    // audit: holds-lock(plan)
     pub fn insert(
         &self,
         relation: &str,
@@ -661,8 +656,7 @@ impl Market {
     }
 
     /// Counters from the incremental pricing engine: plan-cache hits,
-    /// misses, warm reprices, flow fallbacks, and evictions. All zero
-    /// unless [`MarketPolicy::incremental`] is set.
+    /// misses, builds, warm reprices, flow fallbacks, and evictions.
     // audit: holds-lock(plan)
     pub fn plan_stats(&self) -> PlanStats {
         self.plan.lock().stats()
@@ -670,7 +664,8 @@ impl Market {
 
     /// Clear the quote and plan caches and rewind every epoch to 0
     /// (recovery epilogue). Plans are rebuilt lazily from the recovered
-    /// catalog/instance on the first incremental quote of each shape.
+    /// catalog/instance by the same first-miss-cold rule as a fresh
+    /// market's.
     // audit: holds-lock(plan)
     pub(crate) fn reset_cache(&self) {
         self.cache.reset();
@@ -679,24 +674,14 @@ impl Market {
 
     /// Quote and evaluate a purchase without recording it — the durable
     /// path splits purchasing into (price, log, apply) so the WAL entry
-    /// is written *between* pricing and the ledger mutation.
+    /// is written *between* pricing and the ledger mutation, then closes
+    /// the telemetry with [`Served::observe`].
     // audit: holds-lock(state)
-    pub(crate) fn evaluate_purchase(
-        &self,
-        query: &str,
-    ) -> Result<(MarketQuote, Vec<Tuple>), MarketError> {
+    pub(crate) fn evaluate_purchase(&self, query: &str) -> Served<(MarketQuote, Vec<Tuple>)> {
         let state = self.state.read();
-        let _slot = self.admit(state.policy.max_in_flight)?;
-        let q = parse_rule(state.pricer.catalog().schema(), query)?;
-        let quote = self.quote_inner(&state, &q)?;
-        // Same containment as `purchase_str_inner`: the durable path's
-        // evaluation must not unwind through `purchase_str`.
-        let mut answer: Vec<Tuple> =
-            contain_panic(|| qbdp_query::eval::eval_cq(&q, state.pricer.instance()))?
-                .into_iter()
-                .collect();
-        answer.sort();
-        Ok((quote, answer))
+        only(self.pipeline(&state, &[query], |q, quote| {
+            Ok((quote, Self::answer(&state, q)?))
+        }))
     }
 
     /// Record a sale whose terms are already known (durable live path
@@ -750,9 +735,9 @@ impl Market {
     // audit: holds-lock(state)
     pub fn explain_str(&self, query: &str) -> Result<String, MarketError> {
         let state = self.state.read();
-        let _slot = self.admit(state.policy.max_in_flight)?;
+        let _slot = self.admit(1, state.policy.max_in_flight)?;
         let q = parse_rule(state.pricer.catalog().schema(), query)?;
-        let budget = state.policy.budget();
+        let budget = state.policy.budget_for(1);
         let quote = contain_panic(|| state.pricer.price_cq_within(&q, &budget))?;
         Ok(quote.explain(state.pricer.catalog(), state.pricer.prices()))
     }
@@ -1014,6 +999,67 @@ price T.Y=b3 100
         assert!(ok.iter().all(|r| r.is_ok()));
         // Serial quoting still works afterwards: no slots leaked.
         assert!(market.quote_str("Q(x) :- R(x)").is_ok());
+    }
+
+    #[test]
+    fn one_off_queries_build_no_plans() {
+        let market = Market::open_qdp(FIG1_QDP).unwrap();
+        let queries: Vec<String> = ["a1", "a2", "a3", "a4"]
+            .iter()
+            .flat_map(|a| {
+                [
+                    format!("Q(y) :- R('{a}'), S('{a}', y), T(y)"),
+                    format!("Q(y) :- S('{a}', y)"),
+                ]
+            })
+            .collect();
+        for q in &queries {
+            market.quote_str(q).unwrap();
+        }
+        let stats = market.plan_stats();
+        assert_eq!(stats.misses, queries.len() as u64, "{stats:?}");
+        assert_eq!(stats.builds, 0, "one-off shapes built plans: {stats:?}");
+    }
+
+    #[test]
+    fn repeated_shape_builds_once_then_warm_reprices() {
+        let market = Market::open_qdp(FIG1_QDP).unwrap();
+        let q = "Q(x, y) :- R(x), S(x, y), T(y)";
+        // First miss: priced cold, only the shape is recorded.
+        market.quote_str(q).unwrap();
+        assert_eq!(market.plan_stats().builds, 0);
+        // A revision invalidates the cached quote; the second miss builds.
+        market.set_price("S.Y=b1", Price::cents(25)).unwrap();
+        assert_eq!(market.quote_str(q).unwrap().price, Price::cents(525));
+        let stats = market.plan_stats();
+        assert_eq!((stats.builds, stats.warm_reprices), (1, 0), "{stats:?}");
+        // The third miss warm-reprices the plan.
+        market.set_price("S.Y=b1", Price::cents(50)).unwrap();
+        assert_eq!(market.quote_str(q).unwrap().price, Price::cents(550));
+        let stats = market.plan_stats();
+        assert_eq!((stats.builds, stats.warm_reprices), (1, 1), "{stats:?}");
+    }
+
+    #[test]
+    fn purchase_of_a_cached_query_hits_the_cache() {
+        let market = Market::open_qdp(FIG1_QDP).unwrap();
+        let q = "Q(x, y) :- R(x), S(x, y), T(y)";
+        market.quote_str(q).unwrap();
+        let (cached, before) = (market.cached_quotes(), market.plan_stats());
+        let purchase = market.purchase_str(q).unwrap();
+        assert_eq!(market.cached_quotes(), cached);
+        assert_eq!(
+            market.plan_stats().misses,
+            before.misses,
+            "the purchase priced instead of hitting the quote cache"
+        );
+        let fresh = Market::open_qdp(&market.to_qdp())
+            .unwrap()
+            .quote_str(q)
+            .unwrap();
+        assert_eq!(purchase.quote.price, fresh.price);
+        assert_eq!(purchase.quote.views, fresh.views);
+        assert_eq!(purchase.answer, vec![tuple!["a1", "b1"]]);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crossbeam::thread;
 use proptest::prelude::*;
 use qbdp_catalog::{tuple, Tuple, Value};
 use qbdp_core::Price;
-use qbdp_market::Market;
+use qbdp_market::{Market, MarketPolicy, MarketQuote};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const QDP: &str = r#"
@@ -232,25 +232,39 @@ fn eight_thread_batch_purchase_insert_mix() {
     assert_eq!(market.sales(), 20);
 }
 
-/// Price-update storm: `writers` seller threads revise prices while the
-/// remaining threads (8 total) hammer quotes. Revisions hit only the
-/// single-attribute relations `R.X` and `T.Y`, where *any* price is
-/// arbitrage-consistent (no bundle of other views covers a selection on
-/// the sole column of a relation), so every `set_price` must succeed.
-///
-/// Checks, under column-scoped invalidation:
-///
-/// * every quote during the storm succeeds (invalidation never wedges a
-///   shard or poisons an entry);
-/// * once the writers stop, the cache serves exactly the prices of the
-///   final price list for every query — `set_price(R.X=…)` must have
-///   invalidated every cached quote whose footprint touches `R.X`, and
-///   must *not* be allowed to hide behind quotes over disjoint columns;
-/// * with `incremental` set, the warm-started quotes additionally match,
-///   field for field, a cold market reopened from the same snapshot.
-fn price_update_storm(writers: usize, incremental: bool) {
+/// Every field of a served quote must equal a cold single-threaded
+/// `Pricer::price_cq` of the same query on the market's current state —
+/// the warm-start path is not allowed to drift in receipts, method,
+/// class, quality, or bounds.
+#[track_caller]
+fn assert_matches_cold(market: &Market, query: &str, served: &MarketQuote) {
+    market.with_pricer(|pricer| {
+        let schema = pricer.catalog().schema();
+        let q = qbdp_query::parser::parse_rule(schema, query).unwrap();
+        let cold = pricer.price_cq(&q).unwrap();
+        assert_eq!(served.price, cold.price, "price drift for `{query}`");
+        assert_eq!(
+            served.lower_bound, cold.lower_bound,
+            "bound drift for `{query}`"
+        );
+        assert_eq!(served.views, cold.views, "view drift for `{query}`");
+        assert_eq!(served.method, cold.method, "method drift for `{query}`");
+        assert_eq!(served.class, cold.class, "class drift for `{query}`");
+        assert_eq!(served.quality, cold.quality, "quality drift for `{query}`");
+        let receipt: Vec<String> = cold
+            .views
+            .iter()
+            .map(|v| format!("{} @ {}", v.display(schema), pricer.prices().get(v)))
+            .collect();
+        assert_eq!(served.receipt, receipt, "receipt drift for `{query}`");
+        assert_eq!(served.query, qbdp_query::pretty::render(&q, schema));
+    });
+}
+
+/// A market with some data, so join prices exercise the real min-cut,
+/// not empty networks.
+fn storm_market() -> Market {
     let market = Market::open_qdp(QDP).unwrap();
-    // Some data so join prices exercise the real min-cut, not empty nets.
     for i in 0..6i64 {
         market.insert("R", [Tuple::new([Value::Int(i)])]).unwrap();
         market.insert("S", [tuple![i, (i + 1) % 6]]).unwrap();
@@ -258,11 +272,27 @@ fn price_update_storm(writers: usize, incremental: bool) {
             .insert("T", [Tuple::new([Value::Int((i + 1) % 6)])])
             .unwrap();
     }
-    if incremental {
-        let mut policy = market.policy();
-        policy.incremental = true;
-        market.set_policy(policy);
-    }
+    market
+}
+
+/// Price-update storm: `writers` seller threads revise prices while the
+/// remaining threads (8 total) hammer quotes. Revisions hit only the
+/// single-attribute relations `R.X` and `T.Y`, where *any* price is
+/// arbitrage-consistent (no bundle of other views covers a selection on
+/// the sole column of a relation), so every `set_price` must succeed.
+///
+/// Checks, under column-scoped invalidation and warm-started repricing:
+///
+/// * every quote during the storm succeeds (invalidation never wedges a
+///   shard or poisons an entry);
+/// * once the writers stop, every served quote matches a cold
+///   `Pricer::price_cq` of the final state field for field —
+///   `set_price(R.X=…)` must have invalidated every cached quote whose
+///   footprint touches `R.X`, and the plans it warm-reprices must match
+///   a cold solve;
+/// * a few more revisions afterwards drive the warm path for certain.
+fn price_update_storm(writers: usize) {
+    let market = storm_market();
     let quoters = 8 - writers;
 
     thread::scope(|scope| {
@@ -297,56 +327,65 @@ fn price_update_storm(writers: usize, incremental: bool) {
 
     // Writers are done: the cache must now serve the final price list.
     for query in MIX_QUERIES {
-        let cached = market.quote_str(query).unwrap().price;
-        assert_eq!(
-            cached,
-            fresh_price(&market, query),
-            "stale cached quote for `{query}` after price storm"
-        );
+        assert_matches_cold(&market, query, &market.quote_str(query).unwrap());
     }
-
-    if incremental {
-        // A cold market rebuilt from the same snapshot must agree on every
-        // field of every quote — the warm-start path is not allowed to
-        // drift in receipts, method, class, quality, or bounds either.
-        let cold = Market::open_qdp(&market.to_qdp()).unwrap();
+    for round in 0..3u64 {
+        market
+            .set_price("R.X=0", Price::cents(60 + 40 * round))
+            .unwrap();
         for query in MIX_QUERIES {
-            let warm = market.quote_str(query).unwrap();
-            let reference = cold.quote_str(query).unwrap();
-            assert_eq!(warm.price, reference.price, "price drift for `{query}`");
-            assert_eq!(warm.lower_bound, reference.lower_bound);
-            assert_eq!(warm.receipt, reference.receipt);
-            assert_eq!(warm.views, reference.views);
-            assert_eq!(warm.method, reference.method);
-            assert_eq!(warm.class, reference.class);
-            assert_eq!(warm.quality, reference.quality);
-            assert_eq!(warm.query, reference.query);
+            assert_matches_cold(&market, query, &market.quote_str(query).unwrap());
         }
     }
+    let stats = market.plan_stats();
+    assert!(
+        stats.warm_reprices > 0,
+        "warm path never engaged: {stats:?}"
+    );
 }
 
 /// 90/10 quote/setprice mix (7 quoters, 1 price writer).
 #[test]
 fn update_storm_90_10() {
-    price_update_storm(1, false);
+    price_update_storm(1);
 }
 
 /// 50/50 quote/setprice mix (4 quoters, 4 price writers).
 #[test]
 fn update_storm_50_50() {
-    price_update_storm(4, false);
+    price_update_storm(4);
 }
 
-/// 90/10 mix through the incremental (warm-start) pricing path.
+/// Eight batch workers price the same shape at once: one batch holds
+/// eight renamings of the chain join (one shape, eight quote-cache
+/// keys), so every worker checks the same plan out, builds or reprices
+/// it, and checks it back in concurrently. Every slot must still equal
+/// a cold solve, round after round of price revisions.
 #[test]
-fn update_storm_90_10_incremental() {
-    price_update_storm(1, true);
-}
-
-/// 50/50 mix through the incremental (warm-start) pricing path.
-#[test]
-fn update_storm_50_50_incremental() {
-    price_update_storm(4, true);
+fn batch_workers_share_one_shape_concurrently() {
+    let market = storm_market();
+    market.set_policy(MarketPolicy {
+        batch_workers: 8,
+        ..MarketPolicy::default()
+    });
+    let queries: Vec<String> = (0..8)
+        .map(|i| format!("Q{i}(x, y) :- R(x), S(x, y), T(y)"))
+        .collect();
+    let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
+    for round in 0..12u64 {
+        market
+            .set_price(&format!("R.X={}", round % 6), Price::cents(50 + 23 * round))
+            .unwrap();
+        for (query, served) in refs.iter().zip(market.quote_batch(&refs)) {
+            assert_matches_cold(&market, query, &served.unwrap());
+        }
+    }
+    let stats = market.plan_stats();
+    assert!(stats.builds >= 1, "no plan was built: {stats:?}");
+    assert!(
+        stats.warm_reprices > 0,
+        "warm path never engaged: {stats:?}"
+    );
 }
 
 proptest! {

@@ -300,7 +300,8 @@ catalog! {
         MarketPurchaseRetries => ("qbdp_market_purchase_retries_total", "Durable purchase epoch-revalidation retries"),
         MarketPurchaseContended => ("qbdp_market_purchase_contended_total", "Durable purchases abandoned as Contended after the retry cap"),
         PlanCacheHits => ("qbdp_plan_cache_hits_total", "Plan-cache lookups served with an unchanged price vector"),
-        PlanCacheMisses => ("qbdp_plan_cache_misses_total", "Plan-cache lookups that built a plan from scratch"),
+        PlanCacheMisses => ("qbdp_plan_cache_misses_total", "Plan-cache lookups that found no plan (a shape's first miss prices cold)"),
+        PlanCacheBuilds => ("qbdp_plan_cache_builds_total", "Plans built for a repeated shape (or rebuilt after eviction)"),
         PlanCacheWarmReprices => ("qbdp_plan_cache_warm_reprices_total", "Plan-cache lookups repriced from a residual warm start"),
         PlanCacheFlowFallbacks => ("qbdp_plan_cache_flow_fallbacks_total", "Warm reprices that fell back to a cold flow solve"),
         PlanCacheEvictions => ("qbdp_plan_cache_evictions_total", "Plan-cache entries evicted (capacity or invalidation)"),

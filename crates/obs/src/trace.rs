@@ -12,10 +12,11 @@
 //! The whole module is thread-local and allocation-shy: when no trace
 //! is active on the current thread, [`span`] reads one thread-local
 //! flag and returns an inert guard — no clock read, no allocation.
-//! Quote pricing runs on the caller's thread (batch workers are not
-//! traced), so a thread-local buffer is exactly the right scope, and
-//! nothing here ever takes a lock (R6 applies: these are `record*`
-//! paths by construction).
+//! A quote whose pricing moves to a batch worker carries its trace
+//! along: [`suspend`] parks the buffer in a value, the worker
+//! [`resume`]s it, so one quote is one span tree whichever threads
+//! served it. Nothing here ever takes a lock (R6 applies: these are
+//! `record*` paths by construction).
 //!
 //! The market drives the lifecycle: [`begin`] before pricing,
 //! [`finish`] after, then either discards the spans (fast healthy
@@ -108,6 +109,26 @@ pub fn finish() -> Vec<Span> {
         LAST.with(|l| *l.borrow_mut() = spans.clone());
     }
     spans
+}
+
+/// A trace taken off its thread by [`suspend`], to be continued by
+/// [`resume`] — possibly on another thread. Inert when none was active.
+pub struct Suspended(Option<Buf>);
+
+/// Stop collecting on this thread and hand over the open trace.
+pub fn suspend() -> Suspended {
+    if !active() {
+        return Suspended(None);
+    }
+    ACTIVE.with(|a| a.set(false));
+    Suspended(BUF.with(|b| b.borrow_mut().take()))
+}
+
+/// Continue a [`suspend`]ed trace on this thread, same time origin.
+pub fn resume(trace: Suspended) {
+    let Some(buf) = trace.0 else { return };
+    BUF.with(|b| *b.borrow_mut() = Some(buf));
+    ACTIVE.with(|a| a.set(true));
 }
 
 /// Turn keep-last mode on or off for this thread.
@@ -286,6 +307,28 @@ mod tests {
         let g = span("nothing");
         drop(g);
         assert!(finish().is_empty());
+    }
+
+    #[test]
+    fn suspended_trace_continues_on_another_thread() {
+        begin();
+        drop(span("lookup"));
+        let parked = suspend();
+        assert!(!active(), "suspend stops collection here");
+        drop(span("lost"));
+        let spans = std::thread::spawn(move || {
+            resume(parked);
+            drop(span("solve"));
+            finish()
+        })
+        .join()
+        .unwrap();
+        let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["lookup", "solve"]);
+        assert!(spans[1].start_us >= spans[0].start_us, "one time origin");
+        // An inert trace resumes as nothing.
+        resume(suspend());
+        assert!(!active());
     }
 
     #[test]

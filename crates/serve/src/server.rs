@@ -28,7 +28,6 @@ use crate::http::{self, Limits, Method, Request, Step};
 use crate::json;
 use crate::sys::{self, Event, Interest, Poller, PollerConfig};
 use qbdp_market::{MarketHealth, MarketOps};
-use qbdp_obs::flight::{self, Why};
 use qbdp_obs::{Ctr, Gauge, Hst, Stopwatch};
 use std::collections::HashMap;
 use std::io::{self, Write as _};
@@ -185,7 +184,6 @@ enum Deferred {
 struct Slot {
     token: u64,
     keep_alive: bool,
-    target: String,
     hist: Hst,
     t0: Stopwatch,
     deferred: Deferred,
@@ -430,10 +428,9 @@ impl Server {
             let path = req
                 .target
                 .split_once('?')
-                .map_or(req.target.as_str(), |(p, _)| p)
-                .to_string();
+                .map_or(req.target.as_str(), |(p, _)| p);
             let mut hist = Hst::ServeAdminLatencyUs;
-            let deferred = match path.as_str() {
+            let deferred = match path {
                 "/quote" if req.method == Method::Post => {
                     hist = Hst::ServeQuoteLatencyUs;
                     match body_lines(&req.body) {
@@ -494,7 +491,6 @@ impl Server {
             slots.push(Slot {
                 token,
                 keep_alive: req.keep_alive,
-                target: path,
                 hist,
                 t0,
                 deferred,
@@ -562,17 +558,10 @@ impl Server {
                 c.close_after_flush = true;
             }
             with_output.push(slot.token);
+            // Slow quotes and purchases reach the flight recorder from
+            // the market, with their span trees; the server only times.
             if let Some(us) = slot.t0.elapsed_us() {
                 qbdp_obs::record_hist(slot.hist, us);
-                if us >= flight::slow_threshold_us() {
-                    flight::capture(
-                        Why::Slow,
-                        &slot.target,
-                        us,
-                        format!("http {} -> {status}", slot.target),
-                        Vec::new(),
-                    );
-                }
             }
         }
         with_output

@@ -3,7 +3,8 @@
 //! (ISSUE 9): a drained server's durable state must fingerprint-match
 //! a cold reopen of the same directory — no acked purchase lost.
 
-use qbdp_market::{fingerprint, DurableMarket, Market, MarketOps};
+use qbdp_market::{fingerprint, DurableMarket, Market, MarketOps, MarketPolicy};
+use qbdp_obs::flight::{self, Why};
 use qbdp_serve::{ResponseParser, Server, ServerConfig, ShutdownFlag};
 use qbdp_store::FsyncPolicy;
 use std::io::{Read, Write};
@@ -130,8 +131,7 @@ fn quote_purchase_metrics_roundtrip_poll() {
 fn durable_market_serves_and_recovery_matches_the_drained_state() {
     let dir = temp_dir("recover");
     let fp_drained = {
-        let dm =
-            DurableMarket::open_or_create(&dir, Some(FIG1_QDP), FsyncPolicy::EveryN(4)).unwrap();
+        let dm = DurableMarket::create(&dir, FIG1_QDP, FsyncPolicy::EveryN(4)).unwrap();
         serve(&dm, false, |addr| {
             // Several acked purchases with an EveryN tail — exactly the
             // shape the satellite Drop-flush fix protects.
@@ -146,7 +146,7 @@ fn durable_market_serves_and_recovery_matches_the_drained_state() {
         fingerprint(dm.market())
     };
     // Cold reopen: every acked purchase must have survived.
-    let dm = DurableMarket::open_or_create(&dir, None, FsyncPolicy::Always).unwrap();
+    let dm = DurableMarket::open(&dir, FsyncPolicy::Always).unwrap();
     assert_eq!(fingerprint(dm.market()), fp_drained);
     assert_eq!(dm.market().sales(), 3);
     let _ = std::fs::remove_dir_all(&dir);
@@ -201,4 +201,50 @@ fn keep_alive_connection_serves_many_exchanges() {
     // Ten requests, one connection.
     assert_eq!(stats.requests, 10);
     assert_eq!(stats.conns_accepted, 1);
+}
+
+/// A slow quote or durable purchase sent over HTTP reaches the flight
+/// recorder with the span tree of its pricing — traced from the cache
+/// lookup on the event loop through the batch worker that priced it.
+#[test]
+fn slow_served_quote_reaches_the_flight_recorder_with_its_span_tree() {
+    let dir = temp_dir("flight");
+    let dm = DurableMarket::create(&dir, FIG1_QDP, FsyncPolicy::Never).unwrap();
+    dm.set_policy(MarketPolicy {
+        telemetry: true,
+        batch_workers: 2,
+        ..MarketPolicy::default()
+    })
+    .unwrap();
+    flight::set_slow_threshold_us(0);
+    // Two cold misses in one request: the batch fans them over two
+    // pool workers, away from the thread that looked them up.
+    let queries = [
+        "Flight(x, y) :- R(x), S(x, y), T(y)",
+        "Flight(x, y) :- S(x, y), T(y)",
+    ];
+    let bought = "Bought(x, y) :- R(x), S(x, y)";
+    serve(&dm, false, |addr| {
+        let (st, body) = exchange(addr, &post("/quote", &format!("{}\n", queries.join("\n"))));
+        assert_eq!(st, 200, "{body}");
+        let (st, body) = exchange(addr, &post("/purchase", bought));
+        assert_eq!(st, 200, "{body}");
+    });
+    let records = flight::dump();
+    for query in queries.into_iter().chain([bought]) {
+        let record = records
+            .iter()
+            .rev()
+            .find(|r| r.query == query)
+            .unwrap_or_else(|| panic!("`{query}` was not captured: {records:?}"));
+        assert_eq!(record.why, Why::Slow);
+        for stage in ["cache_lookup", "classify", "flow_solve"] {
+            assert!(
+                record.spans.iter().any(|s| s.name == stage),
+                "`{query}` lost its `{stage}` span: {:?}",
+                record.spans
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

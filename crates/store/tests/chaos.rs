@@ -15,7 +15,7 @@
 //! seed to replay.
 
 use qbdp_market::chaos::{run_schedule, ChaosConfig};
-use qbdp_market::{FsyncPolicy, Market, MarketHealth};
+use qbdp_market::{DurableOptions, FsyncPolicy, Market, MarketHealth};
 use qbdp_store::{FaultFs, FaultPlan, RetryPolicy};
 use qbdp_workload::scenarios::{business, sports, webgraph};
 use rand::rngs::StdRng;
@@ -154,12 +154,14 @@ fn fsync_poison_keeps_serving_then_recovers() {
         }],
         seeded: None,
     });
-    let dm = qbdp_market::DurableMarket::create_with(
-        std::sync::Arc::new(fs.clone()),
+    let dm = qbdp_market::DurableMarket::open_with(
         &dir,
-        FIG1_QDP,
-        FsyncPolicy::Always,
-        RetryPolicy::none(),
+        DurableOptions {
+            vfs: std::sync::Arc::new(fs.clone()),
+            retry: RetryPolicy::none(),
+            seed: Some(FIG1_QDP),
+            ..DurableOptions::new(FsyncPolicy::Always)
+        },
     )
     .unwrap();
     dm.purchase_str("Q(x) :- R(x)").unwrap();
@@ -169,15 +171,17 @@ fn fsync_poison_keeps_serving_then_recovers() {
     assert!(dm.purchase_str("Q(y) :- T(y)").is_err());
     assert!(matches!(dm.health(), MarketHealth::ReadOnly { .. }));
     // Quotes keep serving sound intervals from the frozen state.
-    let q = dm.quote_str("Q(x) :- R(x)").unwrap();
+    let q = dm.market().quote_str("Q(x) :- R(x)").unwrap();
     assert!(q.lower_bound <= q.price);
     drop(dm);
     fs.simulate_crash(99).unwrap();
-    let back = qbdp_market::DurableMarket::open_on(
-        std::sync::Arc::new(fs),
+    let back = qbdp_market::DurableMarket::open_with(
         &dir,
-        FsyncPolicy::Never,
-        RetryPolicy::none(),
+        DurableOptions {
+            vfs: std::sync::Arc::new(fs),
+            retry: RetryPolicy::none(),
+            ..DurableOptions::new(FsyncPolicy::Never)
+        },
     )
     .unwrap();
     assert_eq!(back.health(), MarketHealth::Healthy);
@@ -192,12 +196,14 @@ fn fsync_poison_keeps_serving_then_recovers() {
 fn scrub_detects_post_crash_bit_rot() {
     let dir = temp_dir("bitrot");
     let fs = FaultFs::new(FaultPlan::none());
-    let dm = qbdp_market::DurableMarket::create_with(
-        std::sync::Arc::new(fs.clone()),
+    let dm = qbdp_market::DurableMarket::open_with(
         &dir,
-        FIG1_QDP,
-        FsyncPolicy::Always,
-        RetryPolicy::none(),
+        DurableOptions {
+            vfs: std::sync::Arc::new(fs.clone()),
+            retry: RetryPolicy::none(),
+            seed: Some(FIG1_QDP),
+            ..DurableOptions::new(FsyncPolicy::Always)
+        },
     )
     .unwrap();
     dm.purchase_str("Q(x) :- R(x)").unwrap();

@@ -30,7 +30,7 @@
 #![forbid(unsafe_code)]
 
 use qbdp::cli;
-use qbdp::prelude::{DurableMarket, FsyncPolicy, Market, MarketPolicy};
+use qbdp::prelude::{DurableMarket, DurableOptions, FsyncPolicy, Market, MarketPolicy};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -284,7 +284,11 @@ fn main() -> ExitCode {
                 },
                 None => None,
             };
-            let market = match DurableMarket::open_or_create(dir, seed.as_deref(), fsync) {
+            let options = DurableOptions {
+                seed: seed.as_deref(),
+                ..DurableOptions::new(fsync)
+            };
+            let market = match DurableMarket::open_with(dir, options) {
                 Ok(m) => m,
                 Err(e) => {
                     qbdp_obs::log_error!("cannot open durable market: {e}");

@@ -107,9 +107,6 @@ fn help_text() -> String {
      \x20 price --batch <file> [--threads N]\n\
      \x20                   price one rule per line in parallel (N workers;\n\
      \x20                   0 or omitted = one per core)\n\
-     \x20 price --incremental <rule>\n\
-     \x20                   price through the plan cache: repeated query\n\
-     \x20                   shapes reprice by residual warm start\n\
      \x20 price --trace <rule>\n\
      \x20                   quote with the pricing-pipeline span tree\n\
      \x20                   (cache lookup → plan → normalize → flow → \n\
@@ -164,10 +161,7 @@ fn quote<M: MarketOps>(market: &M, rule: &str) -> String {
 
 /// `price <rule>` is an alias for `quote`; `price --batch <file>
 /// [--threads N]` prices one rule per line of `file` on the market's
-/// parallel batch path (`--threads 0` or omitted = one worker per core);
-/// `price --incremental <rule>` enables the incremental pricing engine
-/// on the market's policy and quotes through the shape-keyed plan cache,
-/// reporting its hit/warm-reprice counters alongside the quote.
+/// parallel batch path (`--threads 0` or omitted = one worker per core).
 fn price_cmd<M: MarketOps>(market: &M, rest: &str) -> String {
     if let Some(rule) = rest.strip_prefix("--trace") {
         // Tracing needs the telemetry pipeline recording for this quote.
@@ -194,23 +188,6 @@ fn price_cmd<M: MarketOps>(market: &M, rest: &str) -> String {
                 qbdp_obs::trace::to_jsonl(&spans).trim_end()
             );
         }
-        return out;
-    }
-    if let Some(rule) = rest.strip_prefix("--incremental") {
-        let mut policy = market.base().policy();
-        if !policy.incremental {
-            policy.incremental = true;
-            if let Err(e) = market.set_policy(policy) {
-                return render_err(e);
-            }
-        }
-        let mut out = quote(market, rule.trim_start());
-        let s = market.base().plan_stats();
-        let _ = write!(
-            out,
-            "\nplan  : {} hit(s), {} miss(es), {} warm reprice(s), {} eviction(s)",
-            s.hits, s.misses, s.warm_reprices, s.evictions
-        );
         return out;
     }
     if !rest.starts_with("--batch") {
@@ -449,7 +426,11 @@ pub fn serve_cmd(
 ) -> String {
     use qbdp_serve::{Server, ServerConfig, ShutdownFlag};
 
-    let market = match qbdp_market::DurableMarket::open_or_create(dir, seed_qdp, fsync) {
+    let options = qbdp_market::DurableOptions {
+        seed: seed_qdp,
+        ..qbdp_market::DurableOptions::new(fsync)
+    };
+    let market = match qbdp_market::DurableMarket::open_with(dir, options) {
         Ok(m) => m,
         Err(e) => return render_err(e),
     };
@@ -511,14 +492,14 @@ pub fn serve_cmd(
 /// replayed insertions, with its Proposition 2.22 monotonicity verdict.
 pub fn replay_dir(dir: &str, probes: &[String]) -> String {
     use qbdp_core::dynamic::PriceTrajectory;
-    use qbdp_market::{DurableMarket, FsyncPolicy, MarketEvent, ReplayStep};
+    use qbdp_market::{DurableMarket, DurableOptions, FsyncPolicy, MarketEvent, ReplayStep};
 
     let mut counts: std::collections::BTreeMap<&'static str, usize> = Default::default();
     let mut trajectories: Vec<PriceTrajectory> = probes
         .iter()
         .map(|_| PriceTrajectory { steps: Vec::new() })
         .collect();
-    let market = DurableMarket::open_with_observer(dir, FsyncPolicy::Never, |step, market| {
+    let mut observer = |step: ReplayStep<'_>, market: &qbdp_market::Market| {
         let observe = match &step {
             ReplayStep::SnapshotLoaded => true,
             ReplayStep::Applied(event) => {
@@ -537,8 +518,12 @@ pub fn replay_dir(dir: &str, probes: &[String]) -> String {
                 traj.steps.push((tuples, q.price));
             }
         }
-    });
-    let market = match market {
+    };
+    let options = DurableOptions {
+        observer: Some(&mut observer),
+        ..DurableOptions::new(FsyncPolicy::Never)
+    };
+    let market = match DurableMarket::open_with(dir, options) {
         Ok(m) => m,
         Err(e) => return render_err(e),
     };

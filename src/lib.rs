@@ -76,7 +76,8 @@ pub mod prelude {
     pub use qbdp_core::{Budget, Price, Pricer, PricingError, PricingMethod, Quote, QuoteQuality};
     pub use qbdp_determinacy::selection::{SelectionView, ViewSet};
     pub use qbdp_market::{
-        DurableMarket, Market, MarketError, MarketOps, MarketPolicy, MarketQuote, Purchase,
+        DurableMarket, DurableOptions, Market, MarketError, MarketOps, MarketPolicy, MarketQuote,
+        Purchase,
     };
     pub use qbdp_query::ast::{ConjunctiveQuery, CqBuilder, Pred, Ucq};
     pub use qbdp_query::bundle::Bundle;

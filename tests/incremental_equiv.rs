@@ -1,15 +1,17 @@
-//! Differential battery for the incremental pricing engine: a market
-//! serving through the plan cache + residual warm starts
-//! (`MarketPolicy::incremental`) must be *observationally identical* to
-//! a shadow market pricing every quote cold. Random catalogs of the
-//! chain shape × random update streams (`set_price` / `insert`
-//! interleaved with quotes) are replayed against both markets; every
-//! quote must match field for field — price, lower bound, receipt,
-//! views, method, class, and `QuoteQuality` — and every error must
-//! match variant for variant. A separate run exercises tight fuel
-//! budgets with `sell_degraded`, where the degraded `[lower, upper]`
-//! intervals must also coincide (the incremental path refuses budgeted
-//! policies and prices cold, and this is what holds it to that).
+//! Differential battery for the incremental pricing engine: every quote
+//! a market serves — through the quote cache, the plan cache, and
+//! residual warm starts — must be *observationally identical* to a cold
+//! single-threaded `Pricer::price_cq` of the same query on the market's
+//! current state. Random catalogs of the chain shape × random update
+//! streams (`set_price` / `insert` interleaved with quotes) are
+//! replayed; every served quote must match the cold reference field for
+//! field — price, lower bound, receipt, views, method, class, and
+//! `QuoteQuality` — and every error must match variant for variant. A
+//! separate run exercises tight fuel budgets with `sell_degraded`, where
+//! the degraded `[lower, upper]` intervals must equal
+//! `Pricer::price_cq_within` under the same budget (budgeted quotes
+//! never touch the plan cache, and this is what holds the market to
+//! that).
 //!
 //! The headline test is a seeded exhaustion loop with an explicit
 //! comparison counter: in release mode it must certify at least 10,000
@@ -17,6 +19,7 @@
 //! under `debug_assertions` so `cargo test` stays quick.
 
 use proptest::prelude::*;
+use qbdp::core::PlanStats;
 use qbdp::prelude::*;
 
 const N: i64 = 6; // column size: {0, …, 5}
@@ -81,127 +84,141 @@ const QUERIES: &[&str] = &[
     "Q() :- R(x), T(y)",
 ];
 
-/// Open the warm/cold market pair over identical state. Only the warm
-/// one serves through the plan cache.
-fn market_pair() -> (Market, Market) {
+/// A market over an empty chain instance.
+fn market() -> Market {
     let catalog = chain_catalog();
     let instance = catalog.empty_instance();
     let prices = base_prices(&catalog);
-    let warm = Market::open(catalog.clone(), instance.clone(), prices.clone()).unwrap();
-    let cold = Market::open(catalog, instance, prices).unwrap();
-    warm.set_policy(MarketPolicy {
-        incremental: true,
-        ..MarketPolicy::default()
-    });
-    (warm, cold)
+    Market::open(catalog, instance, prices).unwrap()
+}
+
+/// What the market must serve for `query` on its current state: a cold
+/// `Pricer::price_cq` (or `price_cq_within` under `fuel`), dressed the
+/// way the market dresses quotes.
+fn cold_reference(
+    market: &Market,
+    query: &str,
+    fuel: Option<u64>,
+) -> Result<MarketQuote, MarketError> {
+    let sell_degraded = market.policy().sell_degraded;
+    market.with_pricer(|p| {
+        let schema = p.catalog().schema();
+        let q = parse_rule(schema, query)?;
+        let quote = match fuel {
+            None => p.price_cq(&q)?,
+            Some(f) => p.price_cq_within(&q, &Budget::with_fuel(f))?,
+        };
+        if quote.price.is_infinite() {
+            return Err(MarketError::NotForSale);
+        }
+        if !quote.quality.is_exact() && !sell_degraded {
+            return Err(MarketError::DeadlineExceeded);
+        }
+        let receipt = quote
+            .views
+            .iter()
+            .map(|v| format!("{} @ {}", v.display(schema), p.prices().get(v)))
+            .collect();
+        Ok(MarketQuote {
+            query: qbdp::query::pretty::render(&q, schema),
+            price: quote.price,
+            receipt,
+            views: quote.views,
+            method: quote.method,
+            class: quote.class,
+            quality: quote.quality,
+            lower_bound: quote.lower_bound,
+        })
+    })
 }
 
 /// Every observable field of a quote must agree — bit-identical, not
 /// merely equal prices.
 #[track_caller]
-fn assert_same_quote(query: &str, warm: &MarketQuote, cold: &MarketQuote) {
-    assert_eq!(warm.price, cold.price, "price drift on `{query}`");
+fn assert_same_quote(query: &str, served: &MarketQuote, cold: &MarketQuote) {
+    assert_eq!(served.price, cold.price, "price drift on `{query}`");
     assert_eq!(
-        warm.lower_bound, cold.lower_bound,
+        served.lower_bound, cold.lower_bound,
         "lower-bound drift on `{query}`"
     );
-    assert_eq!(warm.quality, cold.quality, "quality drift on `{query}`");
-    assert_eq!(warm.method, cold.method, "method drift on `{query}`");
-    assert_eq!(warm.class, cold.class, "class drift on `{query}`");
-    assert_eq!(warm.views, cold.views, "view-set drift on `{query}`");
-    assert_eq!(warm.receipt, cold.receipt, "receipt drift on `{query}`");
-    assert_eq!(warm.query, cold.query, "rendering drift on `{query}`");
+    assert_eq!(served.quality, cold.quality, "quality drift on `{query}`");
+    assert_eq!(served.method, cold.method, "method drift on `{query}`");
+    assert_eq!(served.class, cold.class, "class drift on `{query}`");
+    assert_eq!(served.views, cold.views, "view-set drift on `{query}`");
+    assert_eq!(served.receipt, cold.receipt, "receipt drift on `{query}`");
+    assert_eq!(served.query, cold.query, "rendering drift on `{query}`");
 }
 
-/// Quote `query` on both markets and demand identical outcomes
-/// (matching quotes, or matching error variants). Returns 1 for the
-/// comparison made.
+/// Quote `query` and demand the cold reference's outcome (a matching
+/// quote, or a matching error variant). Returns 1 for the comparison
+/// made.
 #[track_caller]
-fn compare_quote(warm: &Market, cold: &Market, query: &str) -> u64 {
-    match (warm.quote_str(query), cold.quote_str(query)) {
-        (Ok(w), Ok(c)) => assert_same_quote(query, &w, &c),
-        (w, c) => {
-            let (w, c) = (format!("{w:?}"), format!("{c:?}"));
-            assert_eq!(w, c, "outcome drift on `{query}`");
+fn compare_quote(market: &Market, query: &str, fuel: Option<u64>) -> u64 {
+    match (market.quote_str(query), cold_reference(market, query, fuel)) {
+        (Ok(served), Ok(cold)) => assert_same_quote(query, &served, &cold),
+        (served, cold) => {
+            let (served, cold) = (format!("{served:?}"), format!("{cold:?}"));
+            assert_eq!(served, cold, "outcome drift on `{query}`");
         }
     }
     1
 }
 
-/// Revise one price on both markets, identically. Revisions on the
-/// single-attribute relations (`R.X`, `T.Y`) draw from 50–449¢ — any
-/// price is arbitrage-free there, since no bundle of other views covers
-/// a selection on a relation's only column. Revisions on `S` stay in
-/// 100–299¢: every alternative cover of an `S` selection needs all six
-/// views of the other attribute (≥ 600¢ at the 100¢ floor), so no
-/// revision in range can introduce arbitrage. Out of caution the two
-/// outcomes are still compared rather than unwrapped.
-fn random_set_price(rng: &mut Rng, warm: &Market, cold: &Market) {
+/// Revise one price. Revisions on the single-attribute relations
+/// (`R.X`, `T.Y`) draw from 50–449¢ — any price is arbitrage-free there,
+/// since no bundle of other views covers a selection on a relation's
+/// only column. Revisions on `S` stay in 100–299¢: every alternative
+/// cover of an `S` selection needs all six views of the other attribute
+/// (≥ 600¢ at the 100¢ floor), so no revision in range can introduce
+/// arbitrage.
+fn random_set_price(rng: &mut Rng, market: &Market) {
     let (view, cents) = match rng.below(4) {
         0 => (format!("R.X={}", rng.below(N as u64)), 50 + rng.below(400)),
         1 => (format!("T.Y={}", rng.below(N as u64)), 50 + rng.below(400)),
         2 => (format!("S.X={}", rng.below(N as u64)), 100 + rng.below(200)),
         _ => (format!("S.Y={}", rng.below(N as u64)), 100 + rng.below(200)),
     };
-    let w = warm.set_price(&view, Price::cents(cents));
-    let c = cold.set_price(&view, Price::cents(cents));
-    assert_eq!(
-        w.is_ok(),
-        c.is_ok(),
-        "set_price({view}) diverged: {w:?} vs {c:?}"
-    );
+    market.set_price(&view, Price::cents(cents)).unwrap();
 }
 
-/// Insert one random tuple into both markets, identically.
-fn random_insert(rng: &mut Rng, warm: &Market, cold: &Market) {
+/// Insert one random tuple.
+fn random_insert(rng: &mut Rng, market: &Market) {
     let (a, b) = (rng.below(N as u64) as i64, rng.below(N as u64) as i64);
     let (rel, tuple) = match rng.below(3) {
         0 => ("R", tuple![a]),
         1 => ("S", tuple![a, b]),
         _ => ("T", tuple![b]),
     };
-    let w = warm.insert(rel, [tuple.clone()]);
-    let c = cold.insert(rel, [tuple]);
-    assert_eq!(
-        format!("{w:?}"),
-        format!("{c:?}"),
-        "insert into {rel} diverged"
-    );
+    market.insert(rel, [tuple]).unwrap();
 }
 
-/// Replay one random update stream against a fresh market pair,
-/// returning the number of quote comparisons performed.
-fn run_stream(seed: u64, ops: usize) -> u64 {
+/// Replay one random update stream against a fresh market, returning
+/// the number of quote comparisons performed and the market's plan-cache
+/// counters.
+fn run_stream(seed: u64, ops: usize) -> (u64, PlanStats) {
     let mut rng = Rng(seed | 1);
-    let (warm, cold) = market_pair();
+    let market = market();
     let mut comparisons = 0;
     for _ in 0..ops {
         match rng.below(5) {
             // Updates outnumber quotes 3:2 so plans are repeatedly
             // invalidated/repriced, not filled once and served forever.
-            0 | 1 => random_set_price(&mut rng, &warm, &cold),
-            2 => random_insert(&mut rng, &warm, &cold),
+            0 | 1 => random_set_price(&mut rng, &market),
+            2 => random_insert(&mut rng, &market),
             _ => {}
         }
         // Two random quotes after every op: one immediately repeated
         // shape (the warm-start / cache-hit path), one fresh draw.
         let q = QUERIES[rng.below(QUERIES.len() as u64) as usize];
-        comparisons += compare_quote(&warm, &cold, q);
-        comparisons += compare_quote(&warm, &cold, q);
+        comparisons += compare_quote(&market, q, None);
+        comparisons += compare_quote(&market, q, None);
     }
     // Final sweep: after the stream settles, every pool query must
     // agree — catches staleness that the random draws happened to miss.
     for q in QUERIES {
-        comparisons += compare_quote(&warm, &cold, q);
+        comparisons += compare_quote(&market, q, None);
     }
-    // The warm market must actually have exercised the incremental
-    // engine, or the battery proves nothing.
-    let stats = warm.plan_stats();
-    assert!(
-        stats.hits + stats.misses + stats.warm_reprices > 0,
-        "incremental path never engaged: {stats:?}"
-    );
-    comparisons
+    (comparisons, market.plan_stats())
 }
 
 /// The headline battery: ≥ 10,000 randomized update-stream comparisons
@@ -210,51 +227,45 @@ fn run_stream(seed: u64, ops: usize) -> u64 {
 fn warm_start_quotes_match_cold_start_over_random_update_streams() {
     let streams: u64 = if cfg!(debug_assertions) { 24 } else { 360 };
     let mut comparisons = 0u64;
+    let mut warm_reprices = 0u64;
     for stream in 0..streams {
-        comparisons += run_stream(0x9E37_79B9_7F4A_7C15 ^ (stream * 0x0123_4567_89AB_CDEF), 12);
+        let (n, stats) = run_stream(0x9E37_79B9_7F4A_7C15 ^ (stream * 0x0123_4567_89AB_CDEF), 12);
+        comparisons += n;
+        warm_reprices += stats.warm_reprices;
     }
+    // The served path must actually have warm-started, or the battery
+    // proves nothing about the incremental engine.
+    assert!(warm_reprices > 0, "warm path never engaged");
     if !cfg!(debug_assertions) {
         assert!(
             comparisons >= 10_000,
-            "only {comparisons} warm/cold comparisons — below the 10k acceptance bar"
+            "only {comparisons} served/cold comparisons — below the 10k acceptance bar"
         );
     }
 }
 
-/// Under a fuel budget with `sell_degraded`, the `incremental` flag
-/// must be inert: budgeted policies price cold on both markets, so the
-/// degraded `[lower_bound, price]` intervals and `QuoteQuality` tags
-/// must be identical — not merely both sound.
+/// Under a fuel budget with `sell_degraded`, served quotes must equal
+/// `price_cq_within` under the same budget: the degraded
+/// `[lower_bound, price]` intervals and `QuoteQuality` tags must be
+/// identical — not merely both sound — and the plan cache must not
+/// serve at all.
 #[test]
 fn degraded_intervals_match_under_tight_budgets() {
     let mut rng = Rng(0xD1F_FEED);
     for trial in 0..8u64 {
-        let (warm, cold) = market_pair();
+        let market = market();
         let fuel = trial * 37; // 0 (instant exhaustion) through generous
-        for market in [&warm, &cold] {
-            let mut policy = market.policy();
-            policy.fuel = Some(fuel);
-            policy.sell_degraded = true;
-            market.set_policy(policy);
-        }
+        let mut policy = market.policy();
+        policy.fuel = Some(fuel);
+        policy.sell_degraded = true;
+        market.set_policy(policy);
         for _ in 0..4 {
-            random_insert(&mut rng, &warm, &cold);
+            random_insert(&mut rng, &market);
         }
         for q in QUERIES {
-            match (warm.quote_str(q), cold.quote_str(q)) {
-                (Ok(w), Ok(c)) => {
-                    assert_same_quote(q, &w, &c);
-                    if w.quality == QuoteQuality::UpperBound {
-                        // The degraded interval, spelled out: both ends.
-                        assert_eq!(w.lower_bound, c.lower_bound);
-                        assert_eq!(w.price, c.price);
-                    }
-                }
-                (w, c) => assert_eq!(format!("{w:?}"), format!("{c:?}"), "on `{q}`"),
-            }
+            compare_quote(&market, q, Some(fuel));
         }
-        // The plan cache must have refused budgeted service entirely.
-        let stats = warm.plan_stats();
+        let stats = market.plan_stats();
         assert_eq!(
             stats.hits + stats.misses + stats.warm_reprices,
             0,

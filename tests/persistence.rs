@@ -46,7 +46,10 @@ fn roundtrip(tag: &str, market: Market, probes: &[&str], buy: &str) {
     let dm = DurableMarket::create(&dir, &market.to_qdp(), FsyncPolicy::EveryN(2)).unwrap();
     dm.purchase_str(buy).unwrap();
     dm.purchase_str(probes[0]).unwrap();
-    let live: Vec<MarketQuote> = probes.iter().map(|p| dm.quote_str(p).unwrap()).collect();
+    let live: Vec<MarketQuote> = probes
+        .iter()
+        .map(|p| dm.market().quote_str(p).unwrap())
+        .collect();
     let live_revenue = dm.market().revenue();
     let live_sales = dm.market().with_ledger(Ledger::sales);
     let live_ledger = dm.market().with_ledger(Ledger::to_snapshot_text);
@@ -361,12 +364,16 @@ fn fault_class_recovery(tag: &str, qdp: &str, clean_buy: &str, armed_buy: &str) 
             max_delay_micros: 5,
             jitter_seed: 7,
         };
-        let dm =
-            DurableMarket::create_with(Arc::new(fs.clone()), &dir, qdp, FsyncPolicy::Always, retry)
-                .unwrap();
+        let options = DurableOptions {
+            vfs: Arc::new(fs.clone()),
+            retry,
+            seed: Some(qdp),
+            ..DurableOptions::new(FsyncPolicy::Always)
+        };
+        let dm = DurableMarket::open_with(&dir, options).unwrap();
         dm.purchase_str(clean_buy).unwrap();
         let acked = sorted_fp(dm.market());
-        let armed_cents = dm.quote_str(armed_buy).unwrap().price.as_cents();
+        let armed_cents = dm.market().quote_str(armed_buy).unwrap().price.as_cents();
 
         let is_fsync_poison = matches!(kind, FaultKind::FsyncFail);
         fs.set_plan(FaultPlan {
@@ -393,7 +400,7 @@ fn fault_class_recovery(tag: &str, qdp: &str, clean_buy: &str, armed_buy: &str) 
                 "{tag}/{name}: durable damage must degrade the market"
             );
             // Quotes keep serving sound intervals from the frozen state.
-            let q = dm.quote_str(clean_buy).unwrap();
+            let q = dm.market().quote_str(clean_buy).unwrap();
             assert!(q.lower_bound <= q.price, "{tag}/{name}: degraded quote");
             acked
         };
@@ -401,9 +408,13 @@ fn fault_class_recovery(tag: &str, qdp: &str, clean_buy: &str, armed_buy: &str) 
 
         fs.clear_plan();
         fs.simulate_crash(0x5eed + case as u64).unwrap();
-        let back =
-            DurableMarket::open_on(Arc::new(fs), &dir, FsyncPolicy::Never, RetryPolicy::none())
-                .unwrap_or_else(|e| panic!("{tag}/{name}: recovery failed: {e}"));
+        let options = DurableOptions {
+            vfs: Arc::new(fs),
+            retry: RetryPolicy::none(),
+            ..DurableOptions::new(FsyncPolicy::Never)
+        };
+        let back = DurableMarket::open_with(&dir, options)
+            .unwrap_or_else(|e| panic!("{tag}/{name}: recovery failed: {e}"));
         assert_eq!(back.health(), MarketHealth::Healthy, "{tag}/{name}");
         let got = sorted_fp(back.market());
         assert_eq!(got.0, acked.0, "{tag}/{name}: recovered data+prices");
@@ -423,7 +434,7 @@ fn fault_class_recovery(tag: &str, qdp: &str, clean_buy: &str, armed_buy: &str) 
             );
         }
         // The reopened market is fully writable again.
-        assert!(back.quote_str(clean_buy).is_ok(), "{tag}/{name}");
+        assert!(back.market().quote_str(clean_buy).is_ok(), "{tag}/{name}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -545,7 +556,7 @@ fn live_overflow_is_refused_before_logging() {
     }
     assert_eq!(dm.wal_position(), wal_before, "refused purchase not logged");
     // The market keeps serving and stays recoverable.
-    assert!(dm.quote_str("Q(x) :- R(x)").is_ok());
+    assert!(dm.market().quote_str("Q(x) :- R(x)").is_ok());
     drop(dm);
     assert!(DurableMarket::open(&dir, FsyncPolicy::Never).is_ok());
     std::fs::remove_dir_all(&dir).ok();
