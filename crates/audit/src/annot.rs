@@ -23,14 +23,15 @@
 //! annotation that disables a check without saying why is itself a
 //! diagnostic ([`AnnotError`]), so the escape hatch cannot silently rot.
 
+use crate::rules::RULES;
 use std::fmt;
 
 /// One parsed `// audit:` annotation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Annot {
-    /// `allow(R2: reason)` — suppress `rule` on the annotated line.
+    /// `allow(R1: reason)` — suppress `rule` on the annotated line.
     Allow {
-        /// Rule id, e.g. `R2`.
+        /// Rule id, e.g. `R1`.
         rule: String,
         /// Mandatory justification.
         reason: String,
@@ -126,8 +127,11 @@ pub fn parse(comment_text: &str) -> Result<Option<Annot>, AnnotError> {
             Some((r, why)) => (r.trim(), why.trim()),
             None => (args.trim(), ""),
         };
-        if !is_rule_id(rule) {
-            return Err(err(format!("allow needs a rule id R1..R9, got `{rule}`")));
+        if rule == "R0" || !RULES.contains(&rule) {
+            return Err(err(format!(
+                "allow needs a live rule id ({}), got `{rule}`",
+                RULES[1..].join(", ")
+            )));
         }
         if reason.is_empty() {
             return Err(err(format!(
@@ -162,11 +166,6 @@ fn call_args<'a>(body: &'a str, name: &str) -> Result<Option<&'a str>, AnnotErro
     Ok(Some(inner))
 }
 
-fn is_rule_id(s: &str) -> bool {
-    let mut chars = s.chars();
-    chars.next() == Some('R') && s.len() >= 2 && chars.all(|c| c.is_ascii_digit())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,18 +179,26 @@ mod tests {
     #[test]
     fn allow_with_reason() {
         assert_eq!(
-            parse(" audit: allow(R2: fault injection exists to panic)"),
+            parse(" audit: allow(R1: the sum of two u32 cents fits in u64)"),
             Ok(Some(Annot::Allow {
-                rule: "R2".into(),
-                reason: "fault injection exists to panic".into()
+                rule: "R1".into(),
+                reason: "the sum of two u32 cents fits in u64".into()
             }))
         );
     }
 
     #[test]
+    fn allow_must_name_a_live_rule() {
+        for id in ["R0", "R2", "R5", "R42"] {
+            let e = parse(&format!(" audit: allow({id}: x)")).unwrap_err();
+            assert!(e.message.contains(&format!("got `{id}`")), "{e}");
+        }
+    }
+
+    #[test]
     fn allow_without_reason_is_an_error() {
-        assert!(parse(" audit: allow(R2)").is_err());
-        assert!(parse(" audit: allow(R2: )").is_err());
+        assert!(parse(" audit: allow(R1)").is_err());
+        assert!(parse(" audit: allow(R1: )").is_err());
         assert!(parse(" audit: allow(nonsense: x)").is_err());
     }
 
@@ -222,7 +229,7 @@ mod tests {
 
     #[test]
     fn unknown_annotation_is_an_error() {
-        assert!(parse(" audit: alow(R2: typo)").is_err());
+        assert!(parse(" audit: alow(R1: typo)").is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! Design choices:
 //!
 //! * Comments are **kept** as tokens: the annotation grammar
-//!   (`// audit: ...`) and the R5 `// SAFETY:` requirement live in them.
+//!   (`// audit: ...`) lives in them.
 //! * String/char contents are discarded (one [`Tok::Str`] token each);
 //!   no rule looks inside a literal.
 //! * Numbers are lexed loosely (`0xff_u64`, `1.5e-3`): rules only need

@@ -9,16 +9,14 @@
 //! must degrade instead of abort. This crate enforces those invariants
 //! offline, with no rustc plugin and no external dependencies: a
 //! hand-rolled lexer ([`lexer`]), a structural scanner ([`model`]), a
-//! workspace call graph ([`callgraph`]), and nine rule engines
+//! workspace call graph ([`callgraph`]), and seven rule engines
 //! ([`rules`]):
 //!
 //! * **R1** — no unchecked `+`/`-`/`*` on money-tainted operands.
-//! * **R2** — no `unwrap`/`expect`/`panic!` in non-test code.
 //! * **R3** — WAL and cache-shard locks never held across pricing
 //!   (annotation-driven; see the `// audit:` grammar in [`annot`]).
 //! * **R4** — every loop in the exact/determinacy/flow hot paths is
 //!   fuel-metered or explicitly `bounded(..)`.
-//! * **R5** — `unsafe` requires an adjacent `// SAFETY:` comment.
 //! * **R6** — the telemetry record path (`qbdp-obs` `record*`) is
 //!   annotated `wait-free` and reaches no lock acquisition.
 //! * **R7** — the lock acquisition graph (declared orders, annotation
@@ -29,6 +27,10 @@
 //! * **R9** — no panicking call is reachable from a serving entry
 //!   point without `catch_unwind` containment or a `panic-ok` waiver.
 //!
+//! File-local panic-freedom (`unwrap`/`expect`/`panic!` outside tests)
+//! and `// SAFETY:` comments on `unsafe` blocks are clippy lints, set
+//! once in the workspace's `[workspace.lints.clippy]` table.
+//!
 //! Run it with `cargo run -p qbdp-audit -- --deny-all`; the CI
 //! `analysis` job gates on it (`--format json` and `--baseline` give
 //! machine-readable, line-number-free findings — see [`report`]).
@@ -38,7 +40,6 @@
 //! [`Budget`]: https://docs.rs/qbdp-core
 
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![deny(missing_docs)]
 
 pub mod annot;

@@ -14,15 +14,11 @@
 //! findings exist, 2 on usage/IO errors.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use qbdp_audit::rules::RULES;
 use qbdp_audit::{audit_workspace, report, source, Config};
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-/// Every rule the engine knows; `--rule` validates against this and the
-/// "clean" banner counts it.
-const RULES: [&str; 10] = ["R0", "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9"];
 
 enum Format {
     Human,
@@ -54,9 +50,12 @@ fn parse_args() -> Result<Args, String> {
                 args.root = Some(PathBuf::from(p));
             }
             "--rule" => {
-                let r = it.next().ok_or("--rule requires an id (e.g. R2)")?;
+                let r = it.next().ok_or("--rule requires an id (e.g. R3)")?;
                 if !RULES.contains(&r.as_str()) {
-                    return Err(format!("unknown rule id `{r}` (expected R0..R9)"));
+                    return Err(format!(
+                        "unknown rule id `{r}` (expected one of {})",
+                        RULES.join(", ")
+                    ));
                 }
                 args.rules.push(r);
             }

@@ -200,12 +200,8 @@ pub struct FileModel {
     pub loops: Vec<LoopItem>,
     /// `allow(R#: …)` annotations: line → rule ids silenced there.
     pub allows: HashMap<u32, Vec<String>>,
-    /// Lines whose comments contain `SAFETY:`.
-    pub safety_lines: BTreeSet<u32>,
     /// Malformed `// audit:` comments (reported as R0 diagnostics).
     pub annot_errors: Vec<(u32, String)>,
-    /// Lines of `unsafe` keywords in code.
-    pub unsafe_lines: Vec<u32>,
     /// `use` renames in this file: alias → original item name
     /// (`use x as y` → `y → x`). Plain imports need no entry — the
     /// imported name already matches its definition.
@@ -311,7 +307,6 @@ struct Scanner {
     code: Vec<Token>,
     /// For each code token, whether a comment-derived annotation maps to it.
     allows: HashMap<u32, Vec<String>>,
-    safety_lines: BTreeSet<u32>,
     annot_errors: Vec<(u32, String)>,
     /// (annotation, comment line) pending attachment to the next fn.
     fn_annots_by_line: Vec<(u32, Annot)>,
@@ -325,7 +320,6 @@ impl Scanner {
     fn new(rel_path: &str, class: FileClass, all_tokens: Vec<Token>) -> Scanner {
         let mut code = Vec::new();
         let mut allows: HashMap<u32, Vec<String>> = HashMap::new();
-        let mut safety_lines = BTreeSet::new();
         let mut annot_errors = Vec::new();
         let mut fn_annots_by_line = Vec::new();
         let mut bounded_by_line = Vec::new();
@@ -341,29 +335,24 @@ impl Scanner {
 
         for t in all_tokens {
             match &t.tok {
-                Tok::LineComment(text) | Tok::BlockComment(text) => {
-                    if text.contains("SAFETY:") {
-                        safety_lines.insert(t.line);
+                Tok::LineComment(text) | Tok::BlockComment(text) => match annot::parse(text) {
+                    Ok(None) => {}
+                    Ok(Some(Annot::Allow { rule, .. })) => {
+                        if last_code_line == t.line {
+                            allows.entry(t.line).or_default().push(rule);
+                        } else {
+                            pending_allows.push(rule);
+                        }
                     }
-                    match annot::parse(text) {
-                        Ok(None) => {}
-                        Ok(Some(Annot::Allow { rule, .. })) => {
-                            if last_code_line == t.line {
-                                allows.entry(t.line).or_default().push(rule);
-                            } else {
-                                pending_allows.push(rule);
-                            }
-                        }
-                        Ok(Some(Annot::Bounded(reason))) => {
-                            bounded_by_line.push((t.line, reason));
-                        }
-                        Ok(Some(Annot::LockOrder(chain))) => {
-                            lock_orders.push((t.line, chain));
-                        }
-                        Ok(Some(a)) => fn_annots_by_line.push((t.line, a)),
-                        Err(e) => annot_errors.push((t.line, e.message)),
+                    Ok(Some(Annot::Bounded(reason))) => {
+                        bounded_by_line.push((t.line, reason));
                     }
-                }
+                    Ok(Some(Annot::LockOrder(chain))) => {
+                        lock_orders.push((t.line, chain));
+                    }
+                    Ok(Some(a)) => fn_annots_by_line.push((t.line, a)),
+                    Err(e) => annot_errors.push((t.line, e.message)),
+                },
                 _ => {
                     let in_attr = if attr_depth > 0 {
                         if t.is_punct('[') {
@@ -401,7 +390,6 @@ impl Scanner {
             class,
             code,
             allows,
-            safety_lines,
             annot_errors,
             fn_annots_by_line,
             bounded_by_line,
@@ -720,7 +708,6 @@ impl Scanner {
         let mut fns: Vec<FnItem> = Vec::new();
         let mut loops: Vec<LoopItem> = Vec::new();
         let mut test_ranges: Vec<(usize, usize)> = Vec::new();
-        let mut unsafe_lines: Vec<u32> = Vec::new();
         let mut aliases: HashMap<String, String> = HashMap::new();
         let mut type_names: BTreeSet<String> = BTreeSet::new();
         let mut type_fields: HashMap<String, HashMap<String, String>> = HashMap::new();
@@ -924,10 +911,6 @@ impl Scanner {
                     }
                     i += 1;
                 }
-                Tok::Ident(kw) if kw == "unsafe" => {
-                    unsafe_lines.push(line);
-                    i += 1;
-                }
                 Tok::Ident(kw) if ITEM_KEYWORDS.contains(&kw.as_str()) => {
                     if kw == "struct" || kw == "enum" {
                         if let Some(name) = self.ident_at(i + 1).map(str::to_string) {
@@ -1075,9 +1058,7 @@ impl Scanner {
             fns,
             loops,
             allows: self.allows,
-            safety_lines: self.safety_lines,
             annot_errors: self.annot_errors,
-            unsafe_lines,
             aliases,
             lock_orders: self.lock_orders,
             catch_ranges,
@@ -1169,21 +1150,21 @@ mod tests {
     #[test]
     fn allow_binds_to_next_or_same_line() {
         let m = model(
-            "// audit: allow(R2: trailing next line)\nfn a() { x.unwrap(); }\n\
+            "// audit: allow(R9: trailing next line)\nfn a() { x.unwrap(); }\n\
              fn b() { y.unwrap(); } // audit: allow(R1: same line)",
         );
-        assert!(m.allowed(2, "R2"));
+        assert!(m.allowed(2, "R9"));
         assert!(m.allowed(3, "R1"));
-        assert!(!m.allowed(3, "R2"));
+        assert!(!m.allowed(3, "R9"));
     }
 
     #[test]
     fn allow_skips_interleaved_attributes() {
         let m = model(
-            "fn a() {\n    // audit: allow(R2: invariant)\n    #[allow(clippy::expect_used)]\n    let x = y.expect(\"m\");\n}",
+            "fn a() {\n    // audit: allow(R9: invariant)\n    #[expect(clippy::expect_used, reason = \"invariant\")]\n    let x = y.expect(\"m\");\n}",
         );
-        assert!(m.allowed(4, "R2"), "allow must skip the attribute line");
-        assert!(!m.allowed(3, "R2"));
+        assert!(m.allowed(4, "R9"), "allow must skip the attribute line");
+        assert!(!m.allowed(3, "R9"));
     }
 
     #[test]
@@ -1213,15 +1194,8 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_lines_and_safety_comments() {
-        let m = model("// SAFETY: checked above\nfn f() { unsafe { g(); } }");
-        assert_eq!(m.unsafe_lines, vec![2]);
-        assert!(m.safety_lines.contains(&1));
-    }
-
-    #[test]
     fn annot_errors_are_collected() {
-        let m = model("// audit: allow(R2)\nfn f() {}");
+        let m = model("// audit: allow(R1)\nfn f() {}");
         assert_eq!(m.annot_errors.len(), 1);
     }
 

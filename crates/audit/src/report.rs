@@ -176,7 +176,7 @@ mod tests {
     }
 
     const VIOLATION: &str =
-        "impl Ledger {\n    fn tally(&self) {\n        self.file.sync_all().unwrap();\n    }\n}";
+        "impl Ledger {\n    fn tally(&self) -> u64 {\n        self.paid_cents + self.due_cents\n    }\n}";
 
     #[test]
     fn ids_name_the_symbol_not_the_line() {
@@ -185,14 +185,14 @@ mod tests {
         let shifted = format!("fn other() {{}}\n\n\n{VIOLATION}");
         let b = findings_for(&[("crates/market/src/ledger.rs", &shifted)]);
         assert_eq!(a.len(), 1, "{a:?}");
-        assert_eq!(a[0].id, "R2:crates/market/src/ledger.rs:Ledger::tally#1");
+        assert_eq!(a[0].id, "R1:crates/market/src/ledger.rs:Ledger::tally#1");
         assert_eq!(a[0].id, b[0].id);
         assert_ne!(a[0].diag.line, b[0].diag.line, "the line did move");
     }
 
     #[test]
     fn occurrences_disambiguate_repeats_in_one_fn() {
-        let src = "impl Ledger {\n    fn tally(&self) {\n        self.a().unwrap();\n        self.b().unwrap();\n    }\n}";
+        let src = "impl Ledger {\n    fn tally(&self) {\n        self.a_cents + 1;\n        self.b_cents + 1;\n    }\n}";
         let f = findings_for(&[("crates/market/src/ledger.rs", src)]);
         assert_eq!(f.len(), 2, "{f:?}");
         assert!(f[0].id.ends_with("Ledger::tally#1"), "{}", f[0].id);
@@ -204,7 +204,7 @@ mod tests {
         // A malformed annotation outside any fn.
         let f = findings_for(&[(
             "crates/market/src/ledger.rs",
-            "// audit: allow(R2\nfn ok() {}",
+            "// audit: allow(R1\nfn ok() {}",
         )]);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].id, "R0:crates/market/src/ledger.rs:#1");
@@ -214,7 +214,7 @@ mod tests {
     fn json_is_wellformed_and_escapes() {
         let f = findings_for(&[("crates/market/src/ledger.rs", VIOLATION)]);
         let j = to_json(&f);
-        assert!(j.starts_with("[\n  {\"id\":\"R2:"), "{j}");
+        assert!(j.starts_with("[\n  {\"id\":\"R1:"), "{j}");
         assert!(j.ends_with("}\n]\n"), "{j}");
         assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(to_json(&[]), "[]\n");
@@ -224,7 +224,7 @@ mod tests {
     fn baseline_diff_splits_new_and_fixed() {
         let f = findings_for(&[("crates/market/src/ledger.rs", VIOLATION)]);
         let baseline = parse_baseline(
-            "# accepted findings\nR2:crates/market/src/ledger.rs:Ledger::tally#1\nR9:crates/query/src/eval.rs:eval_cq#1\n",
+            "# accepted findings\nR1:crates/market/src/ledger.rs:Ledger::tally#1\nR9:crates/query/src/eval.rs:eval_cq#1\n",
         );
         let (new, fixed) = diff_baseline(&f, &baseline);
         assert!(new.is_empty(), "baselined finding must not gate: {new:?}");

@@ -1,23 +1,28 @@
 //! The rule engines and the workspace-level analysis driver.
 //!
-//! Each rule consumes [`FileModel`]s and emits [`Diagnostic`]s. R1, R2,
-//! and R5 are file-local; R3 and R4 need the cross-file call graph, so
-//! the driver builds every model first and hands rules a
-//! [`Workspace`] view.
+//! Each rule consumes [`FileModel`]s and emits [`Diagnostic`]s. R1 is
+//! file-local; the others need the cross-file call graph or fn index,
+//! so the driver builds every model first and hands rules a
+//! [`Workspace`] view. Panic-freedom and `unsafe` hygiene are not rules
+//! here: the workspace's clippy lint table owns them.
 
 use crate::model::FileModel;
 use std::collections::HashMap;
 use std::fmt;
 
 pub mod r1_money;
-pub mod r2_panic;
 pub mod r3_locks;
 pub mod r4_fuel;
-pub mod r5_safety;
 pub mod r6_obs;
 pub mod r7_order;
 pub mod r8_taint;
 pub mod r9_reach;
+
+/// Every rule id the engine reports, `R0` (malformed annotation) first.
+/// `--rule` validates against this list, and `allow(..)` against every
+/// entry but `R0`, so an annotation naming a retired rule is itself a
+/// finding rather than a silent no-op.
+pub const RULES: [&str; 8] = ["R0", "R1", "R3", "R4", "R6", "R7", "R8", "R9"];
 
 /// One finding, printed as `file:line: RULE: message`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,7 +31,7 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule id (`R1`…`R6`, or `R0` for a malformed annotation).
+    /// Rule id, one of [`RULES`].
     pub rule: &'static str,
     /// Human-readable finding.
     pub message: String,
@@ -292,8 +297,6 @@ pub fn run_all(ws: &Workspace, config: &Config) -> Vec<Diagnostic> {
             });
         }
         out.extend(r1_money::check(f, config));
-        out.extend(r2_panic::check(f, config));
-        out.extend(r5_safety::check(f, config));
     }
     out.extend(r3_locks::check(ws, &graph, config));
     out.extend(r4_fuel::check(ws, config));

@@ -1,9 +1,9 @@
 //! R9 — panic reachability: no panicking call reachable from the
 //! serving entry points.
 //!
-//! R2 bans `unwrap`/`expect`/`panic!` file-locally, but every
-//! `allow(R2: …)` escape is a *claim* — "this invariant holds, the
-//! panic cannot fire". R9 checks the part of that claim the file cannot
+//! The workspace clippy lints ban `unwrap`/`expect`/`panic!`
+//! file-locally, but every `#[expect(clippy::…, reason)]` escape is a
+//! *claim* — "this invariant holds, the panic cannot fire". R9 checks the part of that claim the file cannot
 //! see: whether the site is reachable from a serving entry point
 //! (`Market::quote*`, `Server::run`, `Wal::append`, configured as
 //! qualified names with `*` prefix wildcards) without passing a panic

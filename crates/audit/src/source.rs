@@ -7,11 +7,11 @@ use std::path::{Path, PathBuf};
 ///
 /// * `Library` — serving-path code: every rule at full strength.
 /// * `Harness` — measurement binaries and examples (`crates/bench`,
-///   `examples/`): R2 permits `expect("context")` (a harness is allowed
-///   to abort loudly with a message) but still bans bare `unwrap()` and
-///   `panic!`.
+///   `examples/`): off the serving path, so the call graph never
+///   resolves a call into them and R8 does not scan them.
 /// * `TestCode` — integration tests and benches (`tests/`, `benches/`
-///   directories): exempt from R1, R2, and R4; R5 still applies.
+///   directories): exempt from R1 and R4, and never a call-graph
+///   target.
 ///
 /// In-file `#[cfg(test)]` / `#[test]` regions get `TestCode` treatment
 /// regardless of file class — that is tracked by the
@@ -20,9 +20,9 @@ use std::path::{Path, PathBuf};
 pub enum FileClass {
     /// Serving-path code: every rule at full strength.
     Library,
-    /// Measurement/demo binaries: `expect` with a message allowed.
+    /// Measurement/demo binaries: off the serving path.
     Harness,
-    /// Test code: exempt from R1/R2/R4.
+    /// Test code: exempt from R1/R4.
     TestCode,
 }
 

@@ -1,8 +1,8 @@
 //! R9 golden fixture: panic reachability from serving entries. Never
 //! compiled — tests/golden.rs feeds it to the auditor under the virtual
-//! path `crates/market/src/…`. The `allow(R2: …)` waivers below are the
-//! *claims* R9 exists to check: R2 goes quiet, and R9 still reports the
-//! site when a serving entry reaches it outside a containment frontier.
+//! path `crates/market/src/…`. R9 finds every panic site on its own and
+//! reports the ones a serving entry reaches outside a containment
+//! frontier.
 
 impl Market {
     // A serving entry (matches the configured `Market::quote*`): the
@@ -12,7 +12,6 @@ impl Market {
     }
 
     fn lookup(&self) {
-        // audit: allow(R2: claimed unreachable — exactly what R9 checks)
         self.table.get(k).unwrap(); //~ R9
     }
 
@@ -23,7 +22,6 @@ impl Market {
     }
 
     fn risky(&self) {
-        // audit: allow(R2: contained at the market boundary)
         self.table.get(k).unwrap();
     }
 
@@ -34,7 +32,6 @@ impl Market {
 
     // audit: panic-ok(debug rendering, feeds the flight recorder only)
     fn render(&self) {
-        // audit: allow(R2: see panic-ok above)
         panic!("render failure");
     }
 }

@@ -5,6 +5,8 @@
 //! discovery (`source::discover` skips `fixtures/`), so the snippets
 //! never pollute a real audit run.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use qbdp_audit::model::FileModel;
 use qbdp_audit::rules::run_all;
 use qbdp_audit::source::classify;
@@ -44,11 +46,6 @@ fn r1_unchecked_money_arithmetic_fires() {
 }
 
 #[test]
-fn r2_unwrap_on_the_serving_path_fires() {
-    check_fixture("r2.rs", "crates/market/src/fixture_r2.rs");
-}
-
-#[test]
 fn r3_lock_discipline_fires() {
     check_fixture("r3.rs", "crates/market/src/fixture_r3.rs");
 }
@@ -56,11 +53,6 @@ fn r3_lock_discipline_fires() {
 #[test]
 fn r4_unmetered_hot_loop_fires() {
     check_fixture("r4.rs", "crates/core/src/exact/fixture_r4.rs");
-}
-
-#[test]
-fn r5_undocumented_unsafe_fires() {
-    check_fixture("r5.rs", "crates/market/src/fixture_r5.rs");
 }
 
 #[test]

@@ -1,6 +1,8 @@
 //! E14: GChQ bundle pricing (Definition 3.9) — shared-graph Min-Cut cost as
 //! bundle size and column size grow, vs the exact bundle-certificate engine.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qbdp_catalog::{Catalog, CatalogBuilder, Column};
 use qbdp_core::chain::bundle::chain_bundle_price;

@@ -1,6 +1,8 @@
 //! E4: the Proposition 3.2 consistency check — a finite, instance-
 //! independent sweep over the price list.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qbdp_core::consistency::find_list_arbitrage;
 use rand::rngs::StdRng;

@@ -1,6 +1,8 @@
 //! E9: cycle queries (Theorem 3.15) — exact pricing cost vs the polynomial
 //! global-cut upper bound, as the cycle length and column size grow.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qbdp_bench::cycle;
 use qbdp_core::cycle::{cycle_price, global_cut_upper_bound};

@@ -1,6 +1,8 @@
 //! E8: the Theorem 3.3 determinacy oracle — min/max-world construction and
 //! query evaluation — as column size grows.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qbdp_bench::chain;
 use qbdp_determinacy::selection::{determines_monotone_cq, max_world, min_world, ViewSet};

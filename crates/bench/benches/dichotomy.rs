@@ -1,6 +1,8 @@
 //! E5: throughput of the Theorem 3.16 classifier over the paper's named
 //! queries and growing synthetic chains.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qbdp_core::dichotomy::classify;
 use qbdp_workload::queries::{chain_schema, cycle_schema, h1_schema, h2_schema, star_schema};

@@ -2,6 +2,8 @@
 //! pricing of the NP-complete H1 against Min-Cut pricing of a chain of the
 //! same size. The shapes (exponential vs polynomial) are the result.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qbdp_bench::{chain, h1};
 use qbdp_core::exact::certificates::{certificate_price, CertificateConfig};

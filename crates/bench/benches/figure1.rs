@@ -1,6 +1,8 @@
 //! E1: the Figure 1 / Example 3.8 price computation, end to end
 //! (partial answers + graph construction + min-cut + cut extraction).
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use qbdp_bench::figure1;
 use qbdp_core::Price;

@@ -1,6 +1,8 @@
 //! E12: ablation of the Step 4 graph construction — the paper's literal
 //! dense tuple edges vs the hub optimization, and Dinic vs Edmonds–Karp.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qbdp_bench::chain;
 use qbdp_core::chain::graph::TupleEdgeMode;

@@ -1,6 +1,8 @@
 //! E2: PTIME scaling of the GChQ pipeline (Theorem 3.7) over column size
 //! `n` and chain length `k`, plus the Step 3 branching cost on stars.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qbdp_bench::{chain, star};
 use std::hint::black_box;

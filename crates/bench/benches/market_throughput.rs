@@ -6,6 +6,8 @@
 //! write-ahead log off vs on under each fsync policy, and recovery time
 //! for a snapshot plus a 10k-event log replay.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use qbdp_core::Budget;
 use qbdp_market::{DurableMarket, FsyncPolicy, Market};

@@ -7,6 +7,11 @@
 //! isolates the same delta without pricing in the loop. Results print as
 //! a table and land in `BENCH_chaos.json` for the experiment index.
 
+#![allow(
+    clippy::expect_used,
+    reason = "a measurement harness may abort with a message"
+)]
+
 use qbdp_market::{DurableMarket, DurableOptions, FsyncPolicy, Market};
 use qbdp_store::{FaultFs, FaultPlan, MarketEvent, RealFs, RetryPolicy, Wal};
 use qbdp_workload::scenarios::business::{generate, BusinessConfig};

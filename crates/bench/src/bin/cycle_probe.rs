@@ -5,6 +5,10 @@
 //! Usage: cargo run --release -p qbdp-bench --bin cycle_probe
 
 #![forbid(unsafe_code)]
+#![allow(
+    clippy::expect_used,
+    reason = "a measurement harness may abort with a message"
+)]
 
 use qbdp_catalog::{Catalog, CatalogBuilder, Column, Tuple, Value};
 use qbdp_core::cycle::{cycle_bounds, partition_upper_bound};

@@ -10,6 +10,10 @@
 //! DESIGN.md §6 for the experiment ↔ paper mapping.
 
 #![forbid(unsafe_code)]
+#![allow(
+    clippy::expect_used,
+    reason = "a measurement harness may abort with a message"
+)]
 
 use qbdp_bench::{chain, cycle, figure1, h1};
 use qbdp_catalog::{tuple, CatalogBuilder, Column, Value};

@@ -20,6 +20,11 @@
 //! the instrumented path. The disabled cost is then pinned directly by
 //! a microbench of `record` + `Stopwatch::start` with telemetry off.
 
+#![allow(
+    clippy::expect_used,
+    reason = "a measurement harness may abort with a message"
+)]
+
 use qbdp_catalog::{tuple, Catalog, CatalogBuilder, Column};
 use qbdp_core::price_points::PriceList;
 use qbdp_core::Price;

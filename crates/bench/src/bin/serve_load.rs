@@ -15,6 +15,11 @@
 //! Results land in `BENCH_serve.json`. `QBDP_E19_SCALE=ci` runs the
 //! reduced CI shape (same phases, smaller numbers, no ≥100k assertion).
 
+#![allow(
+    clippy::expect_used,
+    reason = "a measurement harness may abort with a message"
+)]
+
 use qbdp_catalog::{tuple, Catalog, CatalogBuilder, Column};
 use qbdp_core::price_points::PriceList;
 use qbdp_core::Price;

@@ -10,6 +10,11 @@
 //! scenarios; results print as a table and land in
 //! `BENCH_update_storm.json` for the experiment index.
 
+#![allow(
+    clippy::expect_used,
+    reason = "a measurement harness may abort with a message"
+)]
+
 use qbdp_catalog::{tuple, Catalog, CatalogBuilder, Column};
 use qbdp_core::price_points::PriceList;
 use qbdp_core::Price;

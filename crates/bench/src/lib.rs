@@ -6,7 +6,10 @@
 //! the same objects.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![allow(
+    clippy::expect_used,
+    reason = "a measurement harness may abort with a message"
+)]
 
 use qbdp_catalog::{Catalog, CatalogBuilder, Column, Instance};
 use qbdp_core::price_points::PriceList;

@@ -1,6 +1,8 @@
 //! Property tests for the `.qdp` text format: randomly generated catalogs,
 //! instances, and price directives round-trip through serialization.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use proptest::prelude::*;
 use qbdp_catalog::{AttrRef, CatalogBuilder, Column, QdpFile, Tuple, Value};
 

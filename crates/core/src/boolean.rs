@@ -41,9 +41,11 @@ pub fn secure_witness_price(
     let mut best_views: Vec<SelectionView> = Vec::new();
     for assignment in assignments {
         // Instantiate the witness.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "assignments are generated over exactly these vars"
+        )]
         let value_of = |v: qbdp_query::ast::Var| {
-            // audit: allow(R2: assignments are generated over exactly these vars)
             let i = vars.iter().position(|&w| w == v).expect("body var");
             assignment.get(i).clone()
         };

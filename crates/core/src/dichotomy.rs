@@ -75,10 +75,12 @@ pub fn classify(q: &ConjunctiveQuery) -> QueryClass {
         if !q.is_boolean() {
             return QueryClass::NpComplete(NpReason::NotFullNotBoolean);
         }
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "every body var is a safe head for its own query"
+        )]
         let full = q
             .with_head(q.body_vars())
-            // audit: allow(R2: every body var is a safe head for its own query)
             .expect("body vars are safe heads");
         return classify(&full);
     }
@@ -99,7 +101,10 @@ pub fn classify(q: &ConjunctiveQuery) -> QueryClass {
 
 /// The sub-query induced by a set of atom indices (head restricted to the
 /// component's variables).
-#[allow(clippy::expect_used)]
+#[expect(
+    clippy::expect_used,
+    reason = "a connected component of a valid query stays valid"
+)]
 pub fn component_query(q: &ConjunctiveQuery, atom_indices: &[usize]) -> ConjunctiveQuery {
     let atoms: Vec<Atom> = atom_indices.iter().map(|&i| q.atoms()[i].clone()).collect();
     let mut vars: Vec<Var> = Vec::new();
@@ -130,7 +135,6 @@ pub fn component_query(q: &ConjunctiveQuery, atom_indices: &[usize]) -> Conjunct
         q.var_names().to_vec(),
         &crate::gchq::schema_for(q),
     )
-    // audit: allow(R2: a connected component of a valid query stays valid)
     .expect("component of a valid query is valid")
 }
 

@@ -233,9 +233,11 @@ pub fn build_certificates_within(
             });
         }
         // Materialize the witness for this assignment.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "idx is indexed by exactly these body vars"
+        )]
         let value_of = |v: Var| -> &Value {
-            // audit: allow(R2: idx is indexed by exactly these body vars)
             let vi = vars.iter().position(|&w| w == v).expect("body var");
             cols[vi].value_at(idx[vi])
         };

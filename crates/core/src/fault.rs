@@ -19,9 +19,12 @@ pub fn arm_panic() {
 
 /// Trip the trap if armed. Called at pricing entry points.
 #[doc(hidden)]
+#[expect(
+    clippy::panic,
+    reason = "fault injection exists to panic; armed only by tests"
+)]
 pub fn maybe_panic() {
     if ARMED.load(Ordering::Relaxed) && ARMED.swap(false, Ordering::SeqCst) {
-        // audit: allow(R2: fault injection exists to panic; armed only by tests)
         panic!("injected fault: pricing engine panic (tests only)");
     }
 }

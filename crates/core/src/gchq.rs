@@ -44,14 +44,15 @@ pub(crate) fn schema_for(q: &ConjunctiveQuery) -> qbdp_catalog::Schema {
             .map(|a| a.terms.len())
             .unwrap_or(1);
         let attrs: Vec<String> = (0..arity).map(|i| format!("A{i}")).collect();
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "A{i} attrs are fresh and nonempty; N{rid} relation names are fresh"
+        )]
         schema
             .add_relation(
                 qbdp_catalog::RelationSchema::new(format!("N{rid}"), attrs)
-                    // audit: allow(R2: A{i} attrs are fresh and nonempty)
                     .expect("normalization attrs are fresh"),
             )
-            // audit: allow(R2: N{rid} relation names are fresh)
             .expect("normalization relation names are fresh");
     }
     schema

@@ -7,12 +7,13 @@
 
 use std::fmt;
 use std::iter::Sum;
-use std::ops::Add;
 
 /// A non-negative price in cents, or [`Price::INFINITE`] ("not for sale").
 ///
-/// Addition saturates at `INFINITE`, so a sum involving an unavailable view
-/// stays unavailable instead of wrapping.
+/// Addition is always explicit: [`Price::checked_add`] refuses to reach
+/// `INFINITE`, while [`Price::saturating_add`] (and `Sum`) saturates at it,
+/// so a sum involving an unavailable view stays unavailable instead of
+/// wrapping.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Price(u64);
 
@@ -98,13 +99,6 @@ impl Price {
     }
 }
 
-impl Add for Price {
-    type Output = Price;
-    fn add(self, rhs: Price) -> Price {
-        self.saturating_add(rhs)
-    }
-}
-
 impl Sum for Price {
     fn sum<I: Iterator<Item = Price>>(iter: I) -> Price {
         iter.fold(Price::ZERO, Price::saturating_add)
@@ -142,9 +136,18 @@ mod tests {
 
     #[test]
     fn saturating_arithmetic() {
-        assert_eq!(Price::cents(1) + Price::cents(2), Price::cents(3));
-        assert_eq!(Price::INFINITE + Price::cents(5), Price::INFINITE);
-        assert_eq!(Price::cents(5) + Price::INFINITE, Price::INFINITE);
+        assert_eq!(
+            Price::cents(1).saturating_add(Price::cents(2)),
+            Price::cents(3)
+        );
+        assert_eq!(
+            Price::INFINITE.saturating_add(Price::cents(5)),
+            Price::INFINITE
+        );
+        assert_eq!(
+            Price::cents(5).saturating_add(Price::INFINITE),
+            Price::INFINITE
+        );
         assert!(Price::INFINITE.is_infinite());
         assert!(Price::cents(u64::MAX).is_infinite());
         let total: Price = [Price::cents(10), Price::cents(20)].into_iter().sum();

@@ -90,10 +90,12 @@ impl ViewDef {
                         }
                         AtomicView::Relation(r) => {
                             // The identity query for one relation.
-                            #[allow(clippy::expect_used)]
-                            let id = Bundle::identity(schema)
-                                // audit: allow(R2: identity over a built schema is well-formed)
-                                .expect("identity bundle is well-formed");
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "identity over a built schema is well-formed"
+                            )]
+                            let id =
+                                Bundle::identity(schema).expect("identity bundle is well-formed");
                             queries.push(id.queries()[r.0 as usize].clone());
                         }
                     }

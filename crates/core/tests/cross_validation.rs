@@ -4,6 +4,8 @@
 //! implementations — this suite is the empirical backbone of the
 //! reproduction's Theorem 3.7/3.13 claim.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use qbdp_catalog::{Catalog, CatalogBuilder, Column, Tuple, Value};
 use qbdp_core::exact::certificates::{certificate_price, CertificateConfig};
 use qbdp_core::exact::subset::{subset_price, SubsetConfig};

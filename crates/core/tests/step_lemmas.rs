@@ -3,6 +3,8 @@
 //! certificate engine before and after the rewrite (independently of the
 //! flow pipeline).
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use qbdp_catalog::{CatalogBuilder, Column, Tuple, Value};
 use qbdp_core::exact::certificates::{certificate_price, CertificateConfig};
 use qbdp_core::normalize::{step1_predicates, step2_repeated, step3_hanging, Problem};

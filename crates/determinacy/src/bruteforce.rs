@@ -79,8 +79,10 @@ pub fn enumerate_worlds(
         let mut w = catalog.empty_instance();
         for (i, (rel, t)) in universe.iter().enumerate() {
             if mask & (1 << i) != 0 {
-                // audit: allow(R2: universe tuples come from this catalog's columns)
-                #[allow(clippy::expect_used)]
+                #[expect(
+                    clippy::expect_used,
+                    reason = "universe tuples come from this catalog's columns"
+                )]
                 w.insert(*rel, t.clone()).expect("arity");
             }
         }
@@ -127,8 +129,10 @@ pub fn determines_bruteforce(
         let mut w = catalog.empty_instance();
         for (i, (rel, t)) in universe.iter().enumerate() {
             if mask & (1 << i) != 0 {
-                // audit: allow(R2: universe tuples come from this catalog's columns)
-                #[allow(clippy::expect_used)]
+                #[expect(
+                    clippy::expect_used,
+                    reason = "universe tuples come from this catalog's columns"
+                )]
                 w.insert(*rel, t.clone()).expect("arity");
             }
         }

@@ -95,15 +95,19 @@ pub fn determines_restricted(
         let mut lo = Instance::empty(schema.clone());
         for (i, (rel, t)) in covered.iter().enumerate() {
             if mask & (1 << i) != 0 {
-                // audit: allow(R2: covered tuples come from d under the same schema)
-                #[allow(clippy::expect_used)]
+                #[expect(
+                    clippy::expect_used,
+                    reason = "covered tuples come from d under the same schema"
+                )]
                 lo.insert(*rel, t.clone()).expect("arity");
             }
         }
         let mut hi = lo.clone();
         for (rel, t) in &uncovered {
-            // audit: allow(R2: uncovered tuples come from d under the same schema)
-            #[allow(clippy::expect_used)]
+            #[expect(
+                clippy::expect_used,
+                reason = "uncovered tuples come from d under the same schema"
+            )]
             hi.insert(*rel, t.clone()).expect("arity");
         }
         if eval_ucq(q, &lo)? != eval_ucq(q, &hi)? {
@@ -142,8 +146,10 @@ pub fn determines_restricted_bundle(
         let mut d0 = catalog.empty_instance();
         for (i, (rel, t)) in universe.iter().enumerate() {
             if mask & (1 << i) != 0 {
-                // audit: allow(R2: universe tuples come from this catalog's columns)
-                #[allow(clippy::expect_used)]
+                #[expect(
+                    clippy::expect_used,
+                    reason = "universe tuples come from this catalog's columns"
+                )]
                 d0.insert(*rel, t.clone()).expect("arity");
             }
         }

@@ -40,7 +40,10 @@ impl SelectionView {
 
     /// The view as a conjunctive query `V(x̄) :- R(x̄), x_i = a`, for use
     /// where bundle-typed views are required (e.g. brute-force determinacy).
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "one atom, one safe head var, one predicate"
+    )]
     pub fn to_query(&self, schema: &Schema) -> ConjunctiveQuery {
         let rel = schema.relation(self.attr.rel);
         let vars: Vec<Var> = (0..rel.arity() as u32).map(Var).collect();
@@ -62,7 +65,6 @@ impl SelectionView {
             var_names,
             schema,
         )
-        // audit: allow(R2: one atom, one safe head var, one predicate)
         .expect("selection view query is always well-formed")
     }
 }
@@ -237,8 +239,10 @@ pub fn max_world(catalog: &Catalog, d: &Instance, views: &ViewSet) -> Instance {
         catalog.for_each_product_tuple(rid, |vals| {
             let t = Tuple::new(vals.to_vec());
             if !views.covers_tuple(&schema, rid, &t) {
-                // audit: allow(R2: product tuples are generated at schema arity)
-                #[allow(clippy::expect_used)]
+                #[expect(
+                    clippy::expect_used,
+                    reason = "product tuples are generated at schema arity"
+                )]
                 out.insert(rid, t).expect("arity preserved");
             }
             true

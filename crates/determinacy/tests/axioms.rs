@@ -5,6 +5,8 @@
 //! on exhaustively-enumerated tiny worlds, and spot-check the same axioms
 //! for the PTIME selection-view oracle.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use qbdp_catalog::{tuple, Catalog, CatalogBuilder, Column, Instance};
 use qbdp_determinacy::bruteforce::determines_bruteforce;
 use qbdp_determinacy::selection::{determines_monotone_bundle, SelectionView, ViewSet};

@@ -2,6 +2,8 @@
 //! implemented algorithms agree, cuts have the right weight, and cuts
 //! disconnect.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use proptest::prelude::*;
 use qbdp_flow::{dinic, edmonds_karp, FlowGraph, INF};
 

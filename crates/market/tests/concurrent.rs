@@ -4,6 +4,8 @@
 //! that observed prices never decrease over time (Proposition 2.22 for
 //! full CQs under selection-view prices).
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crossbeam::thread;
 use proptest::prelude::*;
 use qbdp_catalog::{tuple, Tuple, Value};

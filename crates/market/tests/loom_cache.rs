@@ -53,6 +53,8 @@
 //! whole-batch stamping). The same invariants must *catch* every
 //! seeded bug, proving the harness can actually detect violations.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 /// One scheduling decision's outcome.
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum Step {

@@ -6,6 +6,8 @@
 //! price quotes exactly like a market reopened from its own `.qdp` text,
 //! and leave that text byte-identical whenever a revision is refused.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use qbdp_core::consistency::find_list_arbitrage;
 use qbdp_core::price_points::PriceList;
 use qbdp_core::Price;

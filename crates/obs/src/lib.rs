@@ -38,7 +38,6 @@
 //! depend on nothing — can link it without widening the graph.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
 pub mod export;

@@ -20,11 +20,15 @@ pub type AnswerSet = FxHashSet<Tuple>;
 pub fn eval_cq(q: &ConjunctiveQuery, d: &Instance) -> Result<AnswerSet, QueryError> {
     let mut out = AnswerSet::default();
     for_each_assignment(q, d, |binding| {
-        #[allow(clippy::expect_used)]
-        let tuple = Tuple::new(q.head().iter().map(|v| {
-            // audit: allow(R2: the callback fires only on fully bound assignments)
-            binding[v.0 as usize].clone().expect("head var bound")
-        }));
+        #[expect(
+            clippy::expect_used,
+            reason = "the callback fires only on fully bound assignments"
+        )]
+        let tuple = Tuple::new(
+            q.head()
+                .iter()
+                .map(|v| binding[v.0 as usize].clone().expect("head var bound")),
+        );
         out.insert(tuple);
         true
     })?;
@@ -66,11 +70,14 @@ pub fn satisfying_assignments(
     let mut seen = AnswerSet::default();
     let mut out = Vec::new();
     for_each_assignment(q, d, |binding| {
-        #[allow(clippy::expect_used)]
-        let t = Tuple::new(vars.iter().map(|v| {
-            // audit: allow(R2: the callback fires only on fully bound assignments)
-            binding[v.0 as usize].clone().expect("body var bound")
-        }));
+        #[expect(
+            clippy::expect_used,
+            reason = "the callback fires only on fully bound assignments"
+        )]
+        let t = Tuple::new(
+            vars.iter()
+                .map(|v| binding[v.0 as usize].clone().expect("body var bound")),
+        );
         if seen.insert(t.clone()) {
             out.push(t);
         }

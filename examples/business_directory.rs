@@ -15,6 +15,8 @@
 //! cargo run --example business_directory
 //! ```
 
+#![allow(clippy::expect_used, reason = "an example may abort with a message")]
+
 use qbdp::prelude::*;
 use qbdp::workload::scenarios::business::{generate, BusinessConfig};
 use rand::rngs::StdRng;

@@ -12,6 +12,8 @@
 //! The demo schema: unary `P`, `U1`, `U2`, `U3`; binary `A`, `B`, `C`;
 //! ternary `R3` — all over the column `{0..3}`.
 
+#![allow(clippy::expect_used, reason = "an example may abort with a message")]
+
 use qbdp::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -16,6 +16,8 @@
 //! cargo run --example dynamic_market
 //! ```
 
+#![allow(clippy::expect_used, reason = "an example may abort with a message")]
+
 use qbdp::core::dynamic::price_trajectory;
 use qbdp::core::support::{arbitrage_price, find_arbitrage, SupportConfig};
 use qbdp::prelude::*;

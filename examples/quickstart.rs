@@ -5,6 +5,8 @@
 //! cargo run --example quickstart
 //! ```
 
+#![allow(clippy::expect_used, reason = "an example may abort with a message")]
+
 use qbdp::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

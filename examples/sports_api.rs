@@ -9,6 +9,8 @@
 //! cargo run --example sports_api
 //! ```
 
+#![allow(clippy::expect_used, reason = "an example may abort with a message")]
+
 use qbdp::core::support::{arbitrage_price, SupportConfig};
 use qbdp::prelude::*;
 use qbdp::workload::scenarios::sports::{generate, SportsConfig};

@@ -6,6 +6,8 @@
 //! cargo run --example web_crawl
 //! ```
 
+#![allow(clippy::expect_used, reason = "an example may abort with a message")]
+
 use qbdp::core::cycle::{cycle_bounds, cycle_price};
 use qbdp::core::exact::certificates::CertificateConfig;
 use qbdp::core::normalize::Problem;

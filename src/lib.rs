@@ -51,7 +51,6 @@
 //! * [`workload`] — generators and realistic scenarios for benchmarks.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cli;
 

@@ -2,6 +2,8 @@
 //! first, exercised end to end (UCQ pricing, quote audit, explanations,
 //! general schedules with atomic points).
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use qbdp::core::support::{arbitrage_price, SupportConfig};
 use qbdp::prelude::*;
 

@@ -1,6 +1,8 @@
 //! Property-based tests of the pricing axioms (proptest): the framework's
 //! theorems hold on randomized instances, not just the worked examples.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use proptest::prelude::*;
 use qbdp::core::chain::graph::TupleEdgeMode;
 use qbdp::core::chain::price::FlowAlgo;

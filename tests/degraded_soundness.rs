@@ -5,6 +5,8 @@
 //! selling the quote is exactly selling those explicit price points, which
 //! introduces no arbitrage.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use proptest::prelude::*;
 use qbdp::prelude::*;
 

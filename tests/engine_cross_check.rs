@@ -11,6 +11,8 @@
 //! engine — a silent fallback to exact search would keep prices right
 //! while voiding the Theorem 3.7/3.15 complexity claim.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use qbdp::catalog::{Catalog, CatalogBuilder, Column, Instance, Tuple, Value};
 use qbdp::core::exact::certificates::{certificate_price, CertificateConfig};
 use qbdp::core::exact::subset::{subset_price, SubsetConfig};

@@ -6,6 +6,8 @@
 //! tier-1 `cargo test` stays deterministic on slow machines — wide enough
 //! to absorb unoptimized code, still tight enough to catch a hang.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use qbdp::core::fault;
 use qbdp::prelude::*;
 use qbdp::workload::{dbgen, prices as wprices, queries};

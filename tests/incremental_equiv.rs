@@ -18,6 +18,8 @@
 //! quote comparisons (the acceptance bar), with a smaller stream count
 //! under `debug_assertions` so `cargo test` stays quick.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use proptest::prelude::*;
 use qbdp::core::PlanStats;
 use qbdp::prelude::*;

@@ -2,6 +2,8 @@
 //! consistency, quotes across the dichotomy classes, purchases, updates,
 //! price revisions, persistence.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use qbdp::market::Market;
 use qbdp::prelude::*;
 use qbdp::workload::scenarios::{business, sports, webgraph};

@@ -14,6 +14,8 @@
 //! integration binary: nothing else in this process toggles the flag
 //! concurrently, and the counters this test reads are its own.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use qbdp::cli;
 use qbdp::prelude::*;
 use qbdp::workload::{dbgen, prices as wprices, queries};

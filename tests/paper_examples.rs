@@ -1,6 +1,8 @@
 //! Every worked example and named query of the paper, asserted end to end.
 //! Each test cites the paper anchor it reproduces.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use qbdp::core::consistency::find_list_arbitrage;
 use qbdp::core::dichotomy::NpReason;
 use qbdp::core::support::{arbitrage_price, is_consistent, SupportConfig};

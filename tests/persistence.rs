@@ -7,6 +7,8 @@
 //! same revenue and ledger, and a cold quote cache at epoch 0 (it must
 //! never serve pre-crash entries).
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use qbdp::market::durable::WAL_FILE;
 use qbdp::market::{DurableMarket, Ledger, Market};
 use qbdp::prelude::*;
