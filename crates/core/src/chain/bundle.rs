@@ -7,10 +7,11 @@
 //! here is the natural extension of Step 4, justified by the same
 //! invariant:
 //!
-//! * build **one** graph whose view edges are shared per attribute-value
-//!   (each selection view is one finite edge, priced once — this is where
-//!   bundle subadditivity materializes);
-//! * add each member's tuple and skip edges from its own partial answers.
+//! * build **one** graph (with [`ChainGraph::build`]) whose view edges are
+//!   shared per attribute-value (each selection view is one finite edge,
+//!   priced once — this is where bundle subadditivity materializes) and
+//!   whose tuple edges are shared per binary relation;
+//! * add each member's skip edges from its own partial answers.
 //!
 //! Soundness of the union: determinacy of a bundle is determinacy of every
 //! member (Lemma 2.6(b)), i.e. the constraint set is the union of the
@@ -27,13 +28,14 @@
 //! cross-validated against the exact bundle-certificate engine in the
 //! tests and in `tests/` at the workspace root.
 
+use super::graph::ChainGraph;
 use crate::error::PricingError;
 use crate::money::Price;
 use crate::normalize::Problem;
 use crate::price_points::PriceList;
-use qbdp_catalog::{AttrRef, Catalog, Column, FxHashMap, FxHashSet, Instance, RelId, Value};
+use qbdp_catalog::{Catalog, Instance, RelId};
 use qbdp_determinacy::selection::SelectionView;
-use qbdp_flow::{dinic, EdgeId, FlowGraph, NodeId, INF};
+use qbdp_flow::Unmetered;
 use qbdp_query::ast::ConjunctiveQuery;
 use qbdp_query::chain::{ChainQuery, PartialAnswers};
 
@@ -59,125 +61,33 @@ pub fn chain_bundle_price(
     members: &[ConjunctiveQuery],
     provenance: &crate::normalize::Provenance,
 ) -> Result<BundlePriceResult, PricingError> {
-    if members.is_empty() {
-        return Ok(BundlePriceResult {
-            price: Price::ZERO,
-            views: Vec::new(),
-            graph_size: (0, 0),
-        });
-    }
     let chains: Vec<ChainQuery> = members
         .iter()
         .map(|q| ChainQuery::from_cq(q).map_err(|e| PricingError::NotApplicable(e.to_string())))
         .collect::<Result<_, _>>()?;
     validate_definition_3_9(&chains)?;
-    let answers: Vec<PartialAnswers> = chains
-        .iter()
-        .map(|c| c.partial_answers(catalog, instance))
+    let members: Vec<(ChainQuery, PartialAnswers)> = chains
+        .into_iter()
+        .map(|c| {
+            let pa = c.partial_answers(catalog, instance);
+            (c, pa)
+        })
         .collect();
-
-    // Shared attribute blocks.
-    let mut g = FlowGraph::new();
-    let s = g.add_node();
-    let t = g.add_node();
-    let mut blocks: FxHashMap<AttrRef, Block> = FxHashMap::default();
-    let mut view_edges: FxHashMap<EdgeId, SelectionView> = FxHashMap::default();
-    let block = |g: &mut FlowGraph,
-                 view_edges: &mut FxHashMap<EdgeId, SelectionView>,
-                 blocks: &mut FxHashMap<AttrRef, Block>,
-                 attr: AttrRef|
-     -> Block {
-        if let Some(b) = blocks.get(&attr) {
-            return b.clone();
-        }
-        let col = catalog.column(attr).clone();
-        let base = g.add_nodes(2 * col.len());
-        for (i, value) in col.iter().enumerate() {
-            let price = prices.get_at(attr, value);
-            let e = g.add_edge(base + 2 * i, base + 2 * i + 1, price.as_capacity());
-            if price.is_finite() {
-                view_edges.insert(e, SelectionView::new(attr, value.clone()));
-            }
-        }
-        let b = Block { col, base };
-        blocks.insert(attr, b.clone());
-        b
-    };
-
-    // Tuple edges once per binary relation (hub mode — members share them).
-    let mut tupled: FxHashSet<RelId> = FxHashSet::default();
-    for chain in &chains {
-        for i in 0..=chain.k() {
-            let atom = &chain.atoms()[i];
-            if atom.unary || !tupled.insert(atom.rel) {
-                continue;
-            }
-            let lb = block(&mut g, &mut view_edges, &mut blocks, chain.left_attr(i));
-            let rb = block(&mut g, &mut view_edges, &mut blocks, chain.right_attr(i));
-            let hub = g.add_node();
-            for ai in 0..lb.col.len() {
-                g.add_edge(lb.base + 2 * ai + 1, hub, INF);
-            }
-            for bi in 0..rb.col.len() {
-                g.add_edge(hub, rb.base + 2 * bi, INF);
-            }
-        }
-    }
-
-    // Per-member skip edges (duplicates across members collapse to
-    // parallel ∞ edges, which cannot affect the cut).
-    for (chain, pa) in chains.iter().zip(&answers) {
-        let k = chain.k();
-        for i in 0..=k {
-            let lb = block(&mut g, &mut view_edges, &mut blocks, chain.left_attr(i));
-            for a in pa.lt(i) {
-                if let Some(v) = lb.v(a) {
-                    g.add_edge(s, v, INF);
-                }
-            }
-        }
-        for j in 0..=k {
-            let rb = block(&mut g, &mut view_edges, &mut blocks, chain.right_attr(j));
-            for b in pa.rt(j) {
-                if let Some(w) = rb.w(b) {
-                    g.add_edge(w, t, INF);
-                }
-            }
-        }
-        for i in 1..=k {
-            for j in (i - 1)..=(k.saturating_sub(1)) {
-                let from = block(
-                    &mut g,
-                    &mut view_edges,
-                    &mut blocks,
-                    chain.right_attr(i - 1),
-                );
-                let to = block(&mut g, &mut view_edges, &mut blocks, chain.left_attr(j + 1));
-                for (b, a) in pa.md(i, j) {
-                    if let (Some(w), Some(v)) = (from.w(b), to.v(a)) {
-                        g.add_edge(w, v, INF);
-                    }
-                }
-            }
-        }
-    }
-
-    let flow = dinic(&g, s, t);
-    let price = Price::from_cut_value(flow.value);
-    let mut views: Vec<SelectionView> = Vec::new();
-    if price.is_finite() {
-        for e in flow.min_cut_edges(&g, s) {
-            if let Some(v) = view_edges.get(&e) {
-                views.extend(provenance.resolve(v));
-            }
-        }
-        views.sort();
-        views.dedup();
-    }
+    let cg = ChainGraph::build(catalog, prices, &members, None);
+    let cut = cg
+        .min_cut(&Unmetered)
+        .map_err(|_| PricingError::Internal("unmetered max flow interrupted".into()))?;
+    let mut views: Vec<SelectionView> = cut
+        .views
+        .iter()
+        .flat_map(|v| provenance.resolve(v))
+        .collect();
+    views.sort();
+    views.dedup();
     Ok(BundlePriceResult {
-        price,
+        price: cut.price,
         views,
-        graph_size: (g.num_nodes(), g.num_edges()),
+        graph_size: (cg.graph.num_nodes(), cg.graph.num_edges()),
     })
 }
 
@@ -193,23 +103,6 @@ pub fn chain_bundle_price_problem(
         members,
         &problem.provenance,
     )
-}
-
-#[derive(Clone)]
-struct Block {
-    col: Column,
-    base: NodeId,
-}
-
-impl Block {
-    fn v(&self, value: &Value) -> Option<NodeId> {
-        self.col.index_of(value).map(|i| self.base + 2 * i as usize)
-    }
-    fn w(&self, value: &Value) -> Option<NodeId> {
-        self.col
-            .index_of(value)
-            .map(|i| self.base + 2 * i as usize + 1)
-    }
 }
 
 /// Check Definition 3.9 pairwise: the shared relations of any two members
@@ -271,9 +164,8 @@ fn common_suffix(a: &ChainQuery, b: &ChainQuery) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::graph::TupleEdgeMode;
     use crate::exact::certificates::{certificate_price_bundle, CertificateConfig};
-    use qbdp_catalog::CatalogBuilder;
+    use qbdp_catalog::{CatalogBuilder, Column, Value};
     use qbdp_query::parser::parse_rule;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -340,13 +232,7 @@ mod tests {
                 .iter()
                 .map(|q| {
                     let p = Problem::new(cat.clone(), d.clone(), prices.clone(), q.clone());
-                    super::super::price::chain_price(
-                        &p,
-                        TupleEdgeMode::Hub,
-                        super::super::price::FlowAlgo::Dinic,
-                    )
-                    .unwrap()
-                    .price
+                    super::super::price::chain_price(&p).unwrap().price
                 })
                 .sum();
             assert!(flow.price <= sum, "case {case}: bundle above sum");
@@ -417,13 +303,59 @@ mod tests {
         )
         .unwrap();
         let p = Problem::new(cat.clone(), d, prices, one.clone());
-        let single = super::super::price::chain_price(
-            &p,
-            TupleEdgeMode::Hub,
-            super::super::price::FlowAlgo::Dinic,
+        let single = super::super::price::chain_price(&p).unwrap();
+        assert_eq!(bundle.price, single.price);
+    }
+
+    /// The members share one block per attribute and one hub per binary
+    /// relation; only skip edges are per member.
+    #[test]
+    fn bundle_graph_shares_blocks_and_hubs() {
+        let (cat, members) = paper_bundle();
+        let mut d = cat.empty_instance();
+        d.insert(cat.schema().rel_id("A").unwrap(), qbdp_catalog::tuple![0])
+            .unwrap();
+        d.insert(
+            cat.schema().rel_id("S").unwrap(),
+            qbdp_catalog::tuple![0, 1],
         )
         .unwrap();
-        assert_eq!(bundle.price, single.price);
+        d.insert(
+            cat.schema().rel_id("T").unwrap(),
+            qbdp_catalog::tuple![1, 2],
+        )
+        .unwrap();
+        let prices = PriceList::uniform(&cat, Price::dollars(1));
+        let r = chain_bundle_price(
+            &cat,
+            &d,
+            &prices,
+            &members,
+            &crate::normalize::Provenance::identity(),
+        )
+        .unwrap();
+        // 9 attributes (A.X, S.X, S.Y, R.X, R.Y, T.X, T.Y, U.X, W.X) of 3
+        // values each: one v/w node pair and one view edge per value.
+        // 3 binary relations (S, R, T): one hub node and 3 + 3 edges each.
+        let skips: usize = members
+            .iter()
+            .map(|q| {
+                let chain = ChainQuery::from_cq(q).unwrap();
+                let pa = chain.partial_answers(&cat, &d);
+                let k = chain.k();
+                let ends: usize = (0..=k).map(|i| pa.lt(i).len() + pa.rt(i).len()).sum();
+                let middles: usize = (1..=k)
+                    .flat_map(|i| ((i - 1)..k).map(move |j| (i, j)))
+                    .map(|(i, j)| pa.md(i, j).len())
+                    .sum();
+                ends + middles
+            })
+            .sum();
+        assert!(skips > 0);
+        assert_eq!(
+            r.graph_size,
+            (2 + 2 * 9 * 3 + 3, 9 * 3 + 3 * (3 + 3) + skips)
+        );
     }
 
     #[test]

@@ -6,5 +6,5 @@ pub mod multi_attr;
 pub mod price;
 
 pub use bundle::{chain_bundle_price, BundlePriceResult};
-pub use graph::{ChainGraph, TupleEdgeMode};
-pub use price::{chain_price, ChainPriceResult, FlowAlgo};
+pub use graph::ChainGraph;
+pub use price::{chain_price, ChainPriceResult};

@@ -4,16 +4,19 @@
 //! The paper notes that for chain queries this only requires re-weighting
 //! the flow graph: the tuple edge `w_{R.X=a} → v_{R.Y=b}` gets capacity
 //! `p(σ_{R.X=a,R.Y=b})` instead of ∞ (a pair view covers exactly the tuple
-//! `(a, b)`). For *generalized* chain queries the extension is NP-hard even
-//! for `Q(x,y,z) = R(x,y,z)` — demonstrated in experiment E10 with the
-//! exact engine.
+//! `(a, b)`). Those tuple edges are the §4 arm of [`ChainGraph::build`],
+//! selected by passing a [`PairPriceList`]; with an empty list they are the
+//! paper's literal all-pairs construction. For *generalized* chain queries
+//! the extension is NP-hard even for `Q(x,y,z) = R(x,y,z)` — demonstrated
+//! in experiment E10 with the exact engine.
 
+use super::graph::ChainGraph;
 use crate::error::PricingError;
 use crate::money::Price;
 use crate::normalize::Problem;
 use qbdp_catalog::{FxHashMap, RelId, Value};
 use qbdp_determinacy::selection::SelectionView;
-use qbdp_flow::dinic;
+use qbdp_flow::Unmetered;
 use qbdp_query::chain::ChainQuery;
 
 /// A pair selection view `σ_{R.X=a, R.Y=b}` on a binary relation (the two
@@ -75,12 +78,13 @@ pub struct MultiAttrResult {
     pub views: Vec<SelectionView>,
     /// Purchased pair views.
     pub pair_views: Vec<PairView>,
+    /// Graph size `(nodes, edges)`.
+    pub graph_size: (usize, usize),
 }
 
 /// Price a chain query whose price points include both single selections
-/// (in `problem.prices`) and pair selections (`pairs`). Uses the dense
+/// (in `problem.prices`) and pair selections (`pairs`), on the literal
 /// construction with tuple-edge capacities set to the pair prices.
-#[allow(clippy::needless_range_loop)] // parallel left/right block tables are clearer indexed
 pub fn multi_attr_chain_price(
     problem: &Problem,
     pairs: &PairPriceList,
@@ -88,132 +92,20 @@ pub fn multi_attr_chain_price(
     let chain = ChainQuery::from_cq(&problem.query)
         .map_err(|e| PricingError::NotApplicable(e.to_string()))?;
     let pa = chain.partial_answers(&problem.catalog, &problem.instance);
-
-    // Rebuild the dense graph by hand so tuple edges can carry pair prices.
-    // (The plain builder is reused for everything except tuple edges by
-    // constructing with Dense mode and zero pairs — simpler to just build
-    // here; the construction mirrors `ChainGraph::build`.)
-    use qbdp_flow::{FlowGraph, INF};
-    let k = chain.k();
-    let mut g = FlowGraph::new();
-    let s = g.add_node();
-    let t = g.add_node();
-
-    struct Block {
-        col: qbdp_catalog::Column,
-        base: usize,
-    }
-    let mut left_blocks: Vec<Block> = Vec::new();
-    let mut right_blocks: Vec<Option<Block>> = Vec::new();
-    let mut view_edges: FxHashMap<usize, SelectionView> = FxHashMap::default();
-    let mut pair_edges: FxHashMap<usize, PairView> = FxHashMap::default();
-
-    for i in 0..=k {
-        let attr = chain.left_attr(i);
-        let col = problem.catalog.column(attr).clone();
-        let base = g.add_nodes(2 * col.len());
-        for (vi, value) in col.iter().enumerate() {
-            let price = problem.prices.get_at(attr, value);
-            let e = g.add_edge(base + 2 * vi, base + 2 * vi + 1, price.as_capacity());
-            if price.is_finite() {
-                view_edges.insert(e, SelectionView::new(attr, value.clone()));
-            }
-        }
-        left_blocks.push(Block { col, base });
-        if chain.atoms()[i].unary {
-            right_blocks.push(None);
-        } else {
-            let attr = chain.right_attr(i);
-            let col = problem.catalog.column(attr).clone();
-            let base = g.add_nodes(2 * col.len());
-            for (vi, value) in col.iter().enumerate() {
-                let price = problem.prices.get_at(attr, value);
-                let e = g.add_edge(base + 2 * vi, base + 2 * vi + 1, price.as_capacity());
-                if price.is_finite() {
-                    view_edges.insert(e, SelectionView::new(attr, value.clone()));
-                }
-            }
-            right_blocks.push(Some(Block { col, base }));
-        }
-    }
-    let right = |i: usize| -> &Block { right_blocks[i].as_ref().unwrap_or(&left_blocks[i]) };
-
-    // Tuple edges with pair prices.
-    for i in 0..=k {
-        if chain.atoms()[i].unary {
-            continue;
-        }
-        let rel = chain.atoms()[i].rel;
-        let lb = &left_blocks[i];
-        let rb = right(i);
-        for (ai, a) in lb.col.iter().enumerate() {
-            for (bi, b) in rb.col.iter().enumerate() {
-                let price = pairs.get(rel, a, b);
-                let e = g.add_edge(lb.base + 2 * ai + 1, rb.base + 2 * bi, price.as_capacity());
-                if price.is_finite() {
-                    pair_edges.insert(
-                        e,
-                        PairView {
-                            rel,
-                            left: a.clone(),
-                            right: b.clone(),
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    // Skip edges (identical to the plain construction).
-    for i in 0..=k {
-        let lb = &left_blocks[i];
-        for a in pa.lt(i) {
-            if let Some(vi) = lb.col.index_of(a) {
-                g.add_edge(s, lb.base + 2 * vi as usize, INF);
-            }
-        }
-    }
-    for j in 0..=k {
-        let rb = right(j);
-        for b in pa.rt(j) {
-            if let Some(vi) = rb.col.index_of(b) {
-                g.add_edge(rb.base + 2 * vi as usize + 1, t, INF);
-            }
-        }
-    }
-    for i in 1..=k {
-        for j in (i - 1)..=(k.saturating_sub(1)) {
-            let from = right(i - 1);
-            let to = &left_blocks[j + 1];
-            for (b, a) in pa.md(i, j) {
-                if let (Some(wb), Some(va)) = (from.col.index_of(b), to.col.index_of(a)) {
-                    g.add_edge(
-                        from.base + 2 * wb as usize + 1,
-                        to.base + 2 * va as usize,
-                        INF,
-                    );
-                }
-            }
-        }
-    }
-
-    let flow = dinic(&g, s, t);
-    let price = Price::from_cut_value(flow.value);
-    let mut views = Vec::new();
-    let mut pair_views = Vec::new();
-    if price.is_finite() {
-        for e in flow.min_cut_edges(&g, s) {
-            if let Some(v) = view_edges.get(&e) {
-                views.push(v.clone());
-            } else if let Some(p) = pair_edges.get(&e) {
-                pair_views.push(p.clone());
-            }
-        }
-    }
+    let cg = ChainGraph::build(
+        &problem.catalog,
+        &problem.prices,
+        &[(chain, pa)],
+        Some(pairs),
+    );
+    let cut = cg
+        .min_cut(&Unmetered)
+        .map_err(|_| PricingError::Internal("unmetered max flow interrupted".into()))?;
     Ok(MultiAttrResult {
-        price,
-        views,
-        pair_views,
+        price: cut.price,
+        views: cut.views,
+        pair_views: cut.pair_views,
+        graph_size: (cg.graph.num_nodes(), cg.graph.num_edges()),
     })
 }
 
@@ -292,12 +184,7 @@ mod tests {
         let q = parse_rule(cat.schema(), "Q(x, y) :- R(x), S(x, y), T(y)").unwrap();
         let prices = PriceList::uniform(&cat, Price::dollars(1));
         let problem = Problem::new(cat, d, prices, q);
-        let plain = crate::chain::price::chain_price(
-            &problem,
-            crate::chain::graph::TupleEdgeMode::Dense,
-            crate::chain::price::FlowAlgo::Dinic,
-        )
-        .unwrap();
+        let plain = crate::chain::price::chain_price(&problem).unwrap();
         let multi = multi_attr_chain_price(&problem, &PairPriceList::new()).unwrap();
         assert_eq!(plain.price, multi.price);
         assert!(multi.pair_views.is_empty());

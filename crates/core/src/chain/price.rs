@@ -1,37 +1,13 @@
 //! Chain-query pricing: partial answers → flow graph → min-cut (Thm 3.13).
 
-use super::graph::{ChainGraph, TupleEdgeMode};
+use super::graph::ChainGraph;
 use crate::budget::{Budget, Metered};
 use crate::error::PricingError;
 use crate::money::Price;
 use crate::normalize::Problem;
 use qbdp_determinacy::selection::SelectionView;
-use qbdp_flow::{edmonds_karp_metered, DinicArena, Interrupted};
+use qbdp_flow::Interrupted;
 use qbdp_query::chain::ChainQuery;
-use std::cell::RefCell;
-
-thread_local! {
-    /// One Dinic arena per thread: batch-pricing workers (and the serial
-    /// path alike) reuse the solver's scratch allocations across every
-    /// quote they price — cold or through the plan cache — instead of
-    /// rebuilding them per flow run.
-    static DINIC_ARENA: RefCell<DinicArena> = RefCell::new(DinicArena::new());
-}
-
-/// Run `f` on this thread's Dinic arena — the one the cold chain
-/// pricer uses, shared with the plan cache's builds and warm starts.
-pub(crate) fn with_dinic_arena<R>(f: impl FnOnce(&mut DinicArena) -> R) -> R {
-    DINIC_ARENA.with(|a| f(&mut a.borrow_mut()))
-}
-
-/// Which max-flow algorithm to run (Edmonds–Karp is the ablation baseline).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FlowAlgo {
-    /// Dinic's algorithm (default).
-    Dinic,
-    /// Edmonds–Karp (baseline for experiment E12).
-    EdmondsKarp,
-}
 
 /// Result of pricing a chain query.
 #[derive(Clone, Debug)]
@@ -52,26 +28,20 @@ pub struct ChainPriceResult {
 ///
 /// The problem's query must already be a chain (Steps 1–3 applied); the
 /// atoms are used in their given order.
-pub fn chain_price(
-    problem: &Problem,
-    mode: TupleEdgeMode,
-    algo: FlowAlgo,
-) -> Result<ChainPriceResult, PricingError> {
-    match chain_price_within(problem, mode, algo, &Budget::unlimited())? {
+pub fn chain_price(problem: &Problem) -> Result<ChainPriceResult, PricingError> {
+    match chain_price_within(problem, &Budget::unlimited())? {
         Metered::Done(r) => Ok(r),
         Metered::Exhausted { .. } => unreachable!("unlimited budgets never exhaust"),
     }
 }
 
 /// [`chain_price`] under a [`Budget`]: the flow computation is metered
-/// (each Dinic phase / BFS round charges its graph-scan cost). On
-/// exhaustion no cut exists yet, so there is no partial `ChainPriceResult`
-/// — instead the interrupted flow value is returned as a sound **lower
-/// bound** on the price (any flow under-estimates the min cut).
+/// (each Dinic phase charges its graph-scan cost). On exhaustion no cut
+/// exists yet, so there is no partial `ChainPriceResult` — instead the
+/// interrupted flow value is returned as a sound **lower bound** on the
+/// price (any flow under-estimates the min cut).
 pub fn chain_price_within(
     problem: &Problem,
-    mode: TupleEdgeMode,
-    algo: FlowAlgo,
     budget: &Budget,
 ) -> Result<Metered<ChainPriceResult>, PricingError> {
     let chain = ChainQuery::from_cq(&problem.query)
@@ -83,13 +53,9 @@ pub fn chain_price_within(
         });
     }
     let pa = chain.partial_answers(&problem.catalog, &problem.instance);
-    let cg = ChainGraph::build(&problem.catalog, &problem.prices, &chain, &pa, mode);
-    let flow = match algo {
-        FlowAlgo::Dinic => with_dinic_arena(|a| a.max_flow(&cg.graph, cg.s, cg.t, budget)),
-        FlowAlgo::EdmondsKarp => edmonds_karp_metered(&cg.graph, cg.s, cg.t, budget),
-    };
-    let flow = match flow {
-        Ok(flow) => flow,
+    let cg = ChainGraph::build(&problem.catalog, &problem.prices, &[(chain, pa)], None);
+    let cut = match cg.min_cut(budget) {
+        Ok(cut) => cut,
         Err(Interrupted { partial_value }) => {
             // Flow never exceeds the min cut, so the partial value is a
             // sound lower bound on the price.
@@ -98,27 +64,16 @@ pub fn chain_price_within(
             });
         }
     };
-    let price = Price::from_cut_value(flow.value);
-    let (cut_views, original_views) = if price.is_finite() {
-        let cut = flow.min_cut_edges(&cg.graph, cg.s);
-        let cut_views = cg.views_of_cut(&cut);
-        let mut original: Vec<SelectionView> = cut_views
-            .iter()
-            .flat_map(|v| problem.provenance.resolve(v))
-            .collect();
-        original.sort();
-        original.dedup();
-        (cut_views, original)
-    } else {
-        (Vec::new(), Vec::new())
-    };
-    if algo == FlowAlgo::Dinic {
-        // Hand the residual allocation back for the next quote's run.
-        with_dinic_arena(|a| a.recycle(flow));
-    }
+    let mut original_views: Vec<SelectionView> = cut
+        .views
+        .iter()
+        .flat_map(|v| problem.provenance.resolve(v))
+        .collect();
+    original_views.sort();
+    original_views.dedup();
     Ok(Metered::Done(ChainPriceResult {
-        price,
-        cut_views,
+        price: cut.price,
+        cut_views: cut.views,
         original_views,
         graph_size: (cg.graph.num_nodes(), cg.graph.num_edges()),
     }))
@@ -127,6 +82,7 @@ pub fn chain_price_within(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::multi_attr::{multi_attr_chain_price, PairPriceList};
     use crate::price_points::PriceList;
     use qbdp_catalog::{tuple, CatalogBuilder, Column};
     use qbdp_query::parser::parse_rule;
@@ -165,17 +121,14 @@ mod tests {
         let q = parse_rule(cat.schema(), "Q(x, y) :- R(x), S(x, y), T(y)").unwrap();
         let prices = PriceList::uniform(&cat, Price::dollars(1));
         let problem = Problem::new(cat, d, prices, q);
-        for (mode, algo) in [
-            (TupleEdgeMode::Dense, FlowAlgo::Dinic),
-            (TupleEdgeMode::Hub, FlowAlgo::Dinic),
-            (TupleEdgeMode::Dense, FlowAlgo::EdmondsKarp),
-            (TupleEdgeMode::Hub, FlowAlgo::EdmondsKarp),
-        ] {
-            let r = chain_price(&problem, mode, algo).unwrap();
-            assert_eq!(r.price, Price::dollars(6), "{mode:?}/{algo:?}");
-            assert_eq!(r.cut_views.len(), 6);
-            assert_eq!(r.original_views.len(), 6); // identity provenance
-        }
+        let r = chain_price(&problem).unwrap();
+        assert_eq!(r.price, Price::dollars(6));
+        assert_eq!(r.cut_views.len(), 6);
+        assert_eq!(r.original_views.len(), 6); // identity provenance
+                                               // The literal Θ(n²) construction agrees.
+        let literal = multi_attr_chain_price(&problem, &PairPriceList::new()).unwrap();
+        assert_eq!(literal.price, Price::dollars(6));
+        assert_eq!(literal.views.len(), 6);
     }
 
     #[test]
@@ -193,7 +146,7 @@ mod tests {
         let q = parse_rule(cat.schema(), "Q(x, y) :- R(x), S(x, y), T(y)").unwrap();
         let prices = PriceList::uniform(&cat, Price::dollars(1));
         let problem = Problem::new(cat, d, prices, q);
-        let r = chain_price(&problem, TupleEdgeMode::Hub, FlowAlgo::Dinic).unwrap();
+        let r = chain_price(&problem).unwrap();
         // The cheapest certificate of emptiness: any full column of one
         // relation… but partial covers can be cheaper. Here R(D) = ∅ and
         // Lt_1 = ∅, so paths only exist via s → v_{R.X=a} (Lt_0 = Col) and
@@ -215,7 +168,7 @@ mod tests {
         let prices = PriceList::uniform(&cat, Price::dollars(1));
         let problem = Problem::new(cat, d, prices, q);
         assert!(matches!(
-            chain_price(&problem, TupleEdgeMode::Hub, FlowAlgo::Dinic),
+            chain_price(&problem),
             Err(PricingError::NotApplicable(_))
         ));
     }

@@ -29,8 +29,7 @@
 //! substitution and the measured gap frequency honestly.
 
 use crate::budget::{Budget, Metered};
-use crate::chain::graph::TupleEdgeMode;
-use crate::chain::price::{chain_price, chain_price_within, FlowAlgo};
+use crate::chain::price::{chain_price, chain_price_within};
 use crate::error::PricingError;
 use crate::exact::certificates::{certificate_price_within, CertificateConfig};
 use crate::exact::ExactResult;
@@ -69,7 +68,7 @@ pub fn cycle_price_within(
     }
     // Upper bound: one global chain cut (a valid determining set).
     let unrolled = unrolled_problem(problem, None)?;
-    let ub = match chain_price_within(&unrolled, TupleEdgeMode::Hub, FlowAlgo::Dinic, budget)? {
+    let ub = match chain_price_within(&unrolled, budget)? {
         Metered::Done(r) => Some(ExactResult::exact(r.price, r.original_views)),
         Metered::Exhausted { .. } => None,
     };
@@ -82,7 +81,7 @@ pub fn cycle_price_within(
             break;
         }
         let single = unrolled_problem(problem, Some(std::slice::from_ref(a)))?;
-        match chain_price_within(&single, TupleEdgeMode::Hub, FlowAlgo::Dinic, budget)? {
+        match chain_price_within(&single, budget)? {
             Metered::Done(r) => lb = lb.max(r.price),
             Metered::Exhausted { .. } => {
                 lb_complete = false;
@@ -145,7 +144,7 @@ pub fn partition_upper_bound(
             continue;
         }
         let unrolled = unrolled_problem(problem, Some(group))?;
-        let r = chain_price(&unrolled, TupleEdgeMode::Hub, FlowAlgo::Dinic)?;
+        let r = chain_price(&unrolled)?;
         if r.price.is_infinite() {
             return Ok(Price::INFINITE);
         }
@@ -167,7 +166,7 @@ pub fn global_cut_upper_bound(problem: &Problem) -> Result<Price, PricingError> 
 /// Upper bound plus the realizing (original) views.
 pub fn global_cut_result(problem: &Problem) -> Result<ExactResult, PricingError> {
     let unrolled = unrolled_problem(problem, None)?;
-    let r = chain_price(&unrolled, TupleEdgeMode::Hub, FlowAlgo::Dinic)?;
+    let r = chain_price(&unrolled)?;
     // Map the unrolled views back (cap views are free and resolve to
     // nothing; cycle-relation views map by name and flip).
     Ok(ExactResult::exact(r.price, r.original_views))
@@ -181,7 +180,7 @@ pub fn single_pair_lower_bound(problem: &Problem) -> Result<Price, PricingError>
     let mut best = Price::ZERO;
     for a in seam.iter() {
         let unrolled = unrolled_problem(problem, Some(std::slice::from_ref(a)))?;
-        let r = chain_price(&unrolled, TupleEdgeMode::Hub, FlowAlgo::Dinic)?;
+        let r = chain_price(&unrolled)?;
         best = best.max(r.price);
     }
     Ok(best)

@@ -49,13 +49,11 @@
 //! Only exact, unlimited-budget quotes are cached — degraded quotes
 //! depend on budget state that is not part of the shape key. Queries
 //! outside the pure chain-flow path (boolean, disconnected, cycles,
-//! NP-hard classes, Edmonds–Karp ablation) delegate to the ordinary
+//! NP-hard classes) delegate to the ordinary
 //! [`Pricer`] entry points and bypass the cache.
 
 use crate::budget::QuoteQuality;
-use crate::chain::graph::ChainGraph;
-use crate::chain::price::with_dinic_arena;
-use crate::chain::price::FlowAlgo;
+use crate::chain::graph::{with_dinic_arena, ChainGraph};
 use crate::dichotomy::{classify, QueryClass};
 use crate::error::PricingError;
 use crate::gchq::reorder_to_gchq;
@@ -340,11 +338,8 @@ impl PlanCache {
 
 /// Whether this query takes the cached chain-flow path. Everything else
 /// is priced by [`Pricer::price_cq`] unchanged.
-fn cacheable(pricer: &Pricer, q: &ConjunctiveQuery, class: &QueryClass) -> bool {
-    *class == QueryClass::GeneralizedChain
-        && !q.atoms().is_empty()
-        && !q.is_boolean()
-        && pricer.config().flow_algo == FlowAlgo::Dinic
+fn cacheable(q: &ConjunctiveQuery, class: &QueryClass) -> bool {
+    *class == QueryClass::GeneralizedChain && !q.atoms().is_empty() && !q.is_boolean()
 }
 
 /// Price `q` exactly (unlimited budget) with the state
@@ -391,7 +386,7 @@ pub fn price_planned(
     }
     // Build a plan — unless the class does not take the cached path.
     let class = classify(q);
-    if !cacheable(pricer, q, &class) {
+    if !cacheable(q, &class) {
         return Ok((pricer.price_cq(q)?, None));
     }
     crate::fault::maybe_panic();
@@ -511,19 +506,18 @@ impl PlanEntry {
             let chain = ChainQuery::from_cq(&branch.problem.query)
                 .map_err(|e| PricingError::NotApplicable(e.to_string()))?;
             let pa = chain.partial_answers(&branch.problem.catalog, &branch.problem.instance);
-            let cg = ChainGraph::build(
-                &branch.problem.catalog,
-                &branch.problem.prices,
-                &chain,
-                &pa,
-                pricer.config().tuple_mode,
-            );
             let ChainGraph {
                 graph,
                 s,
                 t,
                 view_edges,
-            } = cg;
+                ..
+            } = ChainGraph::build(
+                &branch.problem.catalog,
+                &branch.problem.prices,
+                &[(chain, pa)],
+                None,
+            );
             let flow = with_dinic_arena(|a| a.max_flow(&graph, s, t, &Unmetered))
                 .map_err(|_| PricingError::Internal("unmetered max flow interrupted".into()))?;
             let state = ResidualState::from(flow);

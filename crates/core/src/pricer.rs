@@ -3,8 +3,7 @@
 
 use crate::boolean::secure_witness_price;
 use crate::budget::{Budget, Metered, QuoteQuality};
-use crate::chain::graph::TupleEdgeMode;
-use crate::chain::price::{chain_price_within, FlowAlgo};
+use crate::chain::price::chain_price_within;
 use crate::consistency::{find_list_arbitrage, relation_arbitrage, ListArbitrage};
 use crate::cycle::cycle_price_within;
 use crate::degrade::{relevant_rels, relevant_rels_cq, structural_cover};
@@ -181,37 +180,12 @@ fn class_label(class: &QueryClass) -> &'static str {
     }
 }
 
-/// Engine configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct PricerConfig {
-    /// Tuple-edge mode for the flow reduction.
-    pub tuple_mode: TupleEdgeMode,
-    /// Max-flow algorithm.
-    pub flow_algo: FlowAlgo,
-    /// Subset-search limits (exact engine).
-    pub subset: SubsetConfig,
-    /// Certificate-generation limits (exact engine).
-    pub certificates: CertificateConfig,
-}
-
-impl Default for PricerConfig {
-    fn default() -> Self {
-        PricerConfig {
-            tuple_mode: TupleEdgeMode::Hub,
-            flow_algo: FlowAlgo::Dinic,
-            subset: SubsetConfig::default(),
-            certificates: CertificateConfig::default(),
-        }
-    }
-}
-
 /// The pricing engine: a catalog, an instance, and a selection price list.
 #[derive(Clone, Debug)]
 pub struct Pricer {
     catalog: Catalog,
     instance: Instance,
     prices: PriceList,
-    config: PricerConfig,
 }
 
 impl Pricer {
@@ -229,14 +203,7 @@ impl Pricer {
             catalog,
             instance,
             prices,
-            config: PricerConfig::default(),
         })
-    }
-
-    /// Replace the engine configuration.
-    pub fn with_config(mut self, config: PricerConfig) -> Self {
-        self.config = config;
-        self
     }
 
     /// The catalog.
@@ -252,11 +219,6 @@ impl Pricer {
     /// The price list.
     pub fn prices(&self) -> &PriceList {
         &self.prices
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &PricerConfig {
-        &self.config
     }
 
     /// Proposition 3.2 violations (empty ⇒ consistent).
@@ -457,7 +419,7 @@ impl Pricer {
                         &self.instance,
                         &self.prices,
                         cqs,
-                        self.config.certificates,
+                        CertificateConfig::default(),
                         budget,
                     )?;
                     note_exhaustion(qbdp_obs::Ctr::BudgetExhaustedCerts, r.quality);
@@ -472,7 +434,7 @@ impl Pricer {
                 &self.instance,
                 &self.prices,
                 bundle,
-                self.config.subset,
+                SubsetConfig::default(),
                 budget,
             )?;
             note_exhaustion(qbdp_obs::Ctr::BudgetExhaustedSubset, r.quality);
@@ -579,7 +541,7 @@ impl Pricer {
                 );
                 let mut span = qbdp_obs::trace::span("hitting_set");
                 span.detail("cycle_certs");
-                let r = cycle_price_within(&problem, self.config.certificates, budget)?;
+                let r = cycle_price_within(&problem, CertificateConfig::default(), budget)?;
                 note_exhaustion(qbdp_obs::Ctr::BudgetExhaustedCerts, r.quality);
                 Ok(Outcome::from_result(r, PricingMethod::CycleCertificates))
             }
@@ -595,7 +557,7 @@ impl Pricer {
                         &self.instance,
                         &self.prices,
                         q,
-                        self.config.certificates,
+                        CertificateConfig::default(),
                         budget,
                     )?;
                     note_exhaustion(qbdp_obs::Ctr::BudgetExhaustedCerts, r.quality);
@@ -608,7 +570,7 @@ impl Pricer {
                     &self.instance,
                     &self.prices,
                     &Bundle::from(q.clone()),
-                    self.config.subset,
+                    SubsetConfig::default(),
                     budget,
                 )?;
                 note_exhaustion(qbdp_obs::Ctr::BudgetExhaustedSubset, r.quality);
@@ -643,7 +605,7 @@ impl Pricer {
                 &self.instance,
                 &self.prices,
                 &full,
-                self.config.certificates,
+                CertificateConfig::default(),
                 budget,
             )?;
             let method = PricingMethod::BooleanEmpty(Box::new(PricingMethod::ExactCertificates));
@@ -714,12 +676,7 @@ impl Pricer {
         for branch in branches {
             let mut flow_span = qbdp_obs::trace::span("flow_solve");
             let fuel_before = budget.consumed_fuel();
-            let metered = chain_price_within(
-                &branch.problem,
-                self.config.tuple_mode,
-                self.config.flow_algo,
-                budget,
-            )?;
+            let metered = chain_price_within(&branch.problem, budget)?;
             flow_span.fuel(budget.consumed_fuel().saturating_sub(fuel_before));
             flow_span.detail(match &metered {
                 Metered::Done(_) => "done",

@@ -1,4 +1,6 @@
-//! A reusable solver arena for Dinic's algorithm.
+//! A reusable solver arena for Dinic's algorithm — the crate's one max-flow
+//! solver; [`crate::dinic()`](fn@crate::dinic) and [`crate::dinic_metered`]
+//! run it on a fresh arena.
 //!
 //! Every max-flow run needs four scratch buffers: the residual capacities,
 //! the BFS level array, the DFS edge iterators, and the BFS queue. Pricing

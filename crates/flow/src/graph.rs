@@ -1,4 +1,4 @@
-//! The flow network representation shared by both solvers.
+//! The flow network representation the solver runs on.
 
 /// Node handle (dense index).
 pub type NodeId = usize;
@@ -15,8 +15,8 @@ pub const INF: u64 = u64::MAX / 16;
 
 /// A directed flow network with `u64` capacities.
 ///
-/// Built once, then solved by [`crate::dinic()`](fn@crate::dinic) or [`crate::edmonds_karp()`](fn@crate::edmonds_karp);
-/// solving does not mutate the graph (the solver owns its residual state in
+/// Built once, then solved by [`crate::dinic()`](fn@crate::dinic) or a
+/// [`crate::DinicArena`]; solving does not mutate the graph (the solver owns its residual state in
 /// a [`MaxFlowResult`]), so one graph can be solved repeatedly, e.g. with
 /// different source/sink choices.
 #[derive(Clone, Debug, Default)]

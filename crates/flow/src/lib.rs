@@ -11,10 +11,8 @@
 //!   and an [`graph::INF`] sentinel for uncuttable edges,
 //! * [`dinic()`](fn@crate::dinic) — Dinic's algorithm (BFS level graph + blocking flow),
 //!   `O(V²E)` worst case and much faster on the unit-ish graphs produced by
-//!   the pricing reduction,
-//! * [`edmonds_karp()`](fn@crate::edmonds_karp) — the textbook BFS augmenting-path algorithm, kept as
-//!   an independently-implemented baseline for cross-validation and for the
-//!   `flow_ablation` benchmark,
+//!   the pricing reduction; the crate's one solver (its property tests
+//!   cross-check it against an independent Edmonds–Karp oracle),
 //! * [`graph::MaxFlowResult::min_cut_edges`] — extraction of a minimum cut
 //!   from the residual network (the cut is what the pricing algorithm
 //!   actually returns: the set of views the savvy buyer purchases),
@@ -33,14 +31,12 @@
 
 pub mod arena;
 pub mod dinic;
-pub mod edmonds_karp;
 pub mod graph;
 pub mod meter;
 pub mod residual;
 
 pub use arena::DinicArena;
 pub use dinic::{dinic, dinic_metered};
-pub use edmonds_karp::{edmonds_karp, edmonds_karp_metered};
 pub use graph::{EdgeId, FlowGraph, MaxFlowResult, NodeId, INF};
 pub use meter::{Interrupted, Ticker, Unmetered};
 pub use residual::{warm_fuel_phases, ResidualState, WarmOutcome};

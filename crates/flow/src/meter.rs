@@ -85,8 +85,6 @@ mod tests {
         // Zero fuel interrupts immediately with value 0.
         let r = crate::dinic_metered(&g, 0, 1, &Fuel(AtomicU64::new(0)));
         assert!(matches!(r, Err(Interrupted { partial_value: 0 })));
-        let r = crate::edmonds_karp_metered(&g, 0, 1, &Fuel(AtomicU64::new(0)));
-        assert!(matches!(r, Err(Interrupted { partial_value: 0 })));
     }
 
     #[test]
@@ -94,7 +92,5 @@ mod tests {
         let g = wide_graph();
         let m = crate::dinic_metered(&g, 0, 1, &Fuel(AtomicU64::new(u64::MAX))).unwrap();
         assert_eq!(m.value, crate::dinic(&g, 0, 1).value);
-        let m = crate::edmonds_karp_metered(&g, 0, 1, &Fuel(AtomicU64::new(u64::MAX))).unwrap();
-        assert_eq!(m.value, crate::edmonds_karp(&g, 0, 1).value);
     }
 }

@@ -39,7 +39,7 @@
 //!
 //! * [`catalog`] — schemas, finite columns, instances;
 //! * [`query`] — CQ/UCQ ASTs, datalog parser, evaluator, chain analysis;
-//! * [`flow`] — max-flow / min-cut (Dinic + Edmonds–Karp), from scratch;
+//! * [`flow`] — max-flow / min-cut (Dinic), from scratch;
 //! * [`determinacy`] — instance-based determinacy `D ⊢ V ։ Q`;
 //! * [`core`] — the pricing framework: arbitrage-price, consistency, the
 //!   GChQ Min-Cut algorithm, cycle queries, the dichotomy classifier,

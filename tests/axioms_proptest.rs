@@ -4,10 +4,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use proptest::prelude::*;
-use qbdp::core::chain::graph::TupleEdgeMode;
-use qbdp::core::chain::price::FlowAlgo;
+use qbdp::core::chain::bundle::chain_bundle_price;
+use qbdp::core::chain::multi_attr::{multi_attr_chain_price, PairPriceList};
 use qbdp::core::exact::certificates::{certificate_price, CertificateConfig};
-use qbdp::core::pricer::PricerConfig;
+use qbdp::core::normalize::{Problem, Provenance};
 use qbdp::prelude::*;
 
 const N: i64 = 3; // column size: {0, 1, 2}
@@ -79,8 +79,9 @@ fn chain_query(catalog: &Catalog) -> ConjunctiveQuery {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Theorem 3.13: the flow price equals the exact certificate price, for
-    /// every tuple-edge mode and flow algorithm.
+    /// Theorem 3.13: the flow price equals the exact certificate price, on
+    /// the served hub network, the paper's literal Θ(n²) network, and a
+    /// singleton bundle.
     #[test]
     fn flow_price_is_exact(world in world_strategy()) {
         let (catalog, d, prices) = build(&world);
@@ -88,15 +89,20 @@ proptest! {
         let exact = certificate_price(&catalog, &d, &prices, &q, CertificateConfig::default())
             .unwrap()
             .price;
-        for mode in [TupleEdgeMode::Dense, TupleEdgeMode::Hub] {
-            for algo in [FlowAlgo::Dinic, FlowAlgo::EdmondsKarp] {
-                let config = PricerConfig { tuple_mode: mode, flow_algo: algo, ..Default::default() };
-                let pricer = Pricer::new(catalog.clone(), d.clone(), prices.clone())
-                    .unwrap()
-                    .with_config(config);
-                prop_assert_eq!(pricer.price_cq(&q).unwrap().price, exact);
-            }
-        }
+        let pricer = Pricer::new(catalog.clone(), d.clone(), prices.clone()).unwrap();
+        prop_assert_eq!(pricer.price_cq(&q).unwrap().price, exact);
+        let bundle = chain_bundle_price(
+            &catalog,
+            &d,
+            &prices,
+            std::slice::from_ref(&q),
+            &Provenance::identity(),
+        )
+        .unwrap();
+        prop_assert_eq!(bundle.price, exact);
+        let problem = Problem::new(catalog, d, prices, q);
+        let literal = multi_attr_chain_price(&problem, &PairPriceList::new()).unwrap();
+        prop_assert_eq!(literal.price, exact);
     }
 
     /// The quoted views really determine the query and sum to the price
