@@ -6,22 +6,16 @@
 //! ```text
 //! // audit: allow(R1: reason)      silence one rule on the next code line
 //! //                               (or this line, if trailing)
-//! // audit: holds-lock(wal)        this fn acquires/holds the named lock
-//! // audit: lock-free              this fn must not take any lock
-//! // audit: wait-free              this fn is a telemetry hot-path record
-//! //                               point: no lock acquisition reachable
-//! // audit: pricing-entry          this fn is a pricing-engine entry point
 //! // audit: bounded(reason)        the next loop is trivially bounded
 //! // audit: panic-ok(reason)       this fn's panics are accepted: R9's
 //! //                               reachability walk stops here
-//! // audit: lock-order(a < b)      declared acquisition order: `a` is
-//! //                               always taken before `b` (feeds R7's
-//! //                               lock graph as an explicit edge)
 //! ```
 //!
-//! `allow`, `bounded`, and `panic-ok` **require a reason** — an
-//! annotation that disables a check without saying why is itself a
-//! diagnostic ([`AnnotError`]), so the escape hatch cannot silently rot.
+//! Every form **requires a reason** — an annotation that disables a
+//! check without saying why is itself a diagnostic ([`AnnotError`]), so
+//! the escape hatch cannot silently rot. Any other `// audit:` comment
+//! is malformed too, including the lock annotations of the retired
+//! lock rules: lock levels are types now (`qbdp_market::lock`).
 
 use crate::rules::RULES;
 use std::fmt;
@@ -36,24 +30,11 @@ pub enum Annot {
         /// Mandatory justification.
         reason: String,
     },
-    /// `holds-lock(name)` — the next fn holds the named lock.
-    HoldsLock(String),
-    /// `lock-free` — the next fn must not acquire any lock.
-    LockFree,
-    /// `wait-free` — the next fn is a telemetry record point (R6): no
-    /// lock acquisition may be reachable from it, even transitively.
-    WaitFree,
-    /// `pricing-entry` — the next fn is a pricing-engine entry point.
-    PricingEntry,
     /// `bounded(reason)` — the next loop is exempt from R4.
     Bounded(String),
     /// `panic-ok(reason)` — the next fn's panics are deliberate; R9's
     /// reachability walk neither reports them nor descends further.
     PanicOk(String),
-    /// `lock-order(a < b < …)` — a declared acquisition order. File
-    /// scoped, not fn-attached: each adjacent pair becomes an explicit
-    /// edge in R7's lock graph, so an inversion elsewhere is a cycle.
-    LockOrder(Vec<String>),
 }
 
 /// A malformed `// audit:` comment (reported as a diagnostic: a broken
@@ -84,21 +65,6 @@ pub fn parse(comment_text: &str) -> Result<Option<Annot>, AnnotError> {
         return Ok(None);
     };
     let body = body.trim();
-    if body == "lock-free" {
-        return Ok(Some(Annot::LockFree));
-    }
-    if body == "wait-free" {
-        return Ok(Some(Annot::WaitFree));
-    }
-    if body == "pricing-entry" {
-        return Ok(Some(Annot::PricingEntry));
-    }
-    if let Some(args) = call_args(body, "holds-lock")? {
-        if args.trim().is_empty() {
-            return Err(err("holds-lock needs a lock name: holds-lock(wal)"));
-        }
-        return Ok(Some(Annot::HoldsLock(args.trim().to_string())));
-    }
     if let Some(args) = call_args(body, "bounded")? {
         if args.trim().is_empty() {
             return Err(err("bounded needs a reason: bounded(shards are fixed)"));
@@ -112,15 +78,6 @@ pub fn parse(comment_text: &str) -> Result<Option<Annot>, AnnotError> {
             ));
         }
         return Ok(Some(Annot::PanicOk(args.trim().to_string())));
-    }
-    if let Some(args) = call_args(body, "lock-order")? {
-        let locks: Vec<String> = args.split('<').map(|s| s.trim().to_string()).collect();
-        if locks.len() < 2 || locks.iter().any(String::is_empty) {
-            return Err(err(
-                "lock-order needs two or more `<`-separated lock names: lock-order(wal < cache-shard)",
-            ));
-        }
-        return Ok(Some(Annot::LockOrder(locks)));
     }
     if let Some(args) = call_args(body, "allow")? {
         let (rule, reason) = match args.split_once(':') {
@@ -144,9 +101,8 @@ pub fn parse(comment_text: &str) -> Result<Option<Annot>, AnnotError> {
         }));
     }
     Err(err(format!(
-        "unknown audit annotation `{body}` (expected allow(..), \
-         holds-lock(..), lock-free, wait-free, pricing-entry, bounded(..), \
-         panic-ok(..), or lock-order(..))"
+        "unknown audit annotation `{body}` (expected allow(..), bounded(..), \
+         or panic-ok(..))"
     )))
 }
 
@@ -189,7 +145,7 @@ mod tests {
 
     #[test]
     fn allow_must_name_a_live_rule() {
-        for id in ["R0", "R2", "R5", "R42"] {
+        for id in ["R0", "R2", "R3", "R5", "R6", "R7", "R42"] {
             let e = parse(&format!(" audit: allow({id}: x)")).unwrap_err();
             assert!(e.message.contains(&format!("got `{id}`")), "{e}");
         }
@@ -200,22 +156,6 @@ mod tests {
         assert!(parse(" audit: allow(R1)").is_err());
         assert!(parse(" audit: allow(R1: )").is_err());
         assert!(parse(" audit: allow(nonsense: x)").is_err());
-    }
-
-    #[test]
-    fn lock_annotations() {
-        assert_eq!(
-            parse(" audit: holds-lock(wal)"),
-            Ok(Some(Annot::HoldsLock("wal".into())))
-        );
-        assert_eq!(parse(" audit: lock-free"), Ok(Some(Annot::LockFree)));
-        assert_eq!(parse(" audit: wait-free"), Ok(Some(Annot::WaitFree)));
-        assert_eq!(
-            parse(" audit: pricing-entry"),
-            Ok(Some(Annot::PricingEntry))
-        );
-        assert!(parse(" audit: holds-lock()").is_err());
-        assert!(parse(" audit: holds-lock").is_err());
     }
 
     #[test]
@@ -230,6 +170,12 @@ mod tests {
     #[test]
     fn unknown_annotation_is_an_error() {
         assert!(parse(" audit: alow(R1: typo)").is_err());
+        // The retired lock rules' forms are malformed now (R0): lock
+        // levels are types, and the record path's locks a clippy rule.
+        for retired in ["holds-lock(wal)", "wait-free"] {
+            let e = parse(&format!(" audit: {retired}")).unwrap_err();
+            assert!(e.message.contains("unknown audit annotation"), "{e}");
+        }
     }
 
     #[test]
@@ -242,26 +188,5 @@ mod tests {
         );
         assert!(parse(" audit: panic-ok()").is_err());
         assert!(parse(" audit: panic-ok").is_err());
-    }
-
-    #[test]
-    fn lock_order_parses_chains() {
-        assert_eq!(
-            parse(" audit: lock-order(wal < cache-shard)"),
-            Ok(Some(Annot::LockOrder(vec![
-                "wal".into(),
-                "cache-shard".into()
-            ])))
-        );
-        assert_eq!(
-            parse(" audit: lock-order(a < b < c)"),
-            Ok(Some(Annot::LockOrder(vec![
-                "a".into(),
-                "b".into(),
-                "c".into()
-            ])))
-        );
-        assert!(parse(" audit: lock-order(one)").is_err());
-        assert!(parse(" audit: lock-order(a < )").is_err());
     }
 }

@@ -3,11 +3,11 @@
 //!
 //! Resolution is a *sound over-approximation* built from the syntactic
 //! evidence the [`model`](crate::model) scanner records — no types, no
-//! trait solving. The candidate set for a call starts as every
-//! same-named library fn in the caller's crate dependency closure
-//! (name-level matching, dependency-direction honest, exactly the
-//! filter R3/R6 each reimplemented before this module existed), and is
-//! then **narrowed, never widened**, on strong evidence only:
+//! trait solving. It serves the two reachability rules, R8 and R9. The
+//! candidate set for a call starts as every same-named library fn in
+//! the caller's crate dependency closure (name-level matching,
+//! dependency-direction honest), and is then **narrowed, never
+//! widened**, on strong evidence only:
 //!
 //! * **typed receivers** — when the receiver's type is syntactically
 //!   evident (`self.f()` via the enclosing impl; `self.field.f()` via
@@ -18,10 +18,11 @@
 //!   std/derive surface (`.clone()`, `HashMap::insert`) — **no
 //!   fallback**, the edge set is empty. A type from the configured
 //!   foreign list (std containers, primitives) resolves to nothing
-//!   outright. The workspace defines no `Deref` impls of its own, so
-//!   method calls cannot secretly pass through to another workspace
-//!   type (checked by `graph_is_identical_across_file_orderings`'s
-//!   neighbors — revisit if one appears);
+//!   outright. The workspace's one `Deref` impl is the market's lock
+//!   guard, which code binds by destructuring a `(guard, token)` pair:
+//!   the binding carries no type evidence, so a call through a guard
+//!   keeps every candidate instead of passing silently to the guarded
+//!   type (revisit if another `Deref` impl appears);
 //! * `self.f()` inside `trait T`'s default body → candidates belonging
 //!   to `T`, falling back to all when none match (the implementing
 //!   type is unknowable);
@@ -41,8 +42,7 @@
 //! be empty, resolution falls back to the full candidate set — an
 //! imprecise edge is kept rather than a real one dropped. Free and
 //! path call names pass through the file's `use`-rename table first,
-//! so `use quote_str as qs; qs()` resolves to the real definition (the
-//! bug that motivated unifying R3/R6 on this module).
+//! so `use quote_str as qs; qs()` resolves to the real definition.
 //!
 //! Determinism: [`Workspace::new`] sorts files by path, candidate lists
 //! are traversed in (file, fn) index order, and target sets are sorted
@@ -150,7 +150,7 @@ const MAX_PATH: usize = 24;
 impl CallGraph {
     /// Resolve every call site in the workspace.
     pub fn build(ws: &Workspace, config: &Config) -> CallGraph {
-        let closures = crate::rules::r3_locks::dep_closures(config);
+        let closures = dep_closures(config);
         let info = TypeInfo::build(ws, config);
         let mut targets = Vec::with_capacity(ws.files.len());
         for f in &ws.files {
@@ -225,6 +225,43 @@ impl CallGraph {
     }
 }
 
+/// Transitive dependency closure per crate (each crate includes itself).
+/// Crates absent from the configured edge table close over themselves
+/// only, so an unknown crate's names never resolve outside it.
+fn dep_closures(config: &Config) -> HashMap<String, HashSet<String>> {
+    let direct: HashMap<&str, &Vec<String>> = config
+        .crate_deps
+        .iter()
+        .map(|(n, d)| (n.as_str(), d))
+        .collect();
+    let mut out = HashMap::new();
+    for (name, _) in &config.crate_deps {
+        let mut closure: HashSet<String> = HashSet::new();
+        let mut stack = vec![name.as_str()];
+        while let Some(c) = stack.pop() {
+            if closure.insert(c.to_string()) {
+                if let Some(deps) = direct.get(c) {
+                    stack.extend(deps.iter().map(String::as_str));
+                }
+            }
+        }
+        out.insert(name.clone(), closure);
+    }
+    out
+}
+
+/// May a fn defined in `caller_crate` call into `callee_crate`?
+fn may_call(
+    closures: &HashMap<String, HashSet<String>>,
+    caller_crate: &str,
+    callee_crate: &str,
+) -> bool {
+    caller_crate == callee_crate
+        || closures
+            .get(caller_crate)
+            .is_some_and(|c| c.contains(callee_crate))
+}
+
 /// Resolve one call site (see the module docs for the narrowing rules).
 fn resolve(
     ws: &Workspace,
@@ -250,7 +287,7 @@ fn resolve(
         let callee_crate = crate_of(&ws.files[fi].rel_path);
         if callee.is_test
             || ws.files[fi].class != FileClass::Library
-            || !crate::rules::r3_locks::may_call(closures, caller_crate, callee_crate)
+            || !may_call(closures, caller_crate, callee_crate)
         {
             continue;
         }

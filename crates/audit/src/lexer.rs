@@ -356,8 +356,8 @@ mod tests {
 
     #[test]
     fn comments_are_kept_with_text() {
-        let toks = lex("// audit: lock-free\nfn f() {}\n/* block */");
-        assert_eq!(toks[0].tok, Tok::LineComment(" audit: lock-free".into()));
+        let toks = lex("// audit: bounded(x)\nfn f() {}\n/* block */");
+        assert_eq!(toks[0].tok, Tok::LineComment(" audit: bounded(x)".into()));
         assert_eq!(toks[0].line, 1);
         assert_eq!(toks[1].line, 2);
         assert!(matches!(

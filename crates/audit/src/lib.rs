@@ -4,32 +4,29 @@
 //! The pricing papers this repo reproduces come with invariants the
 //! type system cannot see: arbitrage-freedom is stated over exact
 //! prices (so money arithmetic must not silently wrap), pricing is
-//! worst-case exponential (so hot loops must burn [`Budget`] fuel and
-//! locks must never be held across an engine call), and a pricing host
-//! must degrade instead of abort. This crate enforces those invariants
-//! offline, with no rustc plugin and no external dependencies: a
-//! hand-rolled lexer ([`lexer`]), a structural scanner ([`model`]), a
-//! workspace call graph ([`callgraph`]), and seven rule engines
-//! ([`rules`]):
+//! worst-case exponential (so hot loops must burn [`Budget`] fuel),
+//! and a pricing host must degrade instead of abort. This crate
+//! enforces those invariants offline, with no rustc plugin and no
+//! external dependencies: a hand-rolled lexer ([`lexer`]), a structural
+//! scanner ([`model`]), a workspace call graph ([`callgraph`]), and
+//! four rule engines ([`rules`]):
 //!
 //! * **R1** — no unchecked `+`/`-`/`*` on money-tainted operands.
-//! * **R3** — WAL and cache-shard locks never held across pricing
-//!   (annotation-driven; see the `// audit:` grammar in [`annot`]).
 //! * **R4** — every loop in the exact/determinacy/flow hot paths is
-//!   fuel-metered or explicitly `bounded(..)`.
-//! * **R6** — the telemetry record path (`qbdp-obs` `record*`) is
-//!   annotated `wait-free` and reaches no lock acquisition.
-//! * **R7** — the lock acquisition graph (declared orders, annotation
-//!   order, and call-graph-derived held-while-acquiring edges) is
-//!   acyclic.
+//!   fuel-metered or explicitly `bounded(..)` (see the `// audit:`
+//!   grammar in [`annot`]).
 //! * **R8** — a `Result` that can carry `StoreError::Transient` is
 //!   never silently discarded on the serving path.
 //! * **R9** — no panicking call is reachable from a serving entry
 //!   point without `catch_unwind` containment or a `panic-ok` waiver.
 //!
+//! Invariants a type or a standard lint can hold are not rules here.
 //! File-local panic-freedom (`unwrap`/`expect`/`panic!` outside tests)
 //! and `// SAFETY:` comments on `unsafe` blocks are clippy lints, set
-//! once in the workspace's `[workspace.lints.clippy]` table.
+//! once in the workspace's `[workspace.lints.clippy]` table. Lock order
+//! and "never price under the WAL, plan or a cache shard" are
+//! `qbdp_market::lock`'s level types; the lockless telemetry record
+//! path is a `disallowed-types` list in `crates/obs/clippy.toml`.
 //!
 //! Run it with `cargo run -p qbdp-audit -- --deny-all`; the CI
 //! `analysis` job gates on it (`--format json` and `--baseline` give

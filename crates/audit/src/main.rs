@@ -50,7 +50,7 @@ fn parse_args() -> Result<Args, String> {
                 args.root = Some(PathBuf::from(p));
             }
             "--rule" => {
-                let r = it.next().ok_or("--rule requires an id (e.g. R3)")?;
+                let r = it.next().ok_or("--rule requires an id (e.g. R4)")?;
                 if !RULES.contains(&r.as_str()) {
                     return Err(format!(
                         "unknown rule id `{r}` (expected one of {})",

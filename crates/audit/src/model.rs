@@ -1,5 +1,5 @@
 //! The structural model of one source file: functions, loops, test
-//! regions, call edges, lock acquisitions, and audit annotations —
+//! regions, call edges, and audit annotations —
 //! everything the rules consume, extracted in one pass over the token
 //! stream.
 //!
@@ -46,10 +46,6 @@ pub struct FnItem {
     /// Possible callees: idents directly followed by `(` in the body,
     /// in token order.
     pub calls: Vec<Call>,
-    /// Zero-argument `.lock()` / `.read()` / `.write()` receivers in
-    /// the body — lock-guard acquisitions (I/O reads and writes always
-    /// take arguments, so the empty argument list is the discriminator).
-    pub lock_acquires: Vec<LockAcquire>,
     /// Receiver-type evidence for `Recv::Ident` calls: binding name →
     /// base type ident, from typed params (`wal: &Wal`) and inferable
     /// `let`s (`let h = FxHasher::default()`, `let x: Vec<u8> = …`).
@@ -57,39 +53,6 @@ pub struct FnItem {
 }
 
 impl FnItem {
-    /// Whether an annotation names this fn as holding `lock`.
-    pub fn holds_lock(&self, lock: &str) -> bool {
-        self.annots
-            .iter()
-            .any(|a| matches!(a, Annot::HoldsLock(l) if l == lock))
-    }
-
-    /// All `holds-lock(..)` names on this fn.
-    pub fn held_locks(&self) -> Vec<&str> {
-        self.annots
-            .iter()
-            .filter_map(|a| match a {
-                Annot::HoldsLock(l) => Some(l.as_str()),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Whether the fn is annotated `lock-free`.
-    pub fn is_lock_free(&self) -> bool {
-        self.annots.iter().any(|a| matches!(a, Annot::LockFree))
-    }
-
-    /// Whether the fn is annotated `wait-free`.
-    pub fn is_wait_free(&self) -> bool {
-        self.annots.iter().any(|a| matches!(a, Annot::WaitFree))
-    }
-
-    /// Whether the fn is annotated `pricing-entry`.
-    pub fn is_pricing_entry(&self) -> bool {
-        self.annots.iter().any(|a| matches!(a, Annot::PricingEntry))
-    }
-
     /// Whether the fn is annotated `panic-ok(..)` (R9 accepts its
     /// panics and stops walking).
     pub fn is_panic_ok(&self) -> bool {
@@ -157,17 +120,6 @@ pub struct Call {
     pub kind: CallKind,
 }
 
-/// One lock acquisition site inside a fn body.
-#[derive(Debug)]
-pub struct LockAcquire {
-    /// The method: `lock`, `read`, or `write`.
-    pub method: String,
-    /// Code-token index of the method ident.
-    pub idx: usize,
-    /// Source line.
-    pub line: u32,
-}
-
 /// A `for`/`while`/`loop` found in the file.
 #[derive(Debug)]
 pub struct LoopItem {
@@ -206,8 +158,6 @@ pub struct FileModel {
     /// (`use x as y` → `y → x`). Plain imports need no entry — the
     /// imported name already matches its definition.
     pub aliases: HashMap<String, String>,
-    /// `// audit: lock-order(a < b < …)` declarations: (line, chain).
-    pub lock_orders: Vec<(u32, Vec<String>)>,
     /// Code-token ranges of `catch_unwind(..)` argument lists — panic
     /// frontiers for R9 (call edges originating inside never unwind out).
     pub catch_ranges: Vec<(usize, usize)>,
@@ -312,8 +262,6 @@ struct Scanner {
     fn_annots_by_line: Vec<(u32, Annot)>,
     /// (reason, comment line) pending attachment to the next loop.
     bounded_by_line: Vec<(u32, String)>,
-    /// File-scoped `lock-order(..)` declarations.
-    lock_orders: Vec<(u32, Vec<String>)>,
 }
 
 impl Scanner {
@@ -323,7 +271,6 @@ impl Scanner {
         let mut annot_errors = Vec::new();
         let mut fn_annots_by_line = Vec::new();
         let mut bounded_by_line = Vec::new();
-        let mut lock_orders = Vec::new();
         // Allow annotations on comment-only lines bind to the next code
         // line; remember them until it is known. Attribute tokens
         // (`#[allow(clippy::...)]` lines between the comment and its
@@ -346,9 +293,6 @@ impl Scanner {
                     }
                     Ok(Some(Annot::Bounded(reason))) => {
                         bounded_by_line.push((t.line, reason));
-                    }
-                    Ok(Some(Annot::LockOrder(chain))) => {
-                        lock_orders.push((t.line, chain));
                     }
                     Ok(Some(a)) => fn_annots_by_line.push((t.line, a)),
                     Err(e) => annot_errors.push((t.line, e.message)),
@@ -393,7 +337,6 @@ impl Scanner {
             annot_errors,
             fn_annots_by_line,
             bounded_by_line,
-            lock_orders,
         }
     }
 
@@ -804,7 +747,6 @@ impl Scanner {
                         is_test: in_test,
                         annots,
                         calls: Vec::new(),
-                        lock_acquires: Vec::new(),
                         binding_types: HashMap::new(),
                     });
                     i += 2;
@@ -995,17 +937,6 @@ impl Scanner {
                     continue; // nested fn definition, not a call
                 }
                 let line = self.code[i].line;
-                if matches!(name, "lock" | "read" | "write")
-                    && i > 0
-                    && self.punct_at(i - 1, '.')
-                    && self.punct_at(i + 2, ')')
-                {
-                    f.lock_acquires.push(LockAcquire {
-                        method: name.to_string(),
-                        idx: i,
-                        line,
-                    });
-                }
                 if name == "catch_unwind" {
                     // Calls inside the argument list cannot unwind past
                     // this frontier; R9 stops its walk here.
@@ -1060,7 +991,6 @@ impl Scanner {
             allows: self.allows,
             annot_errors: self.annot_errors,
             aliases,
-            lock_orders: self.lock_orders,
             catch_ranges,
             type_names,
             type_fields,
@@ -1136,13 +1066,12 @@ mod tests {
     #[test]
     fn fn_annotations_attach() {
         let m = model(
-            "// audit: holds-lock(wal)\n// audit: pricing-entry\npub fn guarded() {}\n\
-             // audit: lock-free\nstruct NotAFn;\nfn unannotated() {}",
+            "// audit: panic-ok(startup only)\npub fn guarded() {}\n\
+             // audit: panic-ok(not a fn)\nstruct NotAFn;\nfn unannotated() {}",
         );
-        assert!(m.fns[0].holds_lock("wal"));
-        assert!(m.fns[0].is_pricing_entry());
+        assert!(m.fns[0].is_panic_ok());
         assert!(
-            !m.fns[1].is_lock_free(),
+            !m.fns[1].is_panic_ok(),
             "annotation above struct must not leak"
         );
     }
@@ -1174,23 +1103,6 @@ mod tests {
         );
         assert_eq!(m.loops[0].bounded.as_deref(), Some("fixed 16 shards"));
         assert!(m.loops[1].bounded.is_none());
-    }
-
-    #[test]
-    fn lock_acquires_need_empty_args() {
-        let m = model(
-            "fn f(buf: &mut [u8]) { let g = self.state.read(); file.read(buf); wal.lock(); }",
-        );
-        let acquires: Vec<&str> = m.fns[0]
-            .lock_acquires
-            .iter()
-            .map(|a| a.method.as_str())
-            .collect();
-        assert_eq!(
-            acquires,
-            vec!["read", "lock"],
-            "read(buf) is I/O, not a lock"
-        );
     }
 
     #[test]
@@ -1357,19 +1269,5 @@ mod tests {
         let after = m.fns[0].calls.iter().find(|c| c.name == "after").unwrap();
         assert!(inner.idx >= s && inner.idx < e);
         assert!(!(after.idx >= s && after.idx < e));
-    }
-
-    #[test]
-    fn lock_order_declarations_are_file_scoped() {
-        let m = model("// audit: lock-order(wal < cache-shard)\nfn f() {}");
-        assert_eq!(m.lock_orders.len(), 1);
-        assert_eq!(
-            m.lock_orders[0].1,
-            vec!["wal".to_string(), "cache-shard".to_string()]
-        );
-        assert!(
-            m.fns[0].annots.is_empty(),
-            "lock-order must not attach to the next fn"
-        );
     }
 }

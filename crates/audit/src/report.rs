@@ -7,7 +7,7 @@
 //! *is*, never where it sits:
 //!
 //! ```text
-//! R7:crates/market/src/cache.rs:ShardedQuoteCache::insert#1
+//! R1:crates/market/src/ledger.rs:Ledger::record_sale#1
 //! ```
 //!
 //! rule, workspace-relative path (normalized to `/` separators), the

@@ -4,17 +4,17 @@
 //! file-local; the others need the cross-file call graph or fn index,
 //! so the driver builds every model first and hands rules a
 //! [`Workspace`] view. Panic-freedom and `unsafe` hygiene are not rules
-//! here: the workspace's clippy lint table owns them.
+//! here: the workspace's clippy lint table owns them. Nor are lock
+//! discipline and the lockless telemetry record path: `qbdp-market`'s
+//! lock-level types and the `disallowed-types` lists in
+//! `crates/market/clippy.toml` and `crates/obs/clippy.toml` own those.
 
 use crate::model::FileModel;
 use std::collections::HashMap;
 use std::fmt;
 
 pub mod r1_money;
-pub mod r3_locks;
 pub mod r4_fuel;
-pub mod r6_obs;
-pub mod r7_order;
 pub mod r8_taint;
 pub mod r9_reach;
 
@@ -22,7 +22,7 @@ pub mod r9_reach;
 /// `--rule` validates against this list, and `allow(..)` against every
 /// entry but `R0`, so an annotation naming a retired rule is itself a
 /// finding rather than a silent no-op.
-pub const RULES: [&str; 8] = ["R0", "R1", "R3", "R4", "R6", "R7", "R8", "R9"];
+pub const RULES: [&str; 5] = ["R0", "R1", "R4", "R8", "R9"];
 
 /// One finding, printed as `file:line: RULE: message`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,23 +56,10 @@ pub struct Config {
     /// R1: fn-name prefixes inside which raw arithmetic is the point
     /// (the wrappers themselves).
     pub blessed_fn_prefixes: Vec<String>,
-    /// R3: lock names that must never be held across pricing calls.
-    pub guarded_locks: Vec<String>,
-    /// R3: fn names that are pricing-engine entry points (in addition
-    /// to fns annotated `// audit: pricing-entry`).
-    pub pricing_entries: Vec<String>,
-    /// R3: path prefixes where every lock-acquiring fn must carry a
-    /// `holds-lock(..)` annotation.
-    pub lock_annotation_paths: Vec<String>,
     /// R4: path prefixes whose loops must be fuel-metered.
     pub metered_paths: Vec<String>,
     /// R4: method/fn names that charge a budget.
     pub meter_calls: Vec<String>,
-    /// R6: path prefixes holding telemetry hot-path code, where every
-    /// fn matching a wait-free prefix must be annotated `wait-free`.
-    pub wait_free_paths: Vec<String>,
-    /// R6: fn-name prefixes that mark a telemetry record point.
-    pub wait_free_prefixes: Vec<String>,
     /// R8: path prefixes of serving-path code where a `Result` that can
     /// carry `StoreError::Transient` must not be discarded.
     pub transient_paths: Vec<String>,
@@ -84,15 +71,15 @@ pub struct Config {
     /// (std containers, sync primitives, primitives). A method call
     /// whose receiver is evidently one of these resolves to no
     /// workspace fn at all — `map.insert(..)` on a `HashMap` must not
-    /// route a lock-order walk into `Market::insert`.
+    /// route an R8/R9 walk into `Market::insert`.
     pub foreign_types: Vec<String>,
-    /// R3: direct `qbdp-*` dependency edges, as short crate names
-    /// (`market` → its dependencies). Name-level call resolution only
-    /// targets definitions in the caller's dependency closure — a fn in
-    /// `qbdp-market` cannot call the root CLI or the bench drivers, so
-    /// shared std vocabulary (`get`, `insert`, `run`…) must not route a
-    /// lock-discipline walk into them. Crates absent from the table
-    /// resolve only within themselves.
+    /// Call resolution: direct `qbdp-*` dependency edges, as short
+    /// crate names (`market` → its dependencies). Name-level call
+    /// resolution only targets definitions in the caller's dependency
+    /// closure — a fn in `qbdp-market` cannot call the root CLI or the
+    /// bench drivers, so shared std vocabulary (`get`, `insert`, `run`…)
+    /// must not route an R8/R9 walk into them. Crates absent from the
+    /// table resolve only within themselves.
     pub crate_deps: Vec<(String, Vec<String>)>,
 }
 
@@ -103,25 +90,6 @@ impl Config {
         Config {
             taint_words: s(&["price", "prices", "revenue", "cents", "proceeds"]),
             blessed_fn_prefixes: s(&["checked_", "saturating_", "wrapping_"]),
-            guarded_locks: s(&["wal", "cache-shard", "vfs-state", "health", "plan"]),
-            pricing_entries: s(&[
-                "price_rule",
-                "price_rule_within",
-                "price_cq",
-                "price_cq_within",
-                "price_ucq",
-                "price_ucq_within",
-                "price_bundle",
-                "price_bundle_within",
-                "price_rules_batch_within",
-                "quote_str",
-                "quote_batch",
-                "price_planned",
-                "price_miss",
-                "evaluate_purchase",
-                "explain_str",
-            ]),
-            lock_annotation_paths: s(&["crates/market/src/", "crates/store/src/"]),
             metered_paths: s(&[
                 "crates/core/src/exact/",
                 // The incremental engine: the price-vector diff and the
@@ -140,8 +108,6 @@ impl Config {
                 "crates/serve/src/",
             ]),
             meter_calls: s(&["charge", "tick"]),
-            wait_free_paths: s(&["crates/obs/src/"]),
-            wait_free_prefixes: s(&["record"]),
             transient_paths: s(&[
                 "crates/store/src/",
                 "crates/market/src/",
@@ -298,10 +264,7 @@ pub fn run_all(ws: &Workspace, config: &Config) -> Vec<Diagnostic> {
         }
         out.extend(r1_money::check(f, config));
     }
-    out.extend(r3_locks::check(ws, &graph, config));
     out.extend(r4_fuel::check(ws, config));
-    out.extend(r6_obs::check(ws, &graph, config));
-    out.extend(r7_order::check(ws, &graph, config));
     out.extend(r8_taint::check(ws, &graph, config));
     out.extend(r9_reach::check(ws, &graph, config));
     out.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));

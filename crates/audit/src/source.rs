@@ -28,8 +28,8 @@ pub enum FileClass {
 
 /// The short crate name a workspace-relative path belongs to:
 /// `crates/<name>/…` → `<name>`, everything else (the root facade,
-/// `src/`, `examples/`) → `root`. R3 uses this to keep name-level call
-/// resolution honest about dependency direction.
+/// `src/`, `examples/`) → `root`. The call graph uses this to keep
+/// name-level call resolution honest about dependency direction.
 pub fn crate_of(rel_path: &str) -> &str {
     rel_path
         .strip_prefix("crates/")

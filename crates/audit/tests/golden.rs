@@ -46,23 +46,8 @@ fn r1_unchecked_money_arithmetic_fires() {
 }
 
 #[test]
-fn r3_lock_discipline_fires() {
-    check_fixture("r3.rs", "crates/market/src/fixture_r3.rs");
-}
-
-#[test]
 fn r4_unmetered_hot_loop_fires() {
     check_fixture("r4.rs", "crates/core/src/exact/fixture_r4.rs");
-}
-
-#[test]
-fn r6_blocking_record_path_fires() {
-    check_fixture("r6.rs", "crates/obs/src/fixture_r6.rs");
-}
-
-#[test]
-fn r7_lock_order_cycles_fire() {
-    check_fixture("r7.rs", "crates/market/src/fixture_r7.rs");
 }
 
 #[test]
@@ -73,9 +58,4 @@ fn r8_discarded_transient_results_fire() {
 #[test]
 fn r9_reachable_panics_fire() {
     check_fixture("r9.rs", "crates/market/src/fixture_r9.rs");
-}
-
-#[test]
-fn r3_sees_through_use_renames() {
-    check_fixture("r3_alias.rs", "crates/market/src/fixture_r3_alias.rs");
 }

@@ -3,9 +3,10 @@
 //! Quoting is idempotent between data/price updates, and markets see the
 //! same queries repeatedly, so the common case should be a hash lookup.
 //! The cache lives *outside* the market's state lock: lookups and inserts
-//! take only a per-shard `RwLock`, so a batch of workers filling the
-//! cache never serializes on the state lock, and two workers quoting
-//! different queries almost never touch the same shard.
+//! take only a per-shard lock (level [`Shard`], the innermost), so a
+//! batch of workers filling the cache never serializes on the state
+//! lock, and two workers quoting different queries almost never touch
+//! the same shard.
 //!
 //! # Coherence protocol
 //!
@@ -58,8 +59,8 @@
 //! runs (≤ 16 — pricing is CPU-bound), while the whole cache stays two
 //! cache lines of lock words. Growing it costs nothing if hosts widen.
 
+use crate::lock::{LockBefore, Locked, OrderedRwLock, Shard};
 use crate::market::MarketQuote;
-use parking_lot::RwLock;
 use qbdp_catalog::fxhash::FxHasher;
 use qbdp_catalog::{AttrRef, FxHashMap};
 use std::hash::Hasher;
@@ -87,7 +88,7 @@ pub(crate) struct ShardedQuoteCache {
     /// One epoch per catalog column, fixed at construction (the schema
     /// never changes after a market opens).
     columns: FxHashMap<AttrRef, AtomicU64>,
-    shards: [RwLock<FxHashMap<String, Entry>>; SHARDS],
+    shards: [OrderedRwLock<FxHashMap<String, Entry>, Shard>; SHARDS],
 }
 
 impl ShardedQuoteCache {
@@ -100,11 +101,11 @@ impl ShardedQuoteCache {
                 .into_iter()
                 .map(|a| (a, AtomicU64::new(0)))
                 .collect(),
-            shards: std::array::from_fn(|_| RwLock::new(FxHashMap::default())),
+            shards: std::array::from_fn(|_| OrderedRwLock::new(FxHashMap::default())),
         }
     }
 
-    fn shard(&self, key: &str) -> &RwLock<FxHashMap<String, Entry>> {
+    fn shard(&self, key: &str) -> &OrderedRwLock<FxHashMap<String, Entry>, Shard> {
         let mut h = FxHasher::default();
         h.write(key.as_bytes());
         &self.shards[(h.finish() as usize) & (SHARDS - 1)]
@@ -131,9 +132,12 @@ impl ShardedQuoteCache {
     /// columns has been bumped since it was computed. Call under the
     /// market's state read lock so the comparison is against the live
     /// snapshot.
-    // audit: holds-lock(cache-shard)
-    pub(crate) fn get(&self, key: &str) -> Option<MarketQuote> {
-        let hit = self.get_inner(key);
+    pub(crate) fn get(
+        &self,
+        token: &mut Locked<'_, impl LockBefore<Shard>>,
+        key: &str,
+    ) -> Option<MarketQuote> {
+        let hit = self.get_inner(token, key);
         // The registry is the single tally for cache effectiveness: a
         // stamp-invalidated entry counts as a miss (it must be repriced),
         // same as an absent one.
@@ -148,9 +152,12 @@ impl ShardedQuoteCache {
         hit
     }
 
-    // audit: holds-lock(cache-shard)
-    fn get_inner(&self, key: &str) -> Option<MarketQuote> {
-        let shard = self.shard(key).read();
+    fn get_inner(
+        &self,
+        token: &mut Locked<'_, impl LockBefore<Shard>>,
+        key: &str,
+    ) -> Option<MarketQuote> {
+        let (shard, _) = self.shard(key).read(token);
         let entry = shard.get(key)?;
         if entry.stamp == self.stamp(&entry.footprint) {
             Some(entry.quote.clone())
@@ -162,19 +169,18 @@ impl ShardedQuoteCache {
     /// Insert a quote computed under `stamp` over `footprint`; silently
     /// discarded if any footprint column has been bumped since (caching
     /// it would serve a stale price until the *next* touching update).
-    // audit: holds-lock(cache-shard)
     pub(crate) fn insert(
         &self,
+        token: &mut Locked<'_, impl LockBefore<Shard>>,
         key: String,
         quote: MarketQuote,
         footprint: Vec<AttrRef>,
         stamp: u64,
     ) {
-        let mut shard = self.shard(&key).write();
+        let (mut shard, _) = self.shard(&key).write(token);
         // Re-check under the shard lock: an invalidation that has already
         // swept this shard must not see the entry reappear.
         if self.stamp(&footprint) == stamp {
-            // audit: allow(R7: `shard` is the guard local — its `insert` is std HashMap surface, not the market's; cache-shard is innermost)
             shard.insert(
                 key,
                 Entry {
@@ -193,8 +199,11 @@ impl ShardedQuoteCache {
     /// (and is removed) or after (and is discarded by its own stamp
     /// re-check), so no dead entry lingers. Entries disjoint from
     /// `attrs` keep their stamps valid and stay servable.
-    // audit: holds-lock(cache-shard)
-    pub(crate) fn invalidate_columns(&self, attrs: &[AttrRef]) {
+    pub(crate) fn invalidate_columns(
+        &self,
+        token: &mut Locked<'_, impl LockBefore<Shard>>,
+        attrs: &[AttrRef],
+    ) {
         qbdp_obs::record(qbdp_obs::Ctr::MarketInvalidations, 1);
         qbdp_obs::record(qbdp_obs::Ctr::MarketColumnsInvalidated, attrs.len() as u64);
         self.generation.fetch_add(1, Ordering::SeqCst);
@@ -205,15 +214,15 @@ impl ShardedQuoteCache {
         }
         for shard in &self.shards {
             shard
-                .write()
+                .write(token)
+                .0
                 .retain(|_, e| !e.footprint.iter().any(|f| attrs.contains(f)));
         }
     }
 
     /// Total cached quotes across all shards (test/introspection aid).
-    // audit: holds-lock(cache-shard)
-    pub(crate) fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+    pub(crate) fn len(&self, token: &mut Locked<'_, impl LockBefore<Shard>>) -> usize {
+        self.shards.iter().map(|s| s.read(token).0.len()).sum()
     }
 
     /// Clear the shards and rewind every epoch to 0. Recovery uses this
@@ -222,14 +231,13 @@ impl ShardedQuoteCache {
     /// should tag fresh quotes from zeroed epochs like a newly opened
     /// one (pre-crash cache entries died with the process; none can
     /// survive to here).
-    // audit: holds-lock(cache-shard)
-    pub(crate) fn reset(&self) {
+    pub(crate) fn reset(&self, token: &mut Locked<'_, impl LockBefore<Shard>>) {
         self.generation.store(0, Ordering::SeqCst);
         for e in self.columns.values() {
             e.store(0, Ordering::SeqCst);
         }
         for shard in &self.shards {
-            shard.write().clear();
+            shard.write(token).0.clear();
         }
     }
 }
@@ -273,11 +281,27 @@ mod tests {
         let cache = cache();
         let fp = vec![AttrRef::new(RelId(0), 0)];
         let s = cache.stamp(&fp);
-        cache.insert("q1".into(), quote(Price::dollars(1)), fp.clone(), s);
-        assert_eq!(cache.get("q1").unwrap().price, Price::dollars(1));
-        cache.invalidate_columns(&fp);
-        assert!(cache.get("q1").is_none(), "stale stamp must not serve");
-        assert_eq!(cache.len(), 0, "the sweep removed the touched entry");
+        cache.insert(
+            &mut Locked::root(),
+            "q1".into(),
+            quote(Price::dollars(1)),
+            fp.clone(),
+            s,
+        );
+        assert_eq!(
+            cache.get(&mut Locked::root(), "q1").unwrap().price,
+            Price::dollars(1)
+        );
+        cache.invalidate_columns(&mut Locked::root(), &fp);
+        assert!(
+            cache.get(&mut Locked::root(), "q1").is_none(),
+            "stale stamp must not serve"
+        );
+        assert_eq!(
+            cache.len(&mut Locked::root()),
+            0,
+            "the sweep removed the touched entry"
+        );
     }
 
     #[test]
@@ -287,14 +311,29 @@ mod tests {
         let over_s = vec![AttrRef::new(RelId(1), 0), AttrRef::new(RelId(1), 1)];
         let sr = cache.stamp(&over_r);
         let ss = cache.stamp(&over_s);
-        cache.insert("qr".into(), quote(Price::dollars(1)), over_r, sr);
-        cache.insert("qs".into(), quote(Price::dollars(2)), over_s, ss);
+        cache.insert(
+            &mut Locked::root(),
+            "qr".into(),
+            quote(Price::dollars(1)),
+            over_r,
+            sr,
+        );
+        cache.insert(
+            &mut Locked::root(),
+            "qs".into(),
+            quote(Price::dollars(2)),
+            over_s,
+            ss,
+        );
         // Touching an R column kills the R quote but leaves the S quote
         // servable — the whole point of column-scoped epochs.
-        cache.invalidate_columns(&[AttrRef::new(RelId(0), 1)]);
-        assert!(cache.get("qr").is_none());
-        assert_eq!(cache.get("qs").unwrap().price, Price::dollars(2));
-        assert_eq!(cache.len(), 1);
+        cache.invalidate_columns(&mut Locked::root(), &[AttrRef::new(RelId(0), 1)]);
+        assert!(cache.get(&mut Locked::root(), "qr").is_none());
+        assert_eq!(
+            cache.get(&mut Locked::root(), "qs").unwrap().price,
+            Price::dollars(2)
+        );
+        assert_eq!(cache.len(&mut Locked::root()), 1);
     }
 
     #[test]
@@ -302,20 +341,26 @@ mod tests {
         let cache = cache();
         let fp = vec![AttrRef::new(RelId(0), 0)];
         let s = cache.stamp(&fp);
-        cache.invalidate_columns(&fp);
-        cache.insert("q1".into(), quote(Price::dollars(1)), fp, s);
-        assert!(cache.get("q1").is_none());
-        assert_eq!(cache.len(), 0);
+        cache.invalidate_columns(&mut Locked::root(), &fp);
+        cache.insert(
+            &mut Locked::root(),
+            "q1".into(),
+            quote(Price::dollars(1)),
+            fp,
+            s,
+        );
+        assert!(cache.get(&mut Locked::root(), "q1").is_none());
+        assert_eq!(cache.len(&mut Locked::root()), 0);
     }
 
     #[test]
     fn generation_counts_every_mutation() {
         let cache = cache();
         assert_eq!(cache.epoch(), 0);
-        cache.invalidate_columns(&[AttrRef::new(RelId(0), 0)]);
-        cache.invalidate_columns(&[AttrRef::new(RelId(1), 0)]);
+        cache.invalidate_columns(&mut Locked::root(), &[AttrRef::new(RelId(0), 0)]);
+        cache.invalidate_columns(&mut Locked::root(), &[AttrRef::new(RelId(1), 0)]);
         assert_eq!(cache.epoch(), 2, "one bump per mutation, any column");
-        cache.reset();
+        cache.reset(&mut Locked::root());
         assert_eq!(cache.epoch(), 0, "recovery rewinds to a cold cache");
     }
 
@@ -323,12 +368,12 @@ mod tests {
     fn reset_rewinds_column_epochs_too() {
         let cache = cache();
         let fp = vec![AttrRef::new(RelId(0), 0)];
-        cache.invalidate_columns(&fp);
+        cache.invalidate_columns(&mut Locked::root(), &fp);
         let bumped = cache.stamp(&fp);
         assert_ne!(bumped, 0);
-        cache.reset();
+        cache.reset(&mut Locked::root());
         assert_eq!(cache.stamp(&fp), 0, "stamps restart from zero");
-        assert_eq!(cache.len(), 0);
+        assert_eq!(cache.len(&mut Locked::root()), 0);
     }
 
     #[test]
@@ -338,18 +383,26 @@ mod tests {
         let s = cache.stamp(&fp);
         for i in 0..256u64 {
             cache.insert(
+                &mut Locked::root(),
                 format!("Q{i}(x) :- R(x)"),
                 quote(Price::cents(i)),
                 fp.clone(),
                 s,
             );
         }
-        assert_eq!(cache.len(), 256);
-        let occupied = cache.shards.iter().filter(|s| !s.read().is_empty()).count();
+        assert_eq!(cache.len(&mut Locked::root()), 256);
+        let occupied = cache
+            .shards
+            .iter()
+            .filter(|s| !s.read(&mut Locked::root()).0.is_empty())
+            .count();
         assert!(occupied > SHARDS / 2, "fx-hash should spread: {occupied}");
         for i in 0..256u64 {
             assert_eq!(
-                cache.get(&format!("Q{i}(x) :- R(x)")).unwrap().price,
+                cache
+                    .get(&mut Locked::root(), &format!("Q{i}(x) :- R(x)"))
+                    .unwrap()
+                    .price,
                 Price::cents(i)
             );
         }

@@ -32,6 +32,7 @@
 use crate::durable::{DurableMarket, DurableOptions, MarketHealth};
 use crate::error::MarketError;
 use crate::ledger::Ledger;
+use crate::lock::{Locked, Unlocked};
 use crate::market::Market;
 use qbdp_catalog::{Tuple, Value};
 use qbdp_core::Price;
@@ -420,11 +421,11 @@ pub fn fingerprint(m: &Market) -> Fingerprint {
 /// Clone a market's full state (data, prices, ledger, policy) into a
 /// fresh in-memory market, for computing what the state *would* be if a
 /// maybe-durable event turned out to have reached the platter.
-fn clone_state(m: &Market) -> Result<Market, MarketError> {
+fn clone_state(token: &mut Locked<'_, Unlocked>, m: &Market) -> Result<Market, MarketError> {
     let clone = Market::open_qdp(&m.to_qdp())?;
     let ledger = Ledger::from_snapshot_text(&m.with_ledger(Ledger::to_snapshot_text))
         .map_err(|e| MarketError::Internal(format!("ledger clone: {e}")))?;
-    clone.restore_ledger(ledger);
+    clone.restore_ledger(token, ledger);
     clone.set_policy(m.policy());
     Ok(clone)
 }
@@ -452,6 +453,7 @@ fn apply_to_clone(clone: &Market, op: &Op) {
 /// as errors instead.
 pub fn run_schedule(qdp: &str, dir: &Path, cfg: &ChaosConfig) -> Result<ChaosReport, MarketError> {
     let mut report = ChaosReport::default();
+    let mut root = Locked::root();
     std::fs::remove_dir_all(dir).ok();
 
     // Genesis runs fault-free: the schedule targets the workload, not
@@ -550,12 +552,12 @@ pub fn run_schedule(qdp: &str, dir: &Path, cfg: &ChaosConfig) -> Result<ChaosRep
                 if matches!(e, StoreError::Poisoned { .. }) {
                     // The append may or may not have reached the
                     // platter; compute the state it would produce.
-                    let clone = clone_state(dm.market())?;
+                    let clone = clone_state(&mut root, dm.market())?;
                     apply_to_clone(&clone, &op);
                     pending_fp = Some(fingerprint(&clone));
                 }
                 if matches!(dm.health(), MarketHealth::ReadOnly { .. }) && frozen.is_none() {
-                    frozen = Some(clone_state(dm.market())?);
+                    frozen = Some(clone_state(&mut root, dm.market())?);
                 }
             }
             Err(MarketError::Degraded(_)) => {

@@ -21,7 +21,11 @@
 //! lock internally, preserving the epoch/cache invalidation protocol —
 //! the cache epoch is still bumped under the state write lock by the
 //! apply itself). Holding the WAL mutex across append + apply makes log
-//! order equal apply order, so replay reproduces the live sequence.
+//! order equal apply order, so replay reproduces the live sequence. The
+//! apply runs the market's `*_at` forms with the WAL's lock token
+//! ([`crate::lock::Wal`]); the state lock taken under it yields
+//! [`crate::lock::StateUnderWal`], and neither may price: pricing
+//! happens before the WAL is taken.
 //!
 //! A mutation that fails *validation* during apply (unknown relation,
 //! value outside its column, an arbitrage-inducing price revision) has
@@ -46,14 +50,14 @@
 
 use crate::error::MarketError;
 use crate::ledger::Ledger;
+use crate::lock::{self, Locked, OrderedMutex};
 use crate::market::{Market, MarketPolicy, MarketQuote, Purchase, Served};
-use parking_lot::{Mutex, RwLock};
 use qbdp_catalog::{Tuple, Value};
 use qbdp_core::Price;
 use qbdp_store::scrub::ScrubReport;
 use qbdp_store::{FsyncPolicy, MarketEvent, RealFs, RetryPolicy, Snapshot, StoreError, Vfs, Wal};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Snapshot filename inside a durable market directory.
@@ -90,19 +94,23 @@ pub enum MarketHealth {
 /// A market with a write-ahead log and snapshots under a directory.
 pub struct DurableMarket {
     market: Market,
-    wal: Mutex<Wal>,
+    wal: OrderedMutex<Wal, lock::Wal>,
     vfs: Arc<dyn Vfs>,
     retry: RetryPolicy,
-    health: RwLock<MarketHealth>,
+    /// Set once, with the first degrade reason: the market is read-only
+    /// from then on (see [`DurableMarket::health`]).
+    degraded: OnceLock<String>,
     dir: PathBuf,
 }
 
 impl std::fmt::Debug for DurableMarket {
-    // audit: holds-lock(wal)
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DurableMarket")
             .field("dir", &self.dir)
-            .field("wal_position", &self.wal.lock().position())
+            .field(
+                "wal_position",
+                &self.wal.lock(&mut Locked::root()).0.position(),
+            )
             .finish_non_exhaustive()
     }
 }
@@ -242,7 +250,7 @@ impl DurableMarket {
     ) -> Result<DurableMarket, MarketError> {
         let dir = dir.as_ref();
         if options.vfs.exists(&dir.join(SNAPSHOT_FILE)) {
-            Self::recover(dir, options)
+            Self::recover(&mut Locked::root(), dir, options)
         } else if let Some(qdp) = options.seed {
             Self::create_in(dir, qdp, options)
         } else {
@@ -291,17 +299,21 @@ impl DurableMarket {
         snapshot.write_with(vfs.as_ref(), &snapshot_path, &retry)?;
         Ok(DurableMarket {
             market,
-            wal: Mutex::new(wal),
+            wal: OrderedMutex::new(wal),
             vfs,
             retry,
-            health: RwLock::new(MarketHealth::Healthy),
+            degraded: OnceLock::new(),
             dir,
         })
     }
 
     /// Load the snapshot under `dir` and replay the log suffix it does
     /// not cover, reporting each step to the options' observer.
-    fn recover(dir: &Path, options: DurableOptions<'_>) -> Result<DurableMarket, MarketError> {
+    fn recover(
+        token: &mut Locked<'_, lock::Unlocked>,
+        dir: &Path,
+        options: DurableOptions<'_>,
+    ) -> Result<DurableMarket, MarketError> {
         let DurableOptions {
             fsync,
             vfs,
@@ -325,9 +337,9 @@ impl DurableMarket {
             .ok_or_else(|| StoreError::CorruptSnapshot("missing `ledger` section".into()))?;
         let ledger = Ledger::from_snapshot_text(ledger_text)
             .map_err(|m| StoreError::CorruptSnapshot(format!("ledger section: {m}")))?;
-        market.restore_ledger(ledger);
+        market.restore_ledger(token, ledger);
         if let Some(text) = snapshot.section("policy") {
-            market.set_policy(parse_policy(text)?);
+            market.set_policy_at(token, parse_policy(text)?);
         }
         let wal = Wal::open_with(Arc::clone(&vfs), dir.join(WAL_FILE), fsync, retry)?;
         // Compaction crash window: a crash between `wal.reset()` and the
@@ -348,16 +360,16 @@ impl DurableMarket {
         }
         observe(ReplayStep::SnapshotLoaded, &market);
         for record in wal.replay_from(snapshot.wal_pos)? {
-            apply_event(&market, &record.event, record.start)?;
+            apply_event(&market, token, &record.event, record.start)?;
             observe(ReplayStep::Applied(&record.event), &market);
         }
-        market.reset_cache();
+        market.reset_cache(token);
         Ok(DurableMarket {
             market,
-            wal: Mutex::new(wal),
+            wal: OrderedMutex::new(wal),
             vfs,
             retry,
-            health: RwLock::new(MarketHealth::Healthy),
+            degraded: OnceLock::new(),
             dir,
         })
     }
@@ -365,18 +377,21 @@ impl DurableMarket {
     /// Whether the market is accepting mutations or has degraded to
     /// read-only serving. Degradation is one-way for a given handle —
     /// recovery (reopening the directory) is the repair path.
-    // audit: holds-lock(health)
     pub fn health(&self) -> MarketHealth {
-        self.health.read().clone()
+        match self.degraded.get() {
+            None => MarketHealth::Healthy,
+            Some(reason) => MarketHealth::ReadOnly {
+                reason: reason.clone(),
+            },
+        }
     }
 
     /// Refuse mutations once degraded. Checked *before* the WAL mutex
     /// is taken so a degraded market never queues writers behind it.
-    // audit: holds-lock(health)
     fn ensure_writable(&self) -> Result<(), MarketError> {
-        match &*self.health.read() {
-            MarketHealth::Healthy => Ok(()),
-            MarketHealth::ReadOnly { reason } => Err(MarketError::Degraded(reason.clone())),
+        match self.degraded.get() {
+            None => Ok(()),
+            Some(reason) => Err(MarketError::Degraded(reason.clone())),
         }
     }
 
@@ -385,17 +400,10 @@ impl DurableMarket {
     /// to read-only serving; everything else (transient exhaustion,
     /// validation-adjacent corruption) passes through typed, leaving
     /// the market healthy.
-    // audit: holds-lock(health)
     fn degrade_on(&self, e: StoreError) -> MarketError {
-        if e.degrades_to_read_only() {
-            let mut health = self.health.write();
-            if *health == MarketHealth::Healthy {
-                *health = MarketHealth::ReadOnly {
-                    reason: e.to_string(),
-                };
-                qbdp_obs::record(qbdp_obs::Ctr::MarketHealthFlips, 1);
-                qbdp_obs::record_gauge(qbdp_obs::Gauge::HealthReadOnly, 1);
-            }
+        if e.degrades_to_read_only() && self.degraded.set(e.to_string()).is_ok() {
+            qbdp_obs::record(qbdp_obs::Ctr::MarketHealthFlips, 1);
+            qbdp_obs::record_gauge(qbdp_obs::Gauge::HealthReadOnly, 1);
         }
         MarketError::Store(e)
     }
@@ -424,23 +432,22 @@ impl DurableMarket {
     }
 
     /// Current end-of-log position (bytes).
-    // audit: holds-lock(wal)
     pub fn wal_position(&self) -> u64 {
-        self.wal.lock().position()
+        self.wal.lock(&mut Locked::root()).0.position()
     }
 
     /// Durable seller-side tuple insertion (§2.7). Logged and applied
     /// one tuple at a time so replay reproduces the exact ledger
     /// sequence; returns the number of tuples actually added (duplicates
     /// are logged but add 0, same as the in-memory market).
-    // audit: holds-lock(wal)
     pub fn insert(
         &self,
         relation: &str,
         tuples: impl IntoIterator<Item = Tuple>,
     ) -> Result<usize, MarketError> {
+        let mut root = Locked::root();
         self.ensure_writable()?;
-        let mut wal = self.wal.lock();
+        let (mut wal, mut at_wal) = self.wal.lock(&mut root);
         let mut added = 0usize;
         for tuple in tuples {
             let event = MarketEvent::InsertTuple {
@@ -448,27 +455,27 @@ impl DurableMarket {
                 values: tuple.iter().map(Value::render_literal).collect(),
             };
             wal.append(&event).map_err(|e| self.degrade_on(e))?;
-            added += self.market.insert(relation, [tuple])?;
+            added += self.market.insert_at(&mut at_wal, relation, [tuple])?;
         }
         Ok(added)
     }
 
     /// Durable seller-side price revision (`R.X=a` selector syntax).
-    // audit: holds-lock(wal)
     pub fn set_price(&self, view: &str, price: Price) -> Result<(), MarketError> {
+        let mut root = Locked::root();
         self.ensure_writable()?;
-        let mut wal = self.wal.lock();
+        let (mut wal, mut at_wal) = self.wal.lock(&mut root);
         wal.append(&MarketEvent::SetPrice {
             view: view.to_string(),
             cents: price.as_cents(),
         })
         .map_err(|e| self.degrade_on(e))?;
-        self.market.set_price(view, price)
+        self.market.set_price_at(&mut at_wal, view, price)
     }
 
     /// Durable purchase: price and evaluate *outside* the WAL mutex (the
-    /// pricing engine must never run under it — qbdp-audit rule R3),
-    /// then take the lock and revalidate before logging. The cache epoch
+    /// WAL's lock token cannot price, see [`crate::lock`]), then take
+    /// the lock and revalidate before logging. The cache epoch
     /// names the data/price snapshot the quote was derived from: every
     /// mutation bumps it, and durable mutations serialize on the WAL
     /// mutex, so an unchanged epoch observed *under* the lock proves the
@@ -481,12 +488,14 @@ impl DurableMarket {
     pub fn purchase_str(&self, query: &str) -> Result<Purchase, MarketError> {
         const RETRIES: usize = 8;
         let sw = qbdp_obs::Stopwatch::start();
+        let mut root = Locked::root();
         self.ensure_writable()?;
         // audit: bounded(fixed retry cap; each round does one pricing call)
         for _ in 0..RETRIES {
             let epoch = self.market.cache_epoch();
-            let Served { out, spans, .. } = self.market.evaluate_purchase(query);
-            let out = out.and_then(|(quote, answer)| self.log_purchase(epoch, quote, answer));
+            let Served { out, spans, .. } = self.market.evaluate_purchase(&mut root, query);
+            let out =
+                out.and_then(|(quote, answer)| self.log_purchase(&mut root, epoch, quote, answer));
             if let Some(out) = out.transpose() {
                 return Served { out, sw, spans }.observe_purchase(query);
             }
@@ -506,19 +515,24 @@ impl DurableMarket {
     /// Log and record a purchase priced while the cache epoch was
     /// `epoch`, or `Ok(None)` when a mutation slipped in since: the quote
     /// may no longer match the market and must be re-priced.
-    // audit: holds-lock(wal)
     fn log_purchase(
         &self,
+        token: &mut Locked<'_, lock::Unlocked>,
         epoch: u64,
         quote: MarketQuote,
         answer: Vec<Tuple>,
     ) -> Result<Option<Purchase>, MarketError> {
         self.ensure_writable()?;
-        let mut wal = self.wal.lock();
+        let (mut wal, mut at_wal) = self.wal.lock(token);
         if self.market.cache_epoch() != epoch {
             return Ok(None);
         }
-        if self.market.revenue().checked_add(quote.price).is_none() {
+        if self
+            .market
+            .revenue_at(&mut at_wal)
+            .checked_add(quote.price)
+            .is_none()
+        {
             return Err(MarketError::RevenueOverflow);
         }
         wal.append(&MarketEvent::Purchase {
@@ -529,6 +543,7 @@ impl DurableMarket {
         })
         .map_err(|e| self.degrade_on(e))?;
         let transaction_id = self.market.apply_recorded_sale(
+            &mut at_wal,
             quote.query.clone(),
             quote.price,
             answer.len(),
@@ -542,20 +557,23 @@ impl DurableMarket {
     }
 
     /// Durable policy change.
-    // audit: holds-lock(wal)
     pub fn set_policy(&self, policy: MarketPolicy) -> Result<(), MarketError> {
+        let mut root = Locked::root();
         self.ensure_writable()?;
-        let mut wal = self.wal.lock();
+        let (mut wal, mut at_wal) = self.wal.lock(&mut root);
         wal.append(&policy_event(&policy))
             .map_err(|e| self.degrade_on(e))?;
-        self.market.set_policy(policy);
+        self.market.set_policy_at(&mut at_wal, policy);
         Ok(())
     }
 
     /// Force the log to stable storage regardless of the fsync policy.
-    // audit: holds-lock(wal)
     pub fn sync(&self) -> Result<(), MarketError> {
-        self.wal.lock().sync().map_err(|e| self.degrade_on(e))
+        self.wal
+            .lock(&mut Locked::root())
+            .0
+            .sync()
+            .map_err(|e| self.degrade_on(e))
     }
 
     /// Write a fresh snapshot covering the whole log, then truncate the
@@ -579,19 +597,23 @@ impl DurableMarket {
     /// previous snapshot still covers the full log, and the caller may
     /// simply compact again later. Only contract-voiding faults
     /// (`ENOSPC`, fsync-poison) degrade the market to read-only.
-    // audit: holds-lock(wal)
     pub fn compact(&self) -> Result<u64, MarketError> {
         let sw = qbdp_obs::Stopwatch::start();
+        let mut root = Locked::root();
         self.ensure_writable()?;
-        let mut wal = self.wal.lock();
+        let (mut wal, mut at_wal) = self.wal.lock(&mut root);
         let covered = wal.position();
         wal.append(&MarketEvent::SnapshotMark { wal_pos: covered })
             .map_err(|e| self.degrade_on(e))?;
         wal.sync().map_err(|e| self.degrade_on(e))?;
         let mut snapshot = Snapshot::new(wal.position());
-        snapshot.push_section("market", self.market.to_qdp());
-        snapshot.push_section("ledger", self.market.with_ledger(Ledger::to_snapshot_text));
-        snapshot.push_section("policy", policy_text(&self.market.policy()));
+        snapshot.push_section("market", self.market.to_qdp_at(&mut at_wal));
+        snapshot.push_section(
+            "ledger",
+            self.market
+                .with_ledger_at(&mut at_wal, Ledger::to_snapshot_text),
+        );
+        snapshot.push_section("policy", policy_text(&self.market.policy_at(&mut at_wal)));
         let path = self.dir.join(SNAPSHOT_FILE);
         snapshot
             .write_with(self.vfs.as_ref(), &path, &self.retry)
@@ -611,10 +633,15 @@ impl DurableMarket {
 /// are skipped (they were returned to the live caller as errors and
 /// mutated nothing — see the module docs); undecodable literals and
 /// overflowing books are hard errors.
-fn apply_event(market: &Market, event: &MarketEvent, offset: u64) -> Result<(), MarketError> {
+fn apply_event(
+    market: &Market,
+    token: &mut Locked<'_, lock::Unlocked>,
+    event: &MarketEvent,
+    offset: u64,
+) -> Result<(), MarketError> {
     match event {
         MarketEvent::SetPrice { view, cents } => {
-            let _ = market.set_price(view, Price::cents(*cents));
+            let _ = market.set_price_at(token, view, Price::cents(*cents));
         }
         MarketEvent::InsertTuple { relation, values } => {
             let parsed: Option<Vec<Value>> =
@@ -622,7 +649,7 @@ fn apply_event(market: &Market, event: &MarketEvent, offset: u64) -> Result<(), 
             let Some(parsed) = parsed else {
                 return Err(corrupt(offset, "unparseable tuple literal"));
             };
-            let _ = market.insert(relation, [Tuple::new(parsed)]);
+            let _ = market.insert_at(token, relation, [Tuple::new(parsed)]);
         }
         MarketEvent::Purchase {
             query,
@@ -631,6 +658,7 @@ fn apply_event(market: &Market, event: &MarketEvent, offset: u64) -> Result<(), 
             views,
         } => {
             market.apply_recorded_sale(
+                token,
                 query.clone(),
                 Price::cents(*price_cents),
                 *answer_tuples as usize,
@@ -644,15 +672,18 @@ fn apply_event(market: &Market, event: &MarketEvent, offset: u64) -> Result<(), 
             max_in_flight,
             batch_workers,
         } => {
-            market.set_policy(MarketPolicy {
-                deadline: deadline_ms.map(Duration::from_millis),
-                fuel: *fuel,
-                sell_degraded: *sell_degraded,
-                max_in_flight: *max_in_flight as usize,
-                batch_workers: *batch_workers as usize,
-                // Not carried by the event; see `parse_policy`.
-                telemetry: false,
-            });
+            market.set_policy_at(
+                token,
+                MarketPolicy {
+                    deadline: deadline_ms.map(Duration::from_millis),
+                    fuel: *fuel,
+                    sell_degraded: *sell_degraded,
+                    max_in_flight: *max_in_flight as usize,
+                    batch_workers: *batch_workers as usize,
+                    // Not carried by the event; see `parse_policy`.
+                    telemetry: false,
+                },
+            );
         }
         MarketEvent::SnapshotMark { .. } => {}
     }

@@ -19,12 +19,14 @@
 //!
 //! Concurrency: quoting is read-only and proceeds under a shared lock;
 //! insertions take the write lock. Exact quotes are cached in a sharded,
-//! epoch-validated cache (`cache`, 16 `RwLock` shards outside the state
+//! epoch-validated cache (`cache`, 16 lock shards outside the state
 //! lock) so a quote raced by a concurrent update is never served stale,
 //! and [`market::Market::quote_batch`] prices many queries at once on a
-//! scoped worker pool ([`market::MarketPolicy::batch_workers`]). The
-//! `concurrent` test module hammers a market from multiple threads
-//! (crossbeam) to validate the locking.
+//! scoped worker pool ([`market::MarketPolicy::batch_workers`]). Every
+//! lock carries a level from [`lock`], so taking locks out of order, or
+//! pricing while the WAL, plan or a cache shard is held, fails to
+//! compile on every path that passes its caller's lock token. The `concurrent` test module hammers a market from multiple
+//! threads (crossbeam) to validate the locking.
 //!
 //! Resource governance: a [`market::MarketPolicy`] bounds each pricing
 //! call with a fuel budget and/or wall-clock deadline, caps concurrent
@@ -39,6 +41,7 @@ pub mod chaos;
 pub mod durable;
 pub mod error;
 pub mod ledger;
+pub mod lock;
 pub mod market;
 
 pub use api::MarketOps;

@@ -1,5 +1,5 @@
 //! The [`Market`]: quotes, purchases, and live updates over the pricing
-//! engine, behind a `parking_lot::RwLock`.
+//! engine, behind an ordered reader-writer lock (see [`crate::lock`]).
 //!
 //! # One quote pipeline
 //!
@@ -23,19 +23,27 @@
 //! concurrent in-flight quotes. Pricing runs inside `catch_unwind`, so a
 //! panicking engine surfaces as [`MarketError::Internal`] and the market
 //! keeps serving subsequent requests.
+//!
+//! # Locks
+//!
+//! The state lock comes first, then the plan mutex, then a cache shard;
+//! the durable layer's WAL comes before all three. Each lock carries its
+//! level from [`crate::lock`], and the pricer is reachable only through
+//! a token that may price, so the order and the rule against pricing
+//! under the WAL, the plan mutex or a shard are checked by the
+//! compiler. The state lock taken under the WAL yields a token that may
+//! not price, so the pipeline (which wants a [`lock::State`] token) and
+//! the pricer are out of reach of every durable write. Crate-internal
+//! `*_at` forms take the caller's token; their public forms mint a root
+//! token.
 
-// The workspace-wide lock hierarchy, outermost first. `wal` lives in the
-// durable layer, the rest here; any path acquiring against this order is
-// an R7 cycle at the next audit run.
-// audit: lock-order(wal < state < plan < cache-shard)
 use crate::cache::ShardedQuoteCache;
 use crate::error::MarketError;
 use crate::ledger::Ledger;
-use parking_lot::{Mutex, RwLock};
+use crate::lock::{self, LockBefore, Locked, MayPrice, OrderedMutex, OrderedRwLock};
 use qbdp_catalog::{AttrRef, Catalog, Instance, QdpFile, RelId, Tuple};
 use qbdp_core::batch::{default_workers, fan_out, panic_message};
 use qbdp_core::dichotomy::QueryClass;
-use qbdp_core::plan_cache::{Checkout, PlanEntry};
 use qbdp_core::price_points::PriceList;
 use qbdp_core::{
     price_planned, query_footprint, shape_key, Budget, PlanCache, PlanStats, Price, Pricer,
@@ -47,6 +55,7 @@ use qbdp_obs::{Ctr, Hst, Stopwatch};
 use qbdp_query::ast::ConjunctiveQuery;
 use qbdp_query::parser::parse_rule;
 use qbdp_query::pretty;
+use state::State;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -137,15 +146,80 @@ pub struct Purchase {
     pub answer: Vec<Tuple>,
 }
 
-struct State {
-    pricer: Pricer,
-    ledger: Ledger,
-    policy: MarketPolicy,
+mod state {
+    use super::MarketPolicy;
+    use crate::ledger::Ledger;
+    use crate::lock::{Locked, MayPrice};
+    use qbdp_catalog::{Catalog, Instance, RelId, Tuple};
+    use qbdp_core::consistency::ListArbitrage;
+    use qbdp_core::price_points::PriceList;
+    use qbdp_core::{Price, Pricer, PricingError};
+    use qbdp_determinacy::selection::SelectionView;
+
+    /// What the state lock guards. The pricer is private to this
+    /// module: reaching it takes a token that may price, and the
+    /// reference borrows that token, so it cannot stay alive across a
+    /// plan or shard lock taken under it. Inserts and price revisions,
+    /// which do not price, go through their own ungated methods, so a
+    /// write applied under the WAL never holds a `&mut Pricer`.
+    pub(super) struct State {
+        pricer: Pricer,
+        pub(super) ledger: Ledger,
+        pub(super) policy: MarketPolicy,
+    }
+
+    impl State {
+        pub(super) fn new(pricer: Pricer) -> State {
+            State {
+                pricer,
+                ledger: Ledger::new(),
+                policy: MarketPolicy::default(),
+            }
+        }
+
+        /// The pricer, for a thread that may price.
+        pub(super) fn pricer<'x>(&'x self, _token: &'x Locked<'_, impl MayPrice>) -> &'x Pricer {
+            &self.pricer
+        }
+
+        /// Insert tuples into one relation ([`Pricer::insert`]).
+        pub(super) fn insert(
+            &mut self,
+            rel: RelId,
+            tuples: impl IntoIterator<Item = Tuple>,
+        ) -> Result<usize, PricingError> {
+            self.pricer.insert(rel, tuples)
+        }
+
+        /// Revise one view's price ([`Pricer::revise_price`]).
+        pub(super) fn revise_price(
+            &mut self,
+            view: SelectionView,
+            price: Price,
+        ) -> Result<(), ListArbitrage> {
+            self.pricer.revise_price(view, price)
+        }
+
+        /// The catalog, for schema lookups.
+        pub(super) fn catalog(&self) -> &Catalog {
+            self.pricer.catalog()
+        }
+
+        /// The instance, for serialization.
+        pub(super) fn instance(&self) -> &Instance {
+            self.pricer.instance()
+        }
+
+        /// The price list, for receipts.
+        pub(super) fn prices(&self) -> &PriceList {
+            self.pricer.prices()
+        }
+    }
 }
 
 /// A thread-safe, query-priced data marketplace.
 pub struct Market {
-    state: RwLock<State>,
+    state: OrderedRwLock<State, lock::State>,
     /// Quote cache keyed by the *rendered* query (canonical form). Lives
     /// outside the state lock — lookups and fills take only a per-shard
     /// lock — and is kept coherent with the data via per-column epoch
@@ -159,7 +233,7 @@ pub struct Market {
     /// only to check a plan out or in; pricing with a plan happens while
     /// the pipeline holds the state lock, so the plans it patches always
     /// describe the live catalog/instance.
-    plan: Mutex<PlanCache>,
+    plan: OrderedMutex<PlanCache, lock::Plan>,
     in_flight: AtomicUsize,
 }
 
@@ -301,13 +375,9 @@ impl Market {
         }
         let columns = pricer.catalog().schema().all_attrs();
         Ok(Market {
-            state: RwLock::new(State {
-                pricer,
-                ledger: Ledger::new(),
-                policy: MarketPolicy::default(),
-            }),
+            state: OrderedRwLock::new(State::new(pricer)),
             cache: ShardedQuoteCache::new(columns),
-            plan: Mutex::new(PlanCache::new()),
+            plan: OrderedMutex::new(PlanCache::new()),
             in_flight: AtomicUsize::new(0),
         })
     }
@@ -315,16 +385,29 @@ impl Market {
     /// Replace the market's resource policy. The `telemetry` flag is
     /// applied to the process-wide `qbdp-obs` switch here — the one
     /// place serving policy and recording policy meet.
-    // audit: holds-lock(state)
     pub fn set_policy(&self, policy: MarketPolicy) {
+        self.set_policy_at(&mut Locked::root(), policy);
+    }
+
+    pub(crate) fn set_policy_at(
+        &self,
+        token: &mut Locked<'_, impl LockBefore<lock::State>>,
+        policy: MarketPolicy,
+    ) {
         qbdp_obs::set_enabled(policy.telemetry);
-        self.state.write().policy = policy;
+        self.state.write(token).0.policy = policy;
     }
 
     /// The current resource policy.
-    // audit: holds-lock(state)
     pub fn policy(&self) -> MarketPolicy {
-        self.state.read().policy
+        self.policy_at(&mut Locked::root())
+    }
+
+    pub(crate) fn policy_at(
+        &self,
+        token: &mut Locked<'_, impl LockBefore<lock::State>>,
+    ) -> MarketPolicy {
+        self.state.read(token).0.policy
     }
 
     /// Claim `slots` admission slots atomically, or refuse with
@@ -378,10 +461,10 @@ impl Market {
     /// job gets the policy's per-quote fuel; the wall-clock deadline is
     /// shared across the batch. Exact quotes (cache hits and fresh ones)
     /// are served from / fill the sharded cache.
-    // audit: holds-lock(state)
     pub fn quote_batch(&self, queries: &[&str]) -> Vec<Result<MarketQuote, MarketError>> {
-        let state = self.state.read();
-        let served = self.pipeline(&state, queries, |_, quote| Ok(quote));
+        let mut root = Locked::root();
+        let (state, mut at_state) = self.state.read(&mut root);
+        let served = self.pipeline(&state, &mut at_state, queries, |_, quote, _| Ok(quote));
         drop(state);
         served
             .into_iter()
@@ -390,14 +473,20 @@ impl Market {
             .collect()
     }
 
-    /// The quote pipeline (see the module docs). Slots are positionally
-    /// aligned with `queries`; each finished quote is passed to
-    /// `deliver`, still under admission.
+    /// The quote pipeline (see the module docs), run under the state
+    /// lock `at_state` proves. Slots are positionally aligned with
+    /// `queries`; each finished quote is passed to `deliver`, still
+    /// under admission.
     fn pipeline<T>(
         &self,
         state: &State,
+        at_state: &mut Locked<'_, lock::State>,
         queries: &[&str],
-        deliver: impl Fn(&ConjunctiveQuery, MarketQuote) -> Result<T, MarketError>,
+        deliver: impl Fn(
+            &ConjunctiveQuery,
+            MarketQuote,
+            &Locked<'_, lock::State>,
+        ) -> Result<T, MarketError>,
     ) -> Vec<Served<T>> {
         let clocks: Vec<Stopwatch> = queries.iter().map(|_| Stopwatch::start()).collect();
         let Ok(_admitted) = self.admit(queries.len(), state.policy.max_in_flight) else {
@@ -410,7 +499,7 @@ impl Market {
                 })
                 .collect();
         };
-        let schema = state.pricer.catalog().schema();
+        let schema = state.catalog().schema();
         // Parse every query and serve what the cache already has. Each
         // miss carries its *own* footprint stamp, computed at its own
         // lookup under the state lock: it names exactly the data
@@ -440,7 +529,7 @@ impl Market {
             let key = pretty::render(&q, schema);
             let hit = {
                 let mut span = trace::span("cache_lookup");
-                let hit = self.cache.get(&key);
+                let hit = self.cache.get(at_state, &key);
                 span.detail(if hit.is_some() { "hit" } else { "miss" });
                 hit
             };
@@ -449,7 +538,7 @@ impl Market {
                 spans.push(trace::finish());
                 continue;
             }
-            let footprint = query_footprint(state.pricer.catalog(), &q);
+            let footprint = query_footprint(state.catalog(), &q);
             let stamp = self.cache.stamp(&footprint);
             misses.push((i, key, footprint, stamp));
             // The trace follows the miss onto its pool worker.
@@ -465,10 +554,13 @@ impl Market {
                 n => n,
             };
             let budgets = state.policy.budget_for(jobs.len() as u64).split(jobs.len());
-            let jobs: Vec<_> = jobs.into_iter().zip(budgets).collect();
-            let priced = fan_out(jobs, workers, |((q, parked), budget)| {
+            // Each job runs under this thread's state lock, so it gets a
+            // state-level token of its own.
+            let tokens = at_state.fork(jobs.len());
+            let jobs: Vec<_> = jobs.into_iter().zip(budgets).zip(tokens).collect();
+            let priced = fan_out(jobs, workers, |(((q, parked), budget), mut token)| {
                 trace::resume(parked);
-                let quote = self.price_miss(&state.pricer, &q, &budget);
+                let quote = self.price_miss(state, &mut token, &q, &budget);
                 (q, quote, trace::finish())
             });
             for ((i, key, footprint, stamp), done) in misses.into_iter().zip(priced) {
@@ -480,7 +572,8 @@ impl Market {
                     .and_then(|quote| Self::finish_quote(state, &q, quote))
                     .map(|quote| {
                         if quote.quality.is_exact() {
-                            self.cache.insert(key, quote.clone(), footprint, stamp);
+                            self.cache
+                                .insert(at_state, key, quote.clone(), footprint, stamp);
                         }
                         (q, quote)
                     });
@@ -491,48 +584,39 @@ impl Market {
             .zip(slots)
             .zip(spans)
             .map(|((sw, slot), spans)| Served {
-                out: slot.and_then(|(q, quote)| deliver(&q, quote)),
+                out: slot.and_then(|(q, quote)| deliver(&q, quote, at_state)),
                 sw,
                 spans,
             })
             .collect()
     }
 
-    /// Price one quote-cache miss: the only place the market prices.
-    /// A fuel or deadline policy prices cold under its budget, so
-    /// degraded `[lower, upper]` intervals never depend on the plan
-    /// cache. An unlimited budget goes through the plan cache — the
-    /// shape's plan is checked out, priced with no lock held, and
-    /// checked back in. Panics are contained here, on whichever thread
-    /// the job runs.
+    /// Price one quote-cache miss under the state lock: the only place
+    /// the market prices. A fuel or deadline policy prices cold under
+    /// its budget, so degraded `[lower, upper]` intervals never depend
+    /// on the plan cache. An unlimited budget goes through the plan
+    /// cache — the shape's plan is checked out, priced with the plan
+    /// mutex released, and checked back in. Panics are contained here,
+    /// on whichever thread the job runs.
     fn price_miss(
         &self,
-        pricer: &Pricer,
+        state: &State,
+        token: &mut Locked<'_, lock::State>,
         q: &ConjunctiveQuery,
         budget: &Budget,
     ) -> Result<qbdp_core::Quote, MarketError> {
         if budget.is_limited() {
+            let pricer = state.pricer(token);
             return contain_panic(|| pricer.price_cq_within(q, budget));
         }
         let key = shape_key(q);
-        let checkout = self.checkout_plan(&key);
+        let checkout = self.plan.lock(token).0.checkout(&key);
+        let pricer = state.pricer(token);
         let (quote, plan) = contain_panic(|| price_planned(pricer, q, checkout))?;
         if let Some(plan) = plan {
-            self.checkin_plan(key, plan);
+            self.plan.lock(token).0.checkin(key, plan);
         }
         Ok(quote)
-    }
-
-    /// Take shape `key`'s plan-cache state out under the plan mutex.
-    // audit: holds-lock(plan)
-    fn checkout_plan(&self, key: &str) -> Checkout {
-        self.plan.lock().checkout(key)
-    }
-
-    /// Put a priced plan back under the plan mutex.
-    // audit: holds-lock(plan)
-    fn checkin_plan(&self, key: String, plan: Box<PlanEntry>) {
-        self.plan.lock().checkin(key, plan);
     }
 
     /// Apply market policy to a raw engine quote and dress it up for the
@@ -548,11 +632,11 @@ impl Market {
         if !quote.quality.is_exact() && !state.policy.sell_degraded {
             return Err(MarketError::DeadlineExceeded);
         }
-        let schema = state.pricer.catalog().schema();
+        let schema = state.catalog().schema();
         let receipt = quote
             .views
             .iter()
-            .map(|v| format!("{} @ {}", v.display(schema), state.pricer.prices().get(v)))
+            .map(|v| format!("{} @ {}", v.display(schema), state.prices().get(v)))
             .collect();
         Ok(MarketQuote {
             query: pretty::render(q, schema),
@@ -569,22 +653,29 @@ impl Market {
     /// The sorted answer a purchase of `q` delivers. Evaluation runs the
     /// same buyer-controlled query the pricing engine priced, so a panic
     /// here is contained exactly like a pricing panic.
-    fn answer(state: &State, q: &ConjunctiveQuery) -> Result<Vec<Tuple>, MarketError> {
-        let mut answer: Vec<Tuple> =
-            contain_panic(|| qbdp_query::eval::eval_cq(q, state.pricer.instance()))?
-                .into_iter()
-                .collect();
+    fn answer(
+        state: &State,
+        token: &Locked<'_, impl MayPrice>,
+        q: &ConjunctiveQuery,
+    ) -> Result<Vec<Tuple>, MarketError> {
+        let instance = state.pricer(token).instance();
+        let mut answer: Vec<Tuple> = contain_panic(|| qbdp_query::eval::eval_cq(q, instance))?
+            .into_iter()
+            .collect();
         answer.sort();
         Ok(answer)
     }
 
     /// Purchase a query (datalog syntax): quote, evaluate, record, deliver.
-    // audit: holds-lock(state)
     pub fn purchase_str(&self, query: &str) -> Result<Purchase, MarketError> {
-        let mut state = self.state.write();
-        let Served { out, sw, spans } = only(self.pipeline(&state, &[query], |q, quote| {
-            Ok((quote, Self::answer(&state, q)?))
-        }));
+        let mut root = Locked::root();
+        let (mut state, mut at_state) = self.state.write(&mut root);
+        let Served { out, sw, spans } = only(self.pipeline(
+            &state,
+            &mut at_state,
+            &[query],
+            |q, quote, at_state| Ok((quote, Self::answer(&state, at_state, q)?)),
+        ));
         let out = out.map(|(quote, answer)| {
             let transaction_id = state.ledger.record_sale(
                 quote.query.clone(),
@@ -604,23 +695,30 @@ impl Market {
 
     /// Seller-side data insertion (§2.7). Prices stay fixed; consistency is
     /// automatic for selection-view lists.
-    // audit: holds-lock(state)
-    // audit: holds-lock(plan)
     pub fn insert(
         &self,
         relation: &str,
         tuples: impl IntoIterator<Item = Tuple>,
     ) -> Result<usize, MarketError> {
-        let mut state = self.state.write();
+        self.insert_at(&mut Locked::root(), relation, tuples)
+    }
+
+    pub(crate) fn insert_at(
+        &self,
+        token: &mut Locked<
+            '_,
+            impl LockBefore<lock::State, Next: LockBefore<lock::Plan> + LockBefore<lock::Shard>>,
+        >,
+        relation: &str,
+        tuples: impl IntoIterator<Item = Tuple>,
+    ) -> Result<usize, MarketError> {
+        let (mut state, mut at_state) = self.state.write(token);
         let rel: RelId = state
-            .pricer
             .catalog()
             .schema()
             .rel_id(relation)
             .ok_or_else(|| MarketError::Update(format!("unknown relation {relation}")))?;
         let added = state
-            .pricer
-            // audit: allow(R7: core's instance-data insert — a name collision with the durable market's `insert`, no lock behind it)
             .insert(rel, tuples)
             .map_err(|e| MarketError::Update(e.to_string()))?;
         // Invalidate while still holding the write lock, so the epoch
@@ -631,10 +729,10 @@ impl Market {
         // tuples; quotes over disjoint relations stay cached. Plans are
         // evicted rather than patched: new tuples change the flow
         // network's topology, not just its capacities.
-        let arity = state.pricer.catalog().schema().relation(rel).arity();
+        let arity = state.catalog().schema().relation(rel).arity();
         let touched: Vec<AttrRef> = (0..arity).map(|i| AttrRef::new(rel, i as u32)).collect();
-        self.cache.invalidate_columns(&touched);
-        self.plan.lock().invalidate_rels(&[rel]);
+        self.cache.invalidate_columns(&mut at_state, &touched);
+        self.plan.lock(&mut at_state).0.invalidate_rels(&[rel]);
         state.ledger.record_update(relation.to_string(), added);
         Ok(added)
     }
@@ -642,7 +740,7 @@ impl Market {
     /// Number of quotes currently held in the sharded cache (inspection
     /// aid; the count is momentary under concurrency).
     pub fn cached_quotes(&self) -> usize {
-        self.cache.len()
+        self.cache.len(&mut Locked::root())
     }
 
     /// The quote cache's current mutation generation: 0 for a fresh (or
@@ -657,89 +755,111 @@ impl Market {
 
     /// Counters from the incremental pricing engine: plan-cache hits,
     /// misses, builds, warm reprices, flow fallbacks, and evictions.
-    // audit: holds-lock(plan)
     pub fn plan_stats(&self) -> PlanStats {
-        self.plan.lock().stats()
+        self.plan.lock(&mut Locked::root()).0.stats()
     }
 
     /// Clear the quote and plan caches and rewind every epoch to 0
     /// (recovery epilogue). Plans are rebuilt lazily from the recovered
     /// catalog/instance by the same first-miss-cold rule as a fresh
     /// market's.
-    // audit: holds-lock(plan)
-    pub(crate) fn reset_cache(&self) {
-        self.cache.reset();
-        self.plan.lock().clear();
+    pub(crate) fn reset_cache<P: LockBefore<lock::Plan> + LockBefore<lock::Shard>>(
+        &self,
+        token: &mut Locked<'_, P>,
+    ) {
+        self.cache.reset(token);
+        self.plan.lock(token).0.clear();
     }
 
     /// Quote and evaluate a purchase without recording it — the durable
     /// path splits purchasing into (price, log, apply) so the WAL entry
     /// is written *between* pricing and the ledger mutation, then closes
     /// the telemetry with [`Served::observe`].
-    // audit: holds-lock(state)
-    pub(crate) fn evaluate_purchase(&self, query: &str) -> Served<(MarketQuote, Vec<Tuple>)> {
-        let state = self.state.read();
-        only(self.pipeline(&state, &[query], |q, quote| {
-            Ok((quote, Self::answer(&state, q)?))
-        }))
+    pub(crate) fn evaluate_purchase(
+        &self,
+        token: &mut Locked<'_, lock::Unlocked>,
+        query: &str,
+    ) -> Served<(MarketQuote, Vec<Tuple>)> {
+        let (state, mut at_state) = self.state.read(token);
+        only(
+            self.pipeline(&state, &mut at_state, &[query], |q, quote, at_state| {
+                Ok((quote, Self::answer(&state, at_state, q)?))
+            }),
+        )
     }
 
     /// Record a sale whose terms are already known (durable live path
     /// and WAL replay), with checked revenue arithmetic.
-    // audit: holds-lock(state)
     pub(crate) fn apply_recorded_sale(
         &self,
+        token: &mut Locked<'_, impl LockBefore<lock::State>>,
         query: String,
         price: Price,
         answer_tuples: usize,
         views: usize,
     ) -> Result<u64, MarketError> {
-        let mut state = self.state.write();
-        state
+        self.state
+            .write(token)
+            .0
             .ledger
             .record_sale_checked(query, price, answer_tuples, views)
             .ok_or(MarketError::RevenueOverflow)
     }
 
     /// Replace the ledger wholesale (snapshot restore).
-    // audit: holds-lock(state)
-    pub(crate) fn restore_ledger(&self, ledger: Ledger) {
-        self.state.write().ledger = ledger;
+    pub(crate) fn restore_ledger(
+        &self,
+        token: &mut Locked<'_, impl LockBefore<lock::State>>,
+        ledger: Ledger,
+    ) {
+        self.state.write(token).0.ledger = ledger;
     }
 
     /// Snapshot of the running revenue.
-    // audit: holds-lock(state)
     pub fn revenue(&self) -> Price {
-        self.state.read().ledger.revenue()
+        self.revenue_at(&mut Locked::root())
+    }
+
+    pub(crate) fn revenue_at(&self, token: &mut Locked<'_, impl LockBefore<lock::State>>) -> Price {
+        self.state.read(token).0.ledger.revenue()
     }
 
     /// Number of completed sales.
-    // audit: holds-lock(state)
     pub fn sales(&self) -> usize {
-        self.state.read().ledger.sales()
+        self.state.read(&mut Locked::root()).0.ledger.sales()
     }
 
     /// Run a closure over the ledger (snapshot access without cloning).
-    // audit: holds-lock(state)
     pub fn with_ledger<R>(&self, f: impl FnOnce(&Ledger) -> R) -> R {
-        f(&self.state.read().ledger)
+        self.with_ledger_at(&mut Locked::root(), f)
+    }
+
+    pub(crate) fn with_ledger_at<R>(
+        &self,
+        token: &mut Locked<'_, impl LockBefore<lock::State>>,
+        f: impl FnOnce(&Ledger) -> R,
+    ) -> R {
+        f(&self.state.read(token).0.ledger)
     }
 
     /// Run a closure over the pricer (schema/catalog introspection).
-    // audit: holds-lock(state)
     pub fn with_pricer<R>(&self, f: impl FnOnce(&Pricer) -> R) -> R {
-        f(&self.state.read().pricer)
+        let mut root = Locked::root();
+        let (state, at_state) = self.state.read(&mut root);
+        f(state.pricer(&at_state))
     }
 
     /// A full explanation of a quote (class, engine, itemized receipt).
-    // audit: holds-lock(state)
+    /// Priced like any cache miss, but neither served from nor added to
+    /// the quote cache.
     pub fn explain_str(&self, query: &str) -> Result<String, MarketError> {
-        let state = self.state.read();
+        let mut root = Locked::root();
+        let (state, mut at_state) = self.state.read(&mut root);
         let _slot = self.admit(1, state.policy.max_in_flight)?;
-        let q = parse_rule(state.pricer.catalog().schema(), query)?;
+        let q = parse_rule(state.catalog().schema(), query)?;
         let budget = state.policy.budget_for(1);
-        let quote = contain_panic(|| state.pricer.price_cq_within(&q, &budget))?;
-        Ok(quote.explain(state.pricer.catalog(), state.pricer.prices()))
+        let quote = self.price_miss(&state, &mut at_state, &q, &budget)?;
+        Ok(quote.explain(state.catalog(), state.prices()))
     }
 
     /// Seller-side price revision: set (or add) the price of one selection
@@ -747,22 +867,29 @@ impl Market {
     /// (Proposition 3.2, checked on the view's relation only) or the
     /// update is rejected and nothing changes. Quotes whose footprint
     /// holds the revised column are re-derived from the new list.
-    // audit: holds-lock(state)
     pub fn set_price(&self, view: &str, price: Price) -> Result<(), MarketError> {
-        let mut state = self.state.write();
+        self.set_price_at(&mut Locked::root(), view, price)
+    }
+
+    pub(crate) fn set_price_at(
+        &self,
+        token: &mut Locked<'_, impl LockBefore<lock::State, Next: LockBefore<lock::Shard>>>,
+        view: &str,
+        price: Price,
+    ) -> Result<(), MarketError> {
+        let (mut state, mut at_state) = self.state.write(token);
         // `view` syntax: `R.X=a`.
         let (attr, value) = view.split_once('=').ok_or_else(|| {
             MarketError::Update(format!("price selector must be `R.X=a`, got `{view}`"))
         })?;
         let aref = state
-            .pricer
             .catalog()
             .schema()
             .resolve_attr(attr.trim())
             .map_err(|e| MarketError::Update(e.to_string()))?;
         let value = qbdp_catalog::Value::parse_literal(value)
             .ok_or_else(|| MarketError::Update(format!("bad value in `{view}`")))?;
-        if !state.pricer.catalog().column(aref).contains(&value) {
+        if !state.catalog().column(aref).contains(&value) {
             return Err(MarketError::Update(format!(
                 "value {value} is outside the column of {attr}"
             )));
@@ -770,32 +897,33 @@ impl Market {
         // Re-check Prop 3.2 on the revised relation only; a rejected
         // revision leaves the list untouched.
         state
-            .pricer
             .revise_price(SelectionView::new(aref, value), price)
-            .map_err(|v| MarketError::InconsistentPrices(v.display(state.pricer.catalog())))?;
+            .map_err(|v| MarketError::InconsistentPrices(v.display(state.catalog())))?;
         // Only quotes whose footprint contains the revised column can
         // change; everything disjoint stays cached. The plan cache needs
         // no eviction here — it diffs its stored price vector against
         // the live one on every lookup and warm-starts (or rebuilds)
         // itself when they differ.
-        self.cache.invalidate_columns(&[aref]);
+        self.cache.invalidate_columns(&mut at_state, &[aref]);
         Ok(())
     }
 
     /// Serialize the market's current state (catalog, data, prices) back to
     /// `.qdp` text — reopening it reproduces the same prices.
-    // audit: holds-lock(state)
     pub fn to_qdp(&self) -> String {
-        let state = self.state.read();
-        let pricer = &state.pricer;
-        let prices = pricer
+        self.to_qdp_at(&mut Locked::root())
+    }
+
+    pub(crate) fn to_qdp_at(&self, token: &mut Locked<'_, impl LockBefore<lock::State>>) -> String {
+        let state = self.state.read(token).0;
+        let prices = state
             .prices()
             .iter()
             .map(|(v, p)| (v.attr, v.value, p.as_cents()))
             .collect();
         let file = QdpFile {
-            catalog: pricer.catalog().clone(),
-            instance: pricer.instance().clone(),
+            catalog: state.catalog().clone(),
+            instance: state.instance().clone(),
             prices,
         };
         file.to_text()

@@ -20,14 +20,19 @@
 //!
 //! Captures happen only on rare, already-slow outcomes (a degraded
 //! quote has burnt its whole budget; a contended purchase has retried
-//! eight times), so this module uses a plain `std::sync::Mutex` and is
-//! **not** part of the `record*` namespace audit rule R6 polices. The
-//! wait-free guarantee covers the per-quote hot path, not the crash
-//! dump.
+//! eight times), so this module uses a plain `std::sync::Mutex`: the
+//! crate's one lock, `#[expect]`ed against the `disallowed_types` rule
+//! in `crates/obs/clippy.toml`. The never-wait guarantee covers the
+//! per-quote `record*` path, not the crash dump; a unit test holds the
+//! ring and checks that every record call still returns.
 
 use crate::metrics::{record, Ctr};
 use crate::trace::Span;
 use std::sync::atomic::{AtomicU64, Ordering};
+#[expect(
+    clippy::disallowed_types,
+    reason = "the flight ring is captured only on rare failure paths, never by `record*`"
+)]
 use std::sync::Mutex;
 
 /// Ring capacity: enough tail context to debug a bad minute, small
@@ -78,6 +83,10 @@ pub struct FlightRecord {
 }
 
 static SEQ: AtomicU64 = AtomicU64::new(0);
+#[expect(
+    clippy::disallowed_types,
+    reason = "the flight ring is captured only on rare failure paths, never by `record*`"
+)]
 static RING: Mutex<Vec<FlightRecord>> = Mutex::new(Vec::new());
 /// Quotes at least this slow are captured even when healthy.
 /// `u64::MAX` (the default) disables slow-capture.
@@ -161,7 +170,8 @@ pub fn to_jsonl(records: &[FlightRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::set_enabled;
+    use crate::metrics::{record_gauge, record_hist, set_enabled, Gauge, Hst, Stopwatch};
+    use std::time::Duration;
 
     fn span(name: &'static str) -> Span {
         Span {
@@ -202,6 +212,28 @@ mod tests {
             dumped.windows(2).all(|w| w[0].seq + 1 == w[1].seq),
             "sequence stays dense inside the ring"
         );
+    }
+
+    /// The record path never waits: with the ring held, every
+    /// `record*` call (and the stopwatch that feeds them) still returns.
+    #[test]
+    fn record_path_never_waits_on_the_ring() {
+        let _g = crate::test_guard();
+        set_enabled(true);
+        let ring = RING.lock().unwrap_or_else(|e| e.into_inner());
+        let (done, finished) = std::sync::mpsc::channel();
+        let recorder = std::thread::spawn(move || {
+            record(Ctr::FlightCaptures, 1);
+            record_gauge(Gauge::InFlight, 1);
+            record_hist(Hst::QuoteLatencyUs, 1);
+            Stopwatch::start().stop(Hst::QuoteLatencyUs);
+            done.send(()).ok();
+        });
+        let returned = finished.recv_timeout(Duration::from_secs(5));
+        drop(ring);
+        recorder.join().unwrap();
+        set_enabled(false);
+        assert!(returned.is_ok(), "a record call waited on the flight ring");
     }
 
     #[test]

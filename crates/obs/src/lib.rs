@@ -6,9 +6,11 @@
 //! telemetry substrate:
 //!
 //! * [`metrics`] — a **static registry** of counters, gauges, and
-//!   log₂-bucketed latency histograms. The record path is wait-free:
+//!   log₂-bucketed latency histograms. The record path never waits:
 //!   per-thread shards of plain atomics, merged only on read. No lock is
-//!   ever taken to record (audit rule R6 enforces this structurally).
+//!   ever taken to record: `crates/obs/clippy.toml` disallows `Mutex`
+//!   and `RwLock` in this crate, with the flight ring as the one
+//!   `#[expect]`ed exception.
 //! * [`trace`] — per-quote **span trees**: each pricing stage (cache
 //!   lookup, plan-cache diff, normalization, flow solve, hitting set)
 //!   records its wall time, outcome, and budget fuel into a thread-local
@@ -17,7 +19,8 @@
 //!   every slow, degraded, contended, or panicking quote is retained in a
 //!   small ring for post-hoc dumping (`qbdp stats --flight`). Capture
 //!   happens only on those rare outcomes, so it may take a lock — it is
-//!   deliberately *not* part of the `record*` namespace R6 polices.
+//!   deliberately *not* on the `record*` path, and a unit test holds the
+//!   ring while every `record*` call returns.
 //! * [`export`] — Prometheus text format and machine-readable JSON over
 //!   any [`metrics::Registry`] (the CLI's `qbdp stats`, and
 //!   `MarketOps::metrics_snapshot()` for a future `/metrics` endpoint).
@@ -55,6 +58,10 @@ pub use metrics::{
 /// the flight ring: the crate's test binary runs tests in parallel, and
 /// those globals are shared.
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "test-only: serializes tests over process-global state, off the record path"
+)]
 pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())

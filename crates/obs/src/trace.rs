@@ -15,8 +15,8 @@
 //! A quote whose pricing moves to a batch worker carries its trace
 //! along: [`suspend`] parks the buffer in a value, the worker
 //! [`resume`]s it, so one quote is one span tree whichever threads
-//! served it. Nothing here ever takes a lock (R6 applies: these are
-//! `record*` paths by construction).
+//! served it. Nothing here ever takes a lock (`crates/obs/clippy.toml`
+//! disallows them: spans are `record*` paths by construction).
 //!
 //! The market drives the lifecycle: [`begin`] before pricing,
 //! [`finish`] after, then either discards the spans (fast healthy

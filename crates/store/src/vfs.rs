@@ -529,7 +529,9 @@ impl FaultState {
 /// The deterministic fault injector. Wraps the real filesystem; see the
 /// module docs for the fault model and the durability shadow. Cloning
 /// is cheap and shares the fault state — handles, the store, and the
-/// chaos driver all see one injector.
+/// chaos driver all see one injector. Its mutex is the crate's only
+/// lock, and `qbdp-store` does not depend on the pricing engine, so no
+/// path can price, or take a second lock, while holding it.
 #[derive(Clone, Debug)]
 pub struct FaultFs {
     state: Arc<Mutex<FaultState>>,
@@ -548,13 +550,11 @@ impl FaultFs {
 
     // A poisoned mutex only means another thread panicked mid-update of
     // bookkeeping that the next reader can still use; recover the guard.
-    // audit: holds-lock(vfs-state)
     fn locked(&self) -> MutexGuard<'_, FaultState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Replace the armed fault plan (keeps the durability shadow).
-    // audit: holds-lock(vfs-state)
     pub fn set_plan(&self, plan: FaultPlan) {
         let mut s = self.locked();
         s.script = plan.script;
@@ -568,20 +568,17 @@ impl FaultFs {
     }
 
     /// Human-readable log of every fault injected so far.
-    // audit: holds-lock(vfs-state)
     pub fn injected_faults(&self) -> Vec<String> {
         self.locked().injected.clone()
     }
 
     /// How many faults have been injected so far.
-    // audit: holds-lock(vfs-state)
     pub fn injected_count(&self) -> usize {
         self.locked().injected.len()
     }
 
     /// Whether a torn write has cut the power (everything fails until
     /// [`FaultFs::simulate_crash`]).
-    // audit: holds-lock(vfs-state)
     pub fn powered_off(&self) -> bool {
         self.locked().powered_off
     }
@@ -596,7 +593,6 @@ impl FaultFs {
     ///
     /// Callers must drop every open handle first: restoring rewrites
     /// the files on disk underneath them.
-    // audit: holds-lock(vfs-state)
     pub fn simulate_crash(&self, seed: u64) -> io::Result<()> {
         let mut s = self.locked();
         let mut rng = SplitMix64::new(seed);
@@ -659,7 +655,6 @@ impl FaultFs {
 
     /// Flip bits at `offset` of the on-disk (and durable) image of
     /// `path` — post-crash bit-rot, for exercising CRC detection.
-    // audit: holds-lock(vfs-state)
     pub fn corrupt_byte(&self, path: &Path, offset: u64, xor: u8) -> io::Result<()> {
         let mut s = self.locked();
         let mut bytes = std::fs::read(path)?;
@@ -687,12 +682,10 @@ struct FaultFile {
 }
 
 impl FaultFile {
-    // audit: holds-lock(vfs-state)
     fn decide(&self, op: FaultOp, write_len: usize) -> Verdict {
         self.fs.locked().decide(op, &self.path, write_len)
     }
 
-    // audit: holds-lock(vfs-state)
     fn fsync(&mut self, all: bool) -> io::Result<()> {
         match self.decide(FaultOp::Fsync, 0) {
             Verdict::Proceed => {}
@@ -714,7 +707,6 @@ impl FaultFile {
 }
 
 impl VfsFile for FaultFile {
-    // audit: holds-lock(vfs-state)
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
         match self.decide(FaultOp::Write, buf.len()) {
             Verdict::Proceed => self.inner.write_all(buf),
@@ -741,7 +733,6 @@ impl VfsFile for FaultFile {
     fn sync_all(&mut self) -> io::Result<()> {
         self.fsync(true)
     }
-    // audit: holds-lock(vfs-state)
     fn set_len(&mut self, len: u64) -> io::Result<()> {
         match self.decide(FaultOp::SetLen, 0) {
             Verdict::Proceed => self.inner.set_len(len),
@@ -754,7 +745,6 @@ impl VfsFile for FaultFile {
 }
 
 impl Vfs for FaultFs {
-    // audit: holds-lock(vfs-state)
     fn open_rw(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
         {
             let mut s = self.locked();
@@ -777,7 +767,6 @@ impl Vfs for FaultFs {
         }))
     }
 
-    // audit: holds-lock(vfs-state)
     fn create_file(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
         {
             let mut s = self.locked();
@@ -798,7 +787,6 @@ impl Vfs for FaultFs {
         }))
     }
 
-    // audit: holds-lock(vfs-state)
     fn read_file(&self, path: &Path) -> io::Result<Vec<u8>> {
         {
             let mut s = self.locked();
@@ -811,7 +799,6 @@ impl Vfs for FaultFs {
         std::fs::read(path)
     }
 
-    // audit: holds-lock(vfs-state)
     fn rename_file(&self, from: &Path, to: &Path) -> io::Result<()> {
         let mut s = self.locked();
         s.track(from);
@@ -838,7 +825,6 @@ impl Vfs for FaultFs {
         Ok(())
     }
 
-    // audit: holds-lock(vfs-state)
     fn remove_file(&self, path: &Path) -> io::Result<()> {
         let mut s = self.locked();
         if s.powered_off {
@@ -853,7 +839,6 @@ impl Vfs for FaultFs {
         Ok(())
     }
 
-    // audit: holds-lock(vfs-state)
     fn create_dir_all(&self, path: &Path) -> io::Result<()> {
         if self.locked().powered_off {
             return Err(io::Error::other("simulated power loss"));
@@ -861,7 +846,6 @@ impl Vfs for FaultFs {
         std::fs::create_dir_all(path)
     }
 
-    // audit: holds-lock(vfs-state)
     fn sync_dir(&self, dir: &Path) -> io::Result<()> {
         let mut s = self.locked();
         match s.decide(FaultOp::SyncDir, dir, 0) {
@@ -875,7 +859,6 @@ impl Vfs for FaultFs {
         Ok(())
     }
 
-    // audit: holds-lock(vfs-state)
     fn exists(&self, path: &Path) -> bool {
         if self.locked().powered_off {
             return false;
