@@ -55,6 +55,30 @@ impl Catalog {
         &self.columns[rel.0 as usize]
     }
 
+    /// This catalog with the column of `attr` replaced by `column`; every
+    /// other column is shared.
+    pub fn with_column(&self, attr: AttrRef, column: Column) -> Catalog {
+        let mut columns = self.columns.clone();
+        columns[attr.rel.0 as usize][attr.attr.0 as usize] = column;
+        Catalog {
+            schema: self.schema.clone(),
+            columns,
+        }
+    }
+
+    /// This catalog with attribute `pos` of `rel` removed, matching
+    /// [`Instance::project_out`]: every relation keeps its id, `rel`'s
+    /// later attributes move down one position, and every column is
+    /// shared.
+    pub fn without_position(&self, rel: RelId, pos: usize) -> Result<Catalog, CatalogError> {
+        let schema = Arc::new(self.schema.without_position(rel, pos)?);
+        let mut columns = self.columns.clone();
+        if let Some(cols) = columns.get_mut(rel.0 as usize).filter(|c| pos < c.len()) {
+            cols.remove(pos);
+        }
+        Catalog::new(schema, columns)
+    }
+
     /// An empty instance over this catalog's schema.
     pub fn empty_instance(&self) -> Instance {
         Instance::empty(self.schema.clone())
@@ -198,6 +222,32 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn column_rewrites_share_the_rest() {
+        let c = small_catalog();
+        let r = c.schema().rel_id("R").unwrap();
+        let s = c.schema().rel_id("S").unwrap();
+        let sy = AttrRef::new(s, 1);
+        let shrunk = c.with_column(sy, Column::int_range(0, 1));
+        assert_eq!(shrunk.column(sy).len(), 1);
+        assert_eq!(c.column(sy).len(), 3);
+        assert!(Arc::ptr_eq(shrunk.schema(), c.schema()));
+        assert_eq!(
+            shrunk.column(AttrRef::new(r, 0)),
+            c.column(AttrRef::new(r, 0))
+        );
+
+        let dropped = c.without_position(s, 0).unwrap();
+        assert_eq!(dropped.schema().relation(s).attrs(), &["Y"]);
+        assert_eq!(dropped.column(AttrRef::new(s, 0)).len(), 3);
+        assert_eq!(dropped.sigma_size(), 2 + 3);
+        // The schema matches the projected instance's.
+        let projected = c.empty_instance().project_out(s, 0).unwrap();
+        assert_eq!(dropped.schema(), projected.schema());
+        // A relation cannot lose its only attribute.
+        assert!(c.without_position(r, 0).is_err());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::error::CatalogError;
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::schema::{AttrId, RelId, RelationSchema, Schema};
+use crate::schema::{AttrId, RelId, Schema};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::sync::Arc;
@@ -181,16 +181,7 @@ impl Instance {
     /// each projected tuple in insertion order, and every other relation
     /// is shared.
     pub fn project_out(&self, rel: RelId, pos: usize) -> Result<Instance, CatalogError> {
-        let mut schema = Schema::new();
-        for (rid, r) in self.schema.iter() {
-            let attrs = r
-                .attrs()
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| rid != rel || i != pos)
-                .map(|(_, a)| a.clone());
-            schema.add_relation(RelationSchema::new(r.name(), attrs)?)?;
-        }
+        let schema = self.schema.without_position(rel, pos)?;
         let mut projected = Relation::with_arity(schema.relation(rel).arity());
         for t in self.relation(rel).iter() {
             projected.insert(t.without_position(pos));

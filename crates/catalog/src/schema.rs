@@ -181,6 +181,22 @@ impl Schema {
         format!("{}.{}", rel.name(), rel.attr_name(a.attr))
     }
 
+    /// This schema with attribute `pos` of `rel` removed; every relation
+    /// keeps its id, and `rel`'s later attributes move down one position.
+    pub(crate) fn without_position(&self, rel: RelId, pos: usize) -> Result<Schema, CatalogError> {
+        let mut schema = Schema::new();
+        for (rid, r) in self.iter() {
+            let attrs = r
+                .attrs()
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| rid != rel || i != pos)
+                .map(|(_, a)| a.clone());
+            schema.add_relation(RelationSchema::new(r.name(), attrs)?)?;
+        }
+        Ok(schema)
+    }
+
     /// All attribute positions of all relations, in schema order.
     pub fn all_attrs(&self) -> Vec<AttrRef> {
         let mut out = Vec::new();

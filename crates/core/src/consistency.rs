@@ -77,10 +77,11 @@ pub fn relation_arbitrage(
     let covers: Vec<Price> = (0..arity)
         .map(|pos| {
             let attr = AttrRef::new(rel, pos as u32);
+            let listed = prices.prices_on(attr);
             catalog
                 .column(attr)
                 .iter()
-                .map(|v| revised(attr, v).unwrap_or_else(|| prices.get_at(attr, v)))
+                .map(|v| revised(attr, v).unwrap_or_else(|| listed(v)))
                 .sum()
         })
         .collect();

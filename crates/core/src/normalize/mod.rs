@@ -18,6 +18,22 @@
 //! Each reduced view keeps **provenance**: the original views a purchase of
 //! it stands for, so quotes can always be expressed against the seller's
 //! real price list.
+//!
+//! # What a step copies
+//!
+//! A step copies only what it rewrites. The [`Instance`] shares every
+//! relation a step leaves alone, and the [`PriceList`] and [`Provenance`]
+//! share every attribute's map (see their docs). So Step 1 copies the
+//! columns and prices of the attributes its predicates shrink and the
+//! tuples of their relations, Step 2 the merged attribute's prices and its
+//! relation's tuples, and Step 3 the free attribute's prices. Dropping an
+//! attribute copies the projected relation's tuples and moves the later
+//! positions' maps down without copying them ([`drop_attribute`]). By
+//! Lemma 3.1 every rewrite stays inside the relation it names, so the
+//! untouched relations reach the flow network as the very tuples and
+//! price maps the pricer holds. Each step still builds a new [`Catalog`]
+//! (its columns shared) and a new query, and dropping an attribute builds
+//! a new schema.
 
 pub mod step1_predicates;
 pub mod step2_repeated;
@@ -25,15 +41,23 @@ pub mod step3_hanging;
 
 use crate::error::PricingError;
 use crate::price_points::PriceList;
-use qbdp_catalog::{AttrRef, Catalog, Column, FxHashMap, Instance, Value};
+use qbdp_catalog::{AttrRef, Catalog, FxHashMap, Instance, RelId, Value};
 use qbdp_determinacy::selection::SelectionView;
 use qbdp_query::ast::ConjunctiveQuery;
+use std::sync::Arc;
 
 /// Maps a view of the *reduced* problem to the original views it stands
-/// for. Absent keys map to themselves (the common case: untouched views).
+/// for. A view resolves through, in order: an explicit entry for it (Step
+/// 2's minima, Step 3's free covers), the rename of its attribute (an
+/// attribute that [`drop_attribute`] shifted stands for the same value of
+/// its original attribute), or itself. Explicit entries are kept per
+/// attribute behind an [`Arc`], like a [`PriceList`]'s prices, so cloning a
+/// provenance copies no entry.
 #[derive(Clone, Debug, Default)]
 pub struct Provenance {
-    map: FxHashMap<(AttrRef, Value), Vec<SelectionView>>,
+    map: FxHashMap<AttrRef, Arc<FxHashMap<Value, Vec<SelectionView>>>>,
+    /// Reduced attribute → the original attribute it was shifted from.
+    renames: FxHashMap<AttrRef, AttrRef>,
 }
 
 impl Provenance {
@@ -45,14 +69,32 @@ impl Provenance {
     /// Record that reduced view `(attr, value)` stands for `originals`
     /// (empty = "already paid for elsewhere", e.g. Step 3's free covers).
     pub fn record(&mut self, attr: AttrRef, value: Value, originals: Vec<SelectionView>) {
-        self.map.insert((attr, value), originals);
+        Arc::make_mut(self.map.entry(attr).or_default()).insert(value, originals);
     }
 
     /// Resolve a reduced view to original views.
     pub fn resolve(&self, view: &SelectionView) -> Vec<SelectionView> {
-        match self.map.get(&(view.attr, view.value.clone())) {
-            Some(orig) => orig.clone(),
-            None => vec![view.clone()],
+        if let Some(orig) = self.map.get(&view.attr).and_then(|m| m.get(&view.value)) {
+            return orig.clone();
+        }
+        let attr = self.renames.get(&view.attr).copied().unwrap_or(view.attr);
+        vec![SelectionView::new(attr, view.value.clone())]
+    }
+
+    /// Project position `pos` out of relation `rel` (of arity `arity`):
+    /// its entries are dropped, and each later position moves down one,
+    /// keeping its entries and recording one rename back to the original
+    /// attribute.
+    fn drop_position(&mut self, rel: RelId, pos: usize, arity: usize) {
+        let at = |p: usize| AttrRef::new(rel, p as u32);
+        self.map.remove(&at(pos));
+        self.renames.remove(&at(pos));
+        for p in pos + 1..arity {
+            if let Some(m) = self.map.remove(&at(p)) {
+                self.map.insert(at(p - 1), m);
+            }
+            let original = self.renames.remove(&at(p)).unwrap_or(at(p));
+            self.renames.insert(at(p - 1), original);
         }
     }
 }
@@ -90,12 +132,16 @@ impl Problem {
     }
 }
 
-/// Rebuild a problem's catalog/instance/prices with one attribute removed
-/// from one relation (the projection underlying Step 3 and — via collapse —
-/// Step 2). Returns the new pieces plus the [`AttrRef`] remap function's
-/// data: all other relations keep their ids and positions; positions after
-/// `drop_pos` within `rel` shift down by one. Only `rel`'s tuples are
-/// copied; every other relation is shared with `instance`.
+/// A problem's catalog, instance, prices and provenance with attribute
+/// `drop_pos` of `rel` projected away (the projection underlying Step 3
+/// and — via collapse — Step 2). Every relation keeps its id; positions
+/// after `drop_pos` within `rel` shift down by one.
+///
+/// Only `rel`'s tuples are copied. The dropped attribute's prices and
+/// provenance entries are removed, and the shifted attributes' maps move
+/// to their new positions still shared with the inputs, each recording one
+/// rename back to its original attribute. Every other relation, column,
+/// price map and provenance entry is shared.
 ///
 /// The query is **not** rewritten here — callers rewrite atoms themselves,
 /// because what replaces the dropped position differs per step.
@@ -104,68 +150,16 @@ pub fn drop_attribute(
     instance: &Instance,
     prices: &PriceList,
     provenance: &Provenance,
-    rel: qbdp_catalog::RelId,
+    rel: RelId,
     drop_pos: usize,
 ) -> Result<(Catalog, Instance, PriceList, Provenance), PricingError> {
-    // The projected instance's schema — `rel` without `drop_pos` — is the
-    // new catalog's.
+    let arity = catalog.schema().relation(rel).arity();
     let new_instance = instance.project_out(rel, drop_pos)?;
-    let columns: Vec<Vec<Column>> = catalog
-        .schema()
-        .rel_ids()
-        .map(|rid| {
-            catalog
-                .relation_columns(rid)
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| rid != rel || i != drop_pos)
-                .map(|(_, c)| c.clone())
-                .collect()
-        })
-        .collect();
-    let new_catalog = Catalog::new(new_instance.schema().clone(), columns)?;
-
-    // Remap prices and provenance: same relation ids; shifted positions.
-    let remap = |attr: AttrRef| -> Option<AttrRef> {
-        if attr.rel != rel {
-            return Some(attr);
-        }
-        let pos = attr.attr.0 as usize;
-        match pos.cmp(&drop_pos) {
-            std::cmp::Ordering::Less => Some(attr),
-            std::cmp::Ordering::Equal => None,
-            std::cmp::Ordering::Greater => Some(AttrRef::new(rel, (pos - 1) as u32)),
-        }
-    };
-    let mut new_prices = PriceList::new();
-    for (view, price) in prices.iter() {
-        if let Some(attr) = remap(view.attr) {
-            new_prices.set(SelectionView::new(attr, view.value), price);
-        }
-    }
-    let mut new_prov = Provenance::identity();
-    for ((attr, value), originals) in &provenance.map {
-        if let Some(attr) = remap(*attr) {
-            new_prov.record(attr, value.clone(), originals.clone());
-        }
-    }
-    // Shifted positions that had *identity* provenance must now point back
-    // to their original (unshifted) selves explicitly.
-    let r_arity = catalog.schema().relation(rel).arity();
-    for pos in drop_pos + 1..r_arity {
-        let old_attr = AttrRef::new(rel, pos as u32);
-        let new_attr = AttrRef::new(rel, (pos - 1) as u32);
-        for v in catalog.column(old_attr).iter() {
-            if !provenance.map.contains_key(&(old_attr, v.clone())) {
-                new_prov.record(
-                    new_attr,
-                    v.clone(),
-                    vec![SelectionView::new(old_attr, v.clone())],
-                );
-            }
-        }
-    }
-
+    let new_catalog = catalog.without_position(rel, drop_pos)?;
+    let mut new_prices = prices.clone();
+    new_prices.drop_position(rel, drop_pos, arity);
+    let mut new_prov = provenance.clone();
+    new_prov.drop_position(rel, drop_pos, arity);
     Ok((new_catalog, new_instance, new_prices, new_prov))
 }
 
@@ -173,7 +167,166 @@ pub fn drop_attribute(
 mod tests {
     use super::*;
     use crate::money::Price;
-    use qbdp_catalog::{tuple, CatalogBuilder};
+    use qbdp_catalog::{tuple, CatalogBuilder, Column};
+
+    /// `R(A, B, B2, C)` and `T(C)`, priced unevenly, with
+    /// `Q(a, b, c) :- R(a, b, b, c), T(c), b > 0`: Step 1 shrinks `R.B` and
+    /// `R.B2`, Step 2 merges them, and Step 3 branches on the hanging `a`
+    /// and `b`. `T` is never rewritten.
+    fn two_relation_fixture() -> Problem {
+        let cat = CatalogBuilder::new()
+            .relation(
+                "R",
+                &[
+                    ("A", Column::int_range(0, 3)),
+                    ("B", Column::int_range(0, 3)),
+                    ("B2", Column::int_range(1, 4)),
+                    ("C", Column::int_range(0, 2)),
+                ],
+            )
+            .relation("T", &[("C", Column::int_range(0, 2))])
+            .build()
+            .unwrap();
+        let r = cat.schema().rel_id("R").unwrap();
+        let t = cat.schema().rel_id("T").unwrap();
+        let mut d = cat.empty_instance();
+        d.insert_all(
+            r,
+            [
+                tuple![0, 1, 1, 0],
+                tuple![1, 2, 2, 1],
+                tuple![2, 2, 3, 1],
+                tuple![0, 0, 1, 0],
+            ],
+        )
+        .unwrap();
+        d.insert_all(t, [tuple![0], tuple![1]]).unwrap();
+        let mut prices = PriceList::uniform(&cat, Price::dollars(4));
+        for (pos, v, dollars) in [(1, 1, 2), (2, 2, 1), (2, 3, 1), (0, 2, 3)] {
+            prices.set(
+                SelectionView::new(AttrRef::new(r, pos), Value::Int(v)),
+                Price::dollars(dollars),
+            );
+        }
+        let q = qbdp_query::parser::parse_rule(
+            cat.schema(),
+            "Q(a, b, c) :- R(a, b, b, c), T(c), b > 0",
+        )
+        .unwrap();
+        Problem::new(cat, d, prices, q)
+    }
+
+    /// Every view of a branch's reduced problem: its price and what it
+    /// resolves to, one line per view, in catalog order.
+    fn resolve_table(problem: &Problem) -> Vec<String> {
+        let show = |v: &SelectionView| format!("{}.{}={}", v.attr.rel.0, v.attr.attr.0, v.value);
+        let mut lines = Vec::new();
+        for attr in problem.catalog.schema().all_attrs() {
+            for value in problem.catalog.column(attr).iter() {
+                let view = SelectionView::new(attr, value.clone());
+                let resolved: Vec<String> =
+                    problem.provenance.resolve(&view).iter().map(show).collect();
+                lines.push(format!(
+                    "{} {} -> [{}]",
+                    show(&view),
+                    problem.prices.get(&view),
+                    resolved.join(", ")
+                ));
+            }
+        }
+        lines
+    }
+
+    /// Steps 1–3 copy only what they rewrite: `T`'s tuples and prices stay
+    /// the input's, each shifted attribute is one rename, and every view
+    /// resolves as it did when each step rebuilt the whole problem (the
+    /// expected tables were recorded from that implementation).
+    #[test]
+    fn steps_share_untouched_maps_and_resolve_as_before() {
+        let input = two_relation_fixture();
+        let r = input.catalog.schema().rel_id("R").unwrap();
+        let t = input.catalog.schema().rel_id("T").unwrap();
+        let t_prices = Arc::clone(input.prices.attr_prices(AttrRef::new(t, 0)).unwrap());
+        let t_tuples: *const _ = input.instance.relation(t);
+        let shared = |p: &Problem| {
+            Arc::ptr_eq(p.prices.attr_prices(AttrRef::new(t, 0)).unwrap(), &t_prices)
+                && std::ptr::eq(p.instance.relation(t), t_tuples)
+        };
+
+        let p = step1_predicates::apply(input).unwrap();
+        assert!(shared(&p));
+        let p = step2_repeated::apply(p).unwrap();
+        assert!(shared(&p));
+        // Step 2 dropped `R.B2`: `R.C` moved from position 3 to 2 as one
+        // rename, and the only explicit entries are the merged minima.
+        assert_eq!(p.provenance.renames.len(), 1);
+        assert_eq!(
+            p.provenance.renames.get(&AttrRef::new(r, 2)),
+            Some(&AttrRef::new(r, 3))
+        );
+        assert_eq!(p.provenance.map.len(), 1);
+        assert_eq!(
+            resolve_table(&p),
+            [
+                "0.0=0 $4.00 -> [0.0=0]",
+                "0.0=1 $4.00 -> [0.0=1]",
+                "0.0=2 $3.00 -> [0.0=2]",
+                "0.1=1 $2.00 -> [0.1=1]",
+                "0.1=2 $1.00 -> [0.2=2]",
+                "0.2=0 $4.00 -> [0.3=0]",
+                "0.2=1 $4.00 -> [0.3=1]",
+                "1.0=0 $4.00 -> [1.0=0]",
+                "1.0=1 $4.00 -> [1.0=1]",
+            ]
+        );
+
+        let free = [
+            "0.0=0 $0.00 -> []",
+            "0.0=1 $0.00 -> []",
+            "1.0=0 $4.00 -> [1.0=0]",
+            "1.0=1 $4.00 -> [1.0=1]",
+        ];
+        let expected: [(Price, &[&str], [&str; 4]); 4] = [
+            (
+                Price::dollars(14),
+                &["0.0=0", "0.0=1", "0.0=2", "0.1=1", "0.2=2"],
+                free,
+            ),
+            (Price::dollars(11), &["0.0=0", "0.0=1", "0.0=2"], free),
+            (Price::dollars(3), &["0.1=1", "0.2=2"], free),
+            (
+                Price::ZERO,
+                &[],
+                [
+                    "0.0=0 $4.00 -> [0.3=0]",
+                    "0.0=1 $4.00 -> [0.3=1]",
+                    "1.0=0 $4.00 -> [1.0=0]",
+                    "1.0=1 $4.00 -> [1.0=1]",
+                ],
+            ),
+        ];
+        let branches = step3_hanging::branches(p).unwrap();
+        assert_eq!(branches.len(), expected.len());
+        for (b, (cost, views, table)) in branches.iter().zip(expected) {
+            assert!(shared(&b.problem));
+            assert_eq!(b.base_cost, cost);
+            let mut bought: Vec<String> = b
+                .base_views
+                .iter()
+                .map(|v| format!("{}.{}={}", v.attr.rel.0, v.attr.attr.0, v.value))
+                .collect();
+            bought.sort();
+            assert_eq!(bought, views);
+            assert_eq!(resolve_table(&b.problem), table);
+            // `R` is down to `R(C)`: one rename, whatever was shifted on
+            // the way, and explicit entries only for a free cover.
+            assert_eq!(b.problem.provenance.renames.len(), 1);
+            assert_eq!(
+                b.problem.provenance.map.len(),
+                usize::from(cost > Price::ZERO)
+            );
+        }
+    }
 
     #[test]
     fn drop_attribute_projects_everything() {

@@ -13,8 +13,7 @@
 
 use super::Problem;
 use crate::error::PricingError;
-use crate::price_points::PriceList;
-use qbdp_catalog::{AttrRef, Catalog, Column};
+use qbdp_catalog::{AttrRef, RelId};
 use qbdp_query::analysis;
 use qbdp_query::ast::{Atom, ConjunctiveQuery, Pred, PredAtom, Term, Var};
 
@@ -93,65 +92,43 @@ fn shrink_by_predicates(problem: Problem) -> Result<Problem, PricingError> {
         }
     }
 
-    // Rebuild the catalog with shrunk columns.
-    let old_schema = problem.catalog.schema();
-    let mut columns: Vec<Vec<Column>> = Vec::with_capacity(old_schema.len());
-    for (rid, rel) in old_schema.iter() {
-        let mut rel_cols = Vec::with_capacity(rel.arity());
-        for pos in 0..rel.arity() {
-            let attr = AttrRef::new(rid, pos as u32);
-            let col = problem.catalog.column(attr);
-            let col = match shrink.iter().find(|(a, _)| *a == attr) {
-                None => col.clone(),
-                Some((_, preds)) => {
-                    let mut err: Option<PricingError> = None;
-                    let filtered = col.filter(|v| {
-                        preds.iter().all(|p| match p.eval(v) {
-                            Ok(b) => b,
-                            Err(e) => {
-                                err = Some(e.into());
-                                false
-                            }
-                        })
-                    });
-                    if let Some(e) = err {
-                        return Err(e);
-                    }
-                    filtered
+    // Shrink each predicated attribute's column, and drop its prices on
+    // the removed values. Every other column and price map is shared.
+    let mut catalog = problem.catalog;
+    let mut prices = problem.prices;
+    for (attr, preds) in &shrink {
+        let mut err: Option<PricingError> = None;
+        let column = catalog.column(*attr).filter(|v| {
+            preds.iter().all(|p| match p.eval(v) {
+                Ok(b) => b,
+                Err(e) => {
+                    err = Some(e.into());
+                    false
                 }
-            };
-            rel_cols.push(col);
-        }
-        columns.push(rel_cols);
-    }
-    let catalog = Catalog::new(old_schema.clone(), columns)?;
-
-    // Filter the relations whose columns shrank to the new columns; every
-    // other relation already satisfies its columns and is shared.
-    let mut instance = problem.instance.clone();
-    for (rid, rel) in old_schema.iter() {
-        if !shrink.iter().any(|(a, _)| a.rel == rid) {
-            continue;
-        }
-        instance.retain(rid, |t| {
-            (0..rel.arity()).all(|pos| {
-                catalog
-                    .column(AttrRef::new(rid, pos as u32))
-                    .contains(t.get(pos))
             })
         });
-    }
-
-    // Drop prices on removed values.
-    let mut prices = PriceList::new();
-    for (view, price) in problem.prices.iter() {
-        if catalog.column(view.attr).contains(&view.value) {
-            prices.set(view, price);
+        if let Some(e) = err {
+            return Err(e);
         }
+        prices.retain_on(*attr, |v| column.contains(v));
+        catalog = catalog.with_column(*attr, column);
     }
 
-    // Provenance: shrinking does not rename views.
-    let provenance = problem.provenance.clone();
+    // Filter the shrunk relations on their shrunk positions: the other
+    // positions already lie in their columns, and every other relation is
+    // shared.
+    let mut instance = problem.instance;
+    let mut rels: Vec<RelId> = shrink.iter().map(|(a, _)| a.rel).collect();
+    rels.sort();
+    rels.dedup();
+    for rel in rels {
+        instance.retain(rel, |t| {
+            shrink
+                .iter()
+                .filter(|(a, _)| a.rel == rel)
+                .all(|(a, _)| catalog.column(*a).contains(t.get(a.attr.0 as usize)))
+        });
+    }
 
     // The query with predicates erased.
     let query =
@@ -164,7 +141,8 @@ fn shrink_by_predicates(problem: Problem) -> Result<Problem, PricingError> {
         instance,
         prices,
         query,
-        provenance,
+        // Shrinking does not rename views.
+        provenance: problem.provenance,
     })
 }
 
@@ -172,8 +150,9 @@ fn shrink_by_predicates(problem: Problem) -> Result<Problem, PricingError> {
 mod tests {
     use super::*;
     use crate::money::Price;
+    use crate::price_points::PriceList;
     use qbdp_catalog::Value;
-    use qbdp_catalog::{tuple, CatalogBuilder};
+    use qbdp_catalog::{tuple, CatalogBuilder, Column};
     use qbdp_query::parser::parse_rule;
 
     fn setup(query: &str) -> Problem {

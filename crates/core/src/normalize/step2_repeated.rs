@@ -9,7 +9,7 @@
 
 use super::{drop_attribute, Problem};
 use crate::error::PricingError;
-use qbdp_catalog::{AttrRef, Column};
+use qbdp_catalog::{AttrRef, Column, FxHashMap};
 use qbdp_determinacy::selection::SelectionView;
 use qbdp_query::ast::{Atom, Term};
 
@@ -60,19 +60,7 @@ fn collapse(
         .column(attr_a)
         .intersect(problem.catalog.column(attr_b));
 
-    // Rebuild the catalog with position a's column replaced.
-    let old_schema = problem.catalog.schema();
-    let columns = old_schema
-        .rel_ids()
-        .map(|rid| {
-            let mut cols = problem.catalog.relation_columns(rid).to_vec();
-            if rid == rel {
-                cols[pos_a] = col_ab.clone();
-            }
-            cols
-        })
-        .collect();
-    let catalog = qbdp_catalog::Catalog::new(old_schema.clone(), columns)?;
+    let catalog = problem.catalog.with_column(attr_a, col_ab.clone());
 
     // 2. Restrict the relation to the diagonal (t[a] == t[b], within the
     //    intersected column); every other relation is shared.
@@ -83,16 +71,14 @@ fn collapse(
 
     // 3. Price minima on the merged position, with provenance to whichever
     //    original view is cheaper.
-    let mut prices = problem.prices.clone();
+    let mut minima = FxHashMap::default();
     let mut provenance = problem.provenance.clone();
-    prices.remove_attr(attr_a);
-    prices.remove_attr(attr_b);
     for v in col_ab.iter() {
         let pa = problem.prices.get_at(attr_a, v);
         let pb = problem.prices.get_at(attr_b, v);
         let (min, chosen_attr) = if pa <= pb { (pa, attr_a) } else { (pb, attr_b) };
         if min.is_finite() {
-            prices.set(SelectionView::new(attr_a, v.clone()), min);
+            minima.insert(v.clone(), min);
             // Resolve through any existing provenance of the chosen view.
             let orig = problem
                 .provenance
@@ -100,6 +86,9 @@ fn collapse(
             provenance.record(attr_a, v.clone(), orig);
         }
     }
+    let mut prices = problem.prices.clone();
+    prices.replace_attr(attr_a, minima);
+    prices.remove_attr(attr_b);
 
     // 4. Rewrite the query: drop position b from the atom. (Other atoms on
     //    the same relation would break this — Step 2 is only used on

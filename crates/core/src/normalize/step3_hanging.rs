@@ -139,11 +139,10 @@ fn expand(
         // don't erase the freebie.
         let free_pos = choose_free_position(&reduced.query, atom_idx);
         let free_attr = AttrRef::new(rel, free_pos as u32);
-        reduced.prices.remove_attr(free_attr);
+        reduced
+            .prices
+            .set_attr_uniform(&reduced.catalog, free_attr, Price::ZERO);
         for v in reduced.catalog.column(free_attr).iter() {
-            reduced
-                .prices
-                .set(SelectionView::new(free_attr, v.clone()), Price::ZERO);
             reduced.provenance.record(free_attr, v.clone(), Vec::new());
         }
         if !expand(

@@ -14,6 +14,7 @@ use qbdp_catalog::{AttrRef, Catalog, FxHashMap, RelId, Value};
 use qbdp_determinacy::selection::{SelectionView, ViewSet};
 use qbdp_query::ast::Ucq;
 use qbdp_query::bundle::Bundle;
+use std::sync::Arc;
 
 /// The views sold by one price point.
 #[derive(Clone, Debug)]
@@ -170,11 +171,22 @@ impl PriceSchedule {
     }
 }
 
+/// One attribute's prices: column value → price.
+type AttrPrices = FxHashMap<Value, Price>;
+
 /// The §3 price list: individual prices on selection views, `p : Σ → ℝ⁺`
 /// (partial; missing ⇒ not for sale).
+///
+/// Each attribute's prices sit behind an [`Arc`], so cloning a list costs
+/// one reference count per priced attribute, and a write copies an
+/// attribute's map only while another list still shares it. The
+/// normalization steps lean on this: they replace the maps of the
+/// attributes they shrink, merge or give out free, move the maps of the
+/// attributes they shift, and share every other map with the pricer's
+/// list.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PriceList {
-    prices: FxHashMap<AttrRef, FxHashMap<Value, Price>>,
+    prices: FxHashMap<AttrRef, Arc<AttrPrices>>,
     len: usize,
 }
 
@@ -184,21 +196,31 @@ impl PriceList {
         PriceList::default()
     }
 
-    /// Price every selection view in `Σ` uniformly (common in synthetic
-    /// workloads and in Example 3.8, where every view costs $1).
-    pub fn uniform(catalog: &Catalog, price: Price) -> Self {
+    /// Assemble a list from unshared per-attribute maps, wrapping each
+    /// once. Empty maps are left out.
+    fn from_maps(maps: impl IntoIterator<Item = (AttrRef, AttrPrices)>) -> Self {
         let mut pl = PriceList::new();
-        for attr in catalog.schema().all_attrs() {
-            for v in catalog.column(attr).iter() {
-                pl.set(SelectionView::new(attr, v.clone()), price);
+        for (attr, m) in maps {
+            if !m.is_empty() {
+                pl.len += m.len();
+                pl.prices.insert(attr, Arc::new(m));
             }
         }
         pl
     }
 
+    /// Price every selection view in `Σ` uniformly (common in synthetic
+    /// workloads and in Example 3.8, where every view costs $1).
+    pub fn uniform(catalog: &Catalog, price: Price) -> Self {
+        PriceList::from_maps(catalog.schema().all_attrs().into_iter().map(|attr| {
+            let m = catalog.column(attr).iter().map(|v| (v.clone(), price));
+            (attr, m.collect())
+        }))
+    }
+
     /// Set the price of one view; replaces any previous price.
     pub fn set(&mut self, view: SelectionView, price: Price) -> &mut Self {
-        let slot = self.prices.entry(view.attr).or_default();
+        let slot = Arc::make_mut(self.prices.entry(view.attr).or_default());
         if slot.insert(view.value, price).is_none() {
             self.len += 1;
         }
@@ -207,14 +229,15 @@ impl PriceList {
 
     /// Remove a view from sale. Returns whether it was priced.
     pub fn remove(&mut self, view: &SelectionView) -> bool {
-        let removed = self
-            .prices
-            .get_mut(&view.attr)
-            .is_some_and(|m| m.remove(&view.value).is_some());
-        if removed {
-            self.len -= 1;
+        let Some(m) = self.prices.get_mut(&view.attr) else {
+            return false;
+        };
+        if !m.contains_key(&view.value) {
+            return false;
         }
-        removed
+        Arc::make_mut(m).remove(&view.value);
+        self.len -= 1;
+        true
     }
 
     /// Remove every price on an attribute (Step 3, branch "not covered").
@@ -224,13 +247,62 @@ impl PriceList {
         }
     }
 
+    /// Replace every price on an attribute with `prices` (Step 2's minima,
+    /// Step 3's free cover).
+    pub(crate) fn replace_attr(&mut self, attr: AttrRef, prices: AttrPrices) {
+        self.remove_attr(attr);
+        if !prices.is_empty() {
+            self.len += prices.len();
+            self.prices.insert(attr, Arc::new(prices));
+        }
+    }
+
+    /// Keep only the prices on `attr` whose value satisfies `keep` (Step 1).
+    /// When every value survives, the attribute's map stays shared.
+    pub(crate) fn retain_on(&mut self, attr: AttrRef, mut keep: impl FnMut(&Value) -> bool) {
+        let Some(m) = self.prices.get(&attr) else {
+            return;
+        };
+        if m.keys().all(&mut keep) {
+            return;
+        }
+        let kept: AttrPrices = m
+            .iter()
+            .filter(|&(v, _)| keep(v))
+            .map(|(v, p)| (v.clone(), *p))
+            .collect();
+        self.replace_attr(attr, kept);
+    }
+
+    /// Project position `pos` out of relation `rel` (of arity `arity`):
+    /// its prices are removed and the later positions' maps move down by
+    /// one, still shared.
+    pub(crate) fn drop_position(&mut self, rel: RelId, pos: usize, arity: usize) {
+        self.remove_attr(AttrRef::new(rel, pos as u32));
+        for p in pos + 1..arity {
+            if let Some(m) = self.prices.remove(&AttrRef::new(rel, p as u32)) {
+                self.prices.insert(AttrRef::new(rel, (p - 1) as u32), m);
+            }
+        }
+    }
+
+    /// The shared map behind one attribute's prices, if any is priced.
+    #[cfg(test)]
+    pub(crate) fn attr_prices(&self, attr: AttrRef) -> Option<&Arc<AttrPrices>> {
+        self.prices.get(&attr)
+    }
+
+    /// The price lookup for one attribute, which finds the attribute's map
+    /// once for any number of values ([`Price::INFINITE`] when not for
+    /// sale).
+    pub(crate) fn prices_on(&self, attr: AttrRef) -> impl '_ + Fn(&Value) -> Price {
+        let m = self.prices.get(&attr);
+        move |v| m.and_then(|m| m.get(v)).copied().unwrap_or(Price::INFINITE)
+    }
+
     /// Price of a view; [`Price::INFINITE`] when not for sale.
     pub fn get(&self, view: &SelectionView) -> Price {
-        self.prices
-            .get(&view.attr)
-            .and_then(|m| m.get(&view.value))
-            .copied()
-            .unwrap_or(Price::INFINITE)
+        self.get_at(view.attr, &view.value)
     }
 
     /// Whether a view is on the list (at any price).
@@ -242,11 +314,7 @@ impl PriceList {
 
     /// Price of `σ_{attr=value}`.
     pub fn get_at(&self, attr: AttrRef, value: &Value) -> Price {
-        self.prices
-            .get(&attr)
-            .and_then(|m| m.get(value))
-            .copied()
-            .unwrap_or(Price::INFINITE)
+        self.prices_on(attr)(value)
     }
 
     /// Number of priced views.
@@ -262,11 +330,7 @@ impl PriceList {
     /// The price of the **full cover** `Σ_{R.X}` — the sum over all column
     /// values; `INFINITE` if any value is unpriced.
     pub fn full_cover_price(&self, catalog: &Catalog, attr: AttrRef) -> Price {
-        catalog
-            .column(attr)
-            .iter()
-            .map(|v| self.get_at(attr, v))
-            .sum()
+        catalog.column(attr).iter().map(self.prices_on(attr)).sum()
     }
 
     /// Whether relation `R` is (indirectly) for sale: some attribute's full
@@ -327,23 +391,22 @@ impl PriceList {
             .flat_map(|m| m.iter().map(|(v, p)| (v, *p)))
     }
 
-    /// Set all views of an attribute (over the catalog's column) to a fixed
-    /// price. `Price::ZERO` encodes "given out for free" in Step 3's
-    /// full-cover branch.
+    /// Price every view of an attribute (over the catalog's column) at one
+    /// fixed price, replacing the attribute's previous prices. `Price::ZERO`
+    /// encodes "given out for free" in Step 3's full-cover branch.
     pub fn set_attr_uniform(&mut self, catalog: &Catalog, attr: AttrRef, price: Price) {
-        for v in catalog.column(attr).iter() {
-            self.set(SelectionView::new(attr, v.clone()), price);
-        }
+        let column = catalog.column(attr).iter();
+        self.replace_attr(attr, column.map(|v| (v.clone(), price)).collect());
     }
 }
 
 impl FromIterator<(SelectionView, Price)> for PriceList {
     fn from_iter<T: IntoIterator<Item = (SelectionView, Price)>>(iter: T) -> Self {
-        let mut pl = PriceList::new();
+        let mut maps: FxHashMap<AttrRef, AttrPrices> = FxHashMap::default();
         for (v, p) in iter {
-            pl.set(v, p);
+            maps.entry(v.attr).or_default().insert(v.value, p);
         }
-        pl
+        PriceList::from_maps(maps)
     }
 }
 
@@ -418,6 +481,136 @@ mod tests {
         pl.set_attr_uniform(&c, sy, Price::ZERO);
         assert_eq!(pl.full_cover_price(&c, sy), Price::ZERO);
         assert_eq!(pl.views_on(sy).count(), 2);
+    }
+
+    /// A clone shares every attribute's map, and a write to one copy —
+    /// through any mutator — never shows in the other.
+    #[test]
+    fn clones_are_isolated_copy_on_write() {
+        let c = cat();
+        let rx = c.schema().resolve_attr("R.X").unwrap();
+        let sx = c.schema().resolve_attr("S.X").unwrap();
+        let sy = c.schema().resolve_attr("S.Y").unwrap();
+        let base = PriceList::uniform(&c, Price::dollars(1));
+        let snapshot: Vec<(SelectionView, Price)> = {
+            let mut v: Vec<_> = base.iter().collect();
+            v.sort_by(|a, b| a.0.cmp(&b.0));
+            v
+        };
+        let unchanged = |pl: &PriceList| {
+            let mut v: Vec<_> = pl.iter().collect();
+            v.sort_by(|a, b| a.0.cmp(&b.0));
+            v == snapshot && pl.len() == 8
+        };
+        type Edit = fn(&mut PriceList, &Catalog);
+        let edits: [(&str, Edit, usize); 7] = [
+            (
+                "set",
+                |pl, c| {
+                    pl.set(sel(c, "S.Y", 0), Price::dollars(9));
+                },
+                8,
+            ),
+            (
+                "remove",
+                |pl, c| {
+                    pl.remove(&sel(c, "R.X", 2));
+                },
+                7,
+            ),
+            (
+                "remove_attr",
+                |pl, c| {
+                    pl.remove_attr(c.schema().resolve_attr("S.X").unwrap());
+                },
+                5,
+            ),
+            (
+                "replace_attr",
+                |pl, c| {
+                    let sy = c.schema().resolve_attr("S.Y").unwrap();
+                    pl.replace_attr(sy, [(Value::Int(1), Price::ZERO)].into_iter().collect());
+                },
+                7,
+            ),
+            (
+                "retain_on",
+                |pl, c| {
+                    let rx = c.schema().resolve_attr("R.X").unwrap();
+                    pl.retain_on(rx, |v| *v == Value::Int(1));
+                },
+                6,
+            ),
+            (
+                "drop_position",
+                |pl, c| {
+                    let s = c.schema().rel_id("S").unwrap();
+                    pl.drop_position(s, 0, 2);
+                },
+                5,
+            ),
+            (
+                "set_attr_uniform",
+                |pl, c| {
+                    let sy = c.schema().resolve_attr("S.Y").unwrap();
+                    pl.set_attr_uniform(c, sy, Price::ZERO);
+                },
+                8,
+            ),
+        ];
+        for (name, edit, len) in edits {
+            let mut copy = base.clone();
+            assert!(Arc::ptr_eq(
+                copy.attr_prices(rx).unwrap(),
+                base.attr_prices(rx).unwrap()
+            ));
+            edit(&mut copy, &c);
+            assert_ne!(copy, base, "{name}");
+            assert!(unchanged(&base), "{name} leaked into the original");
+            assert_eq!(copy.len(), len, "{name}");
+            assert_eq!(copy.iter().count(), len, "{name}");
+        }
+        // The reverse direction: editing the original leaves a clone alone.
+        let mut original = base.clone();
+        let copy = original.clone();
+        original.set(sel(&c, "S.X", 1), Price::dollars(3));
+        original.remove_attr(sy);
+        assert!(unchanged(&copy));
+        assert_eq!(original.len(), 6);
+        assert_eq!(original.get(&sel(&c, "S.X", 1)), Price::dollars(3));
+        assert_eq!(copy.get(&sel(&c, "S.X", 1)), Price::dollars(1));
+        // `drop_position` moves the later position's map down, shared.
+        let mut dropped = base.clone();
+        dropped.drop_position(sx.rel, 0, 2);
+        assert!(Arc::ptr_eq(
+            dropped.attr_prices(sx).unwrap(),
+            base.attr_prices(sy).unwrap()
+        ));
+        assert!(dropped.attr_prices(sy).is_none());
+    }
+
+    #[test]
+    fn bulk_constructors_agree_with_set() {
+        let c = cat();
+        let mut by_set = PriceList::new();
+        for attr in c.schema().all_attrs() {
+            for v in c.column(attr).iter() {
+                by_set.set(SelectionView::new(attr, v.clone()), Price::dollars(2));
+            }
+        }
+        assert_eq!(PriceList::uniform(&c, Price::dollars(2)), by_set);
+        let collected: PriceList = by_set.iter().collect();
+        assert_eq!(collected, by_set);
+        assert_eq!(collected.len(), 8);
+        // A repeated view keeps its last price and counts once.
+        let dup: PriceList = [
+            (sel(&c, "R.X", 0), Price::dollars(1)),
+            (sel(&c, "R.X", 0), Price::dollars(4)),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(dup.len(), 1);
+        assert_eq!(dup.get(&sel(&c, "R.X", 0)), Price::dollars(4));
     }
 
     #[test]

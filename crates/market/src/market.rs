@@ -432,10 +432,11 @@ impl Market {
     /// `price R.X=a <cents>` directives).
     pub fn open_qdp(text: &str) -> Result<Market, MarketError> {
         let file = QdpFile::parse(text).map_err(|e| MarketError::Update(e.to_string()))?;
-        let mut prices = PriceList::new();
-        for (attr, value, cents) in file.prices {
-            prices.set(SelectionView::new(attr, value), Price::cents(cents));
-        }
+        let prices = file
+            .prices
+            .into_iter()
+            .map(|(attr, value, cents)| (SelectionView::new(attr, value), Price::cents(cents)))
+            .collect();
         Market::open(file.catalog, file.instance, prices)
     }
 
