@@ -97,6 +97,10 @@ impl Config {
                 // or provably bounded, or a storm of revisions turns a
                 // "warm" reprice into unmetered work.
                 "crates/core/src/plan_cache.rs",
+                // The GChQ pipeline that plan builds and cold pricing share
+                // (its branch loop and per-branch solve).
+                "crates/core/src/gchq.rs",
+                "crates/core/src/chain/price.rs",
                 "crates/determinacy/src/",
                 "crates/flow/src/",
                 // The serving path: the event loop, the HTTP parser,

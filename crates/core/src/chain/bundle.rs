@@ -74,19 +74,13 @@ pub fn chain_bundle_price(
         })
         .collect();
     let cg = ChainGraph::build(catalog, prices, &members, None);
-    let cut = cg
-        .min_cut(&Unmetered)
+    let flow = cg
+        .solve(&Unmetered)
         .map_err(|_| PricingError::Internal("unmetered max flow interrupted".into()))?;
-    let mut views: Vec<SelectionView> = cut
-        .views
-        .iter()
-        .flat_map(|v| provenance.resolve(v))
-        .collect();
-    views.sort();
-    views.dedup();
+    let cut = cg.cut(&flow);
     Ok(BundlePriceResult {
         price: cut.price,
-        views,
+        views: provenance.resolve_all(&cut.views),
         graph_size: (cg.graph.num_nodes(), cg.graph.num_edges()),
     })
 }

@@ -37,7 +37,7 @@ use crate::money::Price;
 use crate::price_points::PriceList;
 use qbdp_catalog::{AttrRef, Catalog, Column, FxHashMap, FxHashSet, RelId, Value};
 use qbdp_determinacy::selection::SelectionView;
-use qbdp_flow::{DinicArena, EdgeId, FlowGraph, Interrupted, NodeId, Ticker, INF};
+use qbdp_flow::{DinicArena, EdgeId, FlowGraph, Interrupted, MaxFlowResult, NodeId, Ticker, INF};
 use qbdp_query::chain::{ChainQuery, PartialAnswers};
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -50,8 +50,8 @@ thread_local! {
     static DINIC_ARENA: RefCell<DinicArena> = RefCell::new(DinicArena::new());
 }
 
-/// Run `f` on this thread's Dinic arena — the one [`ChainGraph::min_cut`]
-/// uses, shared with the plan cache's builds and warm starts.
+/// Run `f` on this thread's Dinic arena — the one [`ChainGraph::solve`]
+/// uses, shared with the plan cache's warm starts.
 pub(crate) fn with_dinic_arena<R>(f: impl FnOnce(&mut DinicArena) -> R) -> R {
     DINIC_ARENA.with(|a| f(&mut a.borrow_mut()))
 }
@@ -222,13 +222,18 @@ impl ChainGraph {
         }
     }
 
-    /// Solve the network on this thread's Dinic arena under `ticker` and
-    /// map the canonical min cut to the views it purchases. Panics in debug
-    /// builds if the cut holds a finite edge that is neither a view nor a
-    /// pair view (that would contradict Theorem 3.13). On interruption the
-    /// partial flow value is a sound lower bound on the price.
-    pub fn min_cut(&self, ticker: &impl Ticker) -> Result<ChainCut, Interrupted> {
-        let flow = with_dinic_arena(|a| a.max_flow(&self.graph, self.s, self.t, ticker))?;
+    /// Solve the network on this thread's Dinic arena under `ticker`. On
+    /// interruption the partial flow value is a sound lower bound on the
+    /// price.
+    pub fn solve(&self, ticker: &impl Ticker) -> Result<MaxFlowResult, Interrupted> {
+        with_dinic_arena(|a| a.max_flow(&self.graph, self.s, self.t, ticker))
+    }
+
+    /// Map the canonical min cut of `flow`, a maximum flow of this network,
+    /// to the views it purchases. Panics in debug builds if the cut holds a
+    /// finite edge that is neither a view nor a pair view (that would
+    /// contradict Theorem 3.13).
+    pub fn cut(&self, flow: &MaxFlowResult) -> ChainCut {
         let mut cut = ChainCut {
             price: Price::from_cut_value(flow.value),
             views: Vec::new(),
@@ -245,9 +250,7 @@ impl ChainGraph {
                 }
             }
         }
-        // Hand the residual allocation back for the next run.
-        with_dinic_arena(|a| a.recycle(flow));
-        Ok(cut)
+        cut
     }
 }
 
@@ -309,7 +312,7 @@ mod tests {
             .into_iter()
             .zip(both(&cat, &prices, &[(chain, pa)]))
         {
-            let cut = cg.min_cut(&Unmetered).unwrap();
+            let cut = cg.cut(&cg.solve(&Unmetered).unwrap());
             assert_eq!(cut.price, Price::dollars(6), "{label}");
             assert_eq!(cut.views.len(), 6, "{label}");
             assert!(cut.pair_views.is_empty(), "{label}");
@@ -359,6 +362,6 @@ mod tests {
         prices.set_attr_uniform(&cat, sx, Price::dollars(1));
         prices.set_attr_uniform(&cat, sy, Price::dollars(1));
         let cg = ChainGraph::build(&cat, &prices, &[(chain, pa)], None);
-        assert!(cg.min_cut(&Unmetered).unwrap().price.is_infinite());
+        assert!(cg.cut(&cg.solve(&Unmetered).unwrap()).price.is_infinite());
     }
 }

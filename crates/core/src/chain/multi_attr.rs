@@ -98,9 +98,10 @@ pub fn multi_attr_chain_price(
         &[(chain, pa)],
         Some(pairs),
     );
-    let cut = cg
-        .min_cut(&Unmetered)
+    let flow = cg
+        .solve(&Unmetered)
         .map_err(|_| PricingError::Internal("unmetered max flow interrupted".into()))?;
+    let cut = cg.cut(&flow);
     Ok(MultiAttrResult {
         price: cut.price,
         views: cut.views,

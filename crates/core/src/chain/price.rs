@@ -1,12 +1,12 @@
 //! Chain-query pricing: partial answers → flow graph → min-cut (Thm 3.13).
 
-use super::graph::ChainGraph;
+use super::graph::{with_dinic_arena, ChainGraph};
 use crate::budget::{Budget, Metered};
 use crate::error::PricingError;
 use crate::money::Price;
 use crate::normalize::Problem;
 use qbdp_determinacy::selection::SelectionView;
-use qbdp_flow::Interrupted;
+use qbdp_flow::{Interrupted, MaxFlowResult};
 use qbdp_query::chain::ChainQuery;
 
 /// Result of pricing a chain query.
@@ -44,39 +44,44 @@ pub fn chain_price_within(
     problem: &Problem,
     budget: &Budget,
 ) -> Result<Metered<ChainPriceResult>, PricingError> {
+    let (network, flow) = match solve_chain(problem, budget)? {
+        Metered::Done(solved) => solved,
+        Metered::Exhausted { lower_bound } => return Ok(Metered::Exhausted { lower_bound }),
+    };
+    let cut = network.cut(&flow);
+    with_dinic_arena(|a| a.recycle(flow));
+    Ok(Metered::Done(ChainPriceResult {
+        price: cut.price,
+        original_views: problem.provenance.resolve_all(&cut.views),
+        cut_views: cut.views,
+        graph_size: (network.graph.num_nodes(), network.graph.num_edges()),
+    }))
+}
+
+/// Build the Step 4 network of a normalized chain problem and solve it on
+/// this thread's Dinic arena under `budget`. Building the partial answers
+/// and the network scans the instance once and is charged as such.
+pub(crate) fn solve_chain(
+    problem: &Problem,
+    budget: &Budget,
+) -> Result<Metered<(ChainGraph, MaxFlowResult)>, PricingError> {
     let chain = ChainQuery::from_cq(&problem.query)
         .map_err(|e| PricingError::NotApplicable(e.to_string()))?;
-    // Building partial answers and the graph scans the instance once.
     if !budget.charge(64 + problem.instance.total_tuples() as u64) {
         return Ok(Metered::Exhausted {
             lower_bound: Price::ZERO,
         });
     }
     let pa = chain.partial_answers(&problem.catalog, &problem.instance);
-    let cg = ChainGraph::build(&problem.catalog, &problem.prices, &[(chain, pa)], None);
-    let cut = match cg.min_cut(budget) {
-        Ok(cut) => cut,
-        Err(Interrupted { partial_value }) => {
-            // Flow never exceeds the min cut, so the partial value is a
-            // sound lower bound on the price.
-            return Ok(Metered::Exhausted {
-                lower_bound: Price::from_cut_value(partial_value),
-            });
-        }
-    };
-    let mut original_views: Vec<SelectionView> = cut
-        .views
-        .iter()
-        .flat_map(|v| problem.provenance.resolve(v))
-        .collect();
-    original_views.sort();
-    original_views.dedup();
-    Ok(Metered::Done(ChainPriceResult {
-        price: cut.price,
-        cut_views: cut.views,
-        original_views,
-        graph_size: (cg.graph.num_nodes(), cg.graph.num_edges()),
-    }))
+    let network = ChainGraph::build(&problem.catalog, &problem.prices, &[(chain, pa)], None);
+    Ok(match network.solve(budget) {
+        Ok(flow) => Metered::Done((network, flow)),
+        // Flow never exceeds the min cut, so the partial value is a sound
+        // lower bound on the price.
+        Err(Interrupted { partial_value }) => Metered::Exhausted {
+            lower_bound: Price::from_cut_value(partial_value),
+        },
+    })
 }
 
 #[cfg(test)]

@@ -1,8 +1,22 @@
-//! Generalized chain queries (Definition 3.6): recognition and atom
-//! reordering for the main PTIME algorithm.
+//! Generalized chain queries (Definition 3.6): atom reordering and the
+//! one pipeline that prices them (Theorem 3.7). Cold pricing runs it under
+//! the caller's budget; a [`crate::plan_cache`] build runs it under an
+//! unlimited budget and keeps each branch's network and flow, which warm
+//! reprices patch and hand to the same branch-minimum rule.
 
+use crate::budget::{Budget, Metered, QuoteQuality};
+use crate::chain::graph::{with_dinic_arena, ChainGraph};
+use crate::chain::price::solve_chain;
+use crate::dichotomy::QueryClass;
+use crate::error::PricingError;
+use crate::money::Price;
+use crate::normalize::{step1_predicates, step2_repeated, step3_hanging, Problem, Provenance};
+use crate::pricer::{Pricer, PricingMethod, Quote};
+use qbdp_determinacy::selection::SelectionView;
+use qbdp_flow::MaxFlowResult;
 use qbdp_query::analysis;
 use qbdp_query::ast::ConjunctiveQuery;
+use std::sync::Arc;
 
 /// Reorder the query's atoms into a generalized-chain order, if one exists.
 /// Interpreted predicates and constants are ignored by the order search
@@ -36,6 +50,7 @@ pub fn reorder_to_gchq(q: &ConjunctiveQuery) -> Option<ConjunctiveQuery> {
 pub(crate) fn schema_for(q: &ConjunctiveQuery) -> qbdp_catalog::Schema {
     let mut schema = qbdp_catalog::Schema::new();
     let max_rel = q.atoms().iter().map(|a| a.rel.0).max().unwrap_or(0);
+    // audit: bounded(one slot per relation id up to the query's largest)
     for rid in 0..=max_rel {
         let arity = q
             .atoms()
@@ -56,6 +71,176 @@ pub(crate) fn schema_for(q: &ConjunctiveQuery) -> qbdp_catalog::Schema {
             .expect("normalization relation names are fresh");
     }
     schema
+}
+
+/// A Step 3 branch with its Min-Cut network solved.
+pub(crate) struct SolvedBranch {
+    /// Original views bought by the branch's full covers; their prices
+    /// sum to the branch's base cost. Shared with the branch minimum, which
+    /// copies them only if it outlives the branch.
+    pub(crate) base_views: Arc<Vec<SelectionView>>,
+    /// Reduced-view → original-view mapping of the branch problem.
+    pub(crate) provenance: Provenance,
+    /// The branch's Step 4 network (warm starts patch its capacities).
+    pub(crate) network: ChainGraph,
+    /// A maximum flow of `network`.
+    pub(crate) flow: MaxFlowResult,
+}
+
+/// Theorem 3.7's last step: the minimum over the Step 3 branches of cover
+/// cost plus cut price, and the purchase that realizes it.
+pub(crate) struct BranchMinimum {
+    /// The cheapest branch total so far (`INFINITE` before any finite one).
+    pub(crate) price: Price,
+    /// That branch's cover views.
+    base_views: Arc<Vec<SelectionView>>,
+    /// That branch's cut, resolved to original views.
+    cut_views: Vec<SelectionView>,
+}
+
+impl Default for BranchMinimum {
+    fn default() -> Self {
+        BranchMinimum {
+            price: Price::INFINITE,
+            base_views: Arc::default(),
+            cut_views: Vec::new(),
+        }
+    }
+}
+
+impl BranchMinimum {
+    /// Offer a solved branch whose covers cost `base_cost`; returns its
+    /// total. It replaces the best so far only when strictly cheaper (ties
+    /// go to the earlier branch), and only then is its cut mapped through
+    /// provenance to original views.
+    pub(crate) fn offer(&mut self, base_cost: Price, branch: &SolvedBranch) -> Price {
+        let total = base_cost.saturating_add(Price::from_cut_value(branch.flow.value));
+        if total < self.price {
+            self.price = total;
+            self.base_views = Arc::clone(&branch.base_views);
+            let cut = branch.network.cut(&branch.flow);
+            self.cut_views = branch.provenance.resolve_all(&cut.views);
+        }
+        total
+    }
+
+    /// The cheapest branch's purchase: its cover views, then its cut's.
+    pub(crate) fn views(self) -> Vec<SelectionView> {
+        let mut views = Arc::unwrap_or_clone(self.base_views);
+        views.extend(self.cut_views);
+        views
+    }
+
+    /// The exact `ChainFlow` quote of a query of class `class`.
+    pub(crate) fn quote(self, class: QueryClass) -> Quote {
+        let price = self.price;
+        let mut views = self.views();
+        views.sort();
+        views.dedup();
+        Quote {
+            price,
+            views,
+            method: PricingMethod::ChainFlow,
+            class,
+            quality: QuoteQuality::Exact,
+            lower_bound: price,
+        }
+    }
+}
+
+/// A GChQ run through `price_branches`.
+pub(crate) struct Branches {
+    /// The cheapest branch whose flow finished.
+    pub(crate) minimum: BranchMinimum,
+    /// Whether Step 3 produced every branch (always, under an unlimited
+    /// budget).
+    pub(crate) complete: bool,
+    /// Whether every produced branch's flow finished.
+    pub(crate) finished: bool,
+    /// The minimum over produced branches of their totals, or of lower
+    /// bounds on them where the budget interrupted a flow.
+    pub(crate) floor: Price,
+    /// The finished branches, in Step 3 order, when the caller keeps them.
+    pub(crate) kept: Vec<SolvedBranch>,
+}
+
+/// Price a non-boolean GChQ by Theorem 3.7 under `budget`: reorder, run
+/// Steps 1–3, solve one Min-Cut per Step 3 branch, and take the minimum
+/// over branches. With `keep` every finished branch comes back with its
+/// network and flow; otherwise each flow returns to this thread's Dinic
+/// arena as soon as its branch is offered.
+pub(crate) fn price_branches(
+    pricer: &Pricer,
+    q: &ConjunctiveQuery,
+    budget: &Budget,
+    keep: bool,
+) -> Result<Branches, PricingError> {
+    let ordered = reorder_to_gchq(q).ok_or_else(|| {
+        PricingError::NotApplicable(format!(
+            "query {} classified GChQ but no chain order found",
+            q.name()
+        ))
+    })?;
+    let problem = Problem::new(
+        pricer.catalog().clone(),
+        pricer.instance().clone(),
+        pricer.prices().clone(),
+        ordered,
+    );
+    let mut norm_span = qbdp_obs::trace::span("normalize");
+    let problem = step1_predicates::apply(problem)?;
+    let problem = step2_repeated::apply(problem)?;
+    let (branches, complete) = step3_hanging::branches_within(problem, budget)?;
+    norm_span.detail(if complete {
+        "steps_1_3"
+    } else {
+        "step3_exhausted"
+    });
+    norm_span.n(branches.len() as u64);
+    drop(norm_span);
+    let mut run = Branches {
+        minimum: BranchMinimum::default(),
+        complete,
+        finished: true,
+        floor: Price::INFINITE,
+        kept: Vec::new(),
+    };
+    for branch in branches {
+        let mut span = qbdp_obs::trace::span("flow_solve");
+        let fuel_before = budget.consumed_fuel();
+        let metered = solve_chain(&branch.problem, budget)?;
+        span.fuel(budget.consumed_fuel().saturating_sub(fuel_before));
+        let (network, flow) = match metered {
+            Metered::Done(solved) => solved,
+            Metered::Exhausted { lower_bound } => {
+                span.detail("exhausted");
+                run.finished = false;
+                run.floor = run.floor.min(branch.base_cost.saturating_add(lower_bound));
+                continue;
+            }
+        };
+        span.detail("done");
+        let solved = SolvedBranch {
+            base_views: Arc::new(branch.base_views),
+            provenance: branch.problem.provenance,
+            network,
+            flow,
+        };
+        run.floor = run.floor.min(run.minimum.offer(branch.base_cost, &solved));
+        if !keep {
+            with_dinic_arena(|a| a.recycle(solved.flow));
+            continue;
+        }
+        // Warm reprices re-sum the base cost from the cover views.
+        debug_assert_eq!(
+            branch.base_cost,
+            solved.base_views.iter().fold(Price::ZERO, |acc, v| acc
+                .saturating_add(pricer.prices().get(v))),
+            "cover views must re-sum to the branch base cost"
+        );
+        run.kept.push(solved);
+    }
+    Ok(run)
 }
 
 #[cfg(test)]

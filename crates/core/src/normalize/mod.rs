@@ -81,6 +81,15 @@ impl Provenance {
         vec![SelectionView::new(attr, view.value.clone())]
     }
 
+    /// Resolve reduced views (a min cut's) to the original views they stand
+    /// for, sorted and deduplicated.
+    pub(crate) fn resolve_all(&self, views: &[SelectionView]) -> Vec<SelectionView> {
+        let mut out: Vec<SelectionView> = views.iter().flat_map(|v| self.resolve(v)).collect();
+        out.sort();
+        out.dedup();
+        out
+    }
+
     /// Project position `pos` out of relation `rel` (of arity `arity`):
     /// its entries are dropped, and each later position moves down one,
     /// keeping its entries and recording one rename back to the original

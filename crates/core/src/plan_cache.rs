@@ -3,25 +3,29 @@
 //!
 //! ## What is cached
 //!
-//! Pricing a generalized chain query runs normalization (Steps 1–3) and
-//! then one min-cut per Step 3 branch. Every piece of that work except the
-//! final flow values is **price-point-independent up to edge capacities**:
-//! the reduced branch problems, the Step 4 networks, and the edge ↔ view
-//! correspondence depend only on the query shape, the catalog, and the
-//! instance. A [`PlanCache`] therefore keys entries by the canonicalized
-//! CQ skeleton (variables renamed by first occurrence — see [`shape_key`])
-//! and stores, per Step 3 branch, the built [`FlowGraph`], its
-//! [`ResidualState`], and a map from *original* price-list views to the
-//! graph edge whose capacity they control.
+//! Pricing a generalized chain query runs one pipeline: reorder, Steps 1–3,
+//! one min-cut per Step 3 branch, then the minimum over branches. Every
+//! piece of that work except the final flow values is
+//! **price-point-independent up to edge capacities**: the reduced branch
+//! problems, the Step 4 networks, and the edge ↔ view correspondence
+//! depend only on the query shape, the catalog, and the instance. A
+//! [`PlanCache`] therefore keys entries by the canonicalized CQ skeleton
+//! (variables renamed by first occurrence — see [`shape_key`]) and keeps
+//! what the pipeline returns when asked to keep its branches: per branch,
+//! the cover views, the provenance, the Step 4 network and the
+//! [`MaxFlowResult`](qbdp_flow::MaxFlowResult) of its solve. The plan adds
+//! per branch a map from *original* price-list views to the edge whose
+//! capacity they control.
 //!
 //! ## Which shapes get a plan
 //!
 //! A shape's first miss prices cold and records only its key; its second
-//! miss builds the plan. Building costs more than a cold solve, so
-//! one-off queries never pay for it (DESIGN.md §4.5 has the numbers).
-//! [`PlanCache::checkout`] takes a shape's state out of the map,
-//! [`price_planned`] prices with it outside the owner's lock, and
-//! [`PlanCache::checkin`] puts the plan back.
+//! miss builds the plan: the same pipeline under an unlimited budget,
+//! traced the same way, keeping each branch's network and flow instead of
+//! recycling them. Kept networks cost memory, so one-off queries never
+//! build (DESIGN.md §4.5 has the numbers). [`PlanCache::checkout`] takes a
+//! shape's state out of the map, [`price_planned`] prices with it outside
+//! the owner's lock, and [`PlanCache::checkin`] puts the plan back.
 //!
 //! ## Repricing protocol
 //!
@@ -32,9 +36,9 @@
 //!
 //! * no change — the cached quote is returned verbatim;
 //! * a changed view maps to graph edges and stays finite — each affected
-//!   branch gets residual warm-start capacity repairs, branch base costs
-//!   are re-summed from their recorded cover views, and the quote is
-//!   reassembled by the same branch-minimum rule the cold path uses;
+//!   branch's flow is repaired in place by a warm start, branch base costs
+//!   are re-summed from their recorded cover views, and the quote comes
+//!   from the branch-minimum rule the cold path uses;
 //! * a change touches a *transformed* attribute (Step 2 collapsed its
 //!   relation, or the build recorded a non-invertible provenance), or a
 //!   price crosses finite ↔ ∞ (which can flip Step 3's cover gating or the
@@ -52,20 +56,18 @@
 //! NP-hard classes) delegate to the ordinary
 //! [`Pricer`] entry points and bypass the cache.
 
-use crate::budget::QuoteQuality;
-use crate::chain::graph::{with_dinic_arena, ChainGraph};
+use crate::budget::Budget;
+use crate::chain::graph::with_dinic_arena;
 use crate::dichotomy::{classify, QueryClass};
 use crate::error::PricingError;
-use crate::gchq::reorder_to_gchq;
+use crate::gchq::{price_branches, BranchMinimum, SolvedBranch};
 use crate::money::Price;
-use crate::normalize::{step1_predicates, step2_repeated, step3_hanging, Problem, Provenance};
 use crate::price_points::PriceList;
-use crate::pricer::{Pricer, PricingMethod, Quote};
+use crate::pricer::{Pricer, Quote};
 use qbdp_catalog::{AttrRef, Catalog, FxHashMap, FxHashSet, RelId};
 use qbdp_determinacy::selection::SelectionView;
-use qbdp_flow::{EdgeId, FlowGraph, NodeId, ResidualState, Unmetered};
+use qbdp_flow::{EdgeId, Unmetered};
 use qbdp_query::ast::{ConjunctiveQuery, Term, Var};
-use qbdp_query::chain::ChainQuery;
 
 /// Counters describing what the cache has been doing (for benches and
 /// tests; not part of any equivalence argument).
@@ -109,25 +111,6 @@ impl PlanStats {
     }
 }
 
-/// One Step 3 branch with its solved network kept warm.
-struct CachedBranch {
-    /// Reduced-view → original-view mapping of the branch problem.
-    provenance: Provenance,
-    /// Original views bought by the branch's full covers; the branch base
-    /// cost is re-summed from these under the current price list.
-    base_views: Vec<SelectionView>,
-    /// The Step 4 network (capacities mutated in place on reprice).
-    graph: FlowGraph,
-    s: NodeId,
-    t: NodeId,
-    /// Forward edge id → reduced view (finite-priced at build time).
-    view_edges: FxHashMap<EdgeId, SelectionView>,
-    /// Original view → the edge whose capacity is that view's price.
-    edge_of_original: FxHashMap<SelectionView, EdgeId>,
-    /// The persisted flow, warm-started across reprices.
-    state: ResidualState,
-}
-
 /// A cached plan for one query shape. Opaque: it only travels between
 /// [`PlanCache::checkout`], [`price_planned`] and [`PlanCache::checkin`].
 pub struct PlanEntry {
@@ -142,7 +125,9 @@ pub struct PlanEntry {
     transformed: FxHashSet<AttrRef>,
     /// Price-list snapshot the cached state was solved under.
     prices: PriceList,
-    branches: Vec<CachedBranch>,
+    /// The Step 3 branches with their solved networks, each with the map
+    /// from an original view to the edge whose capacity is its price.
+    branches: Vec<(SolvedBranch, FxHashMap<SelectionView, EdgeId>)>,
     /// The quote those branches produced (returned verbatim while the
     /// footprint prices are unchanged).
     quote: Quote,
@@ -217,11 +202,8 @@ pub fn shape_key(q: &ConjunctiveQuery) -> String {
 /// query's price can depend on. The market layer uses the same footprint
 /// for column-scoped quote-cache invalidation.
 pub fn query_footprint(catalog: &Catalog, q: &ConjunctiveQuery) -> Vec<AttrRef> {
-    let mut rels: Vec<RelId> = q.atoms().iter().map(|a| a.rel).collect();
-    rels.sort();
-    rels.dedup();
     let mut out = Vec::new();
-    for rel in rels {
+    for rel in mentioned_rels(q) {
         let arity = catalog.schema().relation(rel).arity();
         // audit: bounded(one slot per attribute of a mentioned relation)
         for pos in 0..arity {
@@ -263,6 +245,42 @@ fn step2_transformed(catalog: &Catalog, q: &ConjunctiveQuery) -> FxHashSet<AttrR
             // audit: bounded(one slot per attribute of the repeated-var relation)
             for pos in 0..arity {
                 out.insert(AttrRef::new(a.rel, pos as u32));
+            }
+        }
+    }
+    out
+}
+
+/// Invert a built branch's view edges back to original price points: each
+/// original view → the edge whose capacity is its price. An edge whose
+/// reduced view does not stand for exactly one original view at an equal
+/// price marks those originals' attributes `transformed`, so changes there
+/// evict instead of mispatching.
+fn edge_of_original(
+    prices: &PriceList,
+    branch: &SolvedBranch,
+    transformed: &mut FxHashSet<AttrRef>,
+) -> FxHashMap<SelectionView, EdgeId> {
+    let network = &branch.network;
+    let mut out: FxHashMap<SelectionView, EdgeId> = FxHashMap::default();
+    // audit: bounded(one pass over the view edges of one built network)
+    for (&e, view) in &network.view_edges {
+        match branch.provenance.resolve(view).as_slice() {
+            // Empty: a Step 3 freebie — capacity is pinned at zero
+            // regardless of the original prices, so changes to them are
+            // no-ops for this branch.
+            [] => {}
+            // View edges are finite, so equal capacities mean equal prices.
+            [orig] if prices.get(orig).as_capacity() == network.graph.edge(e).2 => {
+                if out.insert(orig.clone(), e).is_some() {
+                    transformed.insert(orig.attr);
+                }
+            }
+            many => {
+                // audit: bounded(the originals of one reduced view)
+                for orig in many {
+                    transformed.insert(orig.attr);
+                }
             }
         }
     }
@@ -398,35 +416,28 @@ pub fn price_planned(
 
 impl PlanEntry {
     /// Warm-reprice a cached entry under `changed` footprint prices (all
-    /// finite → finite, none transformed).
+    /// finite → finite, none transformed): patch the changed capacities,
+    /// warm-start each patched branch, re-sum each branch's base cost, and
+    /// take the branch minimum again.
     fn reprice(
         &mut self,
         pricer: &Pricer,
         changed: &[(SelectionView, Price, Price)],
     ) -> Result<Quote, PricingError> {
         let prices = pricer.prices();
-        let mut best = Price::INFINITE;
-        let mut best_views: Vec<SelectionView> = Vec::new();
-        for branch in &mut self.branches {
+        let mut minimum = BranchMinimum::default();
+        for (branch, edge_of_original) in &mut self.branches {
             let patches: Vec<(EdgeId, u64)> = changed
                 .iter()
                 .filter_map(|(view, _, new)| {
-                    branch
-                        .edge_of_original
-                        .get(view)
-                        .map(|&e| (e, new.as_capacity()))
+                    edge_of_original.get(view).map(|&e| (e, new.as_capacity()))
                 })
                 .collect();
             if !patches.is_empty() {
+                let SolvedBranch { network, flow, .. } = branch;
                 let out = with_dinic_arena(|a| {
-                    a.warm_start(
-                        &mut branch.graph,
-                        branch.s,
-                        branch.t,
-                        &mut branch.state,
-                        &patches,
-                        &Unmetered,
-                    )
+                    let (s, t) = (network.s, network.t);
+                    a.warm_start(&mut network.graph, s, t, flow, &patches, &Unmetered)
                 })
                 .map_err(|_| PricingError::Internal("unmetered warm start interrupted".into()))?;
                 if out.fell_back {
@@ -442,158 +453,42 @@ impl PlanEntry {
                 .base_views
                 .iter()
                 .fold(Price::ZERO, |acc, v| acc.saturating_add(prices.get(v)));
-            let price = Price::from_cut_value(branch.state.value());
-            let total = base_cost.saturating_add(price);
-            if total < best {
-                best = total;
-                best_views = branch.base_views.clone();
-                if price.is_finite() {
-                    let cut = branch.state.min_cut_edges(&branch.graph, branch.s);
-                    let mut originals: Vec<SelectionView> = cut
-                        .iter()
-                        .filter_map(|e| branch.view_edges.get(e))
-                        .flat_map(|v| branch.provenance.resolve(v))
-                        .collect();
-                    originals.sort();
-                    originals.dedup();
-                    best_views.extend(originals);
-                }
-            }
+            minimum.offer(base_cost, branch);
         }
-        best_views.sort();
-        best_views.dedup();
-        let quote = Quote {
-            price: best,
-            views: best_views,
-            method: PricingMethod::ChainFlow,
-            class: self.quote.class.clone(),
-            quality: QuoteQuality::Exact,
-            lower_bound: best,
-        };
+        let quote = minimum.quote(self.quote.class.clone());
         self.prices = prices.clone();
         self.quote = quote.clone();
         Ok(quote)
     }
 
-    /// Cold-build an entry: the GChQ pipeline with every branch's network
-    /// and residual state captured for later warm starts.
+    /// Build an entry: the GChQ pipeline under an unlimited budget,
+    /// keeping every branch's network and flow for later warm starts.
     fn build(
         pricer: &Pricer,
         q: &ConjunctiveQuery,
         class: QueryClass,
     ) -> Result<(PlanEntry, Quote), PricingError> {
-        let catalog = pricer.catalog();
-        let ordered = reorder_to_gchq(q).ok_or_else(|| {
-            PricingError::NotApplicable(format!(
-                "query {} classified GChQ but no chain order found",
-                q.name()
-            ))
-        })?;
-        let mut transformed = step2_transformed(catalog, &ordered);
-        let problem = Problem::new(
-            catalog.clone(),
-            pricer.instance().clone(),
-            pricer.prices().clone(),
-            ordered.clone(),
+        let run = price_branches(pricer, q, &Budget::unlimited(), true)?;
+        debug_assert!(
+            run.complete && run.finished,
+            "unlimited budgets never exhaust"
         );
-        let problem = step1_predicates::apply(problem)?;
-        let problem = step2_repeated::apply(problem)?;
-        let branches = step3_hanging::branches(problem)?;
-        let mut cached: Vec<CachedBranch> = Vec::with_capacity(branches.len());
-        let mut best = Price::INFINITE;
-        let mut best_views: Vec<SelectionView> = Vec::new();
-        for branch in branches {
-            let chain = ChainQuery::from_cq(&branch.problem.query)
-                .map_err(|e| PricingError::NotApplicable(e.to_string()))?;
-            let pa = chain.partial_answers(&branch.problem.catalog, &branch.problem.instance);
-            let ChainGraph {
-                graph,
-                s,
-                t,
-                view_edges,
-                ..
-            } = ChainGraph::build(
-                &branch.problem.catalog,
-                &branch.problem.prices,
-                &[(chain, pa)],
-                None,
-            );
-            let flow = with_dinic_arena(|a| a.max_flow(&graph, s, t, &Unmetered))
-                .map_err(|_| PricingError::Internal("unmetered max flow interrupted".into()))?;
-            let state = ResidualState::from(flow);
-            // Invert view edges back to original price points. Anything
-            // not invertible one-to-one at an equal price is marked
-            // transformed so changes there evict instead of mispatching.
-            let mut edge_of_original: FxHashMap<SelectionView, EdgeId> = FxHashMap::default();
-            for (&e, view) in &view_edges {
-                let originals = branch.problem.provenance.resolve(view);
-                match originals.as_slice() {
-                    // Empty: a Step 3 freebie — capacity is pinned at zero
-                    // regardless of the original prices, so changes to
-                    // them are no-ops for this branch.
-                    [] => {}
-                    [orig] if pricer.prices().get(orig) == branch.problem.prices.get(view) => {
-                        if edge_of_original.insert(orig.clone(), e).is_some() {
-                            transformed.insert(orig.attr);
-                        }
-                    }
-                    many => {
-                        for orig in many {
-                            transformed.insert(orig.attr);
-                        }
-                    }
-                }
-            }
-            let price = Price::from_cut_value(state.value());
-            let total = branch.base_cost.saturating_add(price);
-            if total < best {
-                best = total;
-                best_views = branch.base_views.clone();
-                if price.is_finite() {
-                    let cut = state.min_cut_edges(&graph, s);
-                    let mut originals: Vec<SelectionView> = cut
-                        .iter()
-                        .filter_map(|e| view_edges.get(e))
-                        .flat_map(|v| branch.problem.provenance.resolve(v))
-                        .collect();
-                    originals.sort();
-                    originals.dedup();
-                    best_views.extend(originals);
-                }
-            }
-            debug_assert_eq!(
-                branch.base_cost,
-                branch.base_views.iter().fold(Price::ZERO, |acc, v| acc
-                    .saturating_add(pricer.prices().get(v))),
-                "cover views must re-sum to the branch base cost"
-            );
-            cached.push(CachedBranch {
-                provenance: branch.problem.provenance,
-                base_views: branch.base_views,
-                graph,
-                s,
-                t,
-                view_edges,
-                edge_of_original,
-                state,
-            });
-        }
-        best_views.sort();
-        best_views.dedup();
-        let quote = Quote {
-            price: best,
-            views: best_views,
-            method: PricingMethod::ChainFlow,
-            class,
-            quality: QuoteQuality::Exact,
-            lower_bound: best,
-        };
+        let mut transformed = step2_transformed(pricer.catalog(), q);
+        let branches = run
+            .kept
+            .into_iter()
+            .map(|branch| {
+                let edges = edge_of_original(pricer.prices(), &branch, &mut transformed);
+                (branch, edges)
+            })
+            .collect();
+        let quote = run.minimum.quote(class);
         let entry = PlanEntry {
             mentioned: mentioned_rels(q),
-            footprint: query_footprint(catalog, q),
+            footprint: query_footprint(pricer.catalog(), q),
             transformed,
             prices: pricer.prices().clone(),
-            branches: cached,
+            branches,
             quote: quote.clone(),
             tally: PlanStats::default(),
         };

@@ -2,8 +2,7 @@
 //! the cheapest-complexity engine that applies.
 
 use crate::boolean::secure_witness_price;
-use crate::budget::{Budget, Metered, QuoteQuality};
-use crate::chain::price::chain_price_within;
+use crate::budget::{Budget, QuoteQuality};
 use crate::consistency::{find_list_arbitrage, relation_arbitrage, ListArbitrage};
 use crate::cycle::cycle_price_within;
 use crate::degrade::{relevant_rels, relevant_rels_cq, structural_cover};
@@ -13,9 +12,8 @@ use crate::error::PricingError;
 use crate::exact::certificates::{certificate_price_within, CertificateConfig};
 use crate::exact::subset::{subset_price_within, SubsetConfig};
 use crate::exact::ExactResult;
-use crate::gchq::reorder_to_gchq;
 use crate::money::Price;
-use crate::normalize::{step1_predicates, step2_repeated, step3_hanging, Problem};
+use crate::normalize::Problem;
 use crate::price_points::PriceList;
 use qbdp_catalog::{Catalog, Instance};
 use qbdp_determinacy::selection::SelectionView;
@@ -352,9 +350,12 @@ impl Pricer {
         }
     }
 
-    /// Price a query bundle (the general object of §2). Bundles are priced
-    /// by the exact subset engine — the PTIME GChQ-bundle extension
-    /// (Definition 3.9) is future work recorded in DESIGN.md.
+    /// Price a query bundle (the general object of §2). A bundle of full
+    /// chain queries that share only prefixes or suffixes (Definition 3.9)
+    /// prices in PTIME by one shared-graph Min-Cut
+    /// ([`crate::chain::chain_bundle_price`]); other bundles of full CQs go
+    /// to the exact certificate engine, and the rest to exact subset
+    /// search.
     pub fn price_bundle(&self, bundle: &Bundle) -> Result<Quote, PricingError> {
         self.price_bundle_within(bundle, &Budget::unlimited())
     }
@@ -625,8 +626,9 @@ impl Pricer {
         })
     }
 
-    /// The GChQ pipeline (Theorem 3.7): boolean shortcut, reorder,
-    /// Steps 1–3, then one Min-Cut per hanging-variable branch.
+    /// The GChQ pipeline (Theorem 3.7) under `budget`: boolean shortcut,
+    /// then `gchq::price_branches`, whose result this degrades
+    /// soundly when the budget cut Step 3 or a branch's flow short.
     fn price_gchq_within(
         &self,
         q: &ConjunctiveQuery,
@@ -635,84 +637,28 @@ impl Pricer {
         if q.is_boolean() {
             return self.price_boolean_within(q, budget);
         }
-        let ordered = reorder_to_gchq(q).ok_or_else(|| {
-            PricingError::NotApplicable(format!(
-                "query {} classified GChQ but no chain order found",
-                q.name()
-            ))
-        })?;
-        let problem = Problem::new(
-            self.catalog.clone(),
-            self.instance.clone(),
-            self.prices.clone(),
-            ordered,
-        );
-        let mut norm_span = qbdp_obs::trace::span("normalize");
-        let problem = step1_predicates::apply(problem)?;
-        let problem = step2_repeated::apply(problem)?;
-        let (branches, branches_complete) = step3_hanging::branches_within(problem, budget)?;
-        norm_span.detail(if branches_complete {
-            "steps_1_3"
-        } else {
-            "step3_exhausted"
-        });
-        norm_span.n(branches.len() as u64);
-        drop(norm_span);
-        if !branches_complete {
+        let run = crate::gchq::price_branches(self, q, budget, false)?;
+        if !run.complete {
             qbdp_obs::record(qbdp_obs::Ctr::BudgetExhaustedStep3, 1);
         }
-        if branches.is_empty() && !branches_complete {
-            return Ok(self.structural_outcome(q));
+        let best = run.minimum;
+        if run.complete && run.finished {
+            return Ok(Outcome::exact(
+                best.price,
+                best.views(),
+                PricingMethod::ChainFlow,
+            ));
         }
-        // The true price is the minimum over all branch totals. Completed
+        // The true price is the minimum over all branch totals. Finished
         // branches give genuine purchase totals (each an upper bound);
         // interrupted flows give per-branch lower bounds, and the minimum
         // of per-branch lower bounds under-estimates the minimum total.
-        let mut best = Price::INFINITE;
-        let mut best_views: Vec<SelectionView> = Vec::new();
-        let mut found_cut = false;
-        let mut branch_lb = Price::INFINITE;
-        let mut all_done = true;
-        for branch in branches {
-            let mut flow_span = qbdp_obs::trace::span("flow_solve");
-            let fuel_before = budget.consumed_fuel();
-            let metered = chain_price_within(&branch.problem, budget)?;
-            flow_span.fuel(budget.consumed_fuel().saturating_sub(fuel_before));
-            flow_span.detail(match &metered {
-                Metered::Done(_) => "done",
-                Metered::Exhausted { .. } => "exhausted",
-            });
-            drop(flow_span);
-            match metered {
-                Metered::Done(r) => {
-                    let total = branch.base_cost.saturating_add(r.price);
-                    branch_lb = branch_lb.min(total);
-                    if total < best {
-                        best = total;
-                        best_views = branch.base_views;
-                        best_views.extend(r.original_views);
-                        found_cut = true;
-                    }
-                }
-                Metered::Exhausted { lower_bound } => {
-                    all_done = false;
-                    branch_lb = branch_lb.min(branch.base_cost.saturating_add(lower_bound));
-                }
-            }
-        }
-        if branches_complete && all_done {
-            return Ok(Outcome::exact(best, best_views, PricingMethod::ChainFlow));
-        }
-        // Degraded: an unexplored branch could be cheaper than anything
-        // seen, so the only sound floor with missing branches is ZERO.
-        let lower_bound = if branches_complete {
-            branch_lb
-        } else {
-            Price::ZERO
-        };
-        if found_cut && best.is_finite() {
+        // An unexplored branch could be cheaper than anything seen, so the
+        // only sound floor with missing branches is ZERO.
+        let lower_bound = if run.complete { run.floor } else { Price::ZERO };
+        if best.price.is_finite() {
             return Ok(Outcome::from_result(
-                ExactResult::degraded(best, best_views, lower_bound),
+                ExactResult::degraded(best.price, best.views(), lower_bound),
                 PricingMethod::ChainFlow,
             ));
         }

@@ -73,7 +73,7 @@ impl DinicArena {
     /// The Dinic phase loop over an **existing** feasible flow: BFS level
     /// graph + DFS blocking flow until no augmenting path remains. Starting
     /// from the all-zero flow this is a cold solve; starting from a
-    /// repaired [`crate::residual::ResidualState`] it resumes augmentation
+    /// repaired [`MaxFlowResult`] it resumes augmentation
     /// (a feasible flow with no augmenting path is a maximum flow, so
     /// resumption is exact). `Err(())` means the ticker refused; `value`
     /// then holds the partial (still feasible) flow value.

@@ -93,58 +93,20 @@ impl FlowGraph {
 
     /// Replace the capacity of forward edge `e`, returning the old
     /// capacity. Any [`MaxFlowResult`] computed before the change no
-    /// longer describes a flow of this graph; a
-    /// [`crate::residual::ResidualState`] can be *repaired* instead via
-    /// [`crate::DinicArena::warm_start`].
+    /// longer describes a maximum flow of this graph;
+    /// [`crate::DinicArena::warm_start`] changes capacities and *repairs*
+    /// the result instead.
     pub fn set_capacity(&mut self, e: EdgeId, capacity: u64) -> u64 {
         debug_assert!(e.is_multiple_of(2), "edge ids are even (forward edges)");
         std::mem::replace(&mut self.cap[e], capacity)
     }
 }
 
-/// Nodes reachable from `s` along positive-residual edges — the source
-/// side of the *canonical* minimum cut. For **any** maximum flow this set
-/// is the same (it is the minimal source side), which is what makes
-/// warm-started and cold-started solves agree edge-for-edge on the cut.
-pub(crate) fn residual_source_side(g: &FlowGraph, residual: &[u64], s: NodeId) -> Vec<bool> {
-    let mut seen = vec![false; g.num_nodes()];
-    let mut stack = vec![s];
-    seen[s] = true;
-    // audit: bounded(residual DFS visits each node once; cut extraction runs once per priced flow)
-    while let Some(v) = stack.pop() {
-        // audit: bounded(adjacency scan within the single residual DFS)
-        for &e in &g.adj[v] {
-            let e = e as usize;
-            if residual[e] > 0 {
-                let w = g.to[e] as usize;
-                if !seen[w] {
-                    seen[w] = true;
-                    stack.push(w);
-                }
-            }
-        }
-    }
-    seen
-}
-
-/// Saturated forward edges crossing from the canonical source side to the
-/// sink side, in ascending edge-id order (deterministic).
-pub(crate) fn residual_min_cut(g: &FlowGraph, residual: &[u64], s: NodeId) -> Vec<EdgeId> {
-    let side = residual_source_side(g, residual, s);
-    let mut cut = Vec::new();
-    // audit: bounded(one pass over the edge list, once per priced flow)
-    for e in (0..g.to.len()).step_by(2) {
-        let from = g.to[e ^ 1] as usize;
-        let to = g.to[e] as usize;
-        if side[from] && !side[to] {
-            cut.push(e);
-        }
-    }
-    cut
-}
-
 /// The outcome of a max-flow computation: flow value plus the residual
-/// capacities, from which minimum cuts are extracted.
+/// capacities, from which minimum cuts are extracted. It is also the state
+/// a warm start repairs: after capacity changes to its graph,
+/// [`crate::DinicArena::warm_start`] turns it into a maximum flow of the
+/// updated graph in place.
 #[derive(Clone, Debug)]
 pub struct MaxFlowResult {
     /// The max-flow value == min-cut capacity (possibly ≥ [`INF`] when no
@@ -157,20 +119,44 @@ pub struct MaxFlowResult {
 impl MaxFlowResult {
     /// Flow pushed through forward edge `e`.
     pub fn flow_on(&self, g: &FlowGraph, e: EdgeId) -> u64 {
-        g.cap[e] - self.residual[e]
-    }
-
-    /// Nodes reachable from `s` in the residual network (the source side of
-    /// the canonical minimum cut).
-    pub fn source_side(&self, g: &FlowGraph, s: NodeId) -> Vec<bool> {
-        residual_source_side(g, &self.residual, s)
+        g.cap[e].saturating_sub(self.residual[e])
     }
 
     /// The edges of the canonical minimum cut: saturated forward edges from
-    /// the source side to the sink side. Their capacities sum to `value`
-    /// whenever a finite cut exists.
+    /// the source side to the sink side, in ascending edge-id order
+    /// (deterministic). Their capacities sum to `value` whenever a finite
+    /// cut exists.
+    ///
+    /// The source side is the set of nodes reachable from `s` along
+    /// positive-residual edges. For **any** maximum flow this set is the
+    /// same (it is the minimal source side), which is what makes
+    /// warm-started and cold-started solves agree edge-for-edge on the cut.
     pub fn min_cut_edges(&self, g: &FlowGraph, s: NodeId) -> Vec<EdgeId> {
-        residual_min_cut(g, &self.residual, s)
+        let mut side = vec![false; g.num_nodes()];
+        let mut stack = vec![s];
+        side[s] = true;
+        // audit: bounded(residual DFS visits each node once; cut extraction runs once per priced flow)
+        while let Some(v) = stack.pop() {
+            // audit: bounded(adjacency scan within the single residual DFS)
+            for &e in &g.adj[v] {
+                let e = e as usize;
+                let w = g.to[e] as usize;
+                if self.residual[e] > 0 && !side[w] {
+                    side[w] = true;
+                    stack.push(w);
+                }
+            }
+        }
+        let mut cut = Vec::new();
+        // audit: bounded(one pass over the edge list, once per priced flow)
+        for e in (0..g.to.len()).step_by(2) {
+            let from = g.to[e ^ 1] as usize;
+            let to = g.to[e] as usize;
+            if side[from] && !side[to] {
+                cut.push(e);
+            }
+        }
+        cut
     }
 }
 

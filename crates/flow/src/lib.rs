@@ -23,10 +23,10 @@
 //! * [`arena::DinicArena`] — a reusable, `Ticker`-aware solver arena that
 //!   amortizes the scratch-buffer allocations across many runs; batch
 //!   pricing keeps one arena per worker thread,
-//! * [`residual::ResidualState`] + [`arena::DinicArena::warm_start`] —
-//!   incremental re-solving: persist the final flow of a solve and repair
-//!   it after edge-capacity changes instead of recomputing from zero, with
-//!   a metered fallback to a cold solve when the repair exceeds its fuel
+//! * [`arena::DinicArena::warm_start`] — incremental re-solving: keep a
+//!   solve's [`graph::MaxFlowResult`] and repair it in place after
+//!   edge-capacity changes instead of recomputing from zero, with a
+//!   metered fallback to a cold solve when the repair exceeds its fuel
 //!   fraction.
 
 pub mod arena;
@@ -39,4 +39,4 @@ pub use arena::DinicArena;
 pub use dinic::{dinic, dinic_metered};
 pub use graph::{EdgeId, FlowGraph, MaxFlowResult, NodeId, INF};
 pub use meter::{Interrupted, Ticker, Unmetered};
-pub use residual::{warm_fuel_phases, ResidualState, WarmOutcome};
+pub use residual::{warm_fuel_phases, WarmOutcome};

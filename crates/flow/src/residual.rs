@@ -2,10 +2,10 @@
 //! *repair* it after a capacity change instead of recomputing from zero.
 //!
 //! The pricing engine's §2.7 dynamics change one price point at a time,
-//! which perturbs exactly one view edge of the Step 4 network. A
-//! [`ResidualState`] keeps the residual capacities of the last solve;
-//! [`DinicArena::warm_start`] then restores a maximum flow after a batch
-//! of single-edge capacity changes:
+//! which perturbs exactly one view edge of the Step 4 network. A solve's
+//! [`MaxFlowResult`] keeps the residual capacities of the flow it found;
+//! [`DinicArena::warm_start`] then repairs it in place into a maximum flow
+//! after a batch of single-edge capacity changes:
 //!
 //! * **increase** — the old flow stays feasible; the freed capacity is
 //!   added to the residual and augmentation resumes;
@@ -31,56 +31,12 @@
 //! `O(n)`-phase cold worst case. If the repair (or the resumed
 //! augmentation) exceeds it, the warm attempt is abandoned and a cold
 //! solve runs instead; either way the caller ends with a valid
-//! [`ResidualState`] for the updated graph.
+//! [`MaxFlowResult`] for the updated graph.
 
 use crate::arena::DinicArena;
-use crate::graph::{
-    residual_min_cut, residual_source_side, EdgeId, FlowGraph, MaxFlowResult, NodeId,
-};
+use crate::graph::{EdgeId, FlowGraph, MaxFlowResult, NodeId};
 use crate::meter::{Interrupted, Ticker};
 use std::cell::Cell;
-
-/// The persisted outcome of a max-flow solve: flow value plus residual
-/// capacities, reusable across capacity changes via
-/// [`DinicArena::warm_start`].
-#[derive(Clone, Debug)]
-pub struct ResidualState {
-    value: u64,
-    residual: Vec<u64>,
-}
-
-impl From<MaxFlowResult> for ResidualState {
-    fn from(r: MaxFlowResult) -> Self {
-        ResidualState {
-            value: r.value,
-            residual: r.residual,
-        }
-    }
-}
-
-impl ResidualState {
-    /// The current max-flow value == min-cut capacity.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// Flow pushed through forward edge `e`.
-    pub fn flow_on(&self, g: &FlowGraph, e: EdgeId) -> u64 {
-        g.edge(e).2.saturating_sub(self.residual[e])
-    }
-
-    /// Source side of the canonical minimum cut (see
-    /// [`MaxFlowResult::source_side`]).
-    pub fn source_side(&self, g: &FlowGraph, s: NodeId) -> Vec<bool> {
-        residual_source_side(g, &self.residual, s)
-    }
-
-    /// Edges of the canonical minimum cut, ascending (see
-    /// [`MaxFlowResult::min_cut_edges`]).
-    pub fn min_cut_edges(&self, g: &FlowGraph, s: NodeId) -> Vec<EdgeId> {
-        residual_min_cut(g, &self.residual, s)
-    }
-}
 
 /// What [`DinicArena::warm_start`] actually did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -126,14 +82,14 @@ impl DinicArena {
     /// `state` into a maximum flow of the updated graph, falling back to a
     /// cold solve when the repair exceeds its fuel fraction. `state` must
     /// be the result of a solve (cold or warm) of `g` in its pre-change
-    /// capacities; on return it is a valid max-flow state for the updated
-    /// graph, with the same value and canonical cut a cold solve reports.
+    /// capacities; on return it is a maximum flow of the updated graph,
+    /// with the same value and canonical cut a cold solve reports.
     pub fn warm_start(
         &mut self,
         g: &mut FlowGraph,
         s: NodeId,
         t: NodeId,
-        state: &mut ResidualState,
+        state: &mut MaxFlowResult,
         changes: &[(EdgeId, u64)],
         ticker: &impl Ticker,
     ) -> Result<WarmOutcome, Interrupted> {
@@ -165,8 +121,7 @@ impl DinicArena {
                 // *outer* ticker only (the fuel fraction governed just
                 // the warm attempt).
                 qbdp_obs::record(qbdp_obs::Ctr::FlowWarmFallbacks, 1);
-                let cold = self.max_flow(g, s, t, ticker)?;
-                *state = ResidualState::from(cold);
+                *state = self.max_flow(g, s, t, ticker)?;
                 Ok(WarmOutcome { fell_back: true })
             }
         }
@@ -180,7 +135,7 @@ impl DinicArena {
         g: &FlowGraph,
         s: NodeId,
         t: NodeId,
-        state: &mut ResidualState,
+        state: &mut MaxFlowResult,
         applied: &[(EdgeId, u64, u64)],
         ticker: &impl Ticker,
     ) -> Result<(), ()> {
@@ -332,9 +287,9 @@ mod tests {
         g
     }
 
-    fn assert_matches_cold(g: &FlowGraph, s: NodeId, t: NodeId, state: &ResidualState) {
+    fn assert_matches_cold(g: &FlowGraph, s: NodeId, t: NodeId, state: &MaxFlowResult) {
         let cold = crate::dinic(g, s, t);
-        assert_eq!(state.value(), cold.value, "warm value diverged");
+        assert_eq!(state.value, cold.value, "warm value diverged");
         assert_eq!(
             state.min_cut_edges(g, s),
             cold.min_cut_edges(g, s),
@@ -348,7 +303,7 @@ mod tests {
         for e in (0..10 * 2).step_by(2) {
             for &new_cap in &[0u64, 1, 5, 30] {
                 let mut g = diamond();
-                let mut state: ResidualState = arena.max_flow(&g, 0, 5, &Unmetered).unwrap().into();
+                let mut state = arena.max_flow(&g, 0, 5, &Unmetered).unwrap();
                 arena
                     .warm_start(&mut g, 0, 5, &mut state, &[(e, new_cap)], &Unmetered)
                     .unwrap();
@@ -378,7 +333,7 @@ mod tests {
                 continue;
             }
             let (s, t) = (0, n - 1);
-            let mut state: ResidualState = arena.max_flow(&g, s, t, &Unmetered).unwrap().into();
+            let mut state = arena.max_flow(&g, s, t, &Unmetered).unwrap();
             for step in 0..20 {
                 let e = edges[rng.below(edges.len() as u64) as usize];
                 let new_cap = rng.below(25);
@@ -387,8 +342,7 @@ mod tests {
                     .unwrap();
                 let cold = crate::dinic(&g, s, t);
                 assert_eq!(
-                    state.value(),
-                    cold.value,
+                    state.value, cold.value,
                     "case {case} step {step}: value diverged"
                 );
                 assert_eq!(
@@ -406,7 +360,7 @@ mod tests {
         let mut arena = DinicArena::new();
         for _ in 0..40 {
             let mut g = diamond();
-            let mut state: ResidualState = arena.max_flow(&g, 0, 5, &Unmetered).unwrap().into();
+            let mut state = arena.max_flow(&g, 0, 5, &Unmetered).unwrap();
             let changes: Vec<(EdgeId, u64)> = (0..3)
                 .map(|_| ((rng.below(10) * 2) as usize, rng.below(30)))
                 .collect();
@@ -421,7 +375,7 @@ mod tests {
     fn small_repair_stays_warm() {
         let mut g = diamond();
         let mut arena = DinicArena::new();
-        let mut state: ResidualState = arena.max_flow(&g, 0, 5, &Unmetered).unwrap().into();
+        let mut state = arena.max_flow(&g, 0, 5, &Unmetered).unwrap();
         let out = arena
             .warm_start(&mut g, 0, 5, &mut state, &[(8 * 2 / 2, 21)], &Unmetered)
             .unwrap();
@@ -448,8 +402,8 @@ mod tests {
         let bottleneck = g.add_edge(u, v, k as u64);
         g.add_edge(v, t, k as u64);
         let mut arena = DinicArena::new();
-        let mut state: ResidualState = arena.max_flow(&g, s, t, &Unmetered).unwrap().into();
-        assert_eq!(state.value(), k as u64);
+        let mut state = arena.max_flow(&g, s, t, &Unmetered).unwrap();
+        assert_eq!(state.value, k as u64);
         let out = arena
             .warm_start(&mut g, s, t, &mut state, &[(bottleneck, 0)], &Unmetered)
             .unwrap();
@@ -458,7 +412,7 @@ mod tests {
             "draining {k} unit paths must exhaust the fuel fraction"
         );
         assert_matches_cold(&g, s, t, &state);
-        assert_eq!(state.value(), 0);
+        assert_eq!(state.value, 0);
     }
 
     #[test]
@@ -471,7 +425,7 @@ mod tests {
         }
         let mut g = diamond();
         let mut arena = DinicArena::new();
-        let mut state: ResidualState = arena.max_flow(&g, 0, 5, &Unmetered).unwrap().into();
+        let mut state = arena.max_flow(&g, 0, 5, &Unmetered).unwrap();
         let r = arena.warm_start(&mut g, 0, 5, &mut state, &[(0, 1)], &Never);
         assert!(matches!(r, Err(Interrupted { .. })));
     }
@@ -483,13 +437,13 @@ mod tests {
         g.add_edge(0, 1, 10);
         let mid = g.add_edge(1, 2, 2);
         let mut arena = DinicArena::new();
-        let mut state: ResidualState = arena.max_flow(&g, 0, 2, &Unmetered).unwrap().into();
-        assert_eq!(state.value(), 2);
+        let mut state = arena.max_flow(&g, 0, 2, &Unmetered).unwrap();
+        assert_eq!(state.value, 2);
         let out = arena
             .warm_start(&mut g, 0, 2, &mut state, &[(mid, 7)], &Unmetered)
             .unwrap();
         assert!(!out.fell_back);
-        assert_eq!(state.value(), 7);
+        assert_eq!(state.value, 7);
         assert_matches_cold(&g, 0, 2, &state);
     }
 }

@@ -69,11 +69,13 @@ fn base_prices(catalog: &Catalog) -> PriceList {
 }
 
 /// Query pool: every engine path the plan cache fronts. The chain join
-/// exercises the GChQ flow network (and thus residual warm starts);
-/// full single-relation queries take the certificate path; the
-/// repeated-variable and constant-carrying shapes exercise the
-/// transformed-attribute pre-seeding; the projection and boolean
-/// shapes are priced outside the flow engine entirely.
+/// and the full single-relation queries take the GChQ flow pipeline, and
+/// thus plan builds and residual warm starts; the predicate-carrying and
+/// hanging-variable joins run it through Step 1's column shrinks and
+/// Step 3's cover/skip branches; the repeated-variable and
+/// constant-carrying shapes exercise the transformed-attribute
+/// pre-seeding; the projection (exact subset search) and the boolean
+/// shapes (witness or fullification) bypass the plan cache.
 const QUERIES: &[&str] = &[
     "Q(x, y) :- R(x), S(x, y), T(y)",
     "Q(x) :- R(x)",
@@ -84,6 +86,9 @@ const QUERIES: &[&str] = &[
     "Q(x) :- S(x, y)",
     "Q() :- S(x, y)",
     "Q() :- R(x), T(y)",
+    "Q(x, y) :- R(x), S(x, y), T(y), x > 1",
+    "Q(x, y) :- R(x), S(x, y)",
+    "Q(x, y) :- S(x, y), T(y), y != 2",
 ];
 
 /// A market over an empty chain instance.

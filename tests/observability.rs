@@ -43,6 +43,19 @@ fn telemetry_acceptance_end_to_end() {
     ] {
         assert!(out.contains(span), "missing span `{span}` in:\n{out}");
     }
+    // The same shape under other variable names misses the quote cache
+    // and is the plan cache's second miss of that shape, so it builds a
+    // plan. A build runs the cold pipeline, so its stages are traced too.
+    let out = cli::run_command(&market, "price --trace Q(u, w) :- R(u), S(u, w), T(w)");
+    assert!(out.contains("price : $6.00"), "quote itself wrong:\n{out}");
+    for span in [
+        r#""span":"plan_cache","detail":"build""#,
+        r#""span":"plan_build","detail":"","depth":0"#,
+        r#""span":"normalize","detail":"steps_1_3","depth":1"#,
+        r#""span":"flow_solve","detail":"done","depth":1"#,
+    ] {
+        assert!(out.contains(span), "missing span `{span}` in:\n{out}");
+    }
 
     // --- 2. non-zero metrics in both export formats. ---------------
     // The trace run above already served one quote through one cache
