@@ -66,17 +66,25 @@ impl Catalog {
         }
     }
 
-    /// This catalog with attribute `pos` of `rel` removed, matching
-    /// [`Instance::project_out`]: every relation keeps its id, `rel`'s
-    /// later attributes move down one position, and every column is
-    /// shared.
-    pub fn without_position(&self, rel: RelId, pos: usize) -> Result<Catalog, CatalogError> {
+    /// This catalog and `instance` (an instance over it) with attribute
+    /// `pos` of `rel` projected away, over one shared schema. Every
+    /// relation keeps its id, `rel`'s later attributes move down one
+    /// position, and every column is shared; `rel` keeps the first
+    /// occurrence of each projected tuple in insertion order, and every
+    /// other relation is shared.
+    pub fn project_out(
+        &self,
+        instance: &Instance,
+        rel: RelId,
+        pos: usize,
+    ) -> Result<(Catalog, Instance), CatalogError> {
         let schema = Arc::new(self.schema.without_position(rel, pos)?);
         let mut columns = self.columns.clone();
         if let Some(cols) = columns.get_mut(rel.0 as usize).filter(|c| pos < c.len()) {
             cols.remove(pos);
         }
-        Catalog::new(schema, columns)
+        let projected = instance.project_onto(Arc::clone(&schema), rel, pos);
+        Ok((Catalog::new(schema, columns)?, projected))
     }
 
     /// An empty instance over this catalog's schema.
@@ -239,15 +247,19 @@ mod tests {
             c.column(AttrRef::new(r, 0))
         );
 
-        let dropped = c.without_position(s, 0).unwrap();
+        let mut d = c.empty_instance();
+        d.insert_all(s, [tuple![0, 1], tuple![1, 1], tuple![0, 2]])
+            .unwrap();
+        let (dropped, projected) = c.project_out(&d, s, 0).unwrap();
         assert_eq!(dropped.schema().relation(s).attrs(), &["Y"]);
         assert_eq!(dropped.column(AttrRef::new(s, 0)).len(), 3);
         assert_eq!(dropped.sigma_size(), 2 + 3);
-        // The schema matches the projected instance's.
-        let projected = c.empty_instance().project_out(s, 0).unwrap();
-        assert_eq!(dropped.schema(), projected.schema());
+        // The projected catalog and instance share one schema.
+        assert!(Arc::ptr_eq(dropped.schema(), projected.schema()));
+        assert_eq!(projected.relation(s).len(), 2);
+        assert!(projected.relation(s).contains(&tuple![2]));
         // A relation cannot lose its only attribute.
-        assert!(c.without_position(r, 0).is_err());
+        assert!(c.project_out(&d, r, 0).is_err());
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! and a write copies only the relation it touches, and only while another
 //! instance still shares it. The normalization steps of the pricing
 //! pipeline derive their instances with [`Instance::retain`] and
-//! [`Instance::project_out`], which rebuild the one relation they change
-//! and share the rest.
+//! [`crate::Catalog::project_out`], which rebuild the one relation they
+//! change and share the rest.
 
 use crate::error::CatalogError;
 use crate::fxhash::{FxHashMap, FxHashSet};
@@ -176,22 +176,19 @@ impl Instance {
         self.relations[rel.0 as usize] = Arc::new(fresh);
     }
 
-    /// This instance with position `pos` of `rel` projected away: the
-    /// schema loses that attribute, `rel` keeps the first occurrence of
-    /// each projected tuple in insertion order, and every other relation
-    /// is shared.
-    pub fn project_out(&self, rel: RelId, pos: usize) -> Result<Instance, CatalogError> {
-        let schema = self.schema.without_position(rel, pos)?;
+    /// This instance with position `pos` of `rel` projected away, over
+    /// `schema`: this instance's schema without that attribute, built once
+    /// by [`crate::Catalog::project_out`] and shared with the projected
+    /// catalog. `rel` keeps the first occurrence of each projected tuple in
+    /// insertion order, and every other relation is shared.
+    pub(crate) fn project_onto(&self, schema: Arc<Schema>, rel: RelId, pos: usize) -> Instance {
         let mut projected = Relation::with_arity(schema.relation(rel).arity());
         for t in self.relation(rel).iter() {
             projected.insert(t.without_position(pos));
         }
         let mut relations = self.relations.clone();
         relations[rel.0 as usize] = Arc::new(projected);
-        Ok(Instance {
-            schema: Arc::new(schema),
-            relations,
-        })
+        Instance { schema, relations }
     }
 
     /// Total number of tuples across all relations.
@@ -384,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn project_out_dedups_in_order_and_shares_the_rest() {
+    fn project_onto_dedups_in_order_and_shares_the_rest() {
         let schema = schema_rs();
         let (r_id, s_id) = (schema.rel_id("R").unwrap(), schema.rel_id("S").unwrap());
         let mut d = Instance::empty(schema);
@@ -399,7 +396,9 @@ mod tests {
             ],
         )
         .unwrap();
-        let p = d.project_out(s_id, 0).unwrap();
+        let projected = Arc::new(d.schema().without_position(s_id, 0).unwrap());
+        let p = d.project_onto(Arc::clone(&projected), s_id, 0);
+        assert!(Arc::ptr_eq(p.schema(), &projected));
         assert_eq!(p.schema().relation(s_id).attrs(), ["Y"]);
         let rows: Vec<&Tuple> = p.relation(s_id).iter().collect();
         assert_eq!(rows, [&tuple!["c"], &tuple!["d"]]);
@@ -409,8 +408,6 @@ mod tests {
         );
         assert!(Arc::ptr_eq(&p.relations[0], &d.relations[0]));
         assert_eq!(d.relation(s_id).len(), 4);
-        // A unary relation has nothing left to project onto.
-        assert!(p.project_out(r_id, 0).is_err());
         // Writes to the projection stay out of the source.
         let mut p = p;
         p.insert(r_id, tuple!["q"]).unwrap();

@@ -1,6 +1,7 @@
 //! Typed constants appearing in database tuples, columns, and queries.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A database constant.
 ///
@@ -8,17 +9,21 @@ use std::fmt;
 /// scenarios it discusses (business names, state codes, team ids, numeric
 /// statistics): 64-bit integers and strings. `Value` is totally ordered
 /// (integers before texts) so columns can be kept sorted and deterministic.
+///
+/// A text value shares its string behind an [`Arc`], so cloning a value
+/// never allocates: the tuples, indexes, columns, price maps and views that
+/// hold the same constant all point at one string.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Value {
     /// An integer constant, e.g. a game id or an IP octet.
     Int(i64),
     /// A string constant, e.g. `"WA"` or `"Seattle Mariners"`.
-    Text(Box<str>),
+    Text(Arc<str>),
 }
 
 impl Value {
     /// Construct a text value.
-    pub fn text(s: impl Into<Box<str>>) -> Self {
+    pub fn text(s: impl Into<Arc<str>>) -> Self {
         Value::Text(s.into())
     }
 
@@ -126,7 +131,7 @@ impl From<&str> for Value {
 
 impl From<String> for Value {
     fn from(s: String) -> Self {
-        Value::Text(s.into_boxed_str())
+        Value::Text(s.into())
     }
 }
 
@@ -187,5 +192,14 @@ mod tests {
         assert_eq!(Value::Int(5).as_text(), None);
         assert_eq!(Value::text("z").as_text(), Some("z"));
         assert_eq!(Value::text("z").as_int(), None);
+    }
+
+    #[test]
+    fn values_are_two_words_and_clones_share_their_text() {
+        assert_eq!(std::mem::size_of::<Value>(), 16);
+        let v = Value::text("Seattle Mariners");
+        let w = v.clone();
+        assert_eq!(v, w);
+        assert!(std::ptr::eq(v.as_text().unwrap(), w.as_text().unwrap()));
     }
 }

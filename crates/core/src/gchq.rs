@@ -10,38 +10,26 @@ use crate::chain::price::solve_chain;
 use crate::dichotomy::QueryClass;
 use crate::error::PricingError;
 use crate::money::Price;
+use crate::normalize::step3_hanging::{cover_views, Cover, ReducedBranch};
 use crate::normalize::{step1_predicates, step2_repeated, step3_hanging, Problem, Provenance};
 use crate::pricer::{Pricer, PricingMethod, Quote};
 use qbdp_determinacy::selection::SelectionView;
 use qbdp_flow::MaxFlowResult;
 use qbdp_query::analysis;
 use qbdp_query::ast::ConjunctiveQuery;
-use std::sync::Arc;
 
 /// Reorder the query's atoms into a generalized-chain order, if one exists.
 /// Interpreted predicates and constants are ignored by the order search
 /// (they are handled by Steps 1–2 and do not affect variable sharing).
 pub fn reorder_to_gchq(q: &ConjunctiveQuery) -> Option<ConjunctiveQuery> {
     let order = analysis::find_gchq_order(q)?;
+    if order.iter().enumerate().all(|(i, &atom)| i == atom) {
+        return Some(q.clone());
+    }
     let atoms = order.iter().map(|&i| q.atoms()[i].clone()).collect();
-    // Rebuilding with permuted atoms cannot fail validation: the schema
-    // constraints are order-independent. `with_body` needs a schema, which
-    // queries do not carry — so rebuild through the public constructor via
-    // the crate-internal pieces.
-    ConjunctiveQuery::new(
-        q.name().to_string(),
-        q.head().to_vec(),
-        atoms,
-        q.preds().to_vec(),
-        q.var_names().to_vec(),
-        // Validation needs arities; reuse a permissive check by building a
-        // throwaway schema is impossible here — instead rely on the fact
-        // that `ConjunctiveQuery::new` only consults the schema for atom
-        // arities, which the caller has already validated. We therefore
-        // validate against a schema reconstructed from the atoms.
-        &schema_for(q),
-    )
-    .ok()
+    // Every check of `ConjunctiveQuery::new` is order-independent, so a
+    // permutation of a valid query passes against its atoms' own schema.
+    q.with_body(atoms, q.preds().to_vec(), &schema_for(q)).ok()
 }
 
 /// A minimal schema consistent with the query's atoms (names `R#i`,
@@ -73,12 +61,13 @@ pub(crate) fn schema_for(q: &ConjunctiveQuery) -> qbdp_catalog::Schema {
     schema
 }
 
-/// A Step 3 branch with its Min-Cut network solved.
+/// A Step 3 branch with its Min-Cut network solved, as a plan build keeps
+/// it for warm reprices.
 pub(crate) struct SolvedBranch {
-    /// Original views bought by the branch's full covers; their prices
-    /// sum to the branch's base cost. Shared with the branch minimum, which
-    /// copies them only if it outlives the branch.
-    pub(crate) base_views: Arc<Vec<SelectionView>>,
+    /// Original views bought by the branch's full covers, resolved once
+    /// when the plan is built: warm reprices re-sum the base cost from
+    /// them.
+    pub(crate) base_views: Vec<SelectionView>,
     /// Reduced-view → original-view mapping of the branch problem.
     pub(crate) provenance: Provenance,
     /// The branch's Step 4 network (warm starts patch its capacities).
@@ -87,54 +76,80 @@ pub(crate) struct SolvedBranch {
     pub(crate) flow: MaxFlowResult,
 }
 
-/// Theorem 3.7's last step: the minimum over the Step 3 branches of cover
-/// cost plus cut price, and the purchase that realizes it.
-pub(crate) struct BranchMinimum {
-    /// The cheapest branch total so far (`INFINITE` before any finite one).
-    pub(crate) price: Price,
-    /// That branch's cover views.
-    base_views: Arc<Vec<SelectionView>>,
-    /// That branch's cut, resolved to original views.
-    cut_views: Vec<SelectionView>,
+impl SolvedBranch {
+    /// The branch's purchase: its cover views, then its cut's.
+    pub(crate) fn views(&self) -> Vec<SelectionView> {
+        let mut views = self.base_views.clone();
+        let cut = self.network.cut(&self.flow);
+        views.extend(self.provenance.resolve_all(&cut.views));
+        views
+    }
 }
 
-impl Default for BranchMinimum {
+/// What a branch buys, before provenance maps it to original views: its
+/// full covers, and its min cut in the branch's reduced coordinates.
+pub(crate) struct Purchase {
+    covers: Vec<Cover>,
+    cut: Vec<SelectionView>,
+    provenance: Provenance,
+}
+
+impl Purchase {
+    /// The purchase as original views: the covers', then the cut's.
+    pub(crate) fn views(self) -> Vec<SelectionView> {
+        let mut views = cover_views(&self.covers);
+        views.extend(self.provenance.resolve_all(&self.cut));
+        views
+    }
+}
+
+/// Theorem 3.7's last step: the minimum over the Step 3 branches of cover
+/// cost plus cut price. `W` is what the caller keeps of the cheapest
+/// branch, to map to original views once every branch has been offered.
+pub(crate) struct BranchMinimum<W> {
+    /// The cheapest branch total so far (`INFINITE` before any finite one).
+    pub(crate) price: Price,
+    /// That branch, as the caller keeps it.
+    pub(crate) winner: Option<W>,
+}
+
+impl<W> Default for BranchMinimum<W> {
     fn default() -> Self {
         BranchMinimum {
             price: Price::INFINITE,
-            base_views: Arc::default(),
-            cut_views: Vec::new(),
+            winner: None,
         }
     }
 }
 
-impl BranchMinimum {
+impl<W> BranchMinimum<W> {
     /// Offer a solved branch whose covers cost `base_cost`; returns its
     /// total. It replaces the best so far only when strictly cheaper (ties
-    /// go to the earlier branch), and only then is its cut mapped through
-    /// provenance to original views.
-    pub(crate) fn offer(&mut self, base_cost: Price, branch: &SolvedBranch) -> Price {
-        let total = base_cost.saturating_add(Price::from_cut_value(branch.flow.value));
+    /// go to the earlier branch), and only then is `winner` called.
+    pub(crate) fn offer(
+        &mut self,
+        base_cost: Price,
+        flow: &MaxFlowResult,
+        winner: impl FnOnce() -> W,
+    ) -> Price {
+        let total = base_cost.saturating_add(Price::from_cut_value(flow.value));
         if total < self.price {
             self.price = total;
-            self.base_views = Arc::clone(&branch.base_views);
-            let cut = branch.network.cut(&branch.flow);
-            self.cut_views = branch.provenance.resolve_all(&cut.views);
+            self.winner = Some(winner());
         }
         total
     }
 
-    /// The cheapest branch's purchase: its cover views, then its cut's.
-    pub(crate) fn views(self) -> Vec<SelectionView> {
-        let mut views = Arc::unwrap_or_clone(self.base_views);
-        views.extend(self.cut_views);
-        views
-    }
-
-    /// The exact `ChainFlow` quote of a query of class `class`.
-    pub(crate) fn quote(self, class: QueryClass) -> Quote {
+    /// The exact `ChainFlow` quote of a query of class `class`: the
+    /// minimum's price, and its winner's purchase mapped to original views
+    /// by `views` (no views before any finite branch).
+    pub(crate) fn quote(
+        self,
+        class: QueryClass,
+        views: impl FnOnce(W) -> Vec<SelectionView>,
+    ) -> Quote {
         let price = self.price;
-        let mut views = self.views();
+        let mut views = self.winner.map(views).unwrap_or_default();
         views.sort();
         views.dedup();
         Quote {
@@ -148,10 +163,17 @@ impl BranchMinimum {
     }
 }
 
+impl BranchMinimum<Purchase> {
+    /// The cheapest branch's purchase as original views.
+    pub(crate) fn views(self) -> Vec<SelectionView> {
+        self.winner.map(Purchase::views).unwrap_or_default()
+    }
+}
+
 /// A GChQ run through `price_branches`.
 pub(crate) struct Branches {
     /// The cheapest branch whose flow finished.
-    pub(crate) minimum: BranchMinimum,
+    pub(crate) minimum: BranchMinimum<Purchase>,
     /// Whether Step 3 produced every branch (always, under an unlimited
     /// budget).
     pub(crate) complete: bool,
@@ -166,9 +188,10 @@ pub(crate) struct Branches {
 
 /// Price a non-boolean GChQ by Theorem 3.7 under `budget`: reorder, run
 /// Steps 1–3, solve one Min-Cut per Step 3 branch, and take the minimum
-/// over branches. With `keep` every finished branch comes back with its
-/// network and flow; otherwise each flow returns to this thread's Dinic
-/// arena as soon as its branch is offered.
+/// over branches. Only the cheapest branch's covers and cut are mapped to
+/// original views. With `keep` every finished branch comes back with its
+/// network, its flow and its cover views resolved; otherwise each flow
+/// returns to this thread's Dinic arena as soon as its branch is offered.
 pub(crate) fn price_branches(
     pricer: &Pricer,
     q: &ConjunctiveQuery,
@@ -220,24 +243,40 @@ pub(crate) fn price_branches(
             }
         };
         span.detail("done");
+        let ReducedBranch {
+            problem,
+            base_cost,
+            covers,
+        } = branch;
+        if !keep {
+            let total = run.minimum.offer(base_cost, &flow, || Purchase {
+                cut: network.cut(&flow).views,
+                covers,
+                provenance: problem.provenance,
+            });
+            run.floor = run.floor.min(total);
+            with_dinic_arena(|a| a.recycle(flow));
+            continue;
+        }
         let solved = SolvedBranch {
-            base_views: Arc::new(branch.base_views),
-            provenance: branch.problem.provenance,
+            base_views: cover_views(&covers),
+            provenance: problem.provenance,
             network,
             flow,
         };
-        run.floor = run.floor.min(run.minimum.offer(branch.base_cost, &solved));
-        if !keep {
-            with_dinic_arena(|a| a.recycle(solved.flow));
-            continue;
-        }
         // Warm reprices re-sum the base cost from the cover views.
         debug_assert_eq!(
-            branch.base_cost,
+            base_cost,
             solved.base_views.iter().fold(Price::ZERO, |acc, v| acc
                 .saturating_add(pricer.prices().get(v))),
             "cover views must re-sum to the branch base cost"
         );
+        let total = run.minimum.offer(base_cost, &solved.flow, || Purchase {
+            cut: solved.network.cut(&solved.flow).views,
+            covers,
+            provenance: solved.provenance.clone(),
+        });
+        run.floor = run.floor.min(total);
         run.kept.push(solved);
     }
     Ok(run)
@@ -246,9 +285,58 @@ pub(crate) fn price_branches(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qbdp_catalog::{CatalogBuilder, Column};
+    use crate::price_points::PriceList;
+    use qbdp_catalog::{tuple, AttrRef, CatalogBuilder, Column};
     use qbdp_query::chain::ChainQuery;
     use qbdp_query::parser::parse_rule;
+
+    /// `Q(x, y) :- R(x, y)` over equal-sized columns at a uniform price:
+    /// covering `R.X` (Step 3's cover branch, offered first) and buying
+    /// every `R.Y` view (its skip branch) cost the same.
+    #[test]
+    fn tied_branches_go_to_the_earlier_with_or_without_keeping() {
+        let col = Column::int_range(0, 3);
+        let cat = CatalogBuilder::new()
+            .uniform_relation("R", &["X", "Y"], &col)
+            .build()
+            .unwrap();
+        let r = cat.schema().rel_id("R").unwrap();
+        let mut d = cat.empty_instance();
+        d.insert_all(r, [tuple![0, 1], tuple![1, 2], tuple![2, 0]])
+            .unwrap();
+        let prices = PriceList::uniform(&cat, Price::dollars(1));
+        let q = parse_rule(cat.schema(), "Q(x, y) :- R(x, y)").unwrap();
+        let pricer = Pricer::new(cat, d, prices).unwrap();
+        let unlimited = Budget::unlimited();
+
+        let kept = price_branches(&pricer, &q, &unlimited, true).unwrap();
+        assert_eq!(kept.kept.len(), 2);
+        for branch in &kept.kept {
+            let base_cost = branch.base_views.iter().fold(Price::ZERO, |acc, v| {
+                acc.saturating_add(pricer.prices().get(v))
+            });
+            let total = base_cost.saturating_add(Price::from_cut_value(branch.flow.value));
+            assert_eq!(total, Price::dollars(3));
+        }
+        let sorted = |mut views: Vec<SelectionView>| {
+            views.sort();
+            views
+        };
+        let earlier = sorted(kept.kept[0].views());
+        let later = sorted(kept.kept[1].views());
+        let covers_x: Vec<SelectionView> = (0..3)
+            .map(|v| SelectionView::new(AttrRef::new(r, 0), v as i64))
+            .collect();
+        assert_eq!(earlier, covers_x);
+        assert_ne!(earlier, later);
+
+        let cold = price_branches(&pricer, &q, &unlimited, false).unwrap();
+        assert!(cold.kept.is_empty());
+        assert_eq!(cold.minimum.price, Price::dollars(3));
+        assert_eq!(kept.minimum.price, Price::dollars(3));
+        assert_eq!(sorted(cold.minimum.views()), earlier);
+        assert_eq!(sorted(kept.minimum.views()), earlier);
+    }
 
     #[test]
     fn reorders_scrambled_chain() {
@@ -264,6 +352,9 @@ mod tests {
         assert!(ChainQuery::from_cq(&q).is_err());
         let reordered = reorder_to_gchq(&q).unwrap();
         assert!(ChainQuery::from_cq(&reordered).is_ok());
+        assert_eq!(reordered.head(), q.head());
+        // A query already in chain order comes back as it is.
+        assert_eq!(reorder_to_gchq(&reordered).as_ref(), Some(&reordered));
     }
 
     #[test]

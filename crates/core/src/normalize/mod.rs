@@ -31,9 +31,16 @@
 //! positions' maps down without copying them ([`drop_attribute`]). By
 //! Lemma 3.1 every rewrite stays inside the relation it names, so the
 //! untouched relations reach the flow network as the very tuples and
-//! price maps the pricer holds. Each step still builds a new [`Catalog`]
-//! (its columns shared) and a new query, and dropping an attribute builds
-//! a new schema.
+//! price maps the pricer holds.
+//!
+//! Copying a tuple or a view copies no string: a text [`Value`] shares its
+//! string behind an [`Arc`]. Each Step 3 node projects once, and its two
+//! children share the projected relation; a full cover is recorded as a
+//! [`step3_hanging::Cover`], not resolved to original views until a quote
+//! needs them (see [`step3_hanging`]). Each step still builds a new
+//! [`Catalog`] (its columns shared) and a new query, and dropping an
+//! attribute builds one new schema, which the projected catalog and
+//! instance share.
 
 pub mod step1_predicates;
 pub mod step2_repeated;
@@ -74,17 +81,29 @@ impl Provenance {
 
     /// Resolve a reduced view to original views.
     pub fn resolve(&self, view: &SelectionView) -> Vec<SelectionView> {
-        if let Some(orig) = self.map.get(&view.attr).and_then(|m| m.get(&view.value)) {
-            return orig.clone();
+        let mut out = Vec::new();
+        self.resolve_into(view.attr, &view.value, &mut out);
+        out
+    }
+
+    /// Append the original views reduced view `(attr, value)` stands for
+    /// to `out`.
+    pub(crate) fn resolve_into(&self, attr: AttrRef, value: &Value, out: &mut Vec<SelectionView>) {
+        if let Some(orig) = self.map.get(&attr).and_then(|m| m.get(value)) {
+            out.extend_from_slice(orig);
+            return;
         }
-        let attr = self.renames.get(&view.attr).copied().unwrap_or(view.attr);
-        vec![SelectionView::new(attr, view.value.clone())]
+        let attr = self.renames.get(&attr).copied().unwrap_or(attr);
+        out.push(SelectionView::new(attr, value.clone()));
     }
 
     /// Resolve reduced views (a min cut's) to the original views they stand
     /// for, sorted and deduplicated.
     pub(crate) fn resolve_all(&self, views: &[SelectionView]) -> Vec<SelectionView> {
-        let mut out: Vec<SelectionView> = views.iter().flat_map(|v| self.resolve(v)).collect();
+        let mut out = Vec::with_capacity(views.len());
+        for v in views {
+            self.resolve_into(v.attr, &v.value, &mut out);
+        }
         out.sort();
         out.dedup();
         out
@@ -146,7 +165,8 @@ impl Problem {
 /// and — via collapse — Step 2). Every relation keeps its id; positions
 /// after `drop_pos` within `rel` shift down by one.
 ///
-/// Only `rel`'s tuples are copied. The dropped attribute's prices and
+/// Only `rel`'s tuples are copied, and the projected catalog and instance
+/// share one new schema. The dropped attribute's prices and
 /// provenance entries are removed, and the shifted attributes' maps move
 /// to their new positions still shared with the inputs, each recording one
 /// rename back to its original attribute. Every other relation, column,
@@ -163,8 +183,7 @@ pub fn drop_attribute(
     drop_pos: usize,
 ) -> Result<(Catalog, Instance, PriceList, Provenance), PricingError> {
     let arity = catalog.schema().relation(rel).arity();
-    let new_instance = instance.project_out(rel, drop_pos)?;
-    let new_catalog = catalog.without_position(rel, drop_pos)?;
+    let (new_catalog, new_instance) = catalog.project_out(instance, rel, drop_pos)?;
     let mut new_prices = prices.clone();
     new_prices.drop_position(rel, drop_pos, arity);
     let mut new_prov = provenance.clone();
@@ -247,9 +266,11 @@ mod tests {
     }
 
     /// Steps 1–3 copy only what they rewrite: `T`'s tuples and prices stay
-    /// the input's, each shifted attribute is one rename, and every view
-    /// resolves as it did when each step rebuilt the whole problem (the
-    /// expected tables were recorded from that implementation).
+    /// the input's, each shifted attribute is one rename, sibling Step 3
+    /// branches share their node's projection, and every view resolves as
+    /// it did when each step rebuilt the whole problem (the expected tables
+    /// were recorded from that implementation; cover views are read
+    /// through [`step3_hanging::ReducedBranch::base_views`]).
     #[test]
     fn steps_share_untouched_maps_and_resolve_as_before() {
         let input = two_relation_fixture();
@@ -320,7 +341,7 @@ mod tests {
             assert!(shared(&b.problem));
             assert_eq!(b.base_cost, cost);
             let mut bought: Vec<String> = b
-                .base_views
+                .base_views()
                 .iter()
                 .map(|v| format!("{}.{}={}", v.attr.rel.0, v.attr.attr.0, v.value))
                 .collect();
@@ -335,6 +356,18 @@ mod tests {
                 usize::from(cost > Price::ZERO)
             );
         }
+        // The last Step 3 node projects `R` once: its cover and skip
+        // children hold the same projected relation.
+        for pair in branches.chunks(2) {
+            assert!(std::ptr::eq(
+                pair[0].problem.instance.relation(r),
+                pair[1].problem.instance.relation(r)
+            ));
+        }
+        assert!(!std::ptr::eq(
+            branches[0].problem.instance.relation(r),
+            branches[2].problem.instance.relation(r)
+        ));
     }
 
     #[test]

@@ -13,26 +13,76 @@
 //! The final price is the minimum over the `2^h` reduced problems. Each
 //! remaining problem has hanging variables only in unary atoms
 //! (single-atom queries), which the chain reduction prices directly.
+//!
+//! Both branches of a node start from the same projection, so a node
+//! projects once: the skip branch takes the projected problem, and the
+//! cover branch a clone of it (sharing every relation, column and price
+//! map) whose free attribute it then zeroes. A cover branch records what
+//! it bought as a [`Cover`] — the attribute, its column and the node's
+//! provenance, all shared — rather than the original views of every
+//! covered value. Only the branch that wins the minimum needs those
+//! views, so [`crate::gchq`] resolves the winner's covers alone (and a
+//! plan build, which re-sums every branch's base cost on warm reprices,
+//! resolves every branch it keeps).
 
-use super::{drop_attribute, Problem};
+use super::{drop_attribute, Problem, Provenance};
 use crate::budget::Budget;
 use crate::error::PricingError;
 use crate::money::Price;
-use qbdp_catalog::AttrRef;
+use qbdp_catalog::{AttrRef, Column};
 use qbdp_determinacy::selection::SelectionView;
 use qbdp_query::analysis;
 use qbdp_query::ast::{Atom, ConjunctiveQuery, Term, Var};
+use std::sync::Arc;
 
-/// A fully reduced problem plus the cost and views already committed by the
-/// cover branches taken on the way.
+/// A fully reduced problem plus the cost and covers already committed by
+/// the cover branches taken on the way.
 #[derive(Clone, Debug)]
 pub struct ReducedBranch {
     /// The reduced problem (no hanging variables in non-unary atoms).
     pub problem: Problem,
     /// Price already paid for full covers.
     pub base_cost: Price,
-    /// Original views bought by those full covers.
-    pub base_views: Vec<SelectionView>,
+    /// The full covers bought on the way, outermost first; the prices of
+    /// their views sum to `base_cost`.
+    pub covers: Vec<Cover>,
+}
+
+impl ReducedBranch {
+    /// The original views the branch's full covers bought.
+    pub fn base_views(&self) -> Vec<SelectionView> {
+        cover_views(&self.covers)
+    }
+}
+
+/// A full cover `Σ_{R.X}` bought at one Step 3 node: the attribute, its
+/// column and the node's provenance, each shared with the node. It is
+/// recorded, not resolved: however long its column, a cover costs one
+/// allocation to record and two reference counts to clone until someone
+/// asks for its original views.
+#[derive(Clone, Debug)]
+pub struct Cover {
+    attr: AttrRef,
+    column: Column,
+    provenance: Arc<Provenance>,
+}
+
+impl Cover {
+    /// The original views this cover bought, appended to `out`.
+    fn resolve_into(&self, out: &mut Vec<SelectionView>) {
+        for value in self.column.iter() {
+            self.provenance.resolve_into(self.attr, value, out);
+        }
+    }
+}
+
+/// The original views bought by `covers`, cover by cover in column order.
+pub(crate) fn cover_views(covers: &[Cover]) -> Vec<SelectionView> {
+    let mut views = Vec::with_capacity(covers.iter().map(|c| c.column.len()).sum());
+    for cover in covers {
+        cover.resolve_into(&mut views);
+    }
+    views
 }
 
 /// Cap on the number of hanging attributes (the expansion is `2^h`, as the
@@ -98,12 +148,12 @@ fn hang_site(q: &ConjunctiveQuery, v: Var) -> Option<(usize, usize)> {
 fn expand(
     problem: Problem,
     base_cost: Price,
-    base_views: Vec<SelectionView>,
+    covers: Vec<Cover>,
     out: &mut Vec<ReducedBranch>,
     budget: &Budget,
 ) -> Result<bool, PricingError> {
     // Each expansion node is charged about one instance scan, the cost of
-    // the projections below in the worst case.
+    // the projection below in the worst case.
     if !budget.charge(16 + problem.instance.total_tuples() as u64) {
         return Ok(false);
     }
@@ -115,40 +165,41 @@ fn expand(
         out.push(ReducedBranch {
             problem,
             base_cost,
-            base_views,
+            covers,
         });
         return Ok(true);
     };
     let rel = problem.query.atoms()[atom_idx].rel;
     let attr = AttrRef::new(rel, pos as u32);
+    // Both branches project R.X away: project once, and let branch A
+    // share the projected relation with branch B.
+    let reduced = project_out(&problem, rel, atom_idx, pos, var)?;
 
     // ---- Branch A: buy the full cover Σ_{R.X}. ----
     let cover_price = problem.prices.full_cover_price(&problem.catalog, attr);
     if cover_price.is_finite() {
-        let mut views = base_views.clone();
-        for v in problem.catalog.column(attr).iter() {
-            views.extend(
-                problem
-                    .provenance
-                    .resolve(&SelectionView::new(attr, v.clone())),
-            );
-        }
-        let mut reduced = project_out(&problem, rel, atom_idx, pos, var)?;
+        let mut covered = reduced.clone();
         // Give the relation out for free on one *surviving* attribute —
         // prefer a join position so later hanging-removals of this relation
         // don't erase the freebie.
-        let free_pos = choose_free_position(&reduced.query, atom_idx);
+        let free_pos = choose_free_position(&covered.query, atom_idx);
         let free_attr = AttrRef::new(rel, free_pos as u32);
-        reduced
+        covered
             .prices
-            .set_attr_uniform(&reduced.catalog, free_attr, Price::ZERO);
-        for v in reduced.catalog.column(free_attr).iter() {
-            reduced.provenance.record(free_attr, v.clone(), Vec::new());
+            .set_attr_uniform(&covered.catalog, free_attr, Price::ZERO);
+        for v in covered.catalog.column(free_attr).iter() {
+            covered.provenance.record(free_attr, v.clone(), Vec::new());
         }
+        let mut with_cover = covers.clone();
+        with_cover.push(Cover {
+            attr,
+            column: problem.catalog.column(attr).clone(),
+            provenance: Arc::new(problem.provenance),
+        });
         if !expand(
-            reduced,
+            covered,
             base_cost.saturating_add(cover_price),
-            views,
+            with_cover,
             out,
             budget,
         )? {
@@ -157,8 +208,7 @@ fn expand(
     }
 
     // ---- Branch B: never touch R.X. ----
-    let reduced = project_out(&problem, rel, atom_idx, pos, var)?;
-    expand(reduced, base_cost, base_views, out, budget)
+    expand(reduced, base_cost, covers, out, budget)
 }
 
 /// Position of the reduced atom whose variable is not hanging (a join
@@ -267,7 +317,7 @@ mod tests {
             .iter()
             .find(|b| b.base_cost == Price::dollars(3))
             .unwrap();
-        assert_eq!(a.base_views.len(), 3);
+        assert_eq!(a.base_views().len(), 3);
         let r = a.problem.catalog.schema().rel_id("R").unwrap();
         assert_eq!(a.problem.catalog.schema().relation(r).arity(), 1);
         let free = AttrRef::new(r, 0);
@@ -281,7 +331,7 @@ mod tests {
         // Branch B: nothing paid; R' has no prices on the erased attr but
         // keeps Y's (now position 0) original prices.
         let b = bs.iter().find(|b| b.base_cost == Price::ZERO).unwrap();
-        assert!(b.base_views.is_empty());
+        assert!(b.covers.is_empty());
         let rb = b.problem.catalog.schema().rel_id("R").unwrap();
         assert_eq!(
             b.problem.prices.get_at(AttrRef::new(rb, 0), &Value::Int(1)),

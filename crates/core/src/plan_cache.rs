@@ -60,7 +60,7 @@ use crate::budget::Budget;
 use crate::chain::graph::with_dinic_arena;
 use crate::dichotomy::{classify, QueryClass};
 use crate::error::PricingError;
-use crate::gchq::{price_branches, BranchMinimum, SolvedBranch};
+use crate::gchq::{price_branches, BranchMinimum, Purchase, SolvedBranch};
 use crate::money::Price;
 use crate::price_points::PriceList;
 use crate::pricer::{Pricer, Quote};
@@ -426,7 +426,7 @@ impl PlanEntry {
     ) -> Result<Quote, PricingError> {
         let prices = pricer.prices();
         let mut minimum = BranchMinimum::default();
-        for (branch, edge_of_original) in &mut self.branches {
+        for (i, (branch, edge_of_original)) in self.branches.iter_mut().enumerate() {
             let patches: Vec<(EdgeId, u64)> = changed
                 .iter()
                 .filter_map(|(view, _, new)| {
@@ -453,9 +453,9 @@ impl PlanEntry {
                 .base_views
                 .iter()
                 .fold(Price::ZERO, |acc, v| acc.saturating_add(prices.get(v)));
-            minimum.offer(base_cost, branch);
+            minimum.offer(base_cost, &branch.flow, || i);
         }
-        let quote = minimum.quote(self.quote.class.clone());
+        let quote = minimum.quote(self.quote.class.clone(), |i| self.branches[i].0.views());
         self.prices = prices.clone();
         self.quote = quote.clone();
         Ok(quote)
@@ -482,7 +482,7 @@ impl PlanEntry {
                 (branch, edges)
             })
             .collect();
-        let quote = run.minimum.quote(class);
+        let quote = run.minimum.quote(class, Purchase::views);
         let entry = PlanEntry {
             mentioned: mentioned_rels(q),
             footprint: query_footprint(pricer.catalog(), q),
