@@ -29,7 +29,7 @@ use qbdp_core::price_points::{PriceList, PricePoint, PriceSchedule, ViewDef};
 use qbdp_core::support::{
     arbitrage_price, arbitrage_price_restricted, is_consistent, SupportConfig,
 };
-use qbdp_core::{Price, Pricer};
+use qbdp_core::{Budget, Price, Pricer};
 use qbdp_determinacy::bruteforce::determines_bruteforce;
 use qbdp_determinacy::selection::{determines_monotone_cq, SelectionView, ViewSet};
 use qbdp_market::Market;
@@ -57,7 +57,7 @@ fn main() {
         ("--e10", "E10 multi-attribute prices (§4)", e10),
         ("--e11", "E11 pricing axioms (Prop 2.8 / Lemma 2.14)", e11),
         ("--e12", "E12 hub vs literal tuple edges (§3.1)", e12),
-        ("--e13", "E13 market throughput", e13),
+        ("--e13", "E13 market throughput, E13b batch pricing", e13),
         ("--e14", "E14 GChQ bundles (Def 3.9, deferred to [19])", e14),
     ];
     for (tag, title, run) in experiments {
@@ -858,6 +858,34 @@ fn e13() {
             .sum()
     });
     let conc = total as f64 / t.elapsed().as_secs_f64();
+    // E13b: a GChQ workload (20 state-slice and join queries) priced on
+    // the batch pool with 1 and 4 workers, through the `Pricer` batch API
+    // so the quote cache cannot turn it into a hash-lookup benchmark.
+    let rules: Vec<String> = (0..10)
+        .flat_map(|s| {
+            [
+                format!("Q(n, c) :- Business(n, 'S{s}', c)"),
+                format!("Q(n, c) :- Business(n, 'S{s}', c), Restaurant(n)"),
+            ]
+        })
+        .collect();
+    let rules: Vec<&str> = rules.iter().map(String::as_str).collect();
+    let batch = |workers: usize| {
+        let t = Instant::now();
+        let mut priced = 0usize;
+        while t.elapsed().as_secs_f64() < 2.0 {
+            let ok = market.with_pricer(|p| {
+                p.price_rules_batch_within(&rules, &Budget::unlimited(), workers)
+                    .into_iter()
+                    .filter(Result::is_ok)
+                    .count()
+            });
+            assert_eq!(ok, rules.len(), "every batch member prices");
+            priced += ok;
+        }
+        priced as f64 / t.elapsed().as_secs_f64()
+    };
+    let (batch1, batch4) = (batch(1), batch(4));
     println!("uncached pricing : {uncached:>8.0} quotes/s  (parse + Min-Cut each call)");
     println!("cached sequential: {seq:>8.0} quotes/s  (quote cache, invalidated on update)");
     println!(
@@ -866,6 +894,11 @@ fn e13() {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
+    );
+    println!("batch, 1 worker  : {batch1:>8.0} quotes/s  (Pricer batch pool, uncached; E13b)");
+    println!(
+        "batch, 4 workers : {batch4:>8.0} quotes/s  (x{:.1}; the pool speeds up with cores)",
+        batch4 / batch1
     );
 }
 

@@ -7,7 +7,7 @@
 
 use qbdp_market::{fingerprint, DurableMarket, Market, MarketOps, MarketPolicy};
 use qbdp_obs::flight::{self, Why};
-use qbdp_serve::{ResponseParser, Server, ServerConfig, ShutdownFlag};
+use qbdp_serve::{sys, ResponseParser, Server, ServerConfig, ShutdownFlag};
 use qbdp_store::FsyncPolicy;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -151,6 +151,100 @@ fn durable_market_serves_and_recovery_matches_the_drained_state() {
     let dm = DurableMarket::open(&dir, FsyncPolicy::Always).unwrap();
     assert_eq!(fingerprint(dm.market()), fp_drained);
     assert_eq!(dm.market().sales(), 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A market of `n` selections `S.X = v0 … v{n-1}`, one tuple each, so
+/// every `Q(y) :- S('vI', y)` buys a view no other purchase touches.
+fn selections_qdp(n: usize) -> String {
+    let xs: Vec<String> = (0..n).map(|i| format!("v{i}")).collect();
+    let mut qdp = format!(
+        "schema S(X, Y)\ncolumn S.X = {{{}}}\ncolumn S.Y = {{w}}\nprice S.Y=w 500\n",
+        xs.join(", ")
+    );
+    for x in &xs {
+        qdp.push_str(&format!("tuple S({x}, w)\nprice S.X={x} 100\n"));
+    }
+    qdp
+}
+
+/// Buy `Q(y) :- S('vI', y)` for I = 0, 1, … one at a time on one
+/// keep-alive connection, raising a real SIGTERM before attempt
+/// `raise_at`, until the draining server stops answering. Returns the
+/// purchases acked over the wire.
+fn buy_until_drained(addr: SocketAddr, attempts: usize, raise_at: usize) -> u64 {
+    let mut c = TcpStream::connect(addr).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut rp = ResponseParser::new();
+    let mut buf = [0u8; 4096];
+    let mut acked = 0;
+    for i in 0..attempts {
+        if i == raise_at {
+            sys::raise_signal(sys::SIGTERM).unwrap();
+        }
+        let q = format!("Q(y) :- S('v{i}', y)");
+        let req = format!(
+            "POST /purchase HTTP/1.1\r\nContent-Length: {}\r\n\r\n{q}",
+            q.len()
+        );
+        if c.write_all(req.as_bytes()).is_err() {
+            return acked; // drained: the server stopped reading
+        }
+        loop {
+            match c.read(&mut buf) {
+                Ok(0) | Err(_) => return acked, // drained mid-exchange: not acked
+                Ok(n) => {
+                    rp.feed(&buf[..n]);
+                    if let Some(r) = rp.next_response() {
+                        if r.status == 200 {
+                            acked += 1;
+                        }
+                        break;
+                    }
+                }
+            }
+        }
+    }
+    acked
+}
+
+/// A real SIGTERM in the middle of a purchase stream drains the server
+/// (`ShutdownFlag::with_signals`), and a cold reopen of its directory
+/// keeps every purchase acked over the wire and fingerprint-matches the
+/// drained state, including the `EveryN` tail the log flushes on close.
+#[test]
+fn sigterm_mid_purchase_stream_drains_and_recovery_keeps_every_ack() {
+    const ATTEMPTS: usize = 64;
+    sys::clear_signal();
+    let dir = temp_dir("sigterm");
+    let dm =
+        DurableMarket::create(&dir, &selections_qdp(ATTEMPTS), FsyncPolicy::EveryN(8)).unwrap();
+    let mut server = Server::bind(ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let shutdown = ShutdownFlag::with_signals().unwrap();
+    let acked = std::thread::scope(|s| {
+        let h = s.spawn(|| server.run(&dm, &shutdown));
+        let acked = buy_until_drained(addr, ATTEMPTS, ATTEMPTS / 4);
+        h.join().unwrap().unwrap();
+        acked
+    });
+    sys::clear_signal();
+    dm.sync().unwrap();
+    let fp_drained = fingerprint(dm.market());
+    drop(dm);
+
+    let dm = DurableMarket::open(&dir, FsyncPolicy::Always).unwrap();
+    assert!(acked > 0, "the SIGTERM landed before any purchase acked");
+    assert!(
+        acked < ATTEMPTS as u64,
+        "the server kept serving purchases after the SIGTERM"
+    );
+    assert!(
+        dm.market().sales() as u64 >= acked,
+        "lost acked purchases: {acked} acked, {} recovered",
+        dm.market().sales()
+    );
+    assert_eq!(fingerprint(dm.market()), fp_drained);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
