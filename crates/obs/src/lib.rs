@@ -32,8 +32,9 @@
 //! Everything is gated on one relaxed [`metrics::enabled`] load
 //! (`MarketPolicy::telemetry`). Disabled, a record call is a single
 //! atomic load and a branch; enabled, it is one or two relaxed
-//! `fetch_add`s on a thread-private cache line. The E18 bench
-//! (`obs_overhead`) holds the enabled tax under 2% of median quote
+//! `fetch_add`s on a thread-private cache line. The E18 experiment
+//! (`qbdp-bench`'s `obs_overhead` binary) asserts, on the median of
+//! repeated runs, that the enabled tax stays under 2% of median quote
 //! latency and the disabled tax under 0.5%.
 //!
 //! This crate is **dependency-free** (std only) so that every other
