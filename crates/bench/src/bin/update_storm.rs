@@ -17,8 +17,9 @@
 )]
 
 use qbdp_bench::{chain_market, median_of, metric, write_results, CHAIN_N, REPEATS};
-use qbdp_core::Price;
+use qbdp_core::{Price, Quote};
 use qbdp_determinacy::selection::SelectionView;
+use qbdp_market::MarketQuote;
 use qbench::report::{self, RunResult};
 use std::time::Instant;
 
@@ -59,17 +60,34 @@ fn scenarios() -> Vec<Scenario> {
     vec![chain_join, selection_pool]
 }
 
+/// One quote of a run, kept whole until the timed loop is over: the
+/// served side holds its quote's shared receipt, the cold side owns its
+/// views, and neither is copied or rendered inside the timed region.
+enum Answer {
+    Served(MarketQuote),
+    Cold(Quote),
+}
+
+impl Answer {
+    fn price_and_views(&self) -> (Price, &[SelectionView]) {
+        match self {
+            Answer::Served(q) => (q.price, q.views()),
+            Answer::Cold(q) => (q.price, &q.views),
+        }
+    }
+}
+
 /// Run `QUOTES` quotes at `quotes_per_revision` against a fresh market,
 /// each served (`quote_str`) or parsed and priced cold
 /// (`Pricer::price_rule` on the market's state), returning the per-quote
-/// latencies in microseconds and the `(price, views)` answers in stream
-/// order. The two modes run as separate passes, so neither evicts the
-/// other's working set from the CPU caches.
+/// latencies in microseconds and the answers in stream order. The two
+/// modes run as separate passes, so neither evicts the other's working
+/// set from the CPU caches.
 fn run_mix(
     scenario: &Scenario,
     quotes_per_revision: usize,
     served: bool,
-) -> (Vec<f64>, Vec<(Price, Vec<SelectionView>)>) {
+) -> (Vec<f64>, Vec<Answer>) {
     let market = chain_market();
     // Warm up: quote every shape once so the measured region compares
     // steady states, not first-touch derivation.
@@ -89,11 +107,9 @@ fn run_mix(
         let q = &scenario.queries[i % scenario.queries.len()];
         let start = Instant::now();
         let answer = if served {
-            let quote = market.quote_str(q).expect("storm quote");
-            (quote.price, quote.views)
+            Answer::Served(market.quote_str(q).expect("storm quote"))
         } else {
-            let quote = market.with_pricer(|p| p.price_rule(q).expect("cold quote"));
-            (quote.price, quote.views)
+            Answer::Cold(market.with_pricer(|p| p.price_rule(q).expect("cold quote")))
         };
         latencies.push(start.elapsed().as_secs_f64() * 1e6);
         answers.push(answer);
@@ -110,7 +126,10 @@ fn measure(scenario: &Scenario, mix: &str, per: usize, seed: u64) -> RunResult {
     RunResult {
         workload: format!("{}_{mix}", scenario.name),
         seed,
-        correct: served == reference,
+        correct: served
+            .iter()
+            .map(Answer::price_and_views)
+            .eq(reference.iter().map(Answer::price_and_views)),
         attempted: (served.len() + reference.len()) as u64,
         failed: 0,
         metrics: vec![

@@ -37,6 +37,6 @@ pub use error::CatalogError;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use instance::{Instance, Relation};
 pub use qdp::QdpFile;
-pub use schema::{AttrId, AttrRef, RelId, RelationSchema, Schema};
+pub use schema::{AttrId, AttrRef, RelId, RelationSchema, Schema, ShowAttr};
 pub use tuple::Tuple;
 pub use value::Value;

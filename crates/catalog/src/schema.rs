@@ -104,6 +104,19 @@ impl RelationSchema {
     }
 }
 
+/// [`Schema::show_attr`]: an attribute reference rendered as `R.X`.
+pub struct ShowAttr<'s> {
+    schema: &'s Schema,
+    a: AttrRef,
+}
+
+impl fmt::Display for ShowAttr<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let rel = self.schema.relation(self.a.rel);
+        write!(f, "{}.{}", rel.name(), rel.attr_name(self.a.attr))
+    }
+}
+
 /// A fixed relational schema `R = (R_1, ..., R_k)`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Schema {
@@ -177,8 +190,13 @@ impl Schema {
 
     /// Render an [`AttrRef`] as `R.X`.
     pub fn attr_display(&self, a: AttrRef) -> String {
-        let rel = self.relation(a.rel);
-        format!("{}.{}", rel.name(), rel.attr_name(a.attr))
+        self.show_attr(a).to_string()
+    }
+
+    /// An [`AttrRef`] that displays as `R.X`, for writing it into a
+    /// larger string without an intermediate one.
+    pub fn show_attr(&self, a: AttrRef) -> ShowAttr<'_> {
+        ShowAttr { schema: self, a }
     }
 
     /// This schema with attribute `pos` of `rel` removed; every relation

@@ -7,6 +7,19 @@ use qbdp_query::error::QueryError;
 use qbdp_query::eval;
 use std::fmt;
 
+/// [`SelectionView::show`]: a view rendered as `σ[R.X=a]`.
+pub struct ShowView<'a> {
+    view: &'a SelectionView,
+    schema: &'a Schema,
+}
+
+impl fmt::Display for ShowView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let v = self.view;
+        write!(f, "σ[{}={}]", self.schema.show_attr(v.attr), v.value)
+    }
+}
+
 /// A selection view `σ_{R.X=a}` (paper §3, "The Views"): all tuples of `R`
 /// whose attribute `X` equals the constant `a ∈ Col_{R.X}`.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -35,7 +48,13 @@ impl SelectionView {
 
     /// Render against a schema, e.g. `σ[S.Y=b1]`.
     pub fn display(&self, schema: &Schema) -> String {
-        format!("σ[{}={}]", schema.attr_display(self.attr), self.value)
+        self.show(schema).to_string()
+    }
+
+    /// The view as `σ[S.Y=b1]` against a schema, for writing it into a
+    /// larger string (a receipt line) without an intermediate one.
+    pub fn show<'a>(&'a self, schema: &'a Schema) -> ShowView<'a> {
+        ShowView { view: self, schema }
     }
 
     /// The view as a conjunctive query `V(x̄) :- R(x̄), x_i = a`, for use

@@ -76,6 +76,8 @@ struct Entry {
     stamp: u64,
     /// The columns the quote's price is derived from.
     footprint: Vec<AttrRef>,
+    /// Served by clone: the query text and one `Arc` to the receipt this
+    /// entry shares with every quote it serves, nothing per view.
     quote: MarketQuote,
 }
 
@@ -245,16 +247,22 @@ impl ShardedQuoteCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qbdp_catalog::RelId;
+    use crate::receipt::Receipt;
+    use qbdp_catalog::{RelId, Schema};
     use qbdp_core::dichotomy::QueryClass;
+    use qbdp_core::price_points::PriceList;
     use qbdp_core::{Price, PricingMethod, QuoteQuality};
+    use std::sync::Arc;
 
     fn quote(price: Price) -> MarketQuote {
         MarketQuote {
             query: "Q() :- R(x)".into(),
             price,
-            receipt: Vec::new(),
-            views: Vec::new(),
+            receipt: Arc::new(Receipt::capture(
+                Arc::new(Schema::new()),
+                Vec::new(),
+                &PriceList::new(),
+            )),
             method: PricingMethod::Trivial,
             class: QueryClass::GeneralizedChain,
             quality: QuoteQuality::Exact,

@@ -539,7 +539,7 @@ impl DurableMarket {
             query: quote.query.clone(),
             price_cents: quote.price.as_cents(),
             answer_tuples: answer.len() as u64,
-            views: quote.views.len() as u64,
+            views: quote.views().len() as u64,
         })
         .map_err(|e| self.degrade_on(e))?;
         let transaction_id = self.market.apply_recorded_sale(
@@ -547,7 +547,7 @@ impl DurableMarket {
             quote.query.clone(),
             quote.price,
             answer.len(),
-            quote.views.len(),
+            quote.views().len(),
         )?;
         Ok(Some(Purchase {
             transaction_id,

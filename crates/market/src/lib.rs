@@ -43,6 +43,7 @@ pub mod error;
 pub mod ledger;
 pub mod lock;
 pub mod market;
+mod receipt;
 
 pub use api::MarketOps;
 pub use chaos::{fingerprint, ChaosConfig, ChaosReport, FaultMix, Fingerprint};

@@ -41,6 +41,7 @@ use crate::cache::ShardedQuoteCache;
 use crate::error::MarketError;
 use crate::ledger::Ledger;
 use crate::lock::{self, LockBefore, Locked, MayPrice, OrderedMutex, OrderedRwLock};
+use crate::receipt::Receipt;
 use qbdp_catalog::{AttrRef, Catalog, Instance, QdpFile, RelId, Tuple};
 use qbdp_core::batch::{default_workers, fan_out, panic_message};
 use qbdp_core::dichotomy::QueryClass;
@@ -57,6 +58,7 @@ use qbdp_query::parser::parse_rule;
 use qbdp_query::pretty;
 use state::State;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Per-market resource policy, applied to every pricing call.
@@ -121,10 +123,9 @@ pub struct MarketQuote {
     /// The arbitrage-price (or, for `UpperBound` quality, a sound
     /// arbitrage-free over-estimate of it).
     pub price: Price,
-    /// Itemized receipt: the explicit views this price stands for, rendered.
-    pub receipt: Vec<String>,
-    /// The raw views (for programmatic consumers).
-    pub views: Vec<SelectionView>,
+    /// The views this price stands for, at the prices they were quoted
+    /// at; shared by every copy of the quote and its cache entry.
+    pub(crate) receipt: Arc<Receipt>,
     /// Which engine priced it.
     pub method: PricingMethod,
     /// The query's dichotomy class.
@@ -133,6 +134,21 @@ pub struct MarketQuote {
     pub quality: QuoteQuality,
     /// Sound lower bound on the true arbitrage-price.
     pub lower_bound: Price,
+}
+
+impl MarketQuote {
+    /// Itemized receipt: one `σ[R.X=a] @ $1.00` line per view this price
+    /// stands for, at the view's price when the quote was made. Rendered
+    /// on the first call and shared with every copy of the quote.
+    pub fn receipt(&self) -> &[String] {
+        self.receipt.lines()
+    }
+
+    /// The views this price stands for (for programmatic consumers), in
+    /// [`MarketQuote::receipt`]'s order.
+    pub fn views(&self) -> &[SelectionView] {
+        self.receipt.views()
+    }
 }
 
 /// A completed purchase: the quote plus the delivered answer.
@@ -570,7 +586,7 @@ impl Market {
                 };
                 spans[i] = tree;
                 slots[i] = quote
-                    .and_then(|quote| Self::finish_quote(state, &q, quote))
+                    .and_then(|quote| Self::finish_quote(state, key.clone(), quote))
                     .map(|quote| {
                         if quote.quality.is_exact() {
                             self.cache
@@ -621,10 +637,11 @@ impl Market {
     }
 
     /// Apply market policy to a raw engine quote and dress it up for the
-    /// buyer.
+    /// buyer: `query` is its rendered (cache-key) text, and the receipt
+    /// captures each view's price now and renders on first delivery.
     fn finish_quote(
         state: &State,
-        q: &ConjunctiveQuery,
+        query: String,
         quote: qbdp_core::Quote,
     ) -> Result<MarketQuote, MarketError> {
         if quote.price.is_infinite() {
@@ -633,17 +650,11 @@ impl Market {
         if !quote.quality.is_exact() && !state.policy.sell_degraded {
             return Err(MarketError::DeadlineExceeded);
         }
-        let schema = state.catalog().schema();
-        let receipt = quote
-            .views
-            .iter()
-            .map(|v| format!("{} @ {}", v.display(schema), state.prices().get(v)))
-            .collect();
+        let schema = Arc::clone(state.catalog().schema());
         Ok(MarketQuote {
-            query: pretty::render(q, schema),
+            query,
             price: quote.price,
-            receipt,
-            views: quote.views,
+            receipt: Arc::new(Receipt::capture(schema, quote.views, state.prices())),
             method: quote.method,
             class: quote.class,
             quality: quote.quality,
@@ -682,7 +693,7 @@ impl Market {
                 quote.query.clone(),
                 quote.price,
                 answer.len(),
-                quote.views.len(),
+                quote.views().len(),
             );
             Purchase {
                 transaction_id,
@@ -973,7 +984,7 @@ price T.Y=b3 100
         let market = Market::open_qdp(FIG1_QDP).unwrap();
         let quote = market.quote_str("Q(x, y) :- R(x), S(x, y), T(y)").unwrap();
         assert_eq!(quote.price, Price::dollars(6));
-        assert_eq!(quote.receipt.len(), 6);
+        assert_eq!(quote.receipt().len(), 6);
         let purchase = market
             .purchase_str("Q(x, y) :- R(x), S(x, y), T(y)")
             .unwrap();
@@ -1053,7 +1064,7 @@ price T.Y=b3 100
         // Cached: same (equivalent) query, different whitespace.
         let second = market.quote_str("Q(x,y) :- R(x), S(x,y), T(y)").unwrap();
         assert_eq!(first.price, second.price);
-        assert_eq!(first.views, second.views);
+        assert_eq!(first.views(), second.views());
         // Insertion invalidates: price may change (and here does).
         market.insert("T", [tuple!["b2"]]).unwrap();
         let third = market.quote_str(q).unwrap();
@@ -1063,6 +1074,43 @@ price T.Y=b3 100
             third.price,
             first.price
         );
+    }
+
+    #[test]
+    fn a_held_receipt_keeps_the_price_it_was_quoted_at() {
+        let market = Market::open_qdp(FIG1_QDP).unwrap();
+        let q = "Q(x, y) :- R(x), S(x, y), T(y)";
+        // Not rendered before the revision: the price is captured at
+        // quote time, not at first render.
+        let held = market.quote_str(q).unwrap();
+        market.set_price("S.Y=b1", Price::cents(25)).unwrap();
+        let fresh = market.quote_str(q).unwrap();
+        assert!(
+            held.receipt().iter().any(|l| l == "σ[S.Y=b1] @ $1.00"),
+            "{:?}",
+            held.receipt()
+        );
+        assert!(
+            fresh.receipt().iter().any(|l| l == "σ[S.Y=b1] @ $0.25"),
+            "{:?}",
+            fresh.receipt()
+        );
+    }
+
+    #[test]
+    fn cache_hits_share_one_receipt() {
+        let market = Market::open_qdp(FIG1_QDP).unwrap();
+        let q = "Q(x, y) :- R(x), S(x, y), T(y)";
+        let miss = market.quote_str(q).unwrap();
+        let hit = market.quote_str(q).unwrap();
+        let again = market.quote_str(q).unwrap();
+        assert!(Arc::ptr_eq(&hit.receipt, &again.receipt));
+        assert!(
+            Arc::ptr_eq(&miss.receipt, &hit.receipt),
+            "the cache entry shares the receipt the miss handed out"
+        );
+        // Rendered once, through any copy.
+        assert!(std::ptr::eq(miss.receipt(), again.receipt()));
     }
 
     #[test]
@@ -1187,7 +1235,7 @@ price T.Y=b3 100
             .quote_str(q)
             .unwrap();
         assert_eq!(purchase.quote.price, fresh.price);
-        assert_eq!(purchase.quote.views, fresh.views);
+        assert_eq!(purchase.quote.views(), fresh.views());
         assert_eq!(purchase.answer, vec![tuple!["a1", "b1"]]);
     }
 

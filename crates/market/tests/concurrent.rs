@@ -249,7 +249,7 @@ fn assert_matches_cold(market: &Market, query: &str, served: &MarketQuote) {
             served.lower_bound, cold.lower_bound,
             "bound drift for `{query}`"
         );
-        assert_eq!(served.views, cold.views, "view drift for `{query}`");
+        assert_eq!(served.views(), cold.views, "view drift for `{query}`");
         assert_eq!(served.method, cold.method, "method drift for `{query}`");
         assert_eq!(served.class, cold.class, "class drift for `{query}`");
         assert_eq!(served.quality, cold.quality, "quality drift for `{query}`");
@@ -258,7 +258,7 @@ fn assert_matches_cold(market: &Market, query: &str, served: &MarketQuote) {
             .iter()
             .map(|v| format!("{} @ {}", v.display(schema), pricer.prices().get(v)))
             .collect();
-        assert_eq!(served.receipt, receipt, "receipt drift for `{query}`");
+        assert_eq!(served.receipt(), receipt, "receipt drift for `{query}`");
         assert_eq!(served.query, qbdp_query::pretty::render(&q, schema));
     });
 }

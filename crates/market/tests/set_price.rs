@@ -106,7 +106,7 @@ fn assert_quotes_match_reopened(m: &Market) {
         match (m.quote_str(q), reopened.quote_str(q)) {
             (Ok(live), Ok(cold)) => {
                 assert_eq!(live.price, cold.price, "{q}");
-                assert_eq!(live.views, cold.views, "{q}");
+                assert_eq!(live.views(), cold.views(), "{q}");
                 assert_eq!(live.method, cold.method, "{q}");
                 assert_eq!(live.quality, cold.quality, "{q}");
             }

@@ -12,23 +12,42 @@
 use qbdp_core::{Price, QuoteQuality};
 use qbdp_market::{MarketError, MarketHealth, MarketQuote, Purchase};
 
-/// Append `s` as a JSON string literal (with escaping).
+/// Lowercase hex digits for `\u00XX` escapes.
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// Append `s` as a JSON string literal (with escaping). Runs of bytes
+/// that need no escape are copied whole; only `"`, `\` and control
+/// bytes are rewritten. Every byte that needs an escape is ASCII, so
+/// the run boundaries are char boundaries.
 pub fn push_str_lit(out: &mut String, s: &str) {
+    out.reserve(s.len() + 2);
     out.push('"');
-    // audit: bounded(one pass over the string being encoded)
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    // audit: bounded(one pass over the bytes of the string being encoded)
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            _ => None,
+        };
+        out.push_str(&s[run..i]);
+        match short {
+            Some(escape) => out.push_str(escape),
+            None => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -51,7 +70,9 @@ fn push_price(out: &mut String, name: &str, p: Price) {
 
 /// Encode one quote.
 pub fn quote(q: &MarketQuote) -> String {
-    let mut out = String::with_capacity(256);
+    let receipt = q.receipt();
+    let receipt_len: usize = receipt.iter().map(|line| line.len() + 3).sum();
+    let mut out = String::with_capacity(256 + receipt_len);
     out.push_str("{\"query\":");
     push_str_lit(&mut out, &q.query);
     out.push(',');
@@ -81,7 +102,7 @@ pub fn quote(q: &MarketQuote) -> String {
     push_str_lit(&mut out, &format!("{:?}", q.class));
     out.push_str(",\"receipt\":[");
     // audit: bounded(one pass over the quote's receipt lines)
-    for (i, line) in q.receipt.iter().enumerate() {
+    for (i, line) in receipt.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -179,12 +200,72 @@ pub fn status(e: &MarketError) -> (u16, &'static str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The char-at-a-time encoder `push_str_lit` replaced: the oracle
+    /// its output must match byte for byte.
+    fn push_str_lit_by_char(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    out.push_str(&format!("\\u{:04x}", c as u32));
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// Characters the escaper must handle: every control byte, the two
+    /// that JSON escapes, receipt text (`σ`, `∞`, `$`, `@`), other
+    /// multi-byte UTF-8, and the first byte past the control range.
+    fn alphabet() -> Vec<char> {
+        let mut chars: Vec<char> = (0u8..0x20).map(char::from).collect();
+        chars.extend([
+            '"', '\\', ' ', 'a', 'Z', '0', '$', '@', '.', '=', '[', ']', '/', '\u{7f}', 'é', 'σ',
+            '∞', '€', '😀',
+        ]);
+        chars
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn bulk_escaping_matches_the_char_encoder(
+            picks in proptest::collection::vec(0usize..1_000, 0..64),
+        ) {
+            let alphabet = alphabet();
+            let s: String = picks.iter().map(|&i| alphabet[i % alphabet.len()]).collect();
+            let (mut bulk, mut by_char) = (String::from("{"), String::from("{"));
+            push_str_lit(&mut bulk, &s);
+            push_str_lit_by_char(&mut by_char, &s);
+            prop_assert_eq!(bulk, by_char);
+        }
+    }
 
     #[test]
     fn string_escaping() {
         let mut out = String::new();
         push_str_lit(&mut out, "a\"b\\c\nd\u{1}");
         assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
+    }
+
+    #[test]
+    fn every_control_byte_and_receipt_text_match_the_char_encoder() {
+        let mut s: String = (0u8..0x20).map(char::from).collect();
+        s.push_str("σ[S.Y=b1] @ $1.00 ∞ \"q\" \\");
+        let (mut bulk, mut by_char) = (String::new(), String::new());
+        push_str_lit(&mut bulk, &s);
+        push_str_lit_by_char(&mut by_char, &s);
+        assert_eq!(bulk, by_char);
+        assert!(bulk.contains("\\u001f") && bulk.contains("σ[S.Y=b1] @ $1.00 ∞"));
     }
 
     #[test]

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         quote.price
     );
     println!("the cheapest determining views (the min-cut of Figure 1c):");
-    for item in &quote.receipt {
+    for item in quote.receipt() {
         println!("  {item}");
     }
     assert_eq!(quote.price, Price::dollars(6));

@@ -149,7 +149,7 @@ fn quote<M: MarketOps>(market: &M, rule: &str) -> String {
                 );
             }
             let _ = writeln!(out, "views :");
-            for item in &q.receipt {
+            for item in q.receipt() {
                 let _ = writeln!(out, "  {item}");
             }
             out.truncate(out.trim_end().len());

@@ -1,28 +1,49 @@
-//! Allocation budget of a cold GChQ price on the business directory.
+//! Allocation budgets of pricing and serving quotes.
 //!
 //! A counting global allocator tallies the heap allocations (and
-//! reallocations) the pricing thread makes while `Pricer::price_cq` prices
-//! a fixed, seeded set of county slices of the directory market cold. The
-//! counts are deterministic — the same code prices the same queries the
-//! same way — so the bound needs no noise margin: it sits about 1.5× above
-//! the mean this suite measures (≈600 allocations per price; the pipeline
-//! made ≈2,900 when every text value owned its string and Step 3 resolved
-//! every cover eagerly). A change that brings those copies back fails here
-//! rather than only in a benchmark.
+//! reallocations) the calling thread makes. The counts are deterministic
+//! — the same code prices the same queries the same way — so the bounds
+//! need no noise margin.
 //!
-//! Run with `cargo test --test alloc_budget -- --nocapture` to see the
-//! measured mean.
+//! * A cold GChQ price (`Pricer::price_cq`) of a fixed, seeded set of
+//!   county slices of the business directory. Its bound sits about 1.5×
+//!   above the mean (≈600 allocations per price; the pipeline made
+//!   ≈2,900 when every text value owned its string and Step 3 resolved
+//!   every cover eagerly).
+//! * Quotes served by a `Market` (`quote_str`, one thread, a batch of
+//!   one): a chain-join miss after a price revision (a warm reprice of
+//!   its 120-view cut), a chain-join hit, and a hit on a 410-view
+//!   "restaurants in state S" list of the directory. Each is pinned at
+//!   its measured mean. A hit shares its quote's receipt with the cache
+//!   entry, so its count does not grow with the receipt's views, and no
+//!   served quote renders its receipt until it is delivered.
+//!
+//! A change that brings those copies back fails here rather than only in
+//! a benchmark. Run with `cargo test --test alloc_budget -- --nocapture`
+//! to see the measured means.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use qbdp::prelude::*;
-use qbdp::workload::scenarios::business::{generate, BusinessConfig};
+use qbdp::workload::scenarios::business::{generate, BusinessConfig, BusinessMarket};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Mean allocations per cold `price_cq` the suite accepts.
 const MAX_MEAN_ALLOCS: f64 = 900.0;
+
+/// Mean allocations per served chain-join miss (revise, then quote).
+const MAX_CHAIN_MISS_ALLOCS: f64 = 91.0;
+
+/// Mean allocations per served chain-join hit.
+const MAX_CHAIN_HIT_ALLOCS: f64 = 45.0;
+
+/// Mean allocations per served hit on a directory restaurant list.
+const MAX_RESTAURANT_HIT_ALLOCS: f64 = 39.0;
+
+/// Served quotes measured per row.
+const QUOTES: usize = 100;
 
 /// Cold prices measured.
 const SLICES: usize = 200;
@@ -75,12 +96,34 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-/// The directory market of the served benchmark (seed 2012, 10 states ×
-/// 10 counties × 400 businesses) and `SLICES` seeded county slices of it,
-/// `Q(n, c) :- Business(n, 'S', c), c in {...}`.
-fn directory_slices() -> (Pricer, Vec<ConjunctiveQuery>) {
+/// Mean allocations of `quote` over `QUOTES` calls, with `before` run
+/// uncounted ahead of each.
+fn mean_allocs(mut before: impl FnMut(usize), mut quote: impl FnMut() -> MarketQuote) -> f64 {
+    let mut total = 0;
+    for i in 0..QUOTES {
+        before(i);
+        let start = allocs();
+        let quote = quote();
+        total += allocs() - start;
+        assert!(quote.price.is_finite() && !quote.views().is_empty());
+    }
+    total as f64 / QUOTES as f64
+}
+
+#[track_caller]
+fn assert_pinned(row: &str, mean: f64, max: f64) {
+    println!("mean allocations per {row}: {mean:.1}");
+    assert!(
+        mean <= max,
+        "a {row} makes {mean:.1} allocations on average, over the budget of {max}"
+    );
+}
+
+/// The directory market of the served benchmark: seed 2012, 10 states ×
+/// 10 counties × 400 businesses.
+fn directory() -> BusinessMarket {
     let mut rng = StdRng::seed_from_u64(2012);
-    let m = generate(
+    generate(
         &mut rng,
         BusinessConfig {
             states: 10,
@@ -89,7 +132,48 @@ fn directory_slices() -> (Pricer, Vec<ConjunctiveQuery>) {
             ..BusinessConfig::default()
         },
     )
-    .unwrap();
+    .unwrap()
+}
+
+/// The update-storm chain market: `R(X)`, `S(X, Y)`, `T(Y)` over
+/// {0, …, 39}, every `x` in `R` and `T`, three `S` edges per `x`, views
+/// at 100¢ (150¢ on `S`).
+fn chain_market() -> Market {
+    const N: i64 = 40;
+    let col = Column::int_range(0, N);
+    let catalog = CatalogBuilder::new()
+        .uniform_relation("R", &["X"], &col)
+        .uniform_relation("S", &["X", "Y"], &col)
+        .uniform_relation("T", &["Y"], &col)
+        .build()
+        .unwrap();
+    let mut instance = catalog.empty_instance();
+    let rel = |name| catalog.schema().rel_id(name).unwrap();
+    for x in 0..N {
+        instance.insert(rel("R"), tuple![x]).unwrap();
+        instance.insert(rel("T"), tuple![x]).unwrap();
+        for k in 1..4 {
+            instance.insert(rel("S"), tuple![x, (x + k) % N]).unwrap();
+        }
+    }
+    let mut prices = PriceList::new();
+    for attr in catalog.schema().all_attrs() {
+        let cents = if catalog.schema().attr_display(attr).starts_with("S.") {
+            150
+        } else {
+            100
+        };
+        for v in catalog.column(attr).iter() {
+            prices.set(SelectionView::new(attr, v.clone()), Price::cents(cents));
+        }
+    }
+    Market::open(catalog, instance, prices).unwrap()
+}
+
+/// `SLICES` seeded county slices of the directory,
+/// `Q(n, c) :- Business(n, 'S', c), c in {...}`, with their pricer.
+fn directory_slices() -> (Pricer, Vec<ConjunctiveQuery>) {
+    let m = directory();
     let pricer = Pricer::new(m.catalog, m.instance, m.prices).unwrap();
     let per_state = 10;
     let mut rng = StdRng::seed_from_u64(19);
@@ -129,4 +213,42 @@ fn cold_directory_prices_stay_within_the_allocation_budget() {
         mean <= MAX_MEAN_ALLOCS,
         "a cold directory price makes {mean:.1} allocations on average, over the budget of {MAX_MEAN_ALLOCS}"
     );
+}
+
+#[test]
+fn served_chain_join_misses_and_hits_stay_pinned() {
+    let market = chain_market();
+    let q = "Q(x, y) :- R(x), S(x, y), T(y)";
+    // The first miss prices cold and the second builds the plan; every
+    // measured miss is a warm reprice after one revision.
+    market.quote_str(q).unwrap();
+    market.set_price("R.X=0", Price::cents(90)).unwrap();
+    assert_eq!(market.quote_str(q).unwrap().views().len(), 120);
+    let miss = mean_allocs(
+        |i| {
+            let cents = 60 + (i as u64 * 17) % 300;
+            market
+                .set_price(&format!("R.X={}", i % 40), Price::cents(cents))
+                .unwrap();
+        },
+        || market.quote_str(q).unwrap(),
+    );
+    assert_pinned("served chain-join miss", miss, MAX_CHAIN_MISS_ALLOCS);
+    let hit = mean_allocs(|_| {}, || market.quote_str(q).unwrap());
+    assert_pinned("served chain-join hit", hit, MAX_CHAIN_HIT_ALLOCS);
+}
+
+#[test]
+fn a_restaurant_list_hit_does_not_grow_with_its_views() {
+    let m = directory();
+    let state = m.states[0].clone();
+    let market = Market::open(m.catalog, m.instance, m.prices).unwrap();
+    let q = format!("Q(n, c) :- Business(n, '{state}', c), Restaurant(n)");
+    let miss = market.quote_str(&q).unwrap();
+    assert_eq!(miss.views().len(), 410);
+    // Delivered once: the render lands in the shared receipt, not in
+    // the hits that follow.
+    assert_eq!(miss.receipt().len(), 410);
+    let hit = mean_allocs(|_| {}, || market.quote_str(&q).unwrap());
+    assert_pinned("served restaurant-list hit", hit, MAX_RESTAURANT_HIT_ALLOCS);
 }

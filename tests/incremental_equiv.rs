@@ -99,6 +99,20 @@ fn market() -> Market {
     Market::open(catalog, instance, prices).unwrap()
 }
 
+/// A cold quote dressed the way the market dresses quotes, with its
+/// receipt rendered here rather than by the market.
+#[derive(Debug)]
+struct ColdQuote {
+    query: String,
+    price: Price,
+    receipt: Vec<String>,
+    views: Vec<SelectionView>,
+    method: PricingMethod,
+    class: QueryClass,
+    quality: QuoteQuality,
+    lower_bound: Price,
+}
+
 /// What the market must serve for `query` on its current state: a cold
 /// `Pricer::price_cq` (or `price_cq_within` under `fuel`), dressed the
 /// way the market dresses quotes.
@@ -106,7 +120,7 @@ fn cold_reference(
     market: &Market,
     query: &str,
     fuel: Option<u64>,
-) -> Result<MarketQuote, MarketError> {
+) -> Result<ColdQuote, MarketError> {
     let sell_degraded = market.policy().sell_degraded;
     market.with_pricer(|p| {
         let schema = p.catalog().schema();
@@ -126,7 +140,7 @@ fn cold_reference(
             .iter()
             .map(|v| format!("{} @ {}", v.display(schema), p.prices().get(v)))
             .collect();
-        Ok(MarketQuote {
+        Ok(ColdQuote {
             query: qbdp::query::pretty::render(&q, schema),
             price: quote.price,
             receipt,
@@ -142,7 +156,7 @@ fn cold_reference(
 /// Every observable field of a quote must agree — bit-identical, not
 /// merely equal prices.
 #[track_caller]
-fn assert_same_quote(query: &str, served: &MarketQuote, cold: &MarketQuote) {
+fn assert_same_quote(query: &str, served: &MarketQuote, cold: &ColdQuote) {
     assert_eq!(served.price, cold.price, "price drift on `{query}`");
     assert_eq!(
         served.lower_bound, cold.lower_bound,
@@ -151,8 +165,8 @@ fn assert_same_quote(query: &str, served: &MarketQuote, cold: &MarketQuote) {
     assert_eq!(served.quality, cold.quality, "quality drift on `{query}`");
     assert_eq!(served.method, cold.method, "method drift on `{query}`");
     assert_eq!(served.class, cold.class, "class drift on `{query}`");
-    assert_eq!(served.views, cold.views, "view-set drift on `{query}`");
-    assert_eq!(served.receipt, cold.receipt, "receipt drift on `{query}`");
+    assert_eq!(served.views(), cold.views, "view-set drift on `{query}`");
+    assert_eq!(served.receipt(), cold.receipt, "receipt drift on `{query}`");
     assert_eq!(served.query, cold.query, "rendering drift on `{query}`");
 }
 

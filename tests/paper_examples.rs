@@ -613,7 +613,7 @@ fn golden_figure1_receipt() {
     let quote = market.quote_str("Q(x, y) :- R(x), S(x, y), T(y)").unwrap();
     assert_eq!(quote.price, Price::dollars(6));
     assert_eq!(quote.quality, QuoteQuality::Exact);
-    let mut receipt = quote.receipt.clone();
+    let mut receipt = quote.receipt().to_vec();
     receipt.sort();
     assert_eq!(
         receipt,
