@@ -7,15 +7,15 @@
 //! // audit: allow(R1: reason)      silence one rule on the next code line
 //! //                               (or this line, if trailing)
 //! // audit: bounded(reason)        the next loop is trivially bounded
-//! // audit: panic-ok(reason)       this fn's panics are accepted: R9's
-//! //                               reachability walk stops here
 //! ```
 //!
 //! Every form **requires a reason** — an annotation that disables a
 //! check without saying why is itself a diagnostic ([`AnnotError`]), so
 //! the escape hatch cannot silently rot. Any other `// audit:` comment
-//! is malformed too, including the lock annotations of the retired
-//! lock rules: lock levels are types now (`qbdp_market::lock`).
+//! is malformed too, including the forms of retired rules: the lock
+//! annotations (lock levels are types now, `qbdp_market::lock`) and
+//! `panic-ok` (panic containment is `contain_panic` plus a served-path
+//! fault-injection test).
 
 use crate::rules::RULES;
 use std::fmt;
@@ -32,9 +32,6 @@ pub enum Annot {
     },
     /// `bounded(reason)` — the next loop is exempt from R4.
     Bounded(String),
-    /// `panic-ok(reason)` — the next fn's panics are deliberate; R9's
-    /// reachability walk neither reports them nor descends further.
-    PanicOk(String),
 }
 
 /// A malformed `// audit:` comment (reported as a diagnostic: a broken
@@ -71,14 +68,6 @@ pub fn parse(comment_text: &str) -> Result<Option<Annot>, AnnotError> {
         }
         return Ok(Some(Annot::Bounded(args.trim().to_string())));
     }
-    if let Some(args) = call_args(body, "panic-ok")? {
-        if args.trim().is_empty() {
-            return Err(err(
-                "panic-ok needs a reason: panic-ok(why this cannot fire)",
-            ));
-        }
-        return Ok(Some(Annot::PanicOk(args.trim().to_string())));
-    }
     if let Some(args) = call_args(body, "allow")? {
         let (rule, reason) = match args.split_once(':') {
             Some((r, why)) => (r.trim(), why.trim()),
@@ -101,8 +90,7 @@ pub fn parse(comment_text: &str) -> Result<Option<Annot>, AnnotError> {
         }));
     }
     Err(err(format!(
-        "unknown audit annotation `{body}` (expected allow(..), bounded(..), \
-         or panic-ok(..))"
+        "unknown audit annotation `{body}` (expected allow(..) or bounded(..))"
     )))
 }
 
@@ -145,7 +133,7 @@ mod tests {
 
     #[test]
     fn allow_must_name_a_live_rule() {
-        for id in ["R0", "R2", "R3", "R5", "R6", "R7", "R42"] {
+        for id in ["R0", "R2", "R3", "R5", "R6", "R7", "R8", "R9", "R42"] {
             let e = parse(&format!(" audit: allow({id}: x)")).unwrap_err();
             assert!(e.message.contains(&format!("got `{id}`")), "{e}");
         }
@@ -170,23 +158,12 @@ mod tests {
     #[test]
     fn unknown_annotation_is_an_error() {
         assert!(parse(" audit: alow(R1: typo)").is_err());
-        // The retired lock rules' forms are malformed now (R0): lock
-        // levels are types, and the record path's locks a clippy rule.
-        for retired in ["holds-lock(wal)", "wait-free"] {
+        // Retired rules' forms are malformed now (R0): lock levels are
+        // types, the record path's locks a clippy rule, and panic
+        // containment a served-path test.
+        for retired in ["holds-lock(wal)", "wait-free", "panic-ok(startup only)"] {
             let e = parse(&format!(" audit: {retired}")).unwrap_err();
             assert!(e.message.contains("unknown audit annotation"), "{e}");
         }
-    }
-
-    #[test]
-    fn panic_ok_needs_reason() {
-        assert_eq!(
-            parse(" audit: panic-ok(poisoned mutex means a prior panic)"),
-            Ok(Some(Annot::PanicOk(
-                "poisoned mutex means a prior panic".into()
-            )))
-        );
-        assert!(parse(" audit: panic-ok()").is_err());
-        assert!(parse(" audit: panic-ok").is_err());
     }
 }

@@ -3,30 +3,30 @@
 //!
 //! The pricing papers this repo reproduces come with invariants the
 //! type system cannot see: arbitrage-freedom is stated over exact
-//! prices (so money arithmetic must not silently wrap), pricing is
-//! worst-case exponential (so hot loops must burn [`Budget`] fuel),
-//! and a pricing host must degrade instead of abort. This crate
-//! enforces those invariants offline, with no rustc plugin and no
-//! external dependencies: a hand-rolled lexer ([`lexer`]), a structural
-//! scanner ([`model`]), a workspace call graph ([`callgraph`]), and
-//! four rule engines ([`rules`]):
+//! prices (so money arithmetic must not silently wrap), and pricing is
+//! worst-case exponential (so hot loops must burn [`Budget`] fuel).
+//! This crate enforces those invariants offline, with no rustc plugin
+//! and no external dependencies: a hand-rolled lexer ([`lexer`]), a
+//! structural scanner ([`model`]), and two rule engines ([`rules`]):
 //!
 //! * **R1** — no unchecked `+`/`-`/`*` on money-tainted operands.
 //! * **R4** — every loop in the exact/determinacy/flow hot paths is
 //!   fuel-metered or explicitly `bounded(..)` (see the `// audit:`
 //!   grammar in [`annot`]).
-//! * **R8** — a `Result` that can carry `StoreError::Transient` is
-//!   never silently discarded on the serving path.
-//! * **R9** — no panicking call is reachable from a serving entry
-//!   point without `catch_unwind` containment or a `panic-ok` waiver.
 //!
-//! Invariants a type or a standard lint can hold are not rules here.
-//! File-local panic-freedom (`unwrap`/`expect`/`panic!` outside tests)
-//! and `// SAFETY:` comments on `unsafe` blocks are clippy lints, set
-//! once in the workspace's `[workspace.lints.clippy]` table. Lock order
-//! and "never price under the WAL, plan or a cache shard" are
-//! `qbdp_market::lock`'s level types; the lockless telemetry record
-//! path is a `disallowed-types` list in `crates/obs/clippy.toml`.
+//! Invariants a type, a standard lint or a test can hold are not rules
+//! here. File-local panic-freedom (`unwrap`/`expect`/`panic!` outside
+//! tests) and `// SAFETY:` comments on `unsafe` blocks are clippy
+//! lints, set once in the workspace's `[workspace.lints.clippy]` table.
+//! A discarded `Result` in `qbdp-store`, `qbdp-market` or `qbdp-serve`
+//! is rustc's `unused_must_use` plus clippy's `let_underscore_must_use`
+//! and `unused_result_ok`, denied at those crates' roots. That the
+//! market degrades instead of aborting when pricing panics is
+//! `contain_panic` at the engine boundary, held by served-path
+//! fault-injection tests. Lock order and "never price under the WAL,
+//! plan or a cache shard" are `qbdp_market::lock`'s level types; the
+//! lockless telemetry record path is a `disallowed-types` list in
+//! `crates/obs/clippy.toml`.
 //!
 //! Run it with `cargo run -p qbdp-audit -- --deny-all`; the CI
 //! `analysis` job gates on it (`--format json` and `--baseline` give
@@ -40,7 +40,6 @@
 #![deny(missing_docs)]
 
 pub mod annot;
-pub mod callgraph;
 pub mod lexer;
 pub mod model;
 pub mod report;

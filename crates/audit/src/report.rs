@@ -224,13 +224,13 @@ mod tests {
     fn baseline_diff_splits_new_and_fixed() {
         let f = findings_for(&[("crates/market/src/ledger.rs", VIOLATION)]);
         let baseline = parse_baseline(
-            "# accepted findings\nR1:crates/market/src/ledger.rs:Ledger::tally#1\nR9:crates/query/src/eval.rs:eval_cq#1\n",
+            "# accepted findings\nR1:crates/market/src/ledger.rs:Ledger::tally#1\nR4:crates/flow/src/lib.rs:augment#1\n",
         );
         let (new, fixed) = diff_baseline(&f, &baseline);
         assert!(new.is_empty(), "baselined finding must not gate: {new:?}");
         assert_eq!(
             fixed,
-            vec!["R9:crates/query/src/eval.rs:eval_cq#1".to_string()]
+            vec!["R4:crates/flow/src/lib.rs:augment#1".to_string()]
         );
         let (new, fixed) = diff_baseline(&f, &BTreeSet::new());
         assert_eq!(new.len(), 1);

@@ -1,28 +1,26 @@
 //! The rule engines and the workspace-level analysis driver.
 //!
 //! Each rule consumes [`FileModel`]s and emits [`Diagnostic`]s. R1 is
-//! file-local; the others need the cross-file call graph or fn index,
-//! so the driver builds every model first and hands rules a
-//! [`Workspace`] view. Panic-freedom and `unsafe` hygiene are not rules
-//! here: the workspace's clippy lint table owns them. Nor are lock
-//! discipline and the lockless telemetry record path: `qbdp-market`'s
-//! lock-level types and the `disallowed-types` lists in
-//! `crates/market/clippy.toml` and `crates/obs/clippy.toml` own those.
+//! file-local; R4's metering fixpoint spans files, so [`run_all`] builds
+//! every model first and hands rules a [`Workspace`] view. Panic-freedom,
+//! `unsafe` hygiene and discarded `Result`s are not rules here: the
+//! workspace's clippy lint table and the store/market/serve crate roots
+//! own them. Nor are lock discipline and the lockless telemetry record
+//! path: `qbdp-market`'s lock-level types and the `disallowed-types`
+//! lists in `crates/market/clippy.toml` and `crates/obs/clippy.toml` own
+//! those.
 
 use crate::model::FileModel;
-use std::collections::HashMap;
 use std::fmt;
 
 pub mod r1_money;
 pub mod r4_fuel;
-pub mod r8_taint;
-pub mod r9_reach;
 
 /// Every rule id the engine reports, `R0` (malformed annotation) first.
 /// `--rule` validates against this list, and `allow(..)` against every
 /// entry but `R0`, so an annotation naming a retired rule is itself a
 /// finding rather than a silent no-op.
-pub const RULES: [&str; 5] = ["R0", "R1", "R4", "R8", "R9"];
+pub const RULES: [&str; 3] = ["R0", "R1", "R4"];
 
 /// One finding, printed as `file:line: RULE: message`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,27 +58,6 @@ pub struct Config {
     pub metered_paths: Vec<String>,
     /// R4: method/fn names that charge a budget.
     pub meter_calls: Vec<String>,
-    /// R8: path prefixes of serving-path code where a `Result` that can
-    /// carry `StoreError::Transient` must not be discarded.
-    pub transient_paths: Vec<String>,
-    /// R9: serving entry points, matched against the fn's qualified
-    /// name (`Market::quote_str`); a trailing `*` is a prefix wildcard
-    /// (`Market::quote*`).
-    pub panic_entries: Vec<String>,
-    /// Call resolution: type names known to live outside the workspace
-    /// (std containers, sync primitives, primitives). A method call
-    /// whose receiver is evidently one of these resolves to no
-    /// workspace fn at all — `map.insert(..)` on a `HashMap` must not
-    /// route an R8/R9 walk into `Market::insert`.
-    pub foreign_types: Vec<String>,
-    /// Call resolution: direct `qbdp-*` dependency edges, as short
-    /// crate names (`market` → its dependencies). Name-level call
-    /// resolution only targets definitions in the caller's dependency
-    /// closure — a fn in `qbdp-market` cannot call the root CLI or the
-    /// bench drivers, so shared std vocabulary (`get`, `insert`, `run`…)
-    /// must not route an R8/R9 walk into them. Crates absent from the
-    /// table resolve only within themselves.
-    pub crate_deps: Vec<(String, Vec<String>)>,
 }
 
 impl Config {
@@ -112,150 +89,30 @@ impl Config {
                 "crates/serve/src/",
             ]),
             meter_calls: s(&["charge", "tick"]),
-            transient_paths: s(&[
-                "crates/store/src/",
-                "crates/market/src/",
-                "crates/serve/src/",
-            ]),
-            panic_entries: s(&["Market::quote*", "Server::run", "Wal::append"]),
-            foreign_types: s(&[
-                // std collections / strings / io / net / time / sync
-                "Vec",
-                "VecDeque",
-                "BinaryHeap",
-                "HashMap",
-                "HashSet",
-                "BTreeMap",
-                "BTreeSet",
-                "String",
-                "PathBuf",
-                "Path",
-                "OsString",
-                "File",
-                "TcpStream",
-                "TcpListener",
-                "UdpSocket",
-                "Instant",
-                "Duration",
-                "SystemTime",
-                "Mutex",
-                "RwLock",
-                "Condvar",
-                "Cell",
-                "RefCell",
-                "AtomicBool",
-                "AtomicU32",
-                "AtomicU64",
-                "AtomicUsize",
-                "AtomicI64",
-                "Option",
-                "Result",
-                // primitives (no inherent workspace impls possible)
-                "bool",
-                "char",
-                "str",
-                "u8",
-                "u16",
-                "u32",
-                "u64",
-                "u128",
-                "usize",
-                "i8",
-                "i16",
-                "i32",
-                "i64",
-                "i128",
-                "isize",
-                "f32",
-                "f64",
-            ]),
-            crate_deps: {
-                let d = |name: &str, deps: &[&str]| {
-                    (
-                        name.to_string(),
-                        deps.iter().map(|s| s.to_string()).collect(),
-                    )
-                };
-                vec![
-                    d("catalog", &[]),
-                    d("obs", &[]),
-                    d("flow", &["obs"]),
-                    d("store", &["obs"]),
-                    d("query", &["catalog"]),
-                    d("determinacy", &["catalog", "query"]),
-                    d("core", &["catalog", "query", "determinacy", "flow", "obs"]),
-                    d(
-                        "market",
-                        &["catalog", "core", "determinacy", "obs", "query", "store"],
-                    ),
-                    d("workload", &["catalog", "core", "determinacy", "query"]),
-                    d("serve", &["catalog", "core", "market", "obs"]),
-                    d(
-                        "bench",
-                        &[
-                            "catalog",
-                            "core",
-                            "determinacy",
-                            "flow",
-                            "market",
-                            "obs",
-                            "query",
-                            "serve",
-                            "store",
-                            "workload",
-                        ],
-                    ),
-                    d(
-                        "root",
-                        &[
-                            "catalog",
-                            "core",
-                            "determinacy",
-                            "flow",
-                            "market",
-                            "obs",
-                            "query",
-                            "serve",
-                            "store",
-                            "workload",
-                        ],
-                    ),
-                ]
-            },
         }
     }
 }
 
-/// Every audited file, modeled, plus the name-level fn index the
-/// cross-file rules resolve calls against.
+/// Every audited file, modeled.
 pub struct Workspace {
     /// All file models, in deterministic (sorted-path) order.
     pub files: Vec<FileModel>,
-    /// fn name → (file index, fn index) of every definition.
-    pub fn_index: HashMap<String, Vec<(usize, usize)>>,
 }
 
 impl Workspace {
-    /// Build the index over prebuilt models. Files are sorted by path
-    /// first, so the workspace — and everything derived from it (the
-    /// call graph, finding order) — is identical regardless of the
-    /// order the caller discovered files in.
+    /// Wrap prebuilt models. Files are sorted by path first, so the
+    /// workspace — and everything derived from it (finding order,
+    /// finding IDs) — is identical regardless of the order the caller
+    /// discovered files in.
     pub fn new(mut files: Vec<FileModel>) -> Workspace {
         files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
-        let mut fn_index: HashMap<String, Vec<(usize, usize)>> = HashMap::new();
-        for (fi, f) in files.iter().enumerate() {
-            for (gi, g) in f.fns.iter().enumerate() {
-                fn_index.entry(g.name.clone()).or_default().push((fi, gi));
-            }
-        }
-        Workspace { files, fn_index }
+        Workspace { files }
     }
 }
 
 /// Run every rule over the workspace; diagnostics come back sorted by
 /// (file, line, rule). Malformed annotations surface as `R0`.
 pub fn run_all(ws: &Workspace, config: &Config) -> Vec<Diagnostic> {
-    let graph = crate::callgraph::CallGraph::build(ws, config);
     let mut out = Vec::new();
     for f in &ws.files {
         for (line, msg) in &f.annot_errors {
@@ -269,8 +126,6 @@ pub fn run_all(ws: &Workspace, config: &Config) -> Vec<Diagnostic> {
         out.extend(r1_money::check(f, config));
     }
     out.extend(r4_fuel::check(ws, config));
-    out.extend(r8_taint::check(ws, &graph, config));
-    out.extend(r9_reach::check(ws, &graph, config));
     out.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     out.dedup();
     out

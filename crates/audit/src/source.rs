@@ -5,36 +5,20 @@ use std::path::{Path, PathBuf};
 
 /// The policy class of a source file, decided by its path.
 ///
-/// * `Library` — serving-path code: every rule at full strength.
-/// * `Harness` — measurement binaries and examples (`crates/bench`,
-///   `examples/`): off the serving path, so the call graph never
-///   resolves a call into them and R8 does not scan them.
+/// * `Library` — everything else, measurement binaries and examples
+///   included: every rule at full strength.
 /// * `TestCode` — integration tests and benches (`tests/`, `benches/`
-///   directories): exempt from R1 and R4, and never a call-graph
-///   target.
+///   directories): exempt from R1 and R4.
 ///
 /// In-file `#[cfg(test)]` / `#[test]` regions get `TestCode` treatment
 /// regardless of file class — that is tracked by the
 /// [`FileModel`](crate::model::FileModel), not here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileClass {
-    /// Serving-path code: every rule at full strength.
+    /// Non-test code: every rule at full strength.
     Library,
-    /// Measurement/demo binaries: off the serving path.
-    Harness,
     /// Test code: exempt from R1/R4.
     TestCode,
-}
-
-/// The short crate name a workspace-relative path belongs to:
-/// `crates/<name>/…` → `<name>`, everything else (the root facade,
-/// `src/`, `examples/`) → `root`. The call graph uses this to keep
-/// name-level call resolution honest about dependency direction.
-pub fn crate_of(rel_path: &str) -> &str {
-    rel_path
-        .strip_prefix("crates/")
-        .and_then(|rest| rest.split('/').next())
-        .unwrap_or("root")
 }
 
 /// Classify a workspace-relative path.
@@ -42,9 +26,6 @@ pub fn classify(rel_path: &str) -> FileClass {
     let components: Vec<&str> = rel_path.split('/').collect();
     if components.iter().any(|c| *c == "tests" || *c == "benches") {
         return FileClass::TestCode;
-    }
-    if rel_path.starts_with("crates/bench/") || components.first() == Some(&"examples") {
-        return FileClass::Harness;
     }
     FileClass::Library
 }
@@ -127,8 +108,8 @@ mod tests {
         );
         assert_eq!(
             classify("crates/bench/src/bin/experiments.rs"),
-            FileClass::Harness
+            FileClass::Library
         );
-        assert_eq!(classify("examples/web_crawl.rs"), FileClass::Harness);
+        assert_eq!(classify("examples/web_crawl.rs"), FileClass::Library);
     }
 }

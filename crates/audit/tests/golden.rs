@@ -49,13 +49,3 @@ fn r1_unchecked_money_arithmetic_fires() {
 fn r4_unmetered_hot_loop_fires() {
     check_fixture("r4.rs", "crates/core/src/exact/fixture_r4.rs");
 }
-
-#[test]
-fn r8_discarded_transient_results_fire() {
-    check_fixture("r8.rs", "crates/market/src/fixture_r8.rs");
-}
-
-#[test]
-fn r9_reachable_panics_fire() {
-    check_fixture("r9.rs", "crates/market/src/fixture_r9.rs");
-}

@@ -432,6 +432,10 @@ fn clone_state(token: &mut Locked<'_, Unlocked>, m: &Market) -> Result<Market, M
 
 /// Apply a mutation op to an in-memory clone, ignoring its verdict (a
 /// validation refusal mutates nothing, same as replay would).
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "an in-memory clone has no store; a refusal mutates nothing, as in replay"
+)]
 fn apply_to_clone(clone: &Market, op: &Op) {
     match op {
         Op::Insert { relation, values } => {
@@ -454,7 +458,12 @@ fn apply_to_clone(clone: &Market, op: &Op) {
 pub fn run_schedule(qdp: &str, dir: &Path, cfg: &ChaosConfig) -> Result<ChaosReport, MarketError> {
     let mut report = ChaosReport::default();
     let mut root = Locked::root();
-    std::fs::remove_dir_all(dir).ok();
+    // A stale directory left in place would be reopened instead of
+    // seeded afresh.
+    match std::fs::remove_dir_all(dir) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(StoreError::Io(e).into()),
+        _ => {}
+    }
 
     // Genesis runs fault-free: the schedule targets the workload, not
     // the one-time directory setup.
@@ -658,6 +667,10 @@ pub fn run_schedule(qdp: &str, dir: &Path, cfg: &ChaosConfig) -> Result<ChaosRep
     }
 
     drop(recovered);
+    #[expect(
+        clippy::unused_result_ok,
+        reason = "cleanup after the report is complete; the next run removes leftovers"
+    )]
     std::fs::remove_dir_all(dir).ok();
     Ok(report)
 }

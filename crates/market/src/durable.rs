@@ -641,6 +641,10 @@ fn apply_event(
 ) -> Result<(), MarketError> {
     match event {
         MarketEvent::SetPrice { view, cents } => {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a logged refusal mutated nothing live; replay skips it the same way"
+            )]
             let _ = market.set_price_at(token, view, Price::cents(*cents));
         }
         MarketEvent::InsertTuple { relation, values } => {
@@ -649,6 +653,10 @@ fn apply_event(
             let Some(parsed) = parsed else {
                 return Err(corrupt(offset, "unparseable tuple literal"));
             };
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a logged refusal mutated nothing live; replay skips it the same way"
+            )]
             let _ = market.insert_at(token, relation, [Tuple::new(parsed)]);
         }
         MarketEvent::Purchase {
@@ -691,6 +699,10 @@ fn apply_event(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::unused_result_ok,
+    reason = "test temp files and directories are removed best-effort"
+)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1079,6 +1091,46 @@ price T.Y=b3 100
         assert_eq!(dm.health(), MarketHealth::Healthy);
         dm.compact().unwrap();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_snapshot_dir_fsync_fails_compaction_and_keeps_the_log() {
+        use qbdp_store::{FaultKind, FaultOp, ScriptedFault};
+        // Each seed rolls the uncommitted snapshot rename differently at
+        // the crash; every outcome must keep every acked purchase.
+        for seed in 0..16 {
+            let (dir, fs, dm) = fault_setup("dirsync", Vec::new());
+            dm.purchase_str("Q(x) :- R(x)").unwrap();
+            dm.purchase_str("Q(x, y) :- R(x), S(x, y)").unwrap();
+            let (revenue, sales) = (dm.market().revenue(), dm.market().sales());
+            // Both snapshot writes in `compact` sync the directory; fail
+            // each, so the log reset cannot slip between them.
+            let dir_sync = ScriptedFault {
+                op: FaultOp::SyncDir,
+                path_contains: String::new(),
+                skip: 0,
+                kind: FaultKind::FsyncFail,
+            };
+            fs.set_plan(qbdp_store::FaultPlan {
+                script: vec![dir_sync.clone(), dir_sync],
+                seeded: None,
+            });
+            let before = dm.wal_position();
+            let err = dm.compact().unwrap_err();
+            assert!(
+                matches!(err, MarketError::Store(StoreError::Io(_))),
+                "{err:?}"
+            );
+            assert!(dm.wal_position() > before, "the WAL must not be reset");
+            drop(dm);
+            fs.clear_plan();
+            fs.simulate_crash(seed).unwrap();
+            let back = DurableMarket::open_with(&dir, faulty(&fs)).unwrap();
+            assert_eq!(back.market().revenue(), revenue, "seed {seed}");
+            assert_eq!(back.market().sales(), sales, "seed {seed}");
+            drop(back);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

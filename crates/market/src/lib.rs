@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
 
 //! # qbdp-market — a query-priced data marketplace
 //!

@@ -312,7 +312,10 @@ pub fn write_response(
 ) {
     use std::io::Write as _;
     let conn = if keep_alive { "keep-alive" } else { "close" };
-    // Writing into a Vec cannot fail; the io::Result is structural.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "writing into a Vec cannot fail; the io::Result is structural"
+    )]
     let _ = write!(
         out,
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {conn}\r\n\r\n",

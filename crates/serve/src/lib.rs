@@ -32,6 +32,7 @@
 // (`clippy::undocumented_unsafe_blocks`).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
 
 pub mod conn;
 pub mod http;

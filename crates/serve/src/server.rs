@@ -333,15 +333,21 @@ impl Server {
                             b"{\"error\":{\"kind\":\"capacity\",\"message\":\"connection limit reached\"}}",
                             false,
                         );
-                        // Best-effort courtesy notice; the close is the
-                        // real backpressure.
-                        // audit: allow(R8: 503 notice to a rejected conn — retrying would hold the accept loop hostage)
+                        #[expect(
+                            clippy::let_underscore_must_use,
+                            reason = "best-effort 503 notice to a rejected conn; the close is the \
+                                      real backpressure, and retrying would hold the accept loop"
+                        )]
                         let _ = s.write(&buf);
                         continue;
                     }
                     if s.set_nonblocking(true).is_err() {
                         continue;
                     }
+                    #[expect(
+                        clippy::let_underscore_must_use,
+                        reason = "Nagle off is latency tuning; the connection works without it"
+                    )]
                     let _ = s.set_nodelay(true);
                     let token = self.next_token;
                     self.next_token += 1;
@@ -633,6 +639,10 @@ impl Server {
     /// Deregister and drop one connection.
     fn close_conn(&mut self, token: u64) {
         if let Some(c) = self.conns.remove(&token) {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "dropping the stream closes the fd, which leaves the poller either way"
+            )]
             let _ = self.poller.deregister(c.stream.as_raw_fd());
             qbdp_obs::record_gauge(Gauge::ServeOpenConns, self.conns.len() as u64);
         }
@@ -641,6 +651,10 @@ impl Server {
     /// Graceful shutdown: stop accepting, price every fully-buffered
     /// request, flush responses under the drain deadline, close.
     fn drain(&mut self, ops: &dyn MarketOps) -> Result<(), ServeError> {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "drain never accepts, so a listener left registered only costs a wakeup"
+        )]
         let _ = self.poller.deregister(self.listener.as_raw_fd());
         // Price what's already complete in the parse buffers: these are
         // the in-flight requests the shutdown contract promises to
@@ -667,9 +681,15 @@ impl Server {
                     Ok(false) => {
                         if !c.watching_write {
                             c.watching_write = true;
-                            let _ =
-                                self.poller
-                                    .modify(c.stream.as_raw_fd(), tok, Interest::ReadWrite);
+                            // Without write interest the rest of the
+                            // response would never be flushed.
+                            if self
+                                .poller
+                                .modify(c.stream.as_raw_fd(), tok, Interest::ReadWrite)
+                                .is_err()
+                            {
+                                to_close.push(tok);
+                            }
                         }
                     }
                     Err(_) => to_close.push(tok),

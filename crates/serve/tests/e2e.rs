@@ -1,7 +1,8 @@
 //! End-to-end serving tests: real sockets, real markets, both poller
-//! backends, and the graceful-shutdown recovery-equivalence guarantee
-//! (ISSUE 9): a drained server's durable state must fingerprint-match
-//! a cold reopen of the same directory — no acked purchase lost.
+//! backends, panic containment on the served path, and the
+//! graceful-shutdown recovery-equivalence guarantee: a drained server's
+//! durable state must fingerprint-match a cold reopen of the same
+//! directory — no acked purchase lost.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -11,9 +12,15 @@ use qbdp_serve::{sys, ResponseParser, Server, ServerConfig, ShutdownFlag};
 use qbdp_store::FsyncPolicy;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::{PoisonError, RwLock};
 use std::time::Duration;
 
 const FIG1_QDP: &str = include_str!("../../../data/figure1.qdp");
+
+/// The injected engine panic is process-wide and one-shot: tests that
+/// price hold this shared, and the test that arms the trap holds it
+/// exclusively, so no other test's quote can trip it.
+static ENGINE: RwLock<()> = RwLock::new(());
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("qbdp-serve-e2e-{tag}-{}", std::process::id()));
@@ -50,6 +57,16 @@ fn get(path: &str) -> Vec<u8> {
 /// Serve `ops` on an ephemeral port, run `body`, request shutdown, and
 /// return the drained server's stats.
 fn serve(
+    ops: &dyn MarketOps,
+    force_poll: bool,
+    body: impl FnOnce(SocketAddr) + Send,
+) -> qbdp_serve::ServeStats {
+    let _engine = ENGINE.read().unwrap_or_else(PoisonError::into_inner);
+    serve_exclusive(ops, force_poll, body)
+}
+
+/// [`serve`] for a caller already holding [`ENGINE`].
+fn serve_exclusive(
     ops: &dyn MarketOps,
     force_poll: bool,
     body: impl FnOnce(SocketAddr) + Send,
@@ -219,6 +236,7 @@ fn sigterm_mid_purchase_stream_drains_and_recovery_keeps_every_ack() {
     let dir = temp_dir("sigterm");
     let dm =
         DurableMarket::create(&dir, &selections_qdp(ATTEMPTS), FsyncPolicy::EveryN(8)).unwrap();
+    let _engine = ENGINE.read().unwrap_or_else(PoisonError::into_inner);
     let mut server = Server::bind(ServerConfig::default()).unwrap();
     let addr = server.local_addr();
     let shutdown = ShutdownFlag::with_signals().unwrap();
@@ -246,6 +264,29 @@ fn sigterm_mid_purchase_stream_drains_and_recovery_keeps_every_ack() {
     );
     assert_eq!(fingerprint(dm.market()), fp_drained);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An engine panic on a served cache miss is contained at the market
+/// boundary: the request that tripped it gets a 500 `internal`, and the
+/// same server answers the next request at Figure 1's $6.
+#[test]
+fn engine_panic_on_the_served_path_is_a_500_and_the_next_request_prices() {
+    let _engine = ENGINE.write().unwrap_or_else(PoisonError::into_inner);
+    let q = "Q(x, y) :- R(x), S(x, y), T(y)";
+    for path in ["/quote", "/purchase"] {
+        // A fresh market per path: the query must miss the quote cache
+        // to reach the engine.
+        let market = Market::open_qdp(FIG1_QDP).unwrap();
+        serve_exclusive(&market, false, |addr| {
+            qbdp_core::fault::arm_panic();
+            let (st, body) = exchange(addr, &post(path, q));
+            assert_eq!(st, 500, "{path}: {body}");
+            assert!(body.contains("\"kind\":\"internal\""), "{path}: {body}");
+            let (st, body) = exchange(addr, &post(path, q));
+            assert_eq!(st, 200, "{path}: {body}");
+            assert!(body.contains("\"price_cents\":600"), "{path}: {body}");
+        });
+    }
 }
 
 #[test]

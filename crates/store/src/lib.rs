@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
 
 //! # qbdp-store — durable market state
 //!
@@ -34,6 +35,27 @@
 //!   crash simulation) that the chaos harness drives;
 //! * [`scrub()`] — a background-free integrity pass verifying every
 //!   snapshot and WAL checksum before the bytes are load-bearing.
+//!
+//! ## No silently discarded store error
+//!
+//! A `Result` that can carry [`StoreError::Transient`] is handled or
+//! propagated, never dropped. This crate, `qbdp-market` and
+//! `qbdp-serve` deny clippy's `let_underscore_must_use` (`let _ = f()`)
+//! and `unused_result_ok` (`f().ok();`) at their roots; a deliberate
+//! discard carries `#[expect(clippy::…, reason = "…")]`. A bare `f();`
+//! is rustc's `unused_must_use`, an error under CI's `-D warnings`:
+//!
+//! ```compile_fail
+//! #![deny(unused_must_use)]
+//! fn persist() -> Result<(), qbdp_store::StoreError> {
+//!     Ok(())
+//! }
+//! persist();
+//! ```
+//!
+//! Doctests do not run clippy, so the two clippy shapes are checked by
+//! CI against `crates/audit/tests/fixtures/discard`, a crate that must
+//! fail clippy naming both lints.
 
 pub mod crc;
 pub mod error;

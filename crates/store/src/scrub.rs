@@ -174,6 +174,10 @@ pub fn scrub(vfs: &dyn Vfs, snapshot_path: &Path, wal_path: &Path) -> ScrubRepor
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::unused_result_ok,
+    reason = "test temp files and directories are removed best-effort"
+)]
 mod tests {
     use super::*;
     use crate::event::MarketEvent;

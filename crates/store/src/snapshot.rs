@@ -191,9 +191,9 @@ impl Snapshot {
         })?;
         retry.run("snapshot-rename", path, || vfs.rename_file(&tmp, path))?;
         if let Some(dir) = path.parent() {
-            // Persist the rename itself; on platforms where directories
-            // cannot be opened this is best-effort.
-            let _ = vfs.sync_dir(dir);
+            // Persist the rename itself: the caller may truncate the WAL
+            // next, so a rename that can roll back must be an error.
+            retry.run("snapshot-dir-sync", dir, || vfs.sync_dir(dir))?;
         }
         qbdp_obs::record(qbdp_obs::Ctr::StoreSnapshots, 1);
         sw.stop(qbdp_obs::Hst::SnapshotWriteUs);
@@ -220,6 +220,10 @@ impl Snapshot {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::unused_result_ok,
+    reason = "test temp files and directories are removed best-effort"
+)]
 mod tests {
     use super::*;
     use std::path::PathBuf;

@@ -135,6 +135,10 @@ impl Drop for Wal {
             && self.unsynced > 0
             && self.poisoned.is_none()
         {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "Drop cannot return the error; Wal::sync is the checked path"
+            )]
             let _ = self.sync();
         }
     }
@@ -487,6 +491,10 @@ impl Wal {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::unused_result_ok,
+    reason = "test temp files and directories are removed best-effort"
+)]
 mod tests {
     use super::*;
     use crate::vfs::{FaultFs, FaultKind, FaultOp, FaultPlan, ScriptedFault};

@@ -13,7 +13,21 @@ use qbdp::prelude::*;
 use qbdp::workload::{dbgen, prices as wprices, queries};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
+
+/// The injected engine panic is process-wide and one-shot: tests that
+/// price hold this shared, and tests that arm the trap hold it
+/// exclusively, so no other test's pricing call can trip it.
+static ENGINE: RwLock<()> = RwLock::new(());
+
+fn pricing() -> RwLockReadGuard<'static, ()> {
+    ENGINE.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn trapping() -> RwLockWriteGuard<'static, ()> {
+    ENGINE.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Deadline-overshoot tolerance factor (× the deadline).
 fn tolerance() -> u32 {
@@ -42,6 +56,7 @@ fn big_instance(qs: &queries::QuerySet) -> Instance {
 /// tolerance of the deadline.
 #[test]
 fn h4_large_instance_meets_deadline() {
+    let _engine = pricing();
     let qs = queries::h4_schema(199).unwrap();
     let d = big_instance(&qs);
     let prices = wprices::uniform(&qs.catalog, Price::dollars(1));
@@ -71,6 +86,7 @@ fn h4_large_instance_meets_deadline() {
 /// and must still return a sound interval promptly.
 #[test]
 fn h2_large_instance_meets_deadline() {
+    let _engine = pricing();
     let qs = queries::h2_schema(199).unwrap();
     let d = big_instance(&qs);
     let prices = wprices::uniform(&qs.catalog, Price::dollars(1));
@@ -96,6 +112,7 @@ fn h2_large_instance_meets_deadline() {
 /// arbitrage) and its reported lower bound really lower-bounds the truth.
 #[test]
 fn degraded_quote_bounds_the_exact_price() {
+    let _engine = pricing();
     for (name, qs) in [
         ("h2", queries::h2_schema(3).unwrap()),
         ("h4", queries::h4_schema(3).unwrap()),
@@ -139,6 +156,7 @@ const FIG1_QDP: &str = include_str!("../data/figure1.qdp");
 /// next quote normally.
 #[test]
 fn market_survives_engine_panic() {
+    let _engine = trapping();
     let market = Market::open_qdp(FIG1_QDP).unwrap();
     let q = "Q(x, y) :- R(x), S(x, y), T(y)";
 
@@ -161,6 +179,7 @@ fn market_survives_engine_panic() {
 /// completely healthy.
 #[test]
 fn injected_panic_poisons_only_its_own_batch_slot() {
+    let _engine = trapping();
     let market = Market::open_qdp(FIG1_QDP).unwrap();
     // One worker makes job order deterministic: slot 0 trips the one-shot
     // trap, the rest price normally.
@@ -194,11 +213,62 @@ fn injected_panic_poisons_only_its_own_batch_slot() {
     );
 }
 
+/// Acceptance: an explanation prices through the same contained
+/// boundary (explanations bypass the quote cache, so every call reaches
+/// the engine), and the next explanation renders Figure 1's $6.
+#[test]
+fn explain_survives_engine_panic() {
+    let _engine = trapping();
+    let market = Market::open_qdp(FIG1_QDP).unwrap();
+    let q = "Q(x, y) :- R(x), S(x, y), T(y)";
+
+    fault::arm_panic();
+    let err = market.explain_str(q);
+    assert!(
+        matches!(err, Err(MarketError::Internal(_))),
+        "expected Internal, got {err:?}"
+    );
+
+    let text = market.explain_str(q).unwrap();
+    assert!(text.contains(&Price::dollars(6).to_string()), "{text}");
+}
+
+/// Acceptance: a durable purchase whose pricing panics is refused as
+/// `Internal` before anything is logged, the market stays writable, and
+/// the next purchase is charged $6 and survives a reopen.
+#[test]
+fn durable_purchase_survives_engine_panic() {
+    let _engine = trapping();
+    let dir = std::env::temp_dir().join(format!("qbdp-governance-panic-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dm = DurableMarket::create(&dir, FIG1_QDP, FsyncPolicy::Always).unwrap();
+    let q = "Q(x, y) :- R(x), S(x, y), T(y)";
+    let logged = dm.wal_position();
+
+    fault::arm_panic();
+    let err = dm.purchase_str(q);
+    assert!(
+        matches!(err, Err(MarketError::Internal(_))),
+        "expected Internal, got {err:?}"
+    );
+    assert_eq!(dm.wal_position(), logged, "a refused purchase logs nothing");
+    assert_eq!(dm.market().sales(), 0);
+
+    let purchase = dm.purchase_str(q).unwrap();
+    assert_eq!(purchase.quote.price, Price::dollars(6));
+    drop(dm);
+    let back = DurableMarket::open(&dir, FsyncPolicy::Always).unwrap();
+    assert_eq!(back.market().sales(), 1);
+    assert_eq!(back.market().revenue(), Price::dollars(6));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Policy: with `sell_degraded` off (the default), a budget-starved quote
 /// is refused with `DeadlineExceeded` instead of silently over-charging;
 /// flipping the policy sells the same quote as an upper bound.
 #[test]
 fn sell_degraded_policy_gates_upper_bound_quotes() {
+    let _engine = pricing();
     let qs = queries::h4_schema(30).unwrap();
     let mut rng = StdRng::seed_from_u64(3);
     let d = dbgen::populate_random(&qs.catalog, &mut rng, 200).unwrap();
@@ -228,6 +298,7 @@ fn sell_degraded_policy_gates_upper_bound_quotes() {
 /// Admission control: a zero-capacity market refuses with `Overloaded`.
 #[test]
 fn admission_cap_refuses_excess_quotes() {
+    let _engine = pricing();
     let market = Market::open_qdp(FIG1_QDP).unwrap();
     market.set_policy(MarketPolicy {
         max_in_flight: 0,
