@@ -136,7 +136,9 @@ fn e2() {
                 f.catalog.clone(),
                 f.instance.clone(),
                 f.prices.clone(),
-                qbdp_core::gchq::reorder_to_gchq(&f.query).expect("pricing succeeds"),
+                qbdp_core::gchq::reorder_to_gchq(&f.query)
+                    .expect("pricing succeeds")
+                    .into_owned(),
             );
             let r = chain_price(&problem).expect("pricing succeeds");
             let growth = last.map(|p| format!("x{:.1}", dt / p)).unwrap_or_default();
@@ -756,7 +758,9 @@ fn e12() {
             f.catalog.clone(),
             f.instance.clone(),
             f.prices.clone(),
-            qbdp_core::gchq::reorder_to_gchq(&f.query).expect("pricing succeeds"),
+            qbdp_core::gchq::reorder_to_gchq(&f.query)
+                .expect("pricing succeeds")
+                .into_owned(),
         );
         // Min of three runs: single-core CI boxes jitter badly.
         let (mut hub_dt, mut literal_dt) = (f64::INFINITY, f64::INFINITY);

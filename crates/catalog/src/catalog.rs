@@ -7,17 +7,18 @@ use crate::column::Column;
 use crate::error::CatalogError;
 use crate::instance::Instance;
 use crate::schema::{AttrId, AttrRef, RelId, Schema};
-use crate::tuple::Tuple;
 use crate::value::Value;
 use std::sync::Arc;
 
 /// Schema + columns. Immutable after construction (columns "always remain
-/// fixed when the database is updated", paper §3).
+/// fixed when the database is updated", paper §3). Each relation's columns
+/// sit behind an [`Arc`], so a clone copies one pointer per relation and a
+/// derived catalog rebuilds only the relation it changes.
 #[derive(Clone, Debug)]
 pub struct Catalog {
     schema: Arc<Schema>,
     /// `columns[rel][attr]` is `Col_{R.X}`.
-    columns: Vec<Vec<Column>>,
+    columns: Vec<Arc<[Column]>>,
 }
 
 impl Catalog {
@@ -37,6 +38,7 @@ impl Catalog {
                 )));
             }
         }
+        let columns = columns.into_iter().map(Arc::from).collect();
         Ok(Catalog { schema, columns })
     }
 
@@ -59,7 +61,9 @@ impl Catalog {
     /// other column is shared.
     pub fn with_column(&self, attr: AttrRef, column: Column) -> Catalog {
         let mut columns = self.columns.clone();
-        columns[attr.rel.0 as usize][attr.attr.0 as usize] = column;
+        let mut rel_columns = columns[attr.rel.0 as usize].to_vec();
+        rel_columns[attr.attr.0 as usize] = column;
+        columns[attr.rel.0 as usize] = rel_columns.into();
         Catalog {
             schema: self.schema.clone(),
             columns,
@@ -80,11 +84,13 @@ impl Catalog {
     ) -> Result<(Catalog, Instance), CatalogError> {
         let schema = Arc::new(self.schema.without_position(rel, pos)?);
         let mut columns = self.columns.clone();
-        if let Some(cols) = columns.get_mut(rel.0 as usize).filter(|c| pos < c.len()) {
-            cols.remove(pos);
+        let mut rel_columns = columns[rel.0 as usize].to_vec();
+        if pos < rel_columns.len() {
+            rel_columns.remove(pos);
         }
+        columns[rel.0 as usize] = rel_columns.into();
         let projected = instance.project_onto(Arc::clone(&schema), rel, pos);
-        Ok((Catalog::new(schema, columns)?, projected))
+        Ok((Catalog { schema, columns }, projected))
     }
 
     /// An empty instance over this catalog's schema.
@@ -105,13 +111,13 @@ impl Catalog {
 
     /// Verify one tuple of `rel`: its arity matches the schema and each
     /// value lies in its attribute's column.
-    pub fn check_tuple(&self, rel: RelId, t: &Tuple) -> Result<(), CatalogError> {
+    pub fn check_tuple(&self, rel: RelId, t: &[Value]) -> Result<(), CatalogError> {
         let rs = self.schema.relation(rel);
-        if t.arity() != rs.arity() {
+        if t.len() != rs.arity() {
             return Err(CatalogError::ArityMismatch {
                 relation: rs.name().to_string(),
                 expected: rs.arity(),
-                got: t.arity(),
+                got: t.len(),
             });
         }
         for (pos, v) in t.iter().enumerate() {
@@ -220,10 +226,10 @@ mod tests {
         d.insert(s, tuple![1, 99]).unwrap();
         let err = c.check_instance(&d).unwrap_err();
         assert!(err.to_string().contains("S.Y"));
-        assert_eq!(c.check_tuple(s, &tuple![1, 99]), Err(err));
-        assert!(c.check_tuple(s, &tuple![0, 2]).is_ok());
+        assert_eq!(c.check_tuple(s, tuple![1, 99].values()), Err(err));
+        assert!(c.check_tuple(s, tuple![0, 2].values()).is_ok());
         assert!(matches!(
-            c.check_tuple(s, &tuple![1]),
+            c.check_tuple(s, tuple![1].values()),
             Err(CatalogError::ArityMismatch {
                 expected: 2,
                 got: 1,
@@ -257,7 +263,7 @@ mod tests {
         // The projected catalog and instance share one schema.
         assert!(Arc::ptr_eq(dropped.schema(), projected.schema()));
         assert_eq!(projected.relation(s).len(), 2);
-        assert!(projected.relation(s).contains(&tuple![2]));
+        assert!(projected.relation(s).contains(tuple![2].values()));
         // A relation cannot lose its only attribute.
         assert!(c.project_out(&d, r, 0).is_err());
     }
@@ -269,7 +275,7 @@ mod tests {
         assert_eq!(c.product_size(s), 6);
         let mut seen = Vec::new();
         c.for_each_product_tuple(s, |vals| {
-            seen.push(Tuple::new(vals.to_vec()));
+            seen.push(crate::Tuple::new(vals.to_vec()));
             true
         });
         assert_eq!(seen.len(), 6);

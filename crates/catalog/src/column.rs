@@ -35,6 +35,12 @@ impl Column {
         let mut ordered: Vec<Value> = values.into_iter().collect();
         ordered.sort();
         ordered.dedup();
+        Column::from_sorted(ordered)
+    }
+
+    /// A column of values already sorted and deduplicated.
+    fn from_sorted(ordered: Vec<Value>) -> Self {
+        debug_assert!(ordered.windows(2).all(|w| w[0] < w[1]));
         let index = ordered
             .iter()
             .enumerate()
@@ -53,6 +59,12 @@ impl Column {
     /// Convenience: a column of text values.
     pub fn texts<'a>(values: impl IntoIterator<Item = &'a str>) -> Self {
         Column::new(values.into_iter().map(Value::from))
+    }
+
+    /// Whether `self` and `other` are the same column object (clones of
+    /// one another), not merely equal.
+    pub fn ptr_eq(&self, other: &Column) -> bool {
+        Arc::ptr_eq(&self.values, &other.values)
     }
 
     /// Number of values in the column.
@@ -101,13 +113,19 @@ impl Column {
         } else {
             (other, self)
         };
-        Column::new(small.iter().filter(|v| large.contains(v)).cloned())
+        Column::from_sorted(
+            small
+                .iter()
+                .filter(|v| large.contains(v))
+                .cloned()
+                .collect(),
+        )
     }
 
     /// Keep only values satisfying a predicate (Step 1 of the GChQ
     /// algorithm shrinks columns by interpreted predicates).
     pub fn filter(&self, mut keep: impl FnMut(&Value) -> bool) -> Column {
-        Column::new(self.iter().filter(|v| keep(v)).cloned())
+        Column::from_sorted(self.iter().filter(|v| keep(v)).cloned().collect())
     }
 }
 

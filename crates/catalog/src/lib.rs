@@ -11,7 +11,8 @@
 //! * finite, publicly-known [`Column`]s `Col_{R.X}` per attribute — the sets
 //!   of values a selection view `σ_{R.X=a}` may select on, satisfying the
 //!   inclusion constraint `R.X ⊆ Col_{R.X}` (paper §3, "The Views"),
-//! * database [`Instance`]s with per-attribute hash indexes,
+//! * database [`Instance`]s storing each row once, with per-attribute hash
+//!   indexes built on first use,
 //! * a [`Catalog`] bundling a schema with its columns,
 //! * a small line-oriented text format ([`qdp`]) for catalogs, instances and
 //!   raw price directives.

@@ -202,7 +202,7 @@ impl QdpFile {
             }
         }
         for (rid, rel) in schema.iter() {
-            let mut rows: Vec<&Tuple> = self.instance.relation(rid).iter().collect();
+            let mut rows: Vec<&[Value]> = self.instance.relation(rid).iter().collect();
             rows.sort();
             for t in rows {
                 let vals: Vec<String> = t.iter().map(render_value).collect();

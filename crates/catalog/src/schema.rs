@@ -3,6 +3,7 @@
 use crate::error::CatalogError;
 use crate::fxhash::FxHashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a relation within a [`Schema`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -118,10 +119,15 @@ impl fmt::Display for ShowAttr<'_> {
 }
 
 /// A fixed relational schema `R = (R_1, ..., R_k)`.
+///
+/// Each relation's schema and the name lookup sit behind an [`Arc`], so a
+/// schema with one attribute projected away (by
+/// [`crate::Catalog::project_out`]) shares everything but the one relation
+/// it changes.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Schema {
-    relations: Vec<RelationSchema>,
-    by_name: FxHashMap<String, RelId>,
+    relations: Vec<Arc<RelationSchema>>,
+    by_name: Arc<FxHashMap<String, RelId>>,
 }
 
 impl Schema {
@@ -136,8 +142,8 @@ impl Schema {
             return Err(CatalogError::DuplicateRelation(rel.name().to_string()));
         }
         let id = RelId(self.relations.len() as u32);
-        self.by_name.insert(rel.name().to_string(), id);
-        self.relations.push(rel);
+        Arc::make_mut(&mut self.by_name).insert(rel.name().to_string(), id);
+        self.relations.push(Arc::new(rel));
         Ok(id)
     }
 
@@ -156,7 +162,7 @@ impl Schema {
         self.relations
             .iter()
             .enumerate()
-            .map(|(i, r)| (RelId(i as u32), r))
+            .map(|(i, r)| (RelId(i as u32), &**r))
     }
 
     /// All relation ids.
@@ -201,18 +207,22 @@ impl Schema {
 
     /// This schema with attribute `pos` of `rel` removed; every relation
     /// keeps its id, and `rel`'s later attributes move down one position.
+    /// Only `rel`'s schema is rebuilt: every other relation's schema and
+    /// the name lookup are shared with `self`.
     pub(crate) fn without_position(&self, rel: RelId, pos: usize) -> Result<Schema, CatalogError> {
-        let mut schema = Schema::new();
-        for (rid, r) in self.iter() {
-            let attrs = r
-                .attrs()
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| rid != rel || i != pos)
-                .map(|(_, a)| a.clone());
-            schema.add_relation(RelationSchema::new(r.name(), attrs)?)?;
-        }
-        Ok(schema)
+        let r = self.relation(rel);
+        let attrs = r
+            .attrs()
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != pos)
+            .map(|(_, a)| a.clone());
+        let mut relations = self.relations.clone();
+        relations[rel.0 as usize] = Arc::new(RelationSchema::new(r.name(), attrs)?);
+        Ok(Schema {
+            relations,
+            by_name: Arc::clone(&self.by_name),
+        })
     }
 
     /// All attribute positions of all relations, in schema order.

@@ -30,27 +30,14 @@ impl Tuple {
         &self.0
     }
 
+    /// The values, by value (a relation moves them into its row arena).
+    pub fn into_values(self) -> std::vec::IntoIter<Value> {
+        self.0.into_vec().into_iter()
+    }
+
     /// Iterate over the values.
     pub fn iter(&self) -> impl Iterator<Item = &Value> {
         self.0.iter()
-    }
-
-    /// A new tuple keeping only the listed positions, in the listed order.
-    pub fn project(&self, positions: &[usize]) -> Tuple {
-        Tuple(positions.iter().map(|&i| self.0[i].clone()).collect())
-    }
-
-    /// A new tuple with position `i` removed (used when projecting out a
-    /// hanging-variable attribute, paper Step 3).
-    pub fn without_position(&self, i: usize) -> Tuple {
-        Tuple(
-            self.0
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, v)| v.clone())
-                .collect(),
-        )
     }
 }
 
@@ -120,21 +107,6 @@ mod tests {
         assert_eq!(t.get(1), &Value::text("x"));
         assert_eq!(t.to_string(), "(1, x)");
         assert_eq!(format!("{t:?}"), "(1, 'x')");
-    }
-
-    #[test]
-    fn project() {
-        let t = tuple!["a", "b", "c"];
-        assert_eq!(t.project(&[2, 0]), tuple!["c", "a"]);
-        assert_eq!(t.project(&[]), Tuple::new([]));
-    }
-
-    #[test]
-    fn without_position() {
-        let t = tuple!["a", "b", "c"];
-        assert_eq!(t.without_position(1), tuple!["a", "c"]);
-        assert_eq!(t.without_position(0), tuple!["b", "c"]);
-        assert_eq!(t.without_position(2), tuple!["a", "b"]);
     }
 
     #[test]

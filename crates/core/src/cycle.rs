@@ -297,9 +297,9 @@ pub fn unrolled_problem(
             })?;
         for t in problem.instance.relation(old_rel).iter() {
             let t = if flipped {
-                t.project(&[1, 0])
+                Tuple::new([t[1].clone(), t[0].clone()])
             } else {
-                t.clone()
+                Tuple::new(t.to_vec())
             };
             instance.insert(new_rel, t)?;
         }

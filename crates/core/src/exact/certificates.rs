@@ -249,7 +249,7 @@ pub fn build_certificates_within(
                 Term::Const(c) => c.clone(),
                 Term::Var(v) => value_of(*v).clone(),
             }));
-            if !d.relation(atom.rel).contains(&t) {
+            if !d.relation(atom.rel).contains(t.values()) {
                 is_answer = false;
                 missing.extend(covering(atom.rel, &t));
             }

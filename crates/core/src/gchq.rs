@@ -11,25 +11,29 @@ use crate::dichotomy::QueryClass;
 use crate::error::PricingError;
 use crate::money::Price;
 use crate::normalize::step3_hanging::{cover_views, Cover, ReducedBranch};
-use crate::normalize::{step1_predicates, step2_repeated, step3_hanging, Problem, Provenance};
+use crate::normalize::{step1_predicates, step2_repeated, step3_hanging, Provenance};
 use crate::pricer::{Pricer, PricingMethod, Quote};
 use qbdp_determinacy::selection::SelectionView;
 use qbdp_flow::MaxFlowResult;
 use qbdp_query::analysis;
 use qbdp_query::ast::ConjunctiveQuery;
+use std::borrow::Cow;
 
 /// Reorder the query's atoms into a generalized-chain order, if one exists.
 /// Interpreted predicates and constants are ignored by the order search
-/// (they are handled by Steps 1–2 and do not affect variable sharing).
-pub fn reorder_to_gchq(q: &ConjunctiveQuery) -> Option<ConjunctiveQuery> {
+/// (they are handled by Steps 1–2 and do not affect variable sharing). A
+/// query already in chain order comes back borrowed, not copied.
+pub fn reorder_to_gchq(q: &ConjunctiveQuery) -> Option<Cow<'_, ConjunctiveQuery>> {
     let order = analysis::find_gchq_order(q)?;
     if order.iter().enumerate().all(|(i, &atom)| i == atom) {
-        return Some(q.clone());
+        return Some(Cow::Borrowed(q));
     }
     let atoms = order.iter().map(|&i| q.atoms()[i].clone()).collect();
     // Every check of `ConjunctiveQuery::new` is order-independent, so a
     // permutation of a valid query passes against its atoms' own schema.
-    q.with_body(atoms, q.preds().to_vec(), &schema_for(q)).ok()
+    q.with_body(atoms, q.preds().to_vec(), &schema_for(q))
+        .ok()
+        .map(Cow::Owned)
 }
 
 /// A minimal schema consistent with the query's atoms (names `R#i`,
@@ -204,14 +208,13 @@ pub(crate) fn price_branches(
             q.name()
         ))
     })?;
-    let problem = Problem::new(
+    let mut norm_span = qbdp_obs::trace::span("normalize");
+    let problem = step1_predicates::apply_to(
         pricer.catalog().clone(),
         pricer.instance().clone(),
         pricer.prices().clone(),
         ordered,
-    );
-    let mut norm_span = qbdp_obs::trace::span("normalize");
-    let problem = step1_predicates::apply(problem)?;
+    )?;
     let problem = step2_repeated::apply(problem)?;
     let (branches, complete) = step3_hanging::branches_within(problem, budget)?;
     norm_span.detail(if complete {
@@ -353,8 +356,11 @@ mod tests {
         let reordered = reorder_to_gchq(&q).unwrap();
         assert!(ChainQuery::from_cq(&reordered).is_ok());
         assert_eq!(reordered.head(), q.head());
-        // A query already in chain order comes back as it is.
-        assert_eq!(reorder_to_gchq(&reordered).as_ref(), Some(&reordered));
+        // A query already in chain order comes back as it is, uncopied.
+        assert!(matches!(
+            reorder_to_gchq(&reordered),
+            Some(Cow::Borrowed(same)) if std::ptr::eq(same, &*reordered)
+        ));
     }
 
     #[test]

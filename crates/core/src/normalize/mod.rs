@@ -25,22 +25,33 @@
 //! relation a step leaves alone, and the [`PriceList`] and [`Provenance`]
 //! share every attribute's map (see their docs). So Step 1 copies the
 //! columns and prices of the attributes its predicates shrink and the
-//! tuples of their relations, Step 2 the merged attribute's prices and its
-//! relation's tuples, and Step 3 the free attribute's prices. Dropping an
-//! attribute copies the projected relation's tuples and moves the later
-//! positions' maps down without copying them ([`drop_attribute`]). By
-//! Lemma 3.1 every rewrite stays inside the relation it names, so the
-//! untouched relations reach the flow network as the very tuples and
-//! price maps the pricer holds.
+//! surviving rows of their relations, Step 2 the merged attribute's prices
+//! and its relation's diagonal rows, and Step 3 the free attribute's
+//! prices. Dropping an attribute copies the projected relation's rows and
+//! moves the later positions' maps down without copying them
+//! ([`drop_attribute`]). By Lemma 3.1 every rewrite stays inside the
+//! relation it names, so the untouched relations reach the flow network
+//! as the very rows and price maps the pricer holds.
 //!
-//! Copying a tuple or a view copies no string: a text [`Value`] shares its
+//! A relation stores each row once, in a flat arena, and builds an
+//! attribute's index only when something selects through it; a derived
+//! relation is only iterated, so it never builds one. Step 1 reads only
+//! the rows its query selects: it takes the candidates from the posting
+//! lists of the narrowest shrunk attribute of the pricer's relation,
+//! whose indexes are built once and shared by every quote
+//! ([`Instance::retain_in`]). The price of a full cover is summed once
+//! per shared price map and column ([`PriceList::full_cover_price`]).
+//!
+//! Copying a row or a view copies no string: a text [`Value`] shares its
 //! string behind an [`Arc`]. Each Step 3 node projects once, and its two
 //! children share the projected relation; a full cover is recorded as a
 //! [`step3_hanging::Cover`], not resolved to original views until a quote
-//! needs them (see [`step3_hanging`]). Each step still builds a new
-//! [`Catalog`] (its columns shared) and a new query, and dropping an
-//! attribute builds one new schema, which the projected catalog and
-//! instance share.
+//! needs them (see [`step3_hanging`]). A query shares its name and
+//! variable table with the queries derived from it, and re-validating a
+//! derived query allocates nothing. Each step still builds a new [`Catalog`]
+//! (its other relations' columns shared) and a new query, and dropping an
+//! attribute builds one new relation schema, which the projected catalog
+//! and instance share along with every other relation's schema.
 
 pub mod step1_predicates;
 pub mod step2_repeated;
@@ -396,7 +407,7 @@ mod tests {
         assert_eq!(c2.schema().relation(s).attrs(), &["X", "Z"]);
         // Instance projected with dedup: (0,20), (1,21).
         assert_eq!(d2.relation(s).len(), 2);
-        assert!(d2.relation(s).contains(&tuple![0, 20]));
+        assert!(d2.relation(s).contains(tuple![0, 20].values()));
         // Prices: S.Y gone; S.Z now position 1.
         let new_sz = AttrRef::new(s, 1);
         assert_eq!(p2.get_at(new_sz, &Value::Int(20)), Price::dollars(1));

@@ -13,22 +13,56 @@
 
 use super::Problem;
 use crate::error::PricingError;
-use qbdp_catalog::{AttrRef, RelId};
+use crate::price_points::PriceList;
+use qbdp_catalog::{AttrId, AttrRef, Catalog, Column, Instance, RelId, Schema};
 use qbdp_query::analysis;
 use qbdp_query::ast::{Atom, ConjunctiveQuery, Pred, PredAtom, Term, Var};
+use std::borrow::Cow;
 
 /// Apply Step 1 until the query has neither constants nor predicates.
 pub fn apply(problem: Problem) -> Result<Problem, PricingError> {
-    let problem = constants_to_predicates(problem)?;
-    shrink_by_predicates(problem)
+    let Problem {
+        catalog,
+        instance,
+        prices,
+        query,
+        provenance,
+    } = problem;
+    let problem = apply_to(catalog, instance, prices, Cow::Owned(query))?;
+    // Shrinking does not rename views.
+    Ok(Problem {
+        provenance,
+        ..problem
+    })
+}
+
+/// [`apply`] to the problem of pricing `query` over the given inputs,
+/// with identity provenance. A borrowed query is copied only when Step 1
+/// leaves it as it is.
+pub fn apply_to(
+    catalog: Catalog,
+    instance: Instance,
+    prices: PriceList,
+    query: Cow<'_, ConjunctiveQuery>,
+) -> Result<Problem, PricingError> {
+    let query = match constants_to_predicates(&query, catalog.schema())? {
+        Some(rewritten) => Cow::Owned(rewritten),
+        None => query,
+    };
+    if query.preds().is_empty() {
+        return Ok(Problem::new(catalog, instance, prices, query.into_owned()));
+    }
+    shrink_by_predicates(catalog, instance, prices, &query)
 }
 
 /// Rewrite constants inside atoms into fresh head variables constrained by
-/// `=` predicates.
-fn constants_to_predicates(problem: Problem) -> Result<Problem, PricingError> {
-    let q = &problem.query;
+/// `=` predicates; `None` when the query has no constant.
+fn constants_to_predicates(
+    q: &ConjunctiveQuery,
+    schema: &Schema,
+) -> Result<Option<ConjunctiveQuery>, PricingError> {
     if !analysis::has_constants(q) {
-        return Ok(problem);
+        return Ok(None);
     }
     let mut var_names = q.var_names().to_vec();
     let mut head = q.head().to_vec();
@@ -58,27 +92,22 @@ fn constants_to_predicates(problem: Problem) -> Result<Problem, PricingError> {
             terms,
         });
     }
-    let query = ConjunctiveQuery::new(
-        q.name().to_string(),
-        head,
-        atoms,
-        preds,
-        var_names,
-        problem.catalog.schema(),
-    )?;
-    Ok(Problem { query, ..problem })
+    let query = ConjunctiveQuery::new(q.name(), head, atoms, preds, var_names, schema)?;
+    Ok(Some(query))
 }
 
-/// Shrink columns / data / prices by each predicate, then drop predicates.
-fn shrink_by_predicates(problem: Problem) -> Result<Problem, PricingError> {
-    let q = &problem.query;
-    if q.preds().is_empty() {
-        return Ok(problem);
-    }
+/// Shrink columns / data / prices by each predicate of `q`, then drop the
+/// predicates.
+fn shrink_by_predicates(
+    mut catalog: Catalog,
+    mut instance: Instance,
+    mut prices: PriceList,
+    q: &ConjunctiveQuery,
+) -> Result<Problem, PricingError> {
     // Collect, per attribute position, the conjunction of predicates that
     // apply to it (through the variable occupying it).
     let occ = analysis::var_occurrences(q);
-    let mut shrink: Vec<(AttrRef, Vec<Pred>)> = Vec::new();
+    let mut shrink: Vec<(AttrRef, Vec<&Pred>)> = Vec::new();
     for p in q.preds() {
         let Some(positions) = occ.get(&p.var) else {
             continue; // validated at construction; defensive
@@ -86,16 +115,14 @@ fn shrink_by_predicates(problem: Problem) -> Result<Problem, PricingError> {
         for &(ai, pos) in positions {
             let attr = AttrRef::new(q.atoms()[ai].rel, pos as u32);
             match shrink.iter_mut().find(|(a, _)| *a == attr) {
-                Some((_, preds)) => preds.push(p.pred.clone()),
-                None => shrink.push((attr, vec![p.pred.clone()])),
+                Some((_, preds)) => preds.push(&p.pred),
+                None => shrink.push((attr, vec![&p.pred])),
             }
         }
     }
 
     // Shrink each predicated attribute's column, and drop its prices on
     // the removed values. Every other column and price map is shared.
-    let mut catalog = problem.catalog;
-    let mut prices = problem.prices;
     for (attr, preds) in &shrink {
         let mut err: Option<PricingError> = None;
         let column = catalog.column(*attr).filter(|v| {
@@ -110,40 +137,29 @@ fn shrink_by_predicates(problem: Problem) -> Result<Problem, PricingError> {
         if let Some(e) = err {
             return Err(e);
         }
-        prices.retain_on(*attr, |v| column.contains(v));
+        prices.retain_on(*attr, &column);
         catalog = catalog.with_column(*attr, column);
     }
 
     // Filter the shrunk relations on their shrunk positions: the other
     // positions already lie in their columns, and every other relation is
-    // shared.
-    let mut instance = problem.instance;
+    // shared. Each relation reads only the rows its narrowest shrunk
+    // attribute's index selects.
     let mut rels: Vec<RelId> = shrink.iter().map(|(a, _)| a.rel).collect();
     rels.sort();
     rels.dedup();
     for rel in rels {
-        instance.retain(rel, |t| {
-            shrink
-                .iter()
-                .filter(|(a, _)| a.rel == rel)
-                .all(|(a, _)| catalog.column(*a).contains(t.get(a.attr.0 as usize)))
-        });
+        let shrunk: Vec<(AttrId, &Column)> = shrink
+            .iter()
+            .filter(|(a, _)| a.rel == rel)
+            .map(|(a, _)| (a.attr, catalog.column(*a)))
+            .collect();
+        instance.retain_in(rel, &shrunk);
     }
 
     // The query with predicates erased.
-    let query =
-        problem
-            .query
-            .with_body(problem.query.atoms().to_vec(), Vec::new(), catalog.schema())?;
-
-    Ok(Problem {
-        catalog,
-        instance,
-        prices,
-        query,
-        // Shrinking does not rename views.
-        provenance: problem.provenance,
-    })
+    let query = q.with_body(q.atoms().to_vec(), Vec::new(), catalog.schema())?;
+    Ok(Problem::new(catalog, instance, prices, query))
 }
 
 #[cfg(test)]

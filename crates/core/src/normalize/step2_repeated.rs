@@ -65,9 +65,7 @@ fn collapse(
     // 2. Restrict the relation to the diagonal (t[a] == t[b], within the
     //    intersected column); every other relation is shared.
     let mut instance = problem.instance.clone();
-    instance.retain(rel, |t| {
-        t.get(pos_a) == t.get(pos_b) && col_ab.contains(t.get(pos_a))
-    });
+    instance.retain(rel, |t| t[pos_a] == t[pos_b] && col_ab.contains(&t[pos_a]));
 
     // 3. Price minima on the merged position, with provenance to whichever
     //    original view is cheaper.
@@ -204,8 +202,8 @@ mod tests {
         assert_eq!(out.catalog.column(new_x).len(), 2);
         // Data: diagonal tuples only, projected: (2,0), (3,1).
         assert_eq!(out.instance.relation(r).len(), 2);
-        assert!(out.instance.relation(r).contains(&tuple![2, 0]));
-        assert!(out.instance.relation(r).contains(&tuple![3, 1]));
+        assert!(out.instance.relation(r).contains(tuple![2, 0].values()));
+        assert!(out.instance.relation(r).contains(tuple![3, 1].values()));
         // Price of σ_{R'.X=2} = min($10 X, $1 Y) = $1, provenance → R.Y=2.
         assert_eq!(out.prices.get_at(new_x, &Value::Int(2)), Price::dollars(1));
         let resolved = out

@@ -32,7 +32,7 @@ use crate::money::Price;
 use qbdp_catalog::{AttrRef, Column};
 use qbdp_determinacy::selection::SelectionView;
 use qbdp_query::analysis;
-use qbdp_query::ast::{Atom, ConjunctiveQuery, Term, Var};
+use qbdp_query::ast::{ConjunctiveQuery, Term, Var};
 use std::sync::Arc;
 
 /// A fully reduced problem plus the cost and covers already committed by
@@ -122,27 +122,24 @@ pub fn branches_within(
 }
 
 fn count_hanging(q: &ConjunctiveQuery) -> usize {
-    analysis::hanging_vars(q)
-        .into_iter()
-        .filter(|&v| hang_site(q, v).is_some())
-        .count()
+    hang_sites(q).len()
 }
 
-/// The (atom, position) of a hanging variable eligible for removal: its
-/// atom must keep at least one other position (unary atoms are left alone —
-/// they are whole single-atom queries, priced directly by the chain
-/// reduction as a full cover).
-fn hang_site(q: &ConjunctiveQuery, v: Var) -> Option<(usize, usize)> {
-    let occ = analysis::var_occurrences(q);
-    let sites = occ.get(&v)?;
-    let (atom_idx, pos) = *sites.first()?;
-    if sites.iter().any(|&(a, _)| a != atom_idx) {
-        return None; // not hanging
-    }
-    if q.atoms()[atom_idx].terms.len() < 2 {
-        return None; // unary atom: leave in place
-    }
-    Some((atom_idx, pos))
+/// The (atom, position) of each hanging variable eligible for removal, in
+/// variable order. A hanging variable's atom must keep at least one other
+/// position: unary atoms are left alone, since they are whole single-atom
+/// queries, priced directly by the chain reduction as a full cover.
+fn hang_sites(q: &ConjunctiveQuery) -> Vec<(Var, (usize, usize))> {
+    let mut sites: Vec<(Var, (usize, usize))> = analysis::var_occurrences(q)
+        .into_iter()
+        .filter_map(|(v, occ)| {
+            let (atom, pos) = *occ.first()?;
+            let hangs = occ.iter().all(|&(a, _)| a == atom);
+            (hangs && q.atoms()[atom].terms.len() >= 2).then_some((v, (atom, pos)))
+        })
+        .collect();
+    sites.sort_unstable_by_key(|&(v, _)| v);
+    sites
 }
 
 fn expand(
@@ -158,9 +155,7 @@ fn expand(
         return Ok(false);
     }
     // Find the next removable hanging variable.
-    let next = analysis::hanging_vars(&problem.query)
-        .into_iter()
-        .find_map(|v| hang_site(&problem.query, v).map(|site| (v, site)));
+    let next = hang_sites(&problem.query).first().copied();
     let Some((var, (atom_idx, pos))) = next else {
         out.push(ReducedBranch {
             problem,
@@ -224,6 +219,7 @@ fn choose_free_position(q: &ConjunctiveQuery, atom_idx: usize) -> usize {
 
 /// Project attribute `pos` of `rel` out of catalog/instance/prices and
 /// rewrite the query: the atom loses the position; the head loses `var`.
+/// The query keeps its name and variable table, shared.
 fn project_out(
     problem: &Problem,
     rel: qbdp_catalog::RelId,
@@ -239,21 +235,8 @@ fn project_out(
         rel,
         pos,
     )?;
-    let mut atoms: Vec<Atom> = Vec::with_capacity(problem.query.atoms().len());
-    for (i, a) in problem.query.atoms().iter().enumerate() {
-        if i == atom_idx {
-            let terms = a
-                .terms
-                .iter()
-                .enumerate()
-                .filter(|&(p, _)| p != pos)
-                .map(|(_, t)| t.clone())
-                .collect();
-            atoms.push(Atom { rel, terms });
-        } else {
-            atoms.push(a.clone());
-        }
-    }
+    let mut atoms = problem.query.atoms().to_vec();
+    atoms[atom_idx].terms.remove(pos);
     let head: Vec<Var> = problem
         .query
         .head()
@@ -261,12 +244,10 @@ fn project_out(
         .copied()
         .filter(|&h| h != var)
         .collect();
-    let query = ConjunctiveQuery::new(
-        problem.query.name().to_string(),
+    let query = problem.query.with_head_and_body(
         head,
         atoms,
         problem.query.preds().to_vec(),
-        problem.query.var_names().to_vec(),
         catalog.schema(),
     )?;
     Ok(Problem {

@@ -10,11 +10,11 @@
 //!   Views absent from the list are not for sale ([`Price::INFINITE`]).
 
 use crate::money::Price;
-use qbdp_catalog::{AttrRef, Catalog, FxHashMap, RelId, Value};
+use qbdp_catalog::{AttrRef, Catalog, Column, FxHashMap, RelId, Value};
 use qbdp_determinacy::selection::{SelectionView, ViewSet};
 use qbdp_query::ast::Ucq;
 use qbdp_query::bundle::Bundle;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The views sold by one price point.
 #[derive(Clone, Debug)]
@@ -172,7 +172,64 @@ impl PriceSchedule {
 }
 
 /// One attribute's prices: column value → price.
-type AttrPrices = FxHashMap<Value, Price>;
+type PriceMap = FxHashMap<Value, Price>;
+
+/// One attribute's prices, with the memoized price of its full cover.
+#[derive(Debug, Default)]
+pub(crate) struct AttrPrices {
+    map: PriceMap,
+    /// The sum of `map` over one column's values, keyed by that column's
+    /// identity ([`Column::ptr_eq`]). The column is a clone, so it stays
+    /// alive while the memo does: a freed column's storage can never be
+    /// reused by another column that would then alias it. A sum over
+    /// another column replaces it, and every write to `map` clears it.
+    cover: Mutex<Option<(Column, Price)>>,
+}
+
+impl AttrPrices {
+    fn new(map: PriceMap) -> Self {
+        AttrPrices {
+            map,
+            cover: Mutex::new(None),
+        }
+    }
+
+    /// The map, for a write: the memo is cleared first.
+    fn map_mut(&mut self) -> &mut PriceMap {
+        *self.cover.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
+        &mut self.map
+    }
+
+    /// The sum of the map over `column`, read from the memo when it was
+    /// taken over this column, else computed by `sum` and memoized in its
+    /// place. A poisoned memo is still whole: it is only ever assigned
+    /// whole.
+    fn cover_price(&self, column: &Column, sum: impl FnOnce() -> Price) -> Price {
+        let mut memo = self.cover.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((c, p)) = &*memo {
+            if c.ptr_eq(column) {
+                return *p;
+            }
+        }
+        let sum = sum();
+        *memo = Some((column.clone(), sum));
+        sum
+    }
+}
+
+/// A clone starts with no memo.
+impl Clone for AttrPrices {
+    fn clone(&self) -> Self {
+        AttrPrices::new(self.map.clone())
+    }
+}
+
+/// Equality ignores the memo.
+impl PartialEq for AttrPrices {
+    fn eq(&self, other: &Self) -> bool {
+        self.map == other.map
+    }
+}
 
 /// The §3 price list: individual prices on selection views, `p : Σ → ℝ⁺`
 /// (partial; missing ⇒ not for sale).
@@ -184,6 +241,10 @@ type AttrPrices = FxHashMap<Value, Price>;
 /// attributes they shrink, merge or give out free, move the maps of the
 /// attributes they shift, and share every other map with the pricer's
 /// list.
+///
+/// Each map keeps the price of its attribute's full cover once summed
+/// ([`PriceList::full_cover_price`]), so a quote that shares the map with
+/// the pricer's list reads the sum instead of re-adding the column.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PriceList {
     prices: FxHashMap<AttrRef, Arc<AttrPrices>>,
@@ -198,12 +259,12 @@ impl PriceList {
 
     /// Assemble a list from unshared per-attribute maps, wrapping each
     /// once. Empty maps are left out.
-    fn from_maps(maps: impl IntoIterator<Item = (AttrRef, AttrPrices)>) -> Self {
+    fn from_maps(maps: impl IntoIterator<Item = (AttrRef, PriceMap)>) -> Self {
         let mut pl = PriceList::new();
         for (attr, m) in maps {
             if !m.is_empty() {
                 pl.len += m.len();
-                pl.prices.insert(attr, Arc::new(m));
+                pl.prices.insert(attr, Arc::new(AttrPrices::new(m)));
             }
         }
         pl
@@ -220,7 +281,7 @@ impl PriceList {
 
     /// Set the price of one view; replaces any previous price.
     pub fn set(&mut self, view: SelectionView, price: Price) -> &mut Self {
-        let slot = Arc::make_mut(self.prices.entry(view.attr).or_default());
+        let slot = Arc::make_mut(self.prices.entry(view.attr).or_default()).map_mut();
         if slot.insert(view.value, price).is_none() {
             self.len += 1;
         }
@@ -232,10 +293,10 @@ impl PriceList {
         let Some(m) = self.prices.get_mut(&view.attr) else {
             return false;
         };
-        if !m.contains_key(&view.value) {
+        if !m.map.contains_key(&view.value) {
             return false;
         }
-        Arc::make_mut(m).remove(&view.value);
+        Arc::make_mut(m).map_mut().remove(&view.value);
         self.len -= 1;
         true
     }
@@ -243,35 +304,36 @@ impl PriceList {
     /// Remove every price on an attribute (Step 3, branch "not covered").
     pub fn remove_attr(&mut self, attr: AttrRef) {
         if let Some(m) = self.prices.remove(&attr) {
-            self.len -= m.len();
+            self.len -= m.map.len();
         }
     }
 
     /// Replace every price on an attribute with `prices` (Step 2's minima,
     /// Step 3's free cover).
-    pub(crate) fn replace_attr(&mut self, attr: AttrRef, prices: AttrPrices) {
+    pub(crate) fn replace_attr(&mut self, attr: AttrRef, prices: PriceMap) {
         self.remove_attr(attr);
         if !prices.is_empty() {
             self.len += prices.len();
-            self.prices.insert(attr, Arc::new(prices));
+            self.prices.insert(attr, Arc::new(AttrPrices::new(prices)));
         }
     }
 
-    /// Keep only the prices on `attr` whose value satisfies `keep` (Step 1).
-    /// When every value survives, the attribute's map stays shared.
-    pub(crate) fn retain_on(&mut self, attr: AttrRef, mut keep: impl FnMut(&Value) -> bool) {
+    /// Keep only the prices on `attr` whose value lies in `column` (Step
+    /// 1). When every priced value survives, the attribute's map stays
+    /// shared.
+    pub(crate) fn retain_on(&mut self, attr: AttrRef, column: &Column) {
         let Some(m) = self.prices.get(&attr) else {
             return;
         };
-        if m.keys().all(&mut keep) {
-            return;
-        }
-        let kept: AttrPrices = m
+        let kept: PriceMap = m
+            .map
             .iter()
-            .filter(|&(v, _)| keep(v))
+            .filter(|&(v, _)| column.contains(v))
             .map(|(v, p)| (v.clone(), *p))
             .collect();
-        self.replace_attr(attr, kept);
+        if kept.len() < m.map.len() {
+            self.replace_attr(attr, kept);
+        }
     }
 
     /// Project position `pos` out of relation `rel` (of arity `arity`):
@@ -297,7 +359,11 @@ impl PriceList {
     /// sale).
     pub(crate) fn prices_on(&self, attr: AttrRef) -> impl '_ + Fn(&Value) -> Price {
         let m = self.prices.get(&attr);
-        move |v| m.and_then(|m| m.get(v)).copied().unwrap_or(Price::INFINITE)
+        move |v| {
+            m.and_then(|m| m.map.get(v))
+                .copied()
+                .unwrap_or(Price::INFINITE)
+        }
     }
 
     /// Price of a view; [`Price::INFINITE`] when not for sale.
@@ -309,7 +375,7 @@ impl PriceList {
     pub fn is_priced(&self, view: &SelectionView) -> bool {
         self.prices
             .get(&view.attr)
-            .is_some_and(|m| m.contains_key(&view.value))
+            .is_some_and(|m| m.map.contains_key(&view.value))
     }
 
     /// Price of `σ_{attr=value}`.
@@ -328,9 +394,16 @@ impl PriceList {
     }
 
     /// The price of the **full cover** `Σ_{R.X}` — the sum over all column
-    /// values; `INFINITE` if any value is unpriced.
+    /// values; `INFINITE` if any value is unpriced. The sum is kept with
+    /// the attribute's map for the last column it was taken over, so a
+    /// list sharing that map with the same column reads it back.
     pub fn full_cover_price(&self, catalog: &Catalog, attr: AttrRef) -> Price {
-        catalog.column(attr).iter().map(self.prices_on(attr)).sum()
+        let column = catalog.column(attr);
+        let sum = || column.iter().map(self.prices_on(attr)).sum();
+        match self.prices.get(&attr) {
+            Some(m) => m.cover_price(column, sum),
+            None => sum(),
+        }
     }
 
     /// Whether relation `R` is (indirectly) for sale: some attribute's full
@@ -371,7 +444,7 @@ impl PriceList {
     /// Iterate over the priced views.
     pub fn iter(&self) -> impl Iterator<Item = (SelectionView, Price)> + '_ {
         self.prices.iter().flat_map(|(attr, m)| {
-            m.iter().map(move |(v, p)| {
+            m.map.iter().map(move |(v, p)| {
                 (
                     SelectionView {
                         attr: *attr,
@@ -388,7 +461,7 @@ impl PriceList {
         self.prices
             .get(&attr)
             .into_iter()
-            .flat_map(|m| m.iter().map(|(v, p)| (v, *p)))
+            .flat_map(|m| m.map.iter().map(|(v, p)| (v, *p)))
     }
 
     /// Price every view of an attribute (over the catalog's column) at one
@@ -402,7 +475,7 @@ impl PriceList {
 
 impl FromIterator<(SelectionView, Price)> for PriceList {
     fn from_iter<T: IntoIterator<Item = (SelectionView, Price)>>(iter: T) -> Self {
-        let mut maps: FxHashMap<AttrRef, AttrPrices> = FxHashMap::default();
+        let mut maps: FxHashMap<AttrRef, PriceMap> = FxHashMap::default();
         for (v, p) in iter {
             maps.entry(v.attr).or_default().insert(v.value, p);
         }
@@ -537,7 +610,7 @@ mod tests {
                 "retain_on",
                 |pl, c| {
                     let rx = c.schema().resolve_attr("R.X").unwrap();
-                    pl.retain_on(rx, |v| *v == Value::Int(1));
+                    pl.retain_on(rx, &Column::new([Value::Int(1)]));
                 },
                 6,
             ),
@@ -587,6 +660,130 @@ mod tests {
             base.attr_prices(sy).unwrap()
         ));
         assert!(dropped.attr_prices(sy).is_none());
+    }
+
+    /// The full cover's price re-summed over the column, bypassing the
+    /// memo.
+    fn resum(pl: &PriceList, c: &Catalog, attr: AttrRef) -> Price {
+        c.column(attr).iter().map(pl.prices_on(attr)).sum()
+    }
+
+    /// The memoized full-cover price always equals a re-sum: after every
+    /// write path, whether the written map was shared with another list
+    /// (and so copied) or not (and so written in place), and after the
+    /// catalog swaps the column for another one.
+    #[test]
+    fn full_cover_memo_follows_every_write() {
+        let c = cat();
+        let rx = c.schema().resolve_attr("R.X").unwrap();
+        let sx = c.schema().resolve_attr("S.X").unwrap();
+        let sy = c.schema().resolve_attr("S.Y").unwrap();
+        type Edit = fn(&mut PriceList, &Catalog);
+        let edits: [(&str, Edit); 7] = [
+            ("set", |pl, c| {
+                pl.set(sel(c, "R.X", 1), Price::dollars(7));
+            }),
+            ("set new", |pl, c| {
+                pl.set(sel(c, "S.Y", 1), Price::dollars(2));
+            }),
+            ("remove", |pl, c| {
+                pl.remove(&sel(c, "R.X", 2));
+            }),
+            ("replace_attr", |pl, c| {
+                let rx = c.schema().resolve_attr("R.X").unwrap();
+                let m = c.column(rx).iter().map(|v| (v.clone(), Price::cents(5)));
+                pl.replace_attr(rx, m.collect());
+            }),
+            ("retain_on", |pl, c| {
+                let rx = c.schema().resolve_attr("R.X").unwrap();
+                pl.retain_on(rx, &Column::int_range(1, 3));
+            }),
+            ("set_attr_uniform", |pl, c| {
+                let sx = c.schema().resolve_attr("S.X").unwrap();
+                pl.set_attr_uniform(c, sx, Price::dollars(3));
+            }),
+            ("from_iter", |pl, c| {
+                let mut views: Vec<_> = pl.iter().collect();
+                views.push((sel(c, "R.X", 0), Price::dollars(9)));
+                *pl = views.into_iter().collect();
+            }),
+        ];
+        let check = |pl: &PriceList, c: &Catalog, what: &str| {
+            for attr in [rx, sx, sy] {
+                assert_eq!(
+                    pl.full_cover_price(c, attr),
+                    resum(pl, c, attr),
+                    "{what} on {attr:?}"
+                );
+            }
+        };
+        for (name, edit) in edits {
+            for shared in [false, true] {
+                let mut pl = PriceList::uniform(&c, Price::dollars(1));
+                pl.remove(&sel(&c, "S.Y", 1));
+                // Fill every memo before the write.
+                check(&pl, &c, "before");
+                let other = shared.then(|| pl.clone());
+                edit(&mut pl, &c);
+                check(&pl, &c, &format!("{name} (shared: {shared})"));
+                if let Some(other) = other {
+                    check(&other, &c, &format!("{name}: the other copy"));
+                }
+            }
+        }
+        // A column swap: the memo holds the old column, so the new one is
+        // re-summed and replaces it, in both directions.
+        let pl = PriceList::uniform(&c, Price::dollars(1));
+        check(&pl, &c, "before the swap");
+        let swapped = c.with_column(rx, Column::int_range(1, 3));
+        assert_eq!(pl.full_cover_price(&swapped, rx), Price::dollars(2));
+        assert_eq!(pl.full_cover_price(&swapped, rx), resum(&pl, &swapped, rx));
+        let wider = c.with_column(rx, Column::int_range(0, 4));
+        assert!(pl.full_cover_price(&wider, rx).is_infinite());
+        assert_eq!(pl.full_cover_price(&c, rx), Price::dollars(3));
+        // A clone starts with no memo and equality ignores it.
+        let fresh = PriceList::uniform(&c, Price::dollars(1));
+        assert_eq!(pl.clone(), fresh);
+        assert_eq!(pl.clone().full_cover_price(&swapped, rx), Price::dollars(2));
+    }
+
+    /// The column the memo of `attr`'s map was summed over, if any.
+    fn memo_column(pl: &PriceList, attr: AttrRef) -> Option<Column> {
+        let m = pl.attr_prices(attr)?;
+        let memo = m.cover.lock().unwrap_or_else(PoisonError::into_inner);
+        memo.as_ref().map(|(c, _)| c.clone())
+    }
+
+    /// Step 1 can shrink a column and still share the attribute's map with
+    /// the pricer's list (every priced value survives). A sum over the
+    /// shrunk column first must not pin the memo: the next sum over the
+    /// pricer's own column replaces it, and later ones read it back.
+    #[test]
+    fn a_sum_over_a_shrunk_column_does_not_pin_the_memo() {
+        let c = cat();
+        let rx = c.schema().resolve_attr("R.X").unwrap();
+        let mut base = PriceList::new();
+        base.set(sel(&c, "R.X", 1), Price::dollars(1));
+        base.set(sel(&c, "R.X", 2), Price::dollars(2));
+        let mut quote = base.clone();
+        let shrunk = Column::int_range(1, 3);
+        quote.retain_on(rx, &shrunk);
+        assert!(Arc::ptr_eq(
+            quote.attr_prices(rx).unwrap(),
+            base.attr_prices(rx).unwrap()
+        ));
+        let narrow = c.with_column(rx, shrunk);
+        assert_eq!(quote.full_cover_price(&narrow, rx), Price::dollars(3));
+        assert!(memo_column(&base, rx).unwrap().ptr_eq(narrow.column(rx)));
+        // R.X = 0 is unpriced, so the pricer's full cover is not for sale.
+        assert!(base.full_cover_price(&c, rx).is_infinite());
+        assert!(memo_column(&base, rx).unwrap().ptr_eq(c.column(rx)));
+        // The next sum over the pricer's column reads the memo: a planted
+        // memo value comes back instead of a re-sum.
+        let planted = Price::cents(1);
+        *base.attr_prices(rx).unwrap().cover.lock().unwrap() =
+            Some((c.column(rx).clone(), planted));
+        assert_eq!(base.full_cover_price(&c, rx), planted);
     }
 
     #[test]

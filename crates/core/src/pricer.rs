@@ -258,7 +258,7 @@ impl Pricer {
     ) -> Result<usize, PricingError> {
         let tuples: Vec<qbdp_catalog::Tuple> = tuples.into_iter().collect();
         for t in &tuples {
-            self.catalog.check_tuple(rel, t)?;
+            self.catalog.check_tuple(rel, t.values())?;
         }
         Ok(self.instance.insert_all(rel, tuples)?)
     }
@@ -869,7 +869,7 @@ mod tests {
         assert_eq!(p.instance().relation(r).len(), 3);
         // A batch with one bad tuple inserts none of them.
         assert!(p.insert(r, [tuple!["a4"], tuple!["a1", "b1"]]).is_err());
-        assert!(!p.instance().relation(r).contains(&tuple!["a4"]));
+        assert!(!p.instance().relation(r).contains(tuple!["a4"].values()));
         // The inserted tuple lands only in the pricer's copy.
         let before = p.instance().clone();
         assert_eq!(p.insert(r, [tuple!["a4"]]).unwrap(), 1);

@@ -69,7 +69,7 @@ pub fn determines_restricted(
     for (rid, _) in schema.iter() {
         for t in d.relation(rid).iter() {
             if views.covers_tuple(&schema, rid, t) {
-                covered.push((rid, t.clone()));
+                covered.push((rid, Tuple::new(t.to_vec())));
             }
         }
     }
@@ -84,9 +84,8 @@ pub fn determines_restricted(
     let mut uncovered: Vec<(RelId, Tuple)> = Vec::new();
     for rid in schema.rel_ids() {
         catalog.for_each_product_tuple(rid, |vals| {
-            let t = Tuple::new(vals.to_vec());
-            if !views.covers_tuple(&schema, rid, &t) {
-                uncovered.push((rid, t));
+            if !views.covers_tuple(&schema, rid, vals) {
+                uncovered.push((rid, Tuple::new(vals.to_vec())));
             }
             true
         });

@@ -9,8 +9,9 @@
 use crossbeam::thread;
 use proptest::prelude::*;
 use qbdp_catalog::{tuple, Tuple, Value};
-use qbdp_core::Price;
+use qbdp_core::{Price, Pricer};
 use qbdp_market::{Market, MarketPolicy, MarketQuote};
+use qbdp_workload::scenarios::business::{generate, BusinessConfig, BusinessMarket};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const QDP: &str = r#"
@@ -388,6 +389,66 @@ fn batch_workers_share_one_shape_concurrently() {
         stats.warm_reprices > 0,
         "warm path never engaged: {stats:?}"
     );
+}
+
+/// The business directory of the paper's §1: seed 2012, 10 states × 10
+/// counties × 400 businesses.
+fn directory() -> BusinessMarket {
+    let mut rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(2012);
+    let config = BusinessConfig {
+        states: 10,
+        counties_per_state: 10,
+        businesses: 400,
+        ..BusinessConfig::default()
+    };
+    generate(&mut rng, config).unwrap()
+}
+
+/// Two batch workers price 64 distinct county slices on a freshly opened
+/// directory market. Nothing has read `Business` through an index yet, so
+/// the workers race to build its lazy indexes, and to fill the full-cover
+/// sums kept with the prices. Every slot must equal a serial cold price
+/// on a directory generated apart, which shares no relation, index or
+/// price map with the market.
+#[test]
+fn batch_workers_race_to_build_indexes_and_cover_sums() {
+    let m = directory();
+    let market = Market::open(m.catalog, m.instance, m.prices).unwrap();
+    market.set_policy(MarketPolicy {
+        batch_workers: 2,
+        ..MarketPolicy::default()
+    });
+    let reference = directory();
+    let queries: Vec<String> = (0..64)
+        .map(|i| {
+            let state = i % 10;
+            let mask = 1 + i / 10 * 97 % 1023;
+            let counties: Vec<String> = (0..10)
+                .filter(|b| mask & (1 << b) != 0)
+                .map(|b| format!("'{}'", reference.counties[state * 10 + b]))
+                .collect();
+            format!(
+                "Q(n, c) :- Business(n, '{}', c), c in {{{}}}",
+                reference.states[state],
+                counties.join(", ")
+            )
+        })
+        .collect();
+    let distinct: std::collections::BTreeSet<&String> = queries.iter().collect();
+    assert_eq!(distinct.len(), queries.len());
+    let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
+    let served = market.quote_batch(&refs);
+
+    let pricer = Pricer::new(reference.catalog, reference.instance, reference.prices).unwrap();
+    for (query, served) in refs.iter().zip(served) {
+        let served = served.unwrap();
+        let q = qbdp_query::parser::parse_rule(pricer.catalog().schema(), query).unwrap();
+        let cold = pricer.price_cq(&q).unwrap();
+        assert_eq!(served.price, cold.price, "price drift for `{query}`");
+        assert_eq!(served.views(), cold.views, "view drift for `{query}`");
+        assert_eq!(served.method, cold.method, "method drift for `{query}`");
+        assert_eq!(served.quality, cold.quality, "quality drift for `{query}`");
+    }
 }
 
 proptest! {

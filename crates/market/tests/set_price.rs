@@ -5,14 +5,18 @@
 //! two-attribute relation must reach the same verdicts and price lists,
 //! price quotes exactly like a market reopened from its own `.qdp` text,
 //! and leave that text byte-identical whenever a revision is refused.
+//! A revision also reaches the full-cover sums the price list keeps with
+//! each attribute's prices: the next cold quote sees the revised sum.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use qbdp_core::consistency::find_list_arbitrage;
 use qbdp_core::price_points::PriceList;
-use qbdp_core::Price;
+use qbdp_core::{Price, Pricer};
 use qbdp_determinacy::selection::SelectionView;
 use qbdp_market::{Market, MarketError};
+use qbdp_query::parser::parse_rule;
+use qbdp_workload::scenarios::business::{generate, BusinessConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -175,4 +179,66 @@ fn cover_cuts_that_undercut_existing_prices_are_refused() {
     m.set_price("S.X=4", Price::cents(900)).unwrap();
     m.set_price("S.Y=0", Price::cents(1)).unwrap();
     assert_quotes_match_reopened(&m);
+}
+
+/// The business directory of the paper's §1 (10 states × 10 counties ×
+/// 400 businesses): quote a county slice, which sums the full cover of
+/// `Business.Name` and keeps the sum with its prices, revise one name's
+/// price, and quote another slice of the same shape. The second quote
+/// must see the revised sum: it equals a cold price over a list rebuilt
+/// view by view, which shares no map (and so no kept sum) with the
+/// market's.
+#[test]
+fn a_name_revision_reaches_the_next_directory_quote() {
+    let mut rng = StdRng::seed_from_u64(2012);
+    let config = BusinessConfig {
+        states: 10,
+        counties_per_state: 10,
+        businesses: 400,
+        ..BusinessConfig::default()
+    };
+    let m = generate(&mut rng, config).unwrap();
+    let slice = |counties: &[usize]| {
+        let set: Vec<String> = counties
+            .iter()
+            .map(|&c| format!("'{}'", m.counties[30 + c]))
+            .collect();
+        format!(
+            "Q(n, c) :- Business(n, '{}', c), c in {{{}}}",
+            m.states[3],
+            set.join(", ")
+        )
+    };
+    let market = Market::open(m.catalog.clone(), m.instance.clone(), m.prices.clone()).unwrap();
+    let name = m.catalog.schema().resolve_attr("Business.Name").unwrap();
+    market.quote_str(&slice(&[0, 2, 5])).unwrap();
+    let before = market.with_pricer(|p| p.prices().full_cover_price(p.catalog(), name));
+    assert_eq!(before, Price::dollars(800));
+
+    market
+        .set_price("Business.Name=biz7", Price::dollars(5))
+        .unwrap();
+    let query = slice(&[1, 4, 6]);
+    let served = market.quote_str(&query).unwrap();
+    market.with_pricer(|p| {
+        let cover = p.prices().full_cover_price(p.catalog(), name);
+        let resum: Price = p
+            .catalog()
+            .column(name)
+            .iter()
+            .map(|v| p.prices().get_at(name, v))
+            .sum();
+        assert_eq!(cover, resum);
+        assert_eq!(cover, Price::dollars(803));
+
+        let rebuilt: PriceList = p.prices().iter().collect();
+        let cold = Pricer::new(p.catalog().clone(), p.instance().clone(), rebuilt)
+            .unwrap()
+            .price_cq(&parse_rule(p.catalog().schema(), &query).unwrap())
+            .unwrap();
+        assert_eq!(served.price, cold.price);
+        assert_eq!(served.views(), cold.views);
+        assert_eq!(served.method, cold.method);
+        assert_eq!(served.quality, cold.quality);
+    });
 }

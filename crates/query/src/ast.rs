@@ -10,6 +10,7 @@
 use crate::error::QueryError;
 use qbdp_catalog::{RelId, Schema, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// A query variable, interned per query (index into the query's name table).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -150,19 +151,22 @@ pub struct PredAtom {
 /// * every head variable occurs in some relational atom (safety),
 /// * every predicate variable occurs in some relational atom,
 /// * every atom matches its relation's arity in the given schema.
+///
+/// The name and the variable table are shared behind an [`Arc`], so the
+/// queries the normalization steps derive from one another copy neither.
 #[derive(Clone, PartialEq, Eq)]
 pub struct ConjunctiveQuery {
-    name: String,
+    name: Arc<str>,
     head: Vec<Var>,
     atoms: Vec<Atom>,
     preds: Vec<PredAtom>,
-    var_names: Vec<String>,
+    var_names: Arc<[String]>,
 }
 
 impl ConjunctiveQuery {
     /// Construct and validate a CQ against a schema.
     pub fn new(
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         head: Vec<Var>,
         atoms: Vec<Atom>,
         preds: Vec<PredAtom>,
@@ -174,7 +178,7 @@ impl ConjunctiveQuery {
             head,
             atoms,
             preds,
-            var_names,
+            var_names: var_names.into(),
         };
         q.validate(schema)?;
         Ok(q)
@@ -191,18 +195,24 @@ impl ConjunctiveQuery {
                 });
             }
         }
-        let body_vars = self.body_vars();
         for &v in &self.head {
-            if !body_vars.contains(&v) {
+            if !self.in_body(v) {
                 return Err(QueryError::UnsafeHeadVar(self.var_name(v).to_string()));
             }
         }
         for p in &self.preds {
-            if !body_vars.contains(&p.var) {
+            if !self.in_body(p.var) {
                 return Err(QueryError::UnsafePredVar(self.var_name(p.var).to_string()));
             }
         }
         Ok(())
+    }
+
+    /// Whether `v` occurs in some relational atom.
+    fn in_body(&self, v: Var) -> bool {
+        self.atoms
+            .iter()
+            .any(|a| a.terms.iter().any(|t| t.as_var() == Some(v)))
     }
 
     /// The query name (head symbol).
@@ -294,14 +304,28 @@ impl ConjunctiveQuery {
         preds: Vec<PredAtom>,
         schema: &Schema,
     ) -> Result<ConjunctiveQuery, QueryError> {
-        ConjunctiveQuery::new(
-            self.name.clone(),
-            self.head.clone(),
+        self.with_head_and_body(self.head.clone(), atoms, preds, schema)
+    }
+
+    /// Rebuild with a different head, atoms and predicates over the same
+    /// name and variable table (both shared, not copied). Used by Step 3's
+    /// projections; re-validates against the schema.
+    pub fn with_head_and_body(
+        &self,
+        head: Vec<Var>,
+        atoms: Vec<Atom>,
+        preds: Vec<PredAtom>,
+        schema: &Schema,
+    ) -> Result<ConjunctiveQuery, QueryError> {
+        let q = ConjunctiveQuery {
+            name: Arc::clone(&self.name),
+            head,
             atoms,
             preds,
-            self.var_names.clone(),
-            schema,
-        )
+            var_names: Arc::clone(&self.var_names),
+        };
+        q.validate(schema)?;
+        Ok(q)
     }
 }
 

@@ -297,7 +297,7 @@ impl ChainQuery {
     fn for_each_transition(&self, d: &Instance, i: usize, mut f: impl FnMut(&Value, &Value)) {
         let atom = &self.atoms[i];
         for t in d.relation(atom.rel).iter() {
-            f(t.get(atom.left_pos), t.get(atom.right_pos));
+            f(&t[atom.left_pos], &t[atom.right_pos]);
         }
     }
 }

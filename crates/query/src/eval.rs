@@ -158,7 +158,7 @@ fn recurse(
         Term::Const(c) => Some((pos, c.clone())),
         Term::Var(v) => binding[v.0 as usize].clone().map(|val| (pos, val)),
     });
-    let candidates: Vec<&Tuple> = match &probe {
+    let candidates: Vec<&[Value]> = match &probe {
         Some((pos, val)) => rel.select(AttrId(*pos as u32), val).collect(),
         None => rel.iter().collect(),
     };
@@ -170,7 +170,7 @@ fn recurse(
         for (pos, term) in atom.terms.iter().enumerate() {
             match term {
                 Term::Const(c) => {
-                    if t.get(pos) != c {
+                    if &t[pos] != c {
                         ok = false;
                         break;
                     }
@@ -179,13 +179,13 @@ fn recurse(
                     let slot = &mut binding[v.0 as usize];
                     match slot {
                         Some(existing) => {
-                            if existing != t.get(pos) {
+                            if existing != &t[pos] {
                                 ok = false;
                                 break;
                             }
                         }
                         None => {
-                            *slot = Some(t.get(pos).clone());
+                            *slot = Some(t[pos].clone());
                             newly_bound.push(*v);
                         }
                     }

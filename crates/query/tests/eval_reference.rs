@@ -46,7 +46,7 @@ fn eval_naive(catalog: &Catalog, q: &ConjunctiveQuery, d: &Instance) -> FxHashSe
                 Term::Const(c) => c.clone(),
                 Term::Var(v) => value_of(*v),
             }));
-            if !d.relation(atom.rel).contains(&t) {
+            if !d.relation(atom.rel).contains(t.values()) {
                 ok = false;
                 break;
             }

@@ -148,7 +148,7 @@ mod tests {
             m.instance.relation(backlinks).len()
         );
         for t in m.instance.relation(links).iter() {
-            let mirrored = t.project(&[1, 0]);
+            let mirrored = [t[1].clone(), t[0].clone()];
             assert!(m.instance.relation(backlinks).contains(&mirrored));
         }
     }
