@@ -91,7 +91,7 @@ fn wal_append_rate(vfs: Arc<dyn Vfs>, tag: &str) -> f64 {
     };
     let dir = scratch(tag);
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    let mut wal = Wal::open_with(
+    let (mut wal, _) = Wal::open_with(
         vfs,
         dir.join("bench.wal"),
         FsyncPolicy::Never,
@@ -144,7 +144,7 @@ fn durable_purchase_rate(
 fn recovery(qdp: &str) -> (f64, usize) {
     let dir = scratch("recovery");
     drop(DurableMarket::create(&dir, qdp, FsyncPolicy::Never).expect("durable market"));
-    let mut wal = Wal::open(dir.join("market.wal"), FsyncPolicy::Never).expect("wal opens");
+    let (mut wal, _) = Wal::open(dir.join("market.wal"), FsyncPolicy::Never).expect("wal opens");
     for i in 0..REPLAY_EVENTS as u64 {
         wal.append(&MarketEvent::Purchase {
             query: "Q(n, c) :- Business(n, 'S1', c)".into(),

@@ -50,62 +50,44 @@ impl ListArbitrage {
 pub fn find_list_arbitrage(catalog: &Catalog, prices: &PriceList) -> Vec<ListArbitrage> {
     let mut out = Vec::new();
     for rel in catalog.schema().rel_ids() {
-        relation_arbitrage(catalog, prices, rel, None, &mut out);
+        relation_arbitrage(catalog, prices, rel, &mut out);
     }
     out
 }
 
-/// The Proposition 3.2 violations of one relation, as if `revision` (a
-/// selection view on `rel` and its new price) were applied to `prices`.
-/// Lemma 3.1 confines every violation to a single relation, so a consistent
-/// list revised on `rel` needs only this check to stay consistent — and it
-/// reads the candidate price without copying or mutating the list.
+/// The binding constraint on attribute `x` of a relation whose
+/// attributes' full covers cost `covers`: the position and price of the
+/// *first* cheapest cover of another attribute (`None` for a unary
+/// relation).
+fn bound(covers: impl Iterator<Item = Price>, x: usize) -> Option<(usize, Price)> {
+    covers
+        .enumerate()
+        .filter(|&(y, _)| y != x)
+        .min_by_key(|&(_, p)| p)
+}
+
+/// The Proposition 3.2 violations of one relation, attribute by
+/// attribute and, within one, in [`PriceList::views_on`]'s order.
+/// Lemma 3.1 confines every violation to a single relation.
 pub fn relation_arbitrage(
     catalog: &Catalog,
     prices: &PriceList,
     rel: RelId,
-    revision: Option<(&SelectionView, Price)>,
     out: &mut Vec<ListArbitrage>,
 ) {
-    // The candidate price when `(attr, value)` is the revised view.
-    let revised = |attr: AttrRef, value: &Value| match revision {
-        Some((view, price)) if view.attr == attr && view.value == *value => Some(price),
-        _ => None,
-    };
     let arity = catalog.schema().relation(rel).arity();
-    // Cheapest full cover per attribute, precomputed.
     let covers: Vec<Price> = (0..arity)
-        .map(|pos| {
-            let attr = AttrRef::new(rel, pos as u32);
-            let listed = prices.prices_on(attr);
-            catalog
-                .column(attr)
-                .iter()
-                .map(|v| revised(attr, v).unwrap_or_else(|| listed(v)))
-                .sum()
-        })
+        .map(|pos| prices.full_cover_price(catalog, AttrRef::new(rel, pos as u32)))
         .collect();
     for x in 0..arity {
-        let x_attr = AttrRef::new(rel, x as u32);
-        // The binding constraint is the *cheapest* other cover.
-        let Some((y, &cover_price)) = covers
-            .iter()
-            .enumerate()
-            .filter(|&(y, _)| y != x)
-            .min_by_key(|&(_, p)| *p)
-        else {
+        let Some((y, cover_price)) = bound(covers.iter().copied(), x) else {
             continue; // unary relation: no cross-attribute arbitrage
         };
         if cover_price.is_infinite() {
             continue;
         }
-        // A revision that puts a view on sale adds it to the priced views.
-        let added = revision.filter(|(view, _)| view.attr == x_attr && !prices.is_priced(view));
-        let priced = prices
-            .views_on(x_attr)
-            .map(|(value, price)| (value, revised(x_attr, value).unwrap_or(price)))
-            .chain(added.map(|(view, price)| (&view.value, price)));
-        for (value, price) in priced {
+        let x_attr = AttrRef::new(rel, x as u32);
+        for (value, price) in prices.views_on(x_attr) {
             if price > cover_price {
                 out.push(ListArbitrage {
                     view: SelectionView::new(x_attr, value.clone()),
@@ -116,6 +98,84 @@ pub fn relation_arbitrage(
             }
         }
     }
+}
+
+/// The first Proposition 3.2 violation that pricing `view` at `price`
+/// would bring into `prices`, or `None` when the revised list stays
+/// consistent. `prices` must be consistent: then only `view`'s relation
+/// can break (Lemma 3.1), and this returns exactly what
+/// [`relation_arbitrage`] would report first on the revised list, in
+/// O(arity) reads of the memoized full covers
+/// ([`PriceList::full_cover_price`]) without copying the list:
+///
+/// * a unary relation has no cross-attribute arbitrage;
+/// * the revised attribute's new cover is its old one with `view`'s old
+///   price swapped for `price` ([`Price::replace_term`]), re-summed only
+///   when a term is `INFINITE`;
+/// * on the revised attribute, every other view keeps its bound, so
+///   only `view` itself can be undercut;
+/// * on another attribute, the views can be undercut only when its
+///   bound fell, and then the first one above the new bound is.
+pub fn revision_arbitrage(
+    catalog: &Catalog,
+    prices: &PriceList,
+    view: &SelectionView,
+    price: Price,
+) -> Option<ListArbitrage> {
+    let rel = view.attr.rel;
+    let arity = catalog.schema().relation(rel).arity();
+    if arity < 2 {
+        return None;
+    }
+    let at = |pos: usize| AttrRef::new(rel, pos as u32);
+    let revised = view.attr.attr.0 as usize;
+    let old: Vec<Price> = (0..arity)
+        .map(|pos| prices.full_cover_price(catalog, at(pos)))
+        .collect();
+    let column = catalog.column(view.attr);
+    let new_cover = if column.contains(&view.value) {
+        old[revised]
+            .replace_term(prices.get(view), price)
+            .unwrap_or_else(|| {
+                let listed = prices.prices_on(view.attr);
+                let priced = |v: &Value| if *v == view.value { price } else { listed(v) };
+                column.iter().map(priced).sum()
+            })
+    } else {
+        old[revised]
+    };
+    let new = || {
+        old.iter()
+            .enumerate()
+            .map(|(pos, &p)| if pos == revised { new_cover } else { p })
+    };
+    for x in 0..arity {
+        let Some((y, cover_price)) = bound(new(), x) else {
+            continue;
+        };
+        if cover_price.is_infinite() {
+            continue;
+        }
+        let undercut = if x == revised {
+            (price > cover_price).then(|| (view.value.clone(), price))
+        } else if bound(old.iter().copied(), x).is_some_and(|(_, was)| cover_price < was) {
+            prices
+                .views_on(at(x))
+                .find(|&(_, p)| p > cover_price)
+                .map(|(value, p)| (value.clone(), p))
+        } else {
+            None
+        };
+        if let Some((value, price)) = undercut {
+            return Some(ListArbitrage {
+                view: SelectionView::new(at(x), value),
+                price,
+                via_cover_of: at(y),
+                cover_price,
+            });
+        }
+    }
+    None
 }
 
 /// Whether the price list is consistent (Proposition 3.2).

@@ -80,6 +80,21 @@ impl Price {
         }
     }
 
+    /// The sum `self` with one of its terms, `old`, replaced by `new` —
+    /// what re-adding the terms would give, clamp to `INFINITE`
+    /// included. `None` when any of the three is `INFINITE`: an infinite
+    /// sum does not say what its finite terms add up to, and an infinite
+    /// term does not say what the others add up to, so the caller must
+    /// re-add them. `old` must be one of the terms `self` was summed
+    /// from.
+    pub fn replace_term(self, old: Price, new: Price) -> Option<Price> {
+        if self.is_infinite() || old.is_infinite() || new.is_infinite() {
+            return None;
+        }
+        let rest = self.0.checked_sub(old.0)?;
+        Some(Price::cents(rest.saturating_add(new.0)))
+    }
+
     /// Flow capacity for a view with this price (`INFINITE` ⇒ uncuttable).
     pub const fn as_capacity(self) -> u64 {
         if self.is_infinite() {
@@ -170,6 +185,34 @@ mod tests {
         assert!(big.is_finite());
         assert_eq!(big.checked_add(big), None);
         assert!(big.saturating_add(big).is_infinite());
+    }
+
+    /// Replacing a term agrees with re-adding the terms, down to the
+    /// clamp at the sentinel, and refuses every infinite operand.
+    #[test]
+    fn replace_term_matches_a_resum() {
+        let near = qbdp_flow::INF - 10;
+        let cases: [&[u64]; 4] = [&[5, 7, 9], &[0], &[near, 4], &[near / 2, near / 2, 3]];
+        for terms in cases {
+            let sum: Price = terms.iter().map(|&c| Price::cents(c)).sum();
+            for (i, &old) in terms.iter().enumerate() {
+                for new in [0, 1, 6, 20, near, qbdp_flow::INF - 1] {
+                    let mut revised = terms.to_vec();
+                    revised[i] = new;
+                    let resum: Price = revised.iter().map(|&c| Price::cents(c)).sum();
+                    let got = sum.replace_term(Price::cents(old), Price::cents(new));
+                    if sum.is_infinite() {
+                        assert_eq!(got, None, "{terms:?}");
+                    } else {
+                        assert_eq!(got, Some(resum), "{terms:?}[{i}] = {new}");
+                    }
+                }
+            }
+        }
+        let p = Price::cents(10);
+        assert_eq!(p.replace_term(Price::INFINITE, p), None);
+        assert_eq!(p.replace_term(p, Price::INFINITE), None);
+        assert_eq!(Price::INFINITE.replace_term(p, p), None);
     }
 
     #[test]

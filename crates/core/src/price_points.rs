@@ -182,7 +182,9 @@ pub(crate) struct AttrPrices {
     /// identity ([`Column::ptr_eq`]). The column is a clone, so it stays
     /// alive while the memo does: a freed column's storage can never be
     /// reused by another column that would then alias it. A sum over
-    /// another column replaces it, and every write to `map` clears it.
+    /// another column replaces it. [`AttrPrices::set`] keeps it in step
+    /// with the one price it writes; every other write to `map` clears
+    /// it.
     cover: Mutex<Option<(Column, Price)>>,
 }
 
@@ -198,6 +200,27 @@ impl AttrPrices {
     fn map_mut(&mut self) -> &mut PriceMap {
         *self.cover.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
         &mut self.map
+    }
+
+    /// Price `value` at `price`; returns whether it was unpriced. The
+    /// memo follows the write in O(1): a value outside the memo's column
+    /// leaves the sum as it was, and one inside it swaps its old price
+    /// for the new one ([`Price::replace_term`]). The memo is cleared
+    /// only when that swap cannot be done — an old price, new price or
+    /// sum that is `INFINITE` — so the next read re-sums.
+    fn set(&mut self, value: Value, price: Price) -> bool {
+        let memo = self.cover.get_mut().unwrap_or_else(PoisonError::into_inner);
+        let in_column = memo
+            .as_ref()
+            .is_some_and(|(column, _)| column.contains(&value));
+        let old = self.map.insert(value, price);
+        if let (true, Some((_, sum))) = (in_column, &mut *memo) {
+            match sum.replace_term(old.unwrap_or(Price::INFINITE), price) {
+                Some(next) => *sum = next,
+                None => *memo = None,
+            }
+        }
+        old.is_none()
     }
 
     /// The sum of the map over `column`, read from the memo when it was
@@ -279,10 +302,12 @@ impl PriceList {
         }))
     }
 
-    /// Set the price of one view; replaces any previous price.
+    /// Set the price of one view; replaces any previous price. The
+    /// attribute's memoized full-cover price is adjusted, not dropped
+    /// (see [`PriceList::full_cover_price`]).
     pub fn set(&mut self, view: SelectionView, price: Price) -> &mut Self {
-        let slot = Arc::make_mut(self.prices.entry(view.attr).or_default()).map_mut();
-        if slot.insert(view.value, price).is_none() {
+        let attr = Arc::make_mut(self.prices.entry(view.attr).or_default());
+        if attr.set(view.value, price) {
             self.len += 1;
         }
         self
@@ -396,13 +421,15 @@ impl PriceList {
     /// The price of the **full cover** `Σ_{R.X}` — the sum over all column
     /// values; `INFINITE` if any value is unpriced. The sum is kept with
     /// the attribute's map for the last column it was taken over, so a
-    /// list sharing that map with the same column reads it back.
+    /// list sharing that map with the same column reads it back, and
+    /// [`PriceList::set`] keeps it current in O(1).
     pub fn full_cover_price(&self, catalog: &Catalog, attr: AttrRef) -> Price {
         let column = catalog.column(attr);
-        let sum = || column.iter().map(self.prices_on(attr)).sum();
         match self.prices.get(&attr) {
-            Some(m) => m.cover_price(column, sum),
-            None => sum(),
+            Some(m) => m.cover_price(column, || column.iter().map(self.prices_on(attr)).sum()),
+            // Nothing priced: every value is unpriced.
+            None if column.is_empty() => Price::ZERO,
+            None => Price::INFINITE,
         }
     }
 
@@ -671,17 +698,37 @@ mod tests {
     /// The memoized full-cover price always equals a re-sum: after every
     /// write path, whether the written map was shared with another list
     /// (and so copied) or not (and so written in place), and after the
-    /// catalog swaps the column for another one.
+    /// catalog swaps the column for another one. A `set` written in place
+    /// keeps the memo — adjusted when the value is in the column and every
+    /// term is finite, unchanged when the value is outside it — so the
+    /// next read costs no re-sum.
     #[test]
     fn full_cover_memo_follows_every_write() {
         let c = cat();
         let rx = c.schema().resolve_attr("R.X").unwrap();
         let sx = c.schema().resolve_attr("S.X").unwrap();
         let sy = c.schema().resolve_attr("S.Y").unwrap();
+        let inf = Price::INFINITE.as_cents();
         type Edit = fn(&mut PriceList, &Catalog);
-        let edits: [(&str, Edit); 7] = [
+        let edits: [(&str, Edit); 11] = [
             ("set", |pl, c| {
                 pl.set(sel(c, "R.X", 1), Price::dollars(7));
+            }),
+            ("set outside the column", |pl, c| {
+                pl.set(sel(c, "R.X", 9), Price::dollars(4));
+            }),
+            ("set to INFINITE", |pl, c| {
+                pl.set(sel(c, "R.X", 1), Price::INFINITE);
+            }),
+            ("set near the sentinel", |pl, c| {
+                // $2 + (∞ − 250¢): a finite sum 50¢ short of the sentinel.
+                let inf = Price::INFINITE.as_cents();
+                pl.set(sel(c, "R.X", 1), Price::cents(inf - 250));
+            }),
+            ("set across the sentinel", |pl, c| {
+                // $2 + (∞ − 150¢): the sum clamps to ∞.
+                let inf = Price::INFINITE.as_cents();
+                pl.set(sel(c, "R.X", 1), Price::cents(inf - 150));
             }),
             ("set new", |pl, c| {
                 pl.set(sel(c, "S.Y", 1), Price::dollars(2));
@@ -725,12 +772,29 @@ mod tests {
                 check(&pl, &c, "before");
                 let other = shared.then(|| pl.clone());
                 edit(&mut pl, &c);
+                if !shared
+                    && (name == "set" || name.starts_with("set "))
+                    && name != "set to INFINITE"
+                {
+                    // Every finite `set` on R.X keeps R.X's memo; S.Y's
+                    // sum was ∞ (S.Y = 1 unpriced), so `set new` drops it.
+                    let kept = memo_column(&pl, rx).is_some() && memo_column(&pl, sx).is_some();
+                    assert!(kept, "{name} dropped a memo");
+                    assert_eq!(memo_column(&pl, sy).is_some(), name != "set new", "{name}");
+                }
                 check(&pl, &c, &format!("{name} (shared: {shared})"));
                 if let Some(other) = other {
                     check(&other, &c, &format!("{name}: the other copy"));
                 }
             }
         }
+        // The kept memo is the adjusted sum itself, not a re-sum: a stale
+        // memo would fail `check`, but a cleared one would pass it.
+        let mut pl = PriceList::uniform(&c, Price::dollars(1));
+        check(&pl, &c, "before the memo reads");
+        pl.set(sel(&c, "R.X", 1), Price::cents(inf - 250));
+        let memo = pl.attr_prices(rx).unwrap().cover.lock().unwrap().clone();
+        assert_eq!(memo.map(|(_, p)| p), Some(Price::cents(inf - 50)));
         // A column swap: the memo holds the old column, so the new one is
         // re-summed and replaces it, in both directions.
         let pl = PriceList::uniform(&c, Price::dollars(1));

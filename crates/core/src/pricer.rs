@@ -3,7 +3,7 @@
 
 use crate::boolean::secure_witness_price;
 use crate::budget::{Budget, QuoteQuality};
-use crate::consistency::{find_list_arbitrage, relation_arbitrage, ListArbitrage};
+use crate::consistency::{find_list_arbitrage, revision_arbitrage, ListArbitrage};
 use crate::cycle::cycle_price_within;
 use crate::degrade::{relevant_rels, relevant_rels_cq, structural_cover};
 use crate::dichotomy::{classify, component_query, QueryClass};
@@ -225,26 +225,21 @@ impl Pricer {
     }
 
     /// Revise the price of one selection view, keeping the list
-    /// consistent. Only the view's relation is re-checked (Proposition 3.2
-    /// with Lemma 3.1; the list is assumed consistent before the call). A
-    /// revision that would admit arbitrage is refused with its first
-    /// violation and leaves the list untouched.
+    /// consistent. The list must be consistent before the call (it is
+    /// after [`Pricer::check_consistency`] comes back empty, and every
+    /// accepted revision keeps it so). Only the view's relation is
+    /// re-checked (Proposition 3.2 with Lemma 3.1), in O(arity) reads of
+    /// the memoized full covers, which the accepted write then adjusts in
+    /// O(1) ([`revision_arbitrage`]; [`PriceList::set`]). A revision that
+    /// would admit arbitrage is refused with the first violation
+    /// [`find_list_arbitrage`] would report on the revised list, and
+    /// leaves the list untouched.
     pub fn revise_price(&mut self, view: SelectionView, price: Price) -> Result<(), ListArbitrage> {
-        let mut violations = Vec::new();
-        relation_arbitrage(
-            &self.catalog,
-            &self.prices,
-            view.attr.rel,
-            Some((&view, price)),
-            &mut violations,
-        );
-        match violations.into_iter().next() {
-            Some(v) => Err(v),
-            None => {
-                self.prices.set(view, price);
-                Ok(())
-            }
+        if let Some(v) = revision_arbitrage(&self.catalog, &self.prices, &view, price) {
+            return Err(v);
         }
+        self.prices.set(view, price);
+        Ok(())
     }
 
     /// Insert tuples (the dynamic setting of §2.7 — insertions only). Every

@@ -45,6 +45,22 @@
 //! discarded by its own stamp re-check), so no dead entry lingers and
 //! memory stays bounded by the live entries.
 //!
+//! The sweep only bounds memory — [`ShardedQuoteCache::get`] re-checks
+//! every stamp — so it is skipped while nothing can be in the shards. A
+//! `filled` flag says whether an insert has run since the last
+//! [`ShardedQuoteCache::reset`]: an insert raises it under its shard lock
+//! *before* its stamp re-check, `reset` lowers it *before* clearing the
+//! shards, and `invalidate_columns` reads it *after* its bumps. An
+//! insert whose re-check passed therefore raised the flag before the
+//! bump, so the invalidation sees it and sweeps (raising it only once
+//! the re-check passed would let a bump and a read of the still-lowered
+//! flag slip in between); and an insert racing a reset either lands in a
+//! shard still to be cleared or raises the flag again. A market replaying
+//! its log at recovery prices nothing, so its invalidations bump epochs
+//! and walk no shard; live serving fills the cache and sweeps as before.
+//! `crates/market/tests/loom_cache.rs` checks both orders and catches
+//! each one reversed.
+//!
 //! A separate **generation** counter is bumped once per mutation and
 //! exposed as [`ShardedQuoteCache::epoch`]: the durable market's
 //! purchase path revalidates quotes against it ("did *anything* change
@@ -64,7 +80,7 @@ use crate::market::MarketQuote;
 use qbdp_catalog::fxhash::FxHasher;
 use qbdp_catalog::{AttrRef, FxHashMap};
 use std::hash::Hasher;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Number of independently locked shards. Must be a power of two (shard
 /// selection masks the key hash).
@@ -90,6 +106,10 @@ pub(crate) struct ShardedQuoteCache {
     /// One epoch per catalog column, fixed at construction (the schema
     /// never changes after a market opens).
     columns: FxHashMap<AttrRef, AtomicU64>,
+    /// Whether an insert has run since construction or the last
+    /// [`ShardedQuoteCache::reset`]; while it has not, the shards are
+    /// empty and invalidation skips their sweep (see the module docs).
+    filled: AtomicBool,
     shards: [OrderedRwLock<FxHashMap<String, Entry>, Shard>; SHARDS],
 }
 
@@ -103,6 +123,7 @@ impl ShardedQuoteCache {
                 .into_iter()
                 .map(|a| (a, AtomicU64::new(0)))
                 .collect(),
+            filled: AtomicBool::new(false),
             shards: std::array::from_fn(|_| OrderedRwLock::new(FxHashMap::default())),
         }
     }
@@ -180,6 +201,9 @@ impl ShardedQuoteCache {
         stamp: u64,
     ) {
         let (mut shard, _) = self.shard(&key).write(token);
+        // Raised before the re-check: an invalidation bumping after the
+        // re-check read the old epochs must see it and sweep.
+        self.filled.store(true, Ordering::SeqCst);
         // Re-check under the shard lock: an invalidation that has already
         // swept this shard must not see the entry reappear.
         if self.stamp(&footprint) == stamp {
@@ -200,7 +224,9 @@ impl ShardedQuoteCache {
     /// insert tagged with the old stamp either lands before the sweep
     /// (and is removed) or after (and is discarded by its own stamp
     /// re-check), so no dead entry lingers. Entries disjoint from
-    /// `attrs` keep their stamps valid and stay servable.
+    /// `attrs` keep their stamps valid and stay servable. A cache no
+    /// insert has reached since the last reset has nothing to sweep, and
+    /// the shard walk is skipped.
     pub(crate) fn invalidate_columns(
         &self,
         token: &mut Locked<'_, impl LockBefore<Shard>>,
@@ -213,6 +239,10 @@ impl ShardedQuoteCache {
             if let Some(e) = self.columns.get(a) {
                 e.fetch_add(1, Ordering::SeqCst);
             }
+        }
+        // Read after the bumps (see the module docs).
+        if !self.filled.load(Ordering::SeqCst) {
+            return;
         }
         for shard in &self.shards {
             shard
@@ -238,6 +268,9 @@ impl ShardedQuoteCache {
         for e in self.columns.values() {
             e.store(0, Ordering::SeqCst);
         }
+        // Lowered before the shards are cleared: an insert racing this
+        // either lands in a shard still to be cleared or raises it again.
+        self.filled.store(false, Ordering::SeqCst);
         for shard in &self.shards {
             shard.write(token).0.clear();
         }
@@ -382,6 +415,45 @@ mod tests {
         cache.reset(&mut Locked::root());
         assert_eq!(cache.stamp(&fp), 0, "stamps restart from zero");
         assert_eq!(cache.len(&mut Locked::root()), 0);
+    }
+
+    /// Invalidating a cache no insert has reached still bumps every
+    /// epoch, so a quote stamped before it is refused; the first insert
+    /// brings the sweep back, and a reset takes it away again.
+    #[test]
+    fn an_unfilled_cache_skips_only_the_sweep() {
+        let cache = cache();
+        let fp = vec![AttrRef::new(RelId(0), 0)];
+        let before = cache.stamp(&fp);
+        cache.invalidate_columns(&mut Locked::root(), &fp);
+        assert!(!cache.filled.load(Ordering::SeqCst));
+        assert_eq!(cache.epoch(), 1);
+        assert_ne!(cache.stamp(&fp), before);
+        cache.insert(
+            &mut Locked::root(),
+            "stale".into(),
+            quote(Price::dollars(1)),
+            fp.clone(),
+            before,
+        );
+        assert!(
+            cache.filled.load(Ordering::SeqCst),
+            "raised before the re-check"
+        );
+        assert_eq!(cache.len(&mut Locked::root()), 0);
+        let s = cache.stamp(&fp);
+        cache.insert(
+            &mut Locked::root(),
+            "q1".into(),
+            quote(Price::dollars(1)),
+            fp.clone(),
+            s,
+        );
+        assert_eq!(cache.len(&mut Locked::root()), 1);
+        cache.invalidate_columns(&mut Locked::root(), &fp);
+        assert_eq!(cache.len(&mut Locked::root()), 0, "a filled cache is swept");
+        cache.reset(&mut Locked::root());
+        assert!(!cache.filled.load(Ordering::SeqCst));
     }
 
     #[test]

@@ -11,10 +11,13 @@
 //!    invalidation racing a cache fill and a cache read, projected onto
 //!    one column — the degenerate case of the per-column protocol where
 //!    every footprint is the same singleton, which already exhibits the
-//!    bump/sweep ordering races. Invariants: a served quote always
-//!    equals the price derived from the current data (*serve safety*),
-//!    and no entry tagged with a dead epoch survives quiescence
-//!    (*hygiene* — the module docs' "no dead entry lingers" claim).
+//!    bump/sweep ordering races, plus the `filled` flag that lets an
+//!    invalidation skip the sweep of a cache nothing was inserted into
+//!    since the last reset, with a reset racing the rest. Invariants: a
+//!    served quote always equals the price derived from the current
+//!    data (*serve safety*), and no entry tagged with a dead epoch
+//!    survives quiescence (*hygiene* — the module docs' "no dead entry
+//!    lingers" claim).
 //! 2. **Durable purchase** (`crates/market/src/durable.rs`):
 //!    price-outside-the-WAL-mutex with generation revalidation, racing
 //!    a durable mutation. Invariants: the market state always equals
@@ -48,7 +51,8 @@
 //!
 //! Each protocol also runs in seeded-bug variants (one ordering or one
 //! check deliberately broken: clear-then-bump, fill without the epoch
-//! re-check, serve without the epoch check, skipping revalidation,
+//! re-check, serve without the epoch check, raise the fill flag after
+//! the re-check, lower it after the reset's clear, skipping revalidation,
 //! apply-before-append, sweep-then-bump, stamp-after-pricing,
 //! whole-batch stamping). The same invariants must *catch* every
 //! seeded bug, proving the harness can actually detect violations.
@@ -134,6 +138,18 @@ struct CacheVariant {
     /// protocol must stay safe either way: that is exactly what the
     /// get-side epoch check is for.
     release_before_clear: bool,
+    /// `insert()` raises the `filled` flag *before* its epoch re-check
+    /// (cache.rs `insert`); the seeded bug raises it only once the
+    /// re-check has passed, which lets an invalidation bump and read the
+    /// flag in between.
+    fill_flag_before_recheck: bool,
+    /// `reset()` lowers the `filled` flag *before* clearing the shards
+    /// (cache.rs `reset`); the seeded bug lowers it after, so an insert
+    /// landing in an already-cleared shard is left behind a lowered
+    /// flag.
+    reset_flag_first: bool,
+    /// Whether a resetter thread (cache.rs `reset`) runs too.
+    with_reset: bool,
 }
 
 const CORRECT_CACHE: CacheVariant = CacheVariant {
@@ -141,6 +157,9 @@ const CORRECT_CACHE: CacheVariant = CacheVariant {
     recheck_on_insert: true,
     check_epoch_on_get: true,
     release_before_clear: false,
+    fill_flag_before_recheck: true,
+    reset_flag_first: true,
+    with_reset: false,
 };
 
 #[derive(Clone)]
@@ -150,6 +169,13 @@ struct CacheState {
     epoch: u64,
     /// One shard, one key: `(tagged epoch, cached quote value)`.
     entry: Option<(u64, u64)>,
+    /// `ShardedQuoteCache::filled`: raised by inserts, lowered by
+    /// `reset`; while it is down, invalidation skips the sweep.
+    filled: bool,
+    /// Whether the quoter holds the shard's write lock (its insert is
+    /// several steps; the sweep, the reset's clear and the reader block
+    /// on it, bare atomics do not).
+    shard_held: bool,
     /// The data version quotes are derived from; `price(dv) == dv`, so
     /// a stale quote is immediately visible.
     dv: u64,
@@ -161,12 +187,17 @@ struct CacheState {
     quoter_epoch: u64,
     /// Quoter's computed quote.
     quoter_quote: u64,
+    /// Whether the quoter's epoch re-check passed.
+    quoter_fresh: bool,
+    /// Whether the updater saw the `filled` flag raised.
+    updater_saw_filled: bool,
     /// `(served quote, dv at serve time)` observed by the reader.
     served: Vec<(u64, u64)>,
 }
 
 /// Threads: 0 = quoter (cache-miss fill), 1 = updater (data mutation +
-/// invalidation), 2 = reader (cache hit path).
+/// invalidation), 2 = reader (cache hit path), 3 = resetter (when
+/// `with_reset`).
 fn cache_step(v: CacheVariant) -> impl Fn(&mut CacheState, usize, usize) -> Step {
     move |s, t, pc| match (t, pc) {
         // Quoter, mirrors Market::quote_str's miss path.
@@ -182,12 +213,32 @@ fn cache_step(v: CacheVariant) -> impl Fn(&mut CacheState, usize, usize) -> Step
             Step::Ran(1)
         }
         (0, 1) => {
-            // Under the shard write lock only (the state lock was
-            // dropped): cache.rs `insert` — re-check the epoch, store
-            // tagged with the load-time epoch.
-            if !v.recheck_on_insert || s.epoch == s.quoter_epoch {
+            // cache.rs `insert`: take the shard write lock (the state
+            // lock was dropped) and raise the flag.
+            if s.shard_held {
+                return Step::Blocked;
+            }
+            s.shard_held = true;
+            if v.fill_flag_before_recheck {
+                s.filled = true;
+            }
+            Step::Ran(2)
+        }
+        (0, 2) => {
+            // Still under the shard lock: re-check the epoch (a bare
+            // atomic load an invalidation's bump can race).
+            s.quoter_fresh = !v.recheck_on_insert || s.epoch == s.quoter_epoch;
+            Step::Ran(3)
+        }
+        (0, 3) => {
+            // Store tagged with the load-time epoch; release the shard.
+            if s.quoter_fresh {
+                if !v.fill_flag_before_recheck {
+                    s.filled = true;
+                }
                 s.entry = Some((s.quoter_epoch, s.quoter_quote));
             }
+            s.shard_held = false;
             Step::Done
         }
         // Updater, mirrors Market::insert + invalidate_columns.
@@ -210,12 +261,23 @@ fn cache_step(v: CacheVariant) -> impl Fn(&mut CacheState, usize, usize) -> Step
             Step::Ran(2)
         }
         (1, 2) => {
-            // Clear the shard (its own shard write lock; a concurrent
-            // cache fill can interleave on either side).
-            s.entry = None;
+            // Bare atomic, after the bump: is there anything to sweep?
+            s.updater_saw_filled = s.filled;
             Step::Ran(3)
         }
         (1, 3) => {
+            // Sweep the shard (its own shard write lock; a concurrent
+            // cache fill can interleave on either side) — or skip it
+            // when the flag was down.
+            if s.updater_saw_filled {
+                if s.shard_held {
+                    return Step::Blocked;
+                }
+                s.entry = None;
+            }
+            Step::Ran(4)
+        }
+        (1, 4) => {
             // Seeded clear-then-bump bug: the bump lands only now,
             // leaving a window after the clear for a stale fill.
             if !v.bump_then_clear {
@@ -229,13 +291,36 @@ fn cache_step(v: CacheVariant) -> impl Fn(&mut CacheState, usize, usize) -> Step
         // Reader, mirrors Market::quote_str's hit path: under the state
         // read lock, serve only an entry tagged with the current epoch.
         (2, 0) => {
-            if s.state_write_held {
+            if s.state_write_held || s.shard_held {
                 return Step::Blocked;
             }
             if let Some((tag, quote)) = s.entry {
                 if !v.check_epoch_on_get || tag == s.epoch {
                     s.served.push((quote, s.dv));
                 }
+            }
+            Step::Done
+        }
+        // Resetter, mirrors cache.rs `reset` (its epoch rewind is left
+        // out: recovery runs it with no quoter alive, and a rewind
+        // racing a quoter would alias epochs whatever the flag does).
+        (3, 0) if !v.with_reset => Step::Done,
+        (3, 0) => {
+            if v.reset_flag_first {
+                s.filled = false;
+            }
+            Step::Ran(1)
+        }
+        (3, 1) => {
+            if s.shard_held {
+                return Step::Blocked;
+            }
+            s.entry = None;
+            Step::Ran(2)
+        }
+        (3, 2) => {
+            if !v.reset_flag_first {
+                s.filled = false;
             }
             Step::Done
         }
@@ -274,15 +359,19 @@ fn run_cache(v: CacheVariant) -> Result<u64, String> {
     let init = CacheState {
         epoch: 0,
         entry: None,
+        filled: false,
+        shard_held: false,
         dv: 0,
         state_write_held: false,
         quoter_epoch: 0,
         quoter_quote: 0,
+        quoter_fresh: false,
+        updater_saw_filled: false,
         served: Vec::new(),
     };
     explore(
         &init,
-        &[0, 0, 0],
+        &[0, 0, 0, 0],
         &cache_step(v),
         &cache_invariant,
         &cache_at_end,
@@ -335,6 +424,43 @@ fn seeded_unchecked_get_serves_a_stale_quote() {
     })
     .expect_err("harness must catch the stale serve");
     assert!(err.contains("stale quote"), "unexpected violation: {err}");
+}
+
+/// The `filled` flag with a reset racing the fill and the invalidation:
+/// the shipped orders (raise before the re-check, lower before the
+/// clear) leave no dead entry, with the state lock held through the
+/// sweep or dropped before it.
+#[test]
+fn skipping_the_sweep_of_an_unfilled_cache_is_safe_under_all_interleavings() {
+    for release_before_clear in [false, true] {
+        run_cache(CacheVariant {
+            with_reset: true,
+            release_before_clear,
+            ..CORRECT_CACHE
+        })
+        .expect("the shipped flag protocol must be clean");
+    }
+}
+
+#[test]
+fn seeded_reset_lowering_the_flag_after_the_clear_leaks_a_dead_entry() {
+    let err = run_cache(CacheVariant {
+        with_reset: true,
+        reset_flag_first: false,
+        ..CORRECT_CACHE
+    })
+    .expect_err("harness must catch the late flag clear");
+    assert!(err.contains("dead entry"), "unexpected violation: {err}");
+}
+
+#[test]
+fn seeded_fill_flag_after_the_recheck_leaks_a_dead_entry() {
+    let err = run_cache(CacheVariant {
+        fill_flag_before_recheck: false,
+        ..CORRECT_CACHE
+    })
+    .expect_err("harness must catch the late flag raise");
+    assert!(err.contains("dead entry"), "unexpected violation: {err}");
 }
 
 // ---------------------------------------------------------------------

@@ -73,4 +73,4 @@ pub use vfs::{
     FaultFs, FaultKind, FaultOp, FaultPlan, RealFs, RetryPolicy, ScriptedFault, SeededFaults, Vfs,
     VfsFile,
 };
-pub use wal::{FsyncPolicy, LogRecord, Wal};
+pub use wal::{records_from, FsyncPolicy, LogRecord, Wal};

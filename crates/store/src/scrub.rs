@@ -203,7 +203,7 @@ mod tests {
         let mut snap = Snapshot::new(0);
         snap.push_section("market", "schema R(X)\n");
         snap.write(&snap_path).unwrap();
-        let mut wal = Wal::open(&wal_path, FsyncPolicy::Always).unwrap();
+        let (mut wal, _) = Wal::open(&wal_path, FsyncPolicy::Always).unwrap();
         for i in 0..3 {
             wal.append(&MarketEvent::SetPrice {
                 view: format!("R.X=a{i}"),

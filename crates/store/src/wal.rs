@@ -17,7 +17,9 @@
 //!
 //! A crash can only leave the file with a **torn tail**: some prefix of
 //! the final record missing (the kernel persists appends in order within
-//! one file). [`Wal::open`] therefore scans the whole log and
+//! one file). [`Wal::open`] therefore scans the whole log — once: the
+//! same pass that finds the clean end decodes every record and hands
+//! them to the caller, so recovery never reads the file again — and
 //!
 //! * truncates a trailing *incomplete* frame (header short, or payload
 //!   shorter than `len`) — that is the expected residue of a crash, and
@@ -94,7 +96,6 @@ pub(crate) const HEADER: usize = 8;
 /// The append handle over one log file. Opening scans and repairs the
 /// torn tail; see the module docs for the exact semantics.
 pub struct Wal {
-    vfs: Arc<dyn Vfs>,
     file: Box<dyn VfsFile>,
     path: PathBuf,
     position: u64,
@@ -195,27 +196,55 @@ pub(crate) fn scan(bytes: &[u8]) -> Result<(Vec<LogRecord>, u64), StoreError> {
     Ok((records, clean_len))
 }
 
+/// The records of `records` (a whole log, oldest first, as
+/// [`Wal::open`] returns it) from byte offset `from` on. `from` must be a
+/// record boundary recorded earlier, e.g. by a snapshot; an offset at or
+/// past the log's end yields no records — after a compaction crash the
+/// snapshot may legitimately cover more log than survived truncation —
+/// and an offset inside a record is refused as
+/// [`StoreError::CorruptRecord`].
+pub fn records_from(records: &[LogRecord], from: u64) -> Result<&[LogRecord], StoreError> {
+    let first = records.partition_point(|r| r.start < from);
+    let aligned = match records.get(first) {
+        Some(r) => r.start == from,
+        None => records.last().is_none_or(|r| r.end <= from),
+    };
+    if aligned {
+        Ok(&records[first..])
+    } else {
+        Err(StoreError::CorruptRecord {
+            offset: from,
+            reason: "replay position is not a record boundary".to_string(),
+        })
+    }
+}
+
 impl Wal {
     /// Open (or create) the log at `path` on the real filesystem with
     /// the default retry policy. See [`Wal::open_with`].
-    pub fn open(path: impl AsRef<Path>, policy: FsyncPolicy) -> Result<Wal, StoreError> {
+    pub fn open(
+        path: impl AsRef<Path>,
+        policy: FsyncPolicy,
+    ) -> Result<(Wal, Vec<LogRecord>), StoreError> {
         Self::open_with(Arc::new(RealFs), path, policy, RetryPolicy::default())
     }
 
     /// Open (or create) the log at `path` on `vfs`, truncating a torn
     /// tail. Returns the handle positioned at the end of the last clean
-    /// record. Transient faults during the open are retried per
-    /// `retry`.
+    /// record, and every clean record, oldest first: the one scan that
+    /// finds the clean end also decodes them, from offset 0, so a
+    /// damaged record anywhere in the log fails the open. Transient
+    /// faults during the open are retried per `retry`.
     pub fn open_with(
         vfs: Arc<dyn Vfs>,
         path: impl AsRef<Path>,
         policy: FsyncPolicy,
         retry: RetryPolicy,
-    ) -> Result<Wal, StoreError> {
+    ) -> Result<(Wal, Vec<LogRecord>), StoreError> {
         let path = path.as_ref().to_path_buf();
         let mut file = retry.run("wal-open", &path, || vfs.open_rw(&path))?;
         let bytes = retry.run("wal-scan", &path, || vfs.read_file(&path))?;
-        let (_, clean_len) = scan(&bytes)?;
+        let (records, clean_len) = scan(&bytes)?;
         if clean_len < bytes.len() as u64 {
             retry.run("wal-repair", &path, || file.set_len(clean_len))?;
             retry.run("wal-repair-sync", &path, || file.sync_all())?;
@@ -223,8 +252,7 @@ impl Wal {
         // Appends must start exactly at the clean end or they'd punch a
         // hole.
         retry.run("wal-seek", &path, || file.seek_to(clean_len))?;
-        Ok(Wal {
-            vfs,
+        let wal = Wal {
             file,
             path,
             position: clean_len,
@@ -232,7 +260,8 @@ impl Wal {
             retry,
             unsynced: 0,
             poisoned: None,
-        })
+        };
+        Ok((wal, records))
     }
 
     /// The offset one past the last record — what the next append
@@ -405,35 +434,6 @@ impl Wal {
         }
     }
 
-    /// Decode every record from byte offset `from` (which must be a
-    /// record boundary recorded earlier, e.g. by a snapshot) to the end.
-    /// An offset at or past the end yields no records — after a
-    /// compaction crash the snapshot may legitimately cover more log
-    /// than survived truncation.
-    pub fn replay_from(&self, from: u64) -> Result<Vec<LogRecord>, StoreError> {
-        let mut bytes = self
-            .retry
-            .run("wal-replay", &self.path, || self.vfs.read_file(&self.path))?;
-        bytes.truncate(self.position as usize);
-        if from >= bytes.len() as u64 {
-            return Ok(Vec::new());
-        }
-        let (records, _) = scan(&bytes[from as usize..])?;
-        Ok(records
-            .into_iter()
-            .map(|r| LogRecord {
-                start: r.start + from,
-                end: r.end + from,
-                event: r.event,
-            })
-            .collect())
-    }
-
-    /// All records, oldest first.
-    pub fn replay(&self) -> Result<Vec<LogRecord>, StoreError> {
-        self.replay_from(0)
-    }
-
     /// Drop every record (compaction: the snapshot now covers them) and
     /// fsync the truncation. On success the handle is clean again: an
     /// empty file has no partial frame left to bury, and the truncation
@@ -518,6 +518,12 @@ mod tests {
         }
     }
 
+    /// Every record of the log at `path`, read back through a second
+    /// open (the handle under test stays open).
+    fn logged(path: &Path) -> Vec<LogRecord> {
+        Wal::open(path, FsyncPolicy::Never).unwrap().1
+    }
+
     fn sample_events() -> Vec<MarketEvent> {
         vec![
             MarketEvent::InsertTuple {
@@ -541,45 +547,48 @@ mod tests {
     fn append_replay_roundtrip() {
         let path = temp_path("roundtrip");
         let events = sample_events();
-        let mut wal = Wal::open(&path, FsyncPolicy::EveryN(2)).unwrap();
+        let (mut wal, none) = Wal::open(&path, FsyncPolicy::EveryN(2)).unwrap();
+        assert!(none.is_empty());
         assert_eq!(wal.position(), 0);
         let mut ends = Vec::new();
         for ev in &events {
             ends.push(wal.append(ev).unwrap());
         }
         assert_eq!(wal.position(), *ends.last().unwrap());
-        let records = wal.replay().unwrap();
+        drop(wal);
+        // Reopening lands at the same position and hands back every
+        // record from the same scan.
+        let (wal, records) = Wal::open(&path, FsyncPolicy::Never).unwrap();
+        assert_eq!(wal.position(), *ends.last().unwrap());
         assert_eq!(records.len(), events.len());
         for ((rec, ev), end) in records.iter().zip(&events).zip(&ends) {
             assert_eq!(&rec.event, ev);
             assert_eq!(rec.end, *end);
         }
         // Suffix replay from the second record's start.
-        let suffix = wal.replay_from(records[1].start).unwrap();
+        let suffix = records_from(&records, records[1].start).unwrap();
         assert_eq!(suffix.len(), 2);
         assert_eq!(suffix[0].event, events[1]);
-        // Reopening lands at the same position.
-        drop(wal);
-        let wal = Wal::open(&path, FsyncPolicy::Never).unwrap();
-        assert_eq!(wal.position(), *ends.last().unwrap());
+        assert_eq!(suffix[0].start, records[1].start);
+        assert_eq!(records_from(&records, 0).unwrap().len(), 3);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn torn_tail_is_truncated() {
         let path = temp_path("torn");
-        let mut wal = Wal::open(&path, FsyncPolicy::Always).unwrap();
+        let (mut wal, _) = Wal::open(&path, FsyncPolicy::Always).unwrap();
         for ev in sample_events() {
             wal.append(&ev).unwrap();
         }
         let full = std::fs::read(&path).unwrap();
-        let second_end = wal.replay().unwrap()[1].end;
+        let second_end = logged(&path)[1].end;
         drop(wal);
         // Cut into the middle of the third record.
         std::fs::write(&path, &full[..second_end as usize + 3]).unwrap();
-        let wal = Wal::open(&path, FsyncPolicy::Always).unwrap();
+        let (wal, records) = Wal::open(&path, FsyncPolicy::Always).unwrap();
         assert_eq!(wal.position(), second_end);
-        assert_eq!(wal.replay().unwrap().len(), 2);
+        assert_eq!(records.len(), 2);
         // The file itself was repaired.
         assert_eq!(std::fs::metadata(&path).unwrap().len(), second_end);
         std::fs::remove_file(&path).ok();
@@ -588,7 +597,7 @@ mod tests {
     #[test]
     fn zero_extended_tail_is_truncated() {
         let path = temp_path("zeros");
-        let mut wal = Wal::open(&path, FsyncPolicy::Always).unwrap();
+        let (mut wal, _) = Wal::open(&path, FsyncPolicy::Always).unwrap();
         for ev in sample_events() {
             wal.append(&ev).unwrap();
         }
@@ -597,20 +606,20 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(&[0u8; 64]);
         std::fs::write(&path, &bytes).unwrap();
-        let wal = Wal::open(&path, FsyncPolicy::Always).unwrap();
+        let (wal, records) = Wal::open(&path, FsyncPolicy::Always).unwrap();
         assert_eq!(wal.position(), end);
-        assert_eq!(wal.replay().unwrap().len(), 3);
+        assert_eq!(records.len(), 3);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn mid_log_corruption_is_refused() {
         let path = temp_path("corrupt");
-        let mut wal = Wal::open(&path, FsyncPolicy::Always).unwrap();
+        let (mut wal, _) = Wal::open(&path, FsyncPolicy::Always).unwrap();
         for ev in sample_events() {
             wal.append(&ev).unwrap();
         }
-        let first_end = wal.replay().unwrap()[0].end;
+        let first_end = logged(&path)[0].end;
         drop(wal);
         let mut bytes = std::fs::read(&path).unwrap();
         // Flip one bit in the second record's payload.
@@ -627,16 +636,16 @@ mod tests {
     #[test]
     fn reset_empties_the_log() {
         let path = temp_path("reset");
-        let mut wal = Wal::open(&path, FsyncPolicy::Always).unwrap();
+        let (mut wal, _) = Wal::open(&path, FsyncPolicy::Always).unwrap();
         for ev in sample_events() {
             wal.append(&ev).unwrap();
         }
         wal.reset().unwrap();
         assert_eq!(wal.position(), 0);
-        assert!(wal.replay().unwrap().is_empty());
+        assert!(logged(&path).is_empty());
         // Appends keep working after a reset.
         wal.append(&sample_events()[0]).unwrap();
-        assert_eq!(wal.replay().unwrap().len(), 1);
+        assert_eq!(logged(&path).len(), 1);
         std::fs::remove_file(&path).ok();
     }
 
@@ -644,7 +653,7 @@ mod tests {
     fn partial_append_residue_is_discarded() {
         let path = temp_path("partial");
         let events = sample_events();
-        let mut wal = Wal::open(&path, FsyncPolicy::Never).unwrap();
+        let (mut wal, _) = Wal::open(&path, FsyncPolicy::Never).unwrap();
         wal.append(&events[0]).unwrap();
         // Simulate the aftermath of a failed write_all: partial frame
         // bytes on disk with the cursor advanced past them.
@@ -655,8 +664,7 @@ mod tests {
         // log that reopens cleanly — not a CorruptRecord mid-log.
         wal.append(&events[1]).unwrap();
         drop(wal);
-        let wal = Wal::open(&path, FsyncPolicy::Never).unwrap();
-        let replayed = wal.replay().unwrap();
+        let (_, replayed) = Wal::open(&path, FsyncPolicy::Never).unwrap();
         assert_eq!(replayed.len(), 2);
         assert_eq!(replayed[0].event, events[0]);
         assert_eq!(replayed[1].event, events[1]);
@@ -666,7 +674,7 @@ mod tests {
     #[test]
     fn poisoned_handle_refuses_appends_until_reset() {
         let path = temp_path("poison");
-        let mut wal = Wal::open(&path, FsyncPolicy::Never).unwrap();
+        let (mut wal, _) = Wal::open(&path, FsyncPolicy::Never).unwrap();
         wal.append(&sample_events()[0]).unwrap();
         wal.poisoned = Some("test poison".into());
         let err = wal.append(&sample_events()[1]);
@@ -686,17 +694,44 @@ mod tests {
         // bury and the handle is usable again.
         wal.reset().unwrap();
         wal.append(&sample_events()[1]).unwrap();
-        assert_eq!(wal.replay().unwrap().len(), 1);
+        assert_eq!(logged(&path).len(), 1);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn replay_from_beyond_end_is_empty() {
         let path = temp_path("beyond");
-        let mut wal = Wal::open(&path, FsyncPolicy::Always).unwrap();
+        let (mut wal, _) = Wal::open(&path, FsyncPolicy::Always).unwrap();
         wal.append(&sample_events()[0]).unwrap();
-        assert!(wal.replay_from(wal.position()).unwrap().is_empty());
-        assert!(wal.replay_from(wal.position() + 999).unwrap().is_empty());
+        let records = logged(&path);
+        assert!(records_from(&records, wal.position()).unwrap().is_empty());
+        assert!(records_from(&records, wal.position() + 999)
+            .unwrap()
+            .is_empty());
+        assert!(records_from(&[], 0).unwrap().is_empty());
+        assert!(records_from(&[], 7).unwrap().is_empty());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A replay position inside a record — the first, a middle or the
+    /// last one — names no record boundary and is refused at its offset.
+    #[test]
+    fn replay_from_inside_a_record_is_refused() {
+        let path = temp_path("inside");
+        let (mut wal, _) = Wal::open(&path, FsyncPolicy::Never).unwrap();
+        for ev in sample_events() {
+            wal.append(&ev).unwrap();
+        }
+        let records = logged(&path);
+        for r in &records {
+            for from in [r.start + 1, r.end - 1] {
+                let err = records_from(&records, from);
+                assert!(
+                    matches!(err, Err(StoreError::CorruptRecord { offset, .. }) if offset == from),
+                    "{from}: {err:?}"
+                );
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -720,7 +755,7 @@ mod tests {
             ],
             seeded: None,
         });
-        let mut wal = Wal::open_with(
+        let (mut wal, _) = Wal::open_with(
             Arc::new(fs.clone()),
             &path,
             FsyncPolicy::Always,
@@ -729,7 +764,7 @@ mod tests {
         .unwrap();
         // Both scripted transients hit this one append; it still lands.
         wal.append(&sample_events()[0]).unwrap();
-        assert_eq!(wal.replay().unwrap().len(), 1);
+        assert_eq!(logged(&path).len(), 1);
         assert_eq!(fs.injected_count(), 2);
         std::fs::remove_file(&path).ok();
     }
@@ -746,7 +781,7 @@ mod tests {
             }],
             seeded: None,
         });
-        let mut wal = Wal::open_with(
+        let (mut wal, _) = Wal::open_with(
             Arc::new(fs.clone()),
             &path,
             FsyncPolicy::Never,
@@ -765,7 +800,7 @@ mod tests {
         assert_eq!(wal.position(), end1);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), end1);
         wal.append(&sample_events()[2]).unwrap();
-        assert_eq!(wal.replay().unwrap().len(), 2);
+        assert_eq!(logged(&path).len(), 2);
         std::fs::remove_file(&path).ok();
     }
 
@@ -781,7 +816,7 @@ mod tests {
             }],
             seeded: None,
         });
-        let mut wal = Wal::open_with(
+        let (mut wal, _) = Wal::open_with(
             Arc::new(fs.clone()),
             &path,
             FsyncPolicy::Always,
@@ -811,8 +846,9 @@ mod tests {
         // Recovery after reopen yields at most the acked prefix plus
         // the one uncertain tail event.
         drop(wal);
-        let wal = Wal::open_with(Arc::new(fs), &path, FsyncPolicy::Never, fast_retry()).unwrap();
-        let n = wal.replay().unwrap().len();
+        let (_, records) =
+            Wal::open_with(Arc::new(fs), &path, FsyncPolicy::Never, fast_retry()).unwrap();
+        let n = records.len();
         assert!(n == 1 || n == 2, "prefix of attempted history, got {n}");
         std::fs::remove_file(&path).ok();
     }

@@ -65,7 +65,7 @@ fn event_strategy() -> impl Strategy<Value = MarketEvent> {
 /// Write `events` to a fresh WAL and return the raw file bytes.
 fn committed_bytes(tag: &str, events: &[MarketEvent]) -> Vec<u8> {
     let path = temp_path(tag);
-    let mut wal = Wal::open(&path, FsyncPolicy::Never).unwrap();
+    let (mut wal, _) = Wal::open(&path, FsyncPolicy::Never).unwrap();
     for e in events {
         wal.append(e).unwrap();
     }
@@ -82,7 +82,7 @@ fn recover(tag: &str, bytes: &[u8]) -> Result<Vec<MarketEvent>, StoreError> {
     let path = temp_path(tag);
     std::fs::write(&path, bytes).unwrap();
     let result = Wal::open(&path, FsyncPolicy::Never)
-        .and_then(|wal| Ok(wal.replay()?.into_iter().map(|r| r.event).collect()));
+        .map(|(_, records)| records.into_iter().map(|r| r.event).collect());
     std::fs::remove_file(&path).ok();
     result
 }
@@ -103,8 +103,8 @@ proptest! {
         {
             let path = temp_path("bounds");
             std::fs::write(&path, &bytes).unwrap();
-            let wal = Wal::open(&path, FsyncPolicy::Never).unwrap();
-            for r in wal.replay().unwrap() {
+            let (_, records) = Wal::open(&path, FsyncPolicy::Never).unwrap();
+            for r in records {
                 boundaries.push(r.end);
             }
             std::fs::remove_file(&path).ok();
@@ -222,7 +222,7 @@ fn every_n_clean_drop_keeps_the_unsynced_tail() {
         })
         .collect();
     {
-        let mut wal = Wal::open_with(
+        let (mut wal, _) = Wal::open_with(
             fs.clone() as Arc<dyn qbdp_store::Vfs>,
             &path,
             FsyncPolicy::EveryN(5),
@@ -236,19 +236,14 @@ fn every_n_clean_drop_keeps_the_unsynced_tail() {
         // boundary, 5..=6 acked but sitting in the unsynced tail.
     } // clean shutdown: Drop must flush the tail
     fs.simulate_crash(42).unwrap();
-    let wal = Wal::open_with(
+    let (_, records) = Wal::open_with(
         fs.clone() as Arc<dyn qbdp_store::Vfs>,
         &path,
         FsyncPolicy::EveryN(5),
         RetryPolicy::none(),
     )
     .unwrap();
-    let recovered: Vec<MarketEvent> = wal
-        .replay_from(0)
-        .unwrap()
-        .into_iter()
-        .map(|r| r.event)
-        .collect();
+    let recovered: Vec<MarketEvent> = records.into_iter().map(|r| r.event).collect();
     assert_eq!(
         recovered, events,
         "the acked-but-unfsynced EveryN tail must survive a clean drop"

@@ -21,6 +21,11 @@
 //!   quote's receipt with the cache entry, so its count does not grow
 //!   with the receipt's views, and no served quote renders its receipt
 //!   until it is delivered.
+//! * A cold reopen of a durable chain market (`DurableMarket::open`)
+//!   after a fixed log of price revisions (some refused) and purchases,
+//!   pinned at its mean allocations per replayed record, net of the
+//!   open's fixed cost (≈2.4; ≈4.1 when recovery decoded the log twice).
+//!   A second decode pass adds one allocation per record.
 //!
 //! A change that brings those copies back fails here rather than only in
 //! a benchmark. Run with `cargo test --test alloc_budget -- --nocapture`
@@ -48,6 +53,12 @@ const MAX_RESTAURANT_HIT_ALLOCS: f64 = 37.0;
 
 /// Mean allocations per served cold miss on a directory county slice.
 const MAX_COUNTY_MISS_ALLOCS: f64 = 376.13;
+
+/// Mean allocations per record replayed by a cold durable reopen, net
+/// of the same open over an empty log (1,175 over 480 records; 1,964
+/// when the log was decoded twice and a revision summed its relation's
+/// columns).
+const MAX_REOPEN_ALLOCS_PER_RECORD: f64 = 2.448;
 
 /// Served quotes measured per row.
 const QUOTES: usize = 100;
@@ -281,4 +292,62 @@ fn a_served_county_slice_miss_stays_pinned() {
     // Every quote is a slice the market has not seen: a cold miss.
     let miss = mean_allocs(|_| {}, || market.quote_str(next.next().unwrap()).unwrap());
     assert_pinned("served county-slice miss", miss, MAX_COUNTY_MISS_ALLOCS);
+}
+
+/// Allocations of one cold `DurableMarket::open` of `dir`.
+fn reopen_allocs(dir: &std::path::Path) -> u64 {
+    let start = allocs();
+    let back = DurableMarket::open(dir, FsyncPolicy::Never).unwrap();
+    let n = allocs() - start;
+    drop(back);
+    n
+}
+
+#[test]
+fn a_cold_durable_reopen_stays_pinned_per_record() {
+    let tmp = |tag: &str| {
+        let dir = std::env::temp_dir().join(format!("qbdp_alloc_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    };
+    let (dir, genesis) = (tmp("reopen"), tmp("genesis"));
+    let qdp = chain_market().to_qdp();
+    drop(DurableMarket::create(&genesis, &qdp, FsyncPolicy::Never).unwrap());
+    let dm = DurableMarket::create(&dir, &qdp, FsyncPolicy::Never).unwrap();
+    let queries = [
+        "Q(y) :- S(3, y)",
+        "Q(x, y) :- R(x), S(x, y), T(y)",
+        "Q(x) :- R(x)",
+    ];
+    let mut refused = 0;
+    for i in 0..400u64 {
+        let k = i % 40;
+        let (view, cents) = match i % 4 {
+            0 => (format!("R.X={k}"), 60 + (i * 17) % 300),
+            1 => (format!("S.X={k}"), 100 + (i * 13) % 200),
+            2 => (format!("T.Y={k}"), 80 + (i * 7) % 150),
+            // Above the full cover of S.X: refused, logged all the same.
+            _ => (format!("S.Y={k}"), 9_000),
+        };
+        if dm.set_price(&view, Price::cents(cents)).is_err() {
+            refused += 1;
+        }
+        if i % 5 == 0 {
+            dm.purchase_str(queries[(i / 5) as usize % queries.len()])
+                .unwrap();
+        }
+    }
+    assert_eq!(refused, 100);
+    drop(dm);
+    // The same open over the genesis snapshot and an empty log is the
+    // fixed cost; the rest is the replay's.
+    let replay = reopen_allocs(&dir) - reopen_allocs(&genesis);
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&genesis).unwrap();
+    let records = 400 + 80;
+    assert_pinned(
+        "record replayed by a cold durable reopen",
+        replay as f64 / records as f64,
+        MAX_REOPEN_ALLOCS_PER_RECORD,
+    );
 }

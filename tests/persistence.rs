@@ -282,8 +282,8 @@ fn figure1_kill_and_recover_is_prefix_consistent() {
     // Record boundaries, to know which prefix each byte cut preserves.
     let mut boundaries = vec![0u64];
     {
-        let wal = Wal::open(dir.join(WAL_FILE), FsyncPolicy::Never).unwrap();
-        for r in wal.replay().unwrap() {
+        let (_, records) = Wal::open(dir.join(WAL_FILE), FsyncPolicy::Never).unwrap();
+        for r in records {
             boundaries.push(r.end);
         }
     }
@@ -515,7 +515,7 @@ fn overflowing_replay_is_refused() {
     // Forge two near-MAX purchases straight into the log (the live write
     // path pre-checks and would refuse the second).
     {
-        let mut wal = Wal::open(dir.join(WAL_FILE), FsyncPolicy::Always).unwrap();
+        let (mut wal, _) = Wal::open(dir.join(WAL_FILE), FsyncPolicy::Always).unwrap();
         for _ in 0..2 {
             wal.append(&MarketEvent::Purchase {
                 query: "Q(x) :- R(x)".into(),
@@ -541,7 +541,7 @@ fn live_overflow_is_refused_before_logging() {
     let dm = DurableMarket::create(&dir, FIG1_QDP, FsyncPolicy::Never).unwrap();
     drop(dm);
     {
-        let mut wal = Wal::open(dir.join(WAL_FILE), FsyncPolicy::Always).unwrap();
+        let (mut wal, _) = Wal::open(dir.join(WAL_FILE), FsyncPolicy::Always).unwrap();
         wal.append(&MarketEvent::Purchase {
             query: "Q(x) :- R(x)".into(),
             price_cents: Price::INFINITE.as_cents() - 1,
