@@ -82,16 +82,16 @@ fn e1() {
     let chain_q = ChainQuery::from_cq(q).expect("pricing succeeds");
     let pa = chain_q.partial_answers(&f.catalog, &f.instance);
     println!("partial answers (paper Figure 1b):");
-    let fmt_set = |s: &qbdp_catalog::FxHashSet<Value>| {
-        let mut v: Vec<String> = s.iter().map(|x| x.to_string()).collect();
+    let fmt_set = |s: &mut dyn Iterator<Item = &Value>| {
+        let mut v: Vec<String> = s.map(|x| x.to_string()).collect();
         v.sort();
         v.join(",")
     };
     for i in 0..=2 {
         println!(
             "  Lt_{i} = {{{}}}   Rt_{i} = {{{}}}",
-            fmt_set(pa.lt(i)),
-            fmt_set(pa.rt(i))
+            fmt_set(&mut pa.lt_values(i)),
+            fmt_set(&mut pa.rt_values(i))
         );
     }
     println!("  |Md[1:1]| = {} (= S(D))", pa.md(1, 1).len());

@@ -31,6 +31,18 @@
 //! price as capacity; an empty list is therefore the paper's literal
 //! construction, the oracle the hub construction is tested and measured
 //! against (experiment E12).
+//!
+//! ## Layout
+//!
+//! Nothing here hashes or clones a value per priced view or per skip
+//! edge. Each attribute is one block of nodes and view edges laid out by
+//! the dense index of its column values, so a view edge's id decodes to
+//! its view through the short block table, in edge order. The partial
+//! answers arrive as dense indices of the position columns `Col_{x_i}`;
+//! a position column that is a true intersection is translated into each
+//! neighbouring attribute's block once, by one merge of two sorted
+//! columns, and otherwise its indices are the block's. The one lookup per
+//! view is its price.
 
 use super::multi_attr::{PairPriceList, PairView};
 use crate::money::Price;
@@ -40,7 +52,6 @@ use qbdp_determinacy::selection::SelectionView;
 use qbdp_flow::{DinicArena, EdgeId, FlowGraph, Interrupted, MaxFlowResult, NodeId, Ticker, INF};
 use qbdp_query::chain::{ChainQuery, PartialAnswers};
 use std::cell::RefCell;
-use std::collections::hash_map::Entry;
 
 thread_local! {
     /// One Dinic arena per thread: batch-pricing workers (and the serial
@@ -64,9 +75,9 @@ pub struct ChainGraph {
     pub s: NodeId,
     /// Sink node.
     pub t: NodeId,
-    /// Forward edge id → the selection view it represents (finite-priced
-    /// views only; unpriced views become ∞ edges and are not listed).
-    pub view_edges: FxHashMap<EdgeId, SelectionView>,
+    /// One block per attribute, in node and edge order; a view edge's
+    /// block and value index decode its selection view.
+    blocks: Vec<AttrBlock>,
     /// Forward edge id → the priced pair view its tuple edge represents
     /// (§4; empty unless built with pair prices).
     pub pair_edges: FxHashMap<EdgeId, PairView>,
@@ -84,23 +95,77 @@ pub struct ChainCut {
     pub pair_views: Vec<PairView>,
 }
 
-/// One attribute block: node ids for `v_{attr=a}` / `w_{attr=a}` by the
-/// dense index of `a` in the attribute's column.
-struct AttrBlock<'a> {
-    col: &'a Column,
-    /// `v` node of value index `i` is `base + 2i`; `w` is `base + 2i + 1`.
+/// One attribute block: for the value of dense index `i` in the
+/// attribute's column, node `v_{attr=a}` is `base + 2i`, `w_{attr=a}` is
+/// `base + 2i + 1`, and the view edge `v → w` is `first + 2i`.
+struct AttrBlock {
+    attr: AttrRef,
+    col: Column,
     base: NodeId,
+    first: EdgeId,
 }
 
-impl AttrBlock<'_> {
-    fn v(&self, value: &Value) -> Option<NodeId> {
-        self.col.index_of(value).map(|i| self.base + 2 * i as usize)
+impl AttrBlock {
+    fn v(&self, i: u32) -> NodeId {
+        self.base + 2 * i as usize
     }
-    fn w(&self, value: &Value) -> Option<NodeId> {
-        self.col
-            .index_of(value)
-            .map(|i| self.base + 2 * i as usize + 1)
+    fn w(&self, i: u32) -> NodeId {
+        self.base + 2 * i as usize + 1
     }
+}
+
+/// For each `(pos, col)` — a position column of the chain and the column
+/// of an attribute beside it, which holds every value of `pos` — the
+/// dense index in `col` of each value of `pos`, or `None` when the two
+/// hold the same values (equal sizes) and the index carries over. Empty
+/// when every index carries over.
+fn embeddings<'a>(
+    sides: impl Iterator<Item = (&'a Column, &'a Column)> + Clone,
+) -> Vec<Option<Vec<u32>>> {
+    if sides.clone().all(|(pos, col)| pos.len() == col.len()) {
+        return Vec::new();
+    }
+    sides
+        .map(|(pos, col)| {
+            if pos.len() == col.len() {
+                return None;
+            }
+            let within = col.as_slice();
+            let mut at = 0;
+            let mut out = Vec::with_capacity(pos.len());
+            for v in pos.iter() {
+                while within[at] < *v {
+                    at += 1;
+                }
+                debug_assert!(
+                    within[at] == *v,
+                    "a position column lies within its attribute's"
+                );
+                out.push(at as u32);
+            }
+            Some(out)
+        })
+        .collect()
+}
+
+/// Map index `i` of the `p`-th position column through its
+/// [`embeddings`].
+fn embed(maps: &[Option<Vec<u32>>], p: usize, i: u32) -> u32 {
+    match maps.get(p) {
+        Some(Some(m)) => m[i as usize],
+        _ => i,
+    }
+}
+
+/// The number of skip edges of one member: one per entry of its `Lt`,
+/// `Rt` and `Md` tables.
+fn skip_edges(pa: &PartialAnswers) -> usize {
+    let k = pa.k();
+    let ends: usize = (0..=k).map(|i| pa.lt(i).len() + pa.rt(i).len()).sum();
+    let middles: usize = (1..=k)
+        .flat_map(|i| (i - 1..k).map(move |j| pa.md(i, j).len()))
+        .sum();
+    ends + middles
 }
 
 impl ChainGraph {
@@ -120,32 +185,47 @@ impl ChainGraph {
         let mut g = FlowGraph::new();
         let s = g.add_node();
         let t = g.add_node();
-        let mut view_edges: FxHashMap<EdgeId, SelectionView> = FxHashMap::default();
         let mut pair_edges: FxHashMap<EdgeId, PairView> = FxHashMap::default();
 
-        // One block per attribute, with its view edges. A unary atom's two
-        // sides are one attribute; relations never repeat within a chain,
-        // and bundle members share them only in a common prefix or suffix.
-        let mut blocks: FxHashMap<AttrRef, AttrBlock> = FxHashMap::default();
+        // One block per attribute. A unary atom's two sides are one
+        // attribute; relations never repeat within a chain, and bundle
+        // members share them only in a common prefix or suffix.
+        let mut blocks: Vec<AttrBlock> = Vec::new();
+        let mut views = 0;
         for (chain, _) in members {
             for i in 0..=chain.k() {
                 for attr in [chain.left_attr(i), chain.right_attr(i)] {
-                    let Entry::Vacant(slot) = blocks.entry(attr) else {
+                    if blocks.iter().any(|b| b.attr == attr) {
                         continue;
-                    };
-                    let col = catalog.column(attr);
-                    let base = g.add_nodes(2 * col.len());
-                    for (vi, value) in col.iter().enumerate() {
-                        let price = prices.get_at(attr, value);
-                        let e = g.add_edge(base + 2 * vi, base + 2 * vi + 1, price.as_capacity());
-                        if price.is_finite() {
-                            view_edges.insert(e, SelectionView::new(attr, value.clone()));
-                        }
                     }
-                    slot.insert(AttrBlock { col, base });
+                    let col = catalog.column(attr).clone();
+                    let (base, first) = (g.add_nodes(2 * col.len()), 2 * views);
+                    views += col.len();
+                    blocks.push(AttrBlock {
+                        attr,
+                        col,
+                        base,
+                        first,
+                    });
                 }
             }
         }
+        // The view and skip edges are counted up front; tuple edges grow
+        // the lists as they come.
+        let skips: usize = members.iter().map(|(_, pa)| skip_edges(pa)).sum();
+        g.reserve_edges(views + skips);
+
+        // View edges, block by block.
+        for b in &blocks {
+            let price_of = prices.prices_on(b.attr);
+            for (i, value) in (0..).zip(b.col.iter()) {
+                g.add_edge(b.v(i), b.w(i), price_of(value).as_capacity());
+            }
+        }
+        let block = |attr: AttrRef| match blocks.iter().find(|b| b.attr == attr) {
+            Some(block) => block,
+            None => unreachable!("every attribute of a member has a block"),
+        };
 
         // Tuple edges, once per binary relation.
         let mut tupled: FxHashSet<RelId> = FxHashSet::default();
@@ -154,23 +234,22 @@ impl ChainGraph {
                 if atom.unary || !tupled.insert(atom.rel) {
                     continue;
                 }
-                let lb = &blocks[&chain.left_attr(i)];
-                let rb = &blocks[&chain.right_attr(i)];
+                let lb = block(chain.left_attr(i));
+                let rb = block(chain.right_attr(i));
                 let Some(pairs) = pairs else {
                     let hub = g.add_node();
-                    for ai in 0..lb.col.len() {
-                        g.add_edge(lb.base + 2 * ai + 1, hub, INF);
+                    for ai in 0..lb.col.len() as u32 {
+                        g.add_edge(lb.w(ai), hub, INF);
                     }
-                    for bi in 0..rb.col.len() {
-                        g.add_edge(hub, rb.base + 2 * bi, INF);
+                    for bi in 0..rb.col.len() as u32 {
+                        g.add_edge(hub, rb.v(bi), INF);
                     }
                     continue;
                 };
                 for (ai, a) in lb.col.iter().enumerate() {
                     for (bi, b) in rb.col.iter().enumerate() {
                         let price = pairs.get(atom.rel, a, b);
-                        let e =
-                            g.add_edge(lb.base + 2 * ai + 1, rb.base + 2 * bi, price.as_capacity());
+                        let e = g.add_edge(lb.w(ai as u32), rb.v(bi as u32), price.as_capacity());
                         if price.is_finite() {
                             let (rel, left, right) = (atom.rel, a.clone(), b.clone());
                             pair_edges.insert(e, PairView { rel, left, right });
@@ -181,33 +260,39 @@ impl ChainGraph {
         }
 
         // Skip edges, per member (a bundle's shared prefix or suffix adds
-        // parallel ∞ edges, which cannot affect the cut).
+        // parallel ∞ edges, which cannot affect the cut). The partial
+        // answers index the position columns `Col_{x_p}`; each is
+        // embedded once into the blocks of the attributes on its two
+        // sides.
         for (chain, pa) in members {
             let k = chain.k();
-            let left = |i: usize| &blocks[&chain.left_attr(i)];
-            let right = |i: usize| &blocks[&chain.right_attr(i)];
+            let left = |p: usize| block(chain.left_attr(p));
+            let right = |p: usize| block(chain.right_attr(p - 1));
+            // `into_left[p]`: Col_{x_p} into R_p.X's block, 0 ≤ p ≤ k;
+            // `into_right[p - 1]`: into R_{p-1}.Y's block, 1 ≤ p ≤ k+1.
+            let into_left = embeddings((0..=k).map(|p| (pa.col(p), &left(p).col)));
+            let into_right = embeddings((1..=k + 1).map(|p| (pa.col(p), &right(p).col)));
             // s → v_{R_i.X=a} for a ∈ Lt_i.
             for i in 0..=k {
                 let to = left(i);
-                for v in pa.lt(i).iter().filter_map(|a| to.v(a)) {
-                    g.add_edge(s, v, INF);
+                for a in pa.lt(i).iter() {
+                    g.add_edge(s, to.v(embed(&into_left, i, a)), INF);
                 }
             }
             // w_{R_j.Y=b} → t for b ∈ Rt_j.
             for j in 0..=k {
-                let from = right(j);
-                for w in pa.rt(j).iter().filter_map(|b| from.w(b)) {
-                    g.add_edge(w, t, INF);
+                let from = right(j + 1);
+                for b in pa.rt(j).iter() {
+                    g.add_edge(from.w(embed(&into_right, j, b)), t, INF);
                 }
             }
             // w_{R_{i-1}.Y=b} → v_{R_{j+1}.X=a} for (b, a) ∈ Md[i:j].
             for i in 1..=k {
                 for j in (i - 1)..k {
-                    let (from, to) = (right(i - 1), left(j + 1));
+                    let (from, to) = (right(i), left(j + 1));
                     for (b, a) in pa.md(i, j) {
-                        if let (Some(w), Some(v)) = (from.w(b), to.v(a)) {
-                            g.add_edge(w, v, INF);
-                        }
+                        let w = from.w(embed(&into_right, i - 1, b));
+                        g.add_edge(w, to.v(embed(&into_left, j + 1, a)), INF);
                     }
                 }
             }
@@ -217,7 +302,7 @@ impl ChainGraph {
             graph: g,
             s,
             t,
-            view_edges,
+            blocks,
             pair_edges,
         }
     }
@@ -227,6 +312,29 @@ impl ChainGraph {
     /// price.
     pub fn solve(&self, ticker: &impl Ticker) -> Result<MaxFlowResult, Interrupted> {
         with_dinic_arena(|a| a.max_flow(&self.graph, self.s, self.t, ticker))
+    }
+
+    /// The block and value index of view edge `e`, if `e` is one.
+    fn view_at(&self, e: EdgeId) -> Option<(&AttrBlock, u32)> {
+        let at = self
+            .blocks
+            .partition_point(|b| b.first <= e)
+            .checked_sub(1)?;
+        let block = &self.blocks[at];
+        let i = (e - block.first) / 2;
+        (i < block.col.len()).then_some((block, i as u32))
+    }
+
+    /// The view edges of finite capacity, in edge order, each with the
+    /// attribute and value of the selection view it stands for.
+    pub(crate) fn priced_views(&self) -> impl Iterator<Item = (EdgeId, AttrRef, &Value)> {
+        self.blocks.iter().flat_map(move |b| {
+            b.col
+                .iter()
+                .enumerate()
+                .map(move |(i, value)| (b.first + 2 * i, b.attr, value))
+                .filter(|&(e, _, _)| self.graph.edge(e).2 < INF)
+        })
     }
 
     /// Map the canonical min cut of `flow`, a maximum flow of this network,
@@ -241,8 +349,9 @@ impl ChainGraph {
         };
         if cut.price.is_finite() {
             for e in flow.min_cut_edges(&self.graph, self.s) {
-                if let Some(view) = self.view_edges.get(&e) {
-                    cut.views.push(view.clone());
+                if let Some((block, i)) = self.view_at(e) {
+                    let value = block.col.value_at(i).clone();
+                    cut.views.push(SelectionView::new(block.attr, value));
                 } else if let Some(pair) = self.pair_edges.get(&e) {
                     cut.pair_views.push(pair.clone());
                 } else {
@@ -346,8 +455,8 @@ mod tests {
         // Literal has 4·3 = 12 tuple edges; hub has 4 + 3 = 7.
         assert_eq!(literal.graph.num_edges() - hub.graph.num_edges(), 12 - 7);
         // View edges: 14 priced views (4 + 4 + 3 + 3).
-        assert_eq!(literal.view_edges.len(), 14);
-        assert_eq!(hub.view_edges.len(), 14);
+        assert_eq!(literal.priced_views().count(), 14);
+        assert_eq!(hub.priced_views().count(), 14);
         // No pair is priced, so no tuple edge is finite.
         assert!(literal.pair_edges.is_empty());
     }

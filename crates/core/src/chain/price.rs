@@ -72,8 +72,12 @@ pub(crate) fn solve_chain(
             lower_bound: Price::ZERO,
         });
     }
+    let span = qbdp_obs::trace::span("partial_answers");
     let pa = chain.partial_answers(&problem.catalog, &problem.instance);
+    drop(span);
+    let span = qbdp_obs::trace::span("flow_build");
     let network = ChainGraph::build(&problem.catalog, &problem.prices, &[(chain, pa)], None);
+    drop(span);
     Ok(match network.solve(budget) {
         Ok(flow) => Metered::Done((network, flow)),
         // Flow never exceeds the min cut, so the partial value is a sound

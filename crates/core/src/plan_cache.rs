@@ -263,9 +263,12 @@ fn edge_of_original(
 ) -> FxHashMap<SelectionView, EdgeId> {
     let network = &branch.network;
     let mut out: FxHashMap<SelectionView, EdgeId> = FxHashMap::default();
+    let mut originals = Vec::new();
     // audit: bounded(one pass over the view edges of one built network)
-    for (&e, view) in &network.view_edges {
-        match branch.provenance.resolve(view).as_slice() {
+    for (e, attr, value) in network.priced_views() {
+        originals.clear();
+        branch.provenance.resolve_into(attr, value, &mut originals);
+        match originals.as_slice() {
             // Empty: a Step 3 freebie — capacity is pinned at zero
             // regardless of the original prices, so changes to them are
             // no-ops for this branch.

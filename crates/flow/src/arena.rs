@@ -88,6 +88,7 @@ impl DinicArena {
     ) -> Result<(), ()> {
         let n = g.num_nodes();
         let phase_cost = (n + g.num_edges()) as u64;
+        let adj = g.adjacency();
         self.level.clear();
         self.level.resize(n, u32::MAX);
         self.it.clear();
@@ -113,7 +114,7 @@ impl DinicArena {
                 let v = self.queue[head];
                 head += 1;
                 // audit: bounded(adjacency scan within the pre-charged BFS pass)
-                for &e in &g.adj[v] {
+                for &e in adj.of(v) {
                     let e = e as usize;
                     let w = g.to[e] as usize;
                     if residual[e] > 0 && self.level[w] == u32::MAX {
@@ -166,8 +167,9 @@ fn dfs(
         return limit;
     }
     // audit: bounded(edge iterators advance monotonically, amortized into the phase tick)
-    while it[v] < g.adj[v].len() {
-        let e = g.adj[v][it[v]] as usize;
+    let out = g.adjacency().of(v);
+    while it[v] < out.len() {
+        let e = out[it[v]] as usize;
         let w = g.to[e] as usize;
         if residual[e] > 0 && level[w] == level[v] + 1 {
             let pushed = dfs(g, residual, level, it, w, t, limit.min(residual[e]));

@@ -1,5 +1,7 @@
 //! The flow network representation the solver runs on.
 
+use std::sync::OnceLock;
+
 /// Node handle (dense index).
 pub type NodeId = usize;
 
@@ -19,14 +21,63 @@ pub const INF: u64 = u64::MAX / 16;
 /// [`crate::DinicArena`]; solving does not mutate the graph (the solver owns its residual state in
 /// a [`MaxFlowResult`]), so one graph can be solved repeatedly, e.g. with
 /// different source/sink choices.
+///
+/// Edges are kept in one flat list; the solvers read each node's incident
+/// edges from an adjacency index built from that list on first use and
+/// dropped by the next structural change. Building a network therefore
+/// allocates per edge list, not per node.
 #[derive(Clone, Debug, Default)]
 pub struct FlowGraph {
     /// `to[e]` — head of edge `e` (twin edges adjacent: `e ^ 1` reverses).
     pub(crate) to: Vec<u32>,
     /// `cap[e]` — capacity of edge `e` (twin starts at 0).
     pub(crate) cap: Vec<u64>,
-    /// `adj[v]` — incident edge ids (both directions).
-    pub(crate) adj: Vec<Vec<u32>>,
+    /// Number of nodes.
+    nodes: usize,
+    /// The incident edges of every node, built on first use.
+    adj: OnceLock<Adjacency>,
+}
+
+/// The incident edge ids of every node (both directions), grouped by node
+/// and in edge order within a node, in one buffer: `slots[v]` for
+/// `v ≤ n` are offsets, node `v`'s edges are `slots[slots[v]..slots[v + 1]]`.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Adjacency {
+    slots: Vec<u32>,
+}
+
+impl Adjacency {
+    /// Index the edge slots of `to` by their tail: slot `x` leaves
+    /// `to[x ^ 1]`.
+    fn build(nodes: usize, to: &[u32]) -> Adjacency {
+        let head = nodes + 1;
+        let mut slots = vec![0u32; head + to.len()];
+        // audit: bounded(one pass over the edge slots, once per built network)
+        for x in 0..to.len() {
+            slots[to[x ^ 1] as usize] += 1;
+        }
+        // Running ends, then a backwards fill that leaves each offset at
+        // its node's first edge.
+        slots[0] += head as u32;
+        // audit: bounded(one pass over the nodes, once per built network)
+        for v in 1..=nodes {
+            slots[v] += slots[v - 1];
+        }
+        // audit: bounded(one pass over the edge slots, once per built network)
+        for x in (0..to.len()).rev() {
+            let v = to[x ^ 1] as usize;
+            slots[v] -= 1;
+            let at = slots[v] as usize;
+            slots[at] = x as u32;
+        }
+        Adjacency { slots }
+    }
+
+    /// The incident edge ids of node `v`.
+    #[inline]
+    pub(crate) fn of(&self, v: NodeId) -> &[u32] {
+        &self.slots[self.slots[v] as usize..self.slots[v + 1] as usize]
+    }
 }
 
 impl FlowGraph {
@@ -38,51 +89,57 @@ impl FlowGraph {
     /// An empty network with `n` pre-allocated nodes.
     pub fn with_nodes(n: usize) -> Self {
         FlowGraph {
-            to: Vec::new(),
-            cap: Vec::new(),
-            adj: vec![Vec::new(); n],
+            nodes: n,
+            ..FlowGraph::default()
         }
     }
 
     /// Add a node; returns its id.
     pub fn add_node(&mut self) -> NodeId {
-        self.adj.push(Vec::new());
-        self.adj.len() - 1
+        self.add_nodes(1)
     }
 
     /// Add `n` nodes; returns the id of the first.
     pub fn add_nodes(&mut self, n: usize) -> NodeId {
-        let first = self.adj.len();
-        self.adj.resize(self.adj.len() + n, Vec::new());
-        first
+        self.adj.take();
+        self.nodes += n;
+        self.nodes - n
     }
 
     /// Add a directed edge `from → to` with the given capacity; returns the
     /// edge id usable with [`MaxFlowResult::min_cut_edges`] and
     /// [`FlowGraph::edge`].
     pub fn add_edge(&mut self, from: NodeId, to: NodeId, capacity: u64) -> EdgeId {
-        assert!(
-            from < self.adj.len() && to < self.adj.len(),
-            "node out of range"
-        );
+        assert!(from < self.nodes && to < self.nodes, "node out of range");
+        self.adj.take();
         let e = self.to.len();
         self.to.push(to as u32);
         self.cap.push(capacity);
         self.to.push(from as u32);
         self.cap.push(0);
-        self.adj[from].push(e as u32);
-        self.adj[to].push((e + 1) as u32);
         e
+    }
+
+    /// Reserve room for `additional` more edges.
+    pub fn reserve_edges(&mut self, additional: usize) {
+        self.to.reserve(2 * additional);
+        self.cap.reserve(2 * additional);
     }
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.adj.len()
+        self.nodes
     }
 
     /// Number of (forward) edges.
     pub fn num_edges(&self) -> usize {
         self.to.len() / 2
+    }
+
+    /// The incident edges of every node.
+    pub(crate) fn adjacency(&self) -> &Adjacency {
+        self.adj
+            .get_or_init(|| Adjacency::build(self.nodes, &self.to))
     }
 
     /// Endpoints and capacity of a forward edge: `(from, to, capacity)`.
@@ -132,13 +189,14 @@ impl MaxFlowResult {
     /// same (it is the minimal source side), which is what makes
     /// warm-started and cold-started solves agree edge-for-edge on the cut.
     pub fn min_cut_edges(&self, g: &FlowGraph, s: NodeId) -> Vec<EdgeId> {
+        let adj = g.adjacency();
         let mut side = vec![false; g.num_nodes()];
         let mut stack = vec![s];
         side[s] = true;
         // audit: bounded(residual DFS visits each node once; cut extraction runs once per priced flow)
         while let Some(v) = stack.pop() {
             // audit: bounded(adjacency scan within the single residual DFS)
-            for &e in &g.adj[v] {
+            for &e in adj.of(v) {
                 let e = e as usize;
                 let w = g.to[e] as usize;
                 if self.residual[e] > 0 && !side[w] {

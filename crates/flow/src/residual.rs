@@ -194,6 +194,7 @@ fn push_paths(
     let n = g.num_nodes();
     let phase_cost = (n + g.num_edges()) as u64;
     // `parent[w]` = edge id that entered `w` (u32::MAX = unvisited).
+    let adj = g.adjacency();
     let mut parent: Vec<u32> = vec![u32::MAX; n];
     let mut stack: Vec<usize> = Vec::with_capacity(n);
     let mut total = 0u64;
@@ -209,7 +210,7 @@ fn push_paths(
         // audit: bounded(DFS visits each node once, pre-charged by tick(phase_cost) above)
         'dfs: while let Some(v) = stack.pop() {
             // audit: bounded(adjacency scan within the pre-charged DFS pass)
-            for &e in &g.adj[v] {
+            for &e in adj.of(v) {
                 let e = e as usize;
                 if residual[e] == 0 {
                     continue;

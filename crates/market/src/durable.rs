@@ -654,7 +654,7 @@ fn apply_event(
                 clippy::let_underscore_must_use,
                 reason = "a logged refusal mutated nothing live; replay skips it the same way"
             )]
-            let _ = market.set_price_at(token, view, Price::cents(*cents));
+            let _ = market.revise_at(token, view, Price::cents(*cents), |_, _| ());
         }
         MarketEvent::InsertTuple { relation, values } => {
             let parsed: Option<Vec<Value>> =

@@ -44,6 +44,7 @@ use crate::lock::{self, LockBefore, Locked, MayPrice, OrderedMutex, OrderedRwLoc
 use crate::receipt::Receipt;
 use qbdp_catalog::{AttrRef, Catalog, Instance, QdpFile, RelId, Tuple};
 use qbdp_core::batch::{default_workers, fan_out, panic_message};
+use qbdp_core::consistency::ListArbitrage;
 use qbdp_core::dichotomy::QueryClass;
 use qbdp_core::price_points::PriceList;
 use qbdp_core::{
@@ -889,6 +890,22 @@ impl Market {
         view: &str,
         price: Price,
     ) -> Result<(), MarketError> {
+        self.revise_at(token, view, price, |catalog, v| v.display(catalog))?
+            .map_err(MarketError::InconsistentPrices)
+    }
+
+    /// [`Market::set_price_at`] with the Proposition 3.2 refusal handed
+    /// to `refused`, with the catalog, while the state is still held:
+    /// the outer error is a malformed selector, the inner one the
+    /// refusal as `refused` made it. Replay only needs to know that a
+    /// revision was refused, so it renders nothing.
+    pub(crate) fn revise_at<R>(
+        &self,
+        token: &mut Locked<'_, impl LockBefore<lock::State, Next: LockBefore<lock::Shard>>>,
+        view: &str,
+        price: Price,
+        refused: impl FnOnce(&Catalog, ListArbitrage) -> R,
+    ) -> Result<Result<(), R>, MarketError> {
         let (mut state, mut at_state) = self.state.write(token);
         // `view` syntax: `R.X=a`.
         let (attr, value) = view.split_once('=').ok_or_else(|| {
@@ -908,16 +925,16 @@ impl Market {
         }
         // Re-check Prop 3.2 on the revised relation only; a rejected
         // revision leaves the list untouched.
-        state
-            .revise_price(SelectionView::new(aref, value), price)
-            .map_err(|v| MarketError::InconsistentPrices(v.display(state.catalog())))?;
+        if let Err(v) = state.revise_price(SelectionView::new(aref, value), price) {
+            return Ok(Err(refused(state.catalog(), v)));
+        }
         // Only quotes whose footprint contains the revised column can
         // change; everything disjoint stays cached. The plan cache needs
         // no eviction here — it diffs its stored price vector against
         // the live one on every lookup and warm-starts (or rebuilds)
         // itself when they differ.
         self.cache.invalidate_columns(&mut at_state, &[aref]);
-        Ok(())
+        Ok(Ok(()))
     }
 
     /// Serialize the market's current state (catalog, data, prices) back to
