@@ -32,10 +32,11 @@ pub struct PairView {
 }
 
 /// Prices for pair views; unpriced pairs are not for sale (∞ tuple edges,
-/// exactly the plain construction).
+/// exactly the plain construction). Keyed by relation, then left value,
+/// then right value, so a lookup borrows both values.
 #[derive(Clone, Debug, Default)]
 pub struct PairPriceList {
-    prices: FxHashMap<(RelId, Value, Value), Price>,
+    prices: FxHashMap<RelId, FxHashMap<Value, FxHashMap<Value, Price>>>,
 }
 
 impl PairPriceList {
@@ -46,21 +47,35 @@ impl PairPriceList {
 
     /// Price a pair view.
     pub fn set(&mut self, rel: RelId, left: Value, right: Value, price: Price) -> &mut Self {
-        self.prices.insert((rel, left, right), price);
+        self.prices
+            .entry(rel)
+            .or_default()
+            .entry(left)
+            .or_default()
+            .insert(right, price);
         self
     }
 
     /// The price of a pair view (∞ when unpriced).
     pub fn get(&self, rel: RelId, left: &Value, right: &Value) -> Price {
+        if self.prices.is_empty() {
+            return Price::INFINITE;
+        }
         self.prices
-            .get(&(rel, left.clone(), right.clone()))
+            .get(&rel)
+            .and_then(|lefts| lefts.get(left))
+            .and_then(|rights| rights.get(right))
             .copied()
             .unwrap_or(Price::INFINITE)
     }
 
     /// Number of priced pairs.
     pub fn len(&self) -> usize {
-        self.prices.len()
+        self.prices
+            .values()
+            .flat_map(|lefts| lefts.values())
+            .map(|rights| rights.len())
+            .sum()
     }
 
     /// Whether no pair is priced.

@@ -1,7 +1,10 @@
 //! Generalized chain queries (Definition 3.6): atom reordering and the
 //! one pipeline that prices them (Theorem 3.7). Cold pricing runs it under
-//! the caller's budget; a [`crate::plan_cache`] build runs it under an
-//! unlimited budget and keeps each branch's network and flow, which warm
+//! the caller's budget as a branch and bound: the Step 3 branches are
+//! solved cheapest cover first, and a branch whose cover cost alone
+//! cannot beat the best finished total is skipped before Step 4. A
+//! [`crate::plan_cache`] build runs it under an unlimited budget, solves
+//! every branch and keeps each one's network and flow, which warm
 //! reprices patch and hand to the same branch-minimum rule.
 
 use crate::budget::{Budget, Metered, QuoteQuality};
@@ -110,11 +113,13 @@ impl Purchase {
 /// Theorem 3.7's last step: the minimum over the Step 3 branches of cover
 /// cost plus cut price. `W` is what the caller keeps of the cheapest
 /// branch, to map to original views once every branch has been offered.
+/// The winner is the earliest branch, by Step 3 index, with the minimum
+/// total, whatever order the branches are offered in.
 pub(crate) struct BranchMinimum<W> {
     /// The cheapest branch total so far (`INFINITE` before any finite one).
     pub(crate) price: Price,
-    /// That branch, as the caller keeps it.
-    pub(crate) winner: Option<W>,
+    /// That branch's Step 3 index, and the branch as the caller keeps it.
+    winner: Option<(usize, W)>,
 }
 
 impl<W> Default for BranchMinimum<W> {
@@ -127,19 +132,36 @@ impl<W> Default for BranchMinimum<W> {
 }
 
 impl<W> BranchMinimum<W> {
-    /// Offer a solved branch whose covers cost `base_cost`; returns its
-    /// total. It replaces the best so far only when strictly cheaper (ties
-    /// go to the earlier branch), and only then is `winner` called.
+    /// Whether branch `index` with total `total` would replace the best so
+    /// far: it is strictly cheaper, or as cheap and earlier in Step 3
+    /// order. Only a finite total can win.
+    fn beats(&self, index: usize, total: Price) -> bool {
+        total < self.price
+            || (total == self.price && self.winner.as_ref().is_some_and(|(best, _)| index < *best))
+    }
+
+    /// Whether branch `index` cannot win, whatever its cut costs: a
+    /// branch has already finished, and `base_cost` — a lower bound on
+    /// the branch's total — does not beat it.
+    pub(crate) fn prunes(&self, index: usize, base_cost: Price) -> bool {
+        self.winner.is_some() && !self.beats(index, base_cost)
+    }
+
+    /// Offer solved branch `index` (its Step 3 position), whose covers
+    /// cost `base_cost`; returns its total. It replaces the best so far
+    /// only when it beats it (see [`BranchMinimum::prunes`]), and only
+    /// then is `winner` called.
     pub(crate) fn offer(
         &mut self,
+        index: usize,
         base_cost: Price,
         flow: &MaxFlowResult,
         winner: impl FnOnce() -> W,
     ) -> Price {
         let total = base_cost.saturating_add(Price::from_cut_value(flow.value));
-        if total < self.price {
+        if self.beats(index, total) {
             self.price = total;
-            self.winner = Some(winner());
+            self.winner = Some((index, winner()));
         }
         total
     }
@@ -153,7 +175,7 @@ impl<W> BranchMinimum<W> {
         views: impl FnOnce(W) -> Vec<SelectionView>,
     ) -> Quote {
         let price = self.price;
-        let mut views = self.winner.map(views).unwrap_or_default();
+        let mut views = self.winner.map(|(_, w)| views(w)).unwrap_or_default();
         views.sort();
         views.dedup();
         Quote {
@@ -170,7 +192,9 @@ impl<W> BranchMinimum<W> {
 impl BranchMinimum<Purchase> {
     /// The cheapest branch's purchase as original views.
     pub(crate) fn views(self) -> Vec<SelectionView> {
-        self.winner.map(Purchase::views).unwrap_or_default()
+        self.winner
+            .map(|(_, purchase)| purchase.views())
+            .unwrap_or_default()
     }
 }
 
@@ -181,10 +205,11 @@ pub(crate) struct Branches {
     /// Whether Step 3 produced every branch (always, under an unlimited
     /// budget).
     pub(crate) complete: bool,
-    /// Whether every produced branch's flow finished.
+    /// Whether every produced branch's flow finished or was pruned.
     pub(crate) finished: bool,
     /// The minimum over produced branches of their totals, or of lower
-    /// bounds on them where the budget interrupted a flow.
+    /// bounds on them where the budget interrupted a flow. A pruned
+    /// branch's total is at least the minimum's, so it cannot lower it.
     pub(crate) floor: Price,
     /// The finished branches, in Step 3 order, when the caller keeps them.
     pub(crate) kept: Vec<SolvedBranch>,
@@ -193,9 +218,19 @@ pub(crate) struct Branches {
 /// Price a non-boolean GChQ by Theorem 3.7 under `budget`: reorder, run
 /// Steps 1–3, solve one Min-Cut per Step 3 branch, and take the minimum
 /// over branches. Only the cheapest branch's covers and cut are mapped to
-/// original views. With `keep` every finished branch comes back with its
-/// network, its flow and its cover views resolved; otherwise each flow
+/// original views.
+///
+/// Without `keep` the branches are a branch and bound: they are solved in
+/// ascending `(base_cost, Step 3 index)` order, and a branch that
+/// [`BranchMinimum::prunes`] — its cover cost alone does not beat the
+/// best finished total — is skipped before Step 4 builds its network. A
+/// cut costs at least zero, so a pruned branch could not have won; it
+/// spends no fuel, and an exhausted branch prunes nothing. Each flow
 /// returns to this thread's Dinic arena as soon as its branch is offered.
+///
+/// With `keep` every branch is solved, in Step 3 order, and comes back
+/// with its network, its flow and its cover views resolved: a warm
+/// reprice changes prices, so a branch that lost today may win then.
 pub(crate) fn price_branches(
     pricer: &Pricer,
     q: &ConjunctiveQuery,
@@ -231,7 +266,15 @@ pub(crate) fn price_branches(
         floor: Price::INFINITE,
         kept: Vec::new(),
     };
-    for branch in branches {
+    let mut branches: Vec<(usize, ReducedBranch)> = branches.into_iter().enumerate().collect();
+    if !keep {
+        // Stable: equal cover costs stay in Step 3 order.
+        branches.sort_by_key(|(_, branch)| branch.base_cost);
+    }
+    for (index, branch) in branches {
+        if !keep && run.minimum.prunes(index, branch.base_cost) {
+            continue;
+        }
         let mut span = qbdp_obs::trace::span("flow_solve");
         let fuel_before = budget.consumed_fuel();
         let metered = solve_chain(&branch.problem, budget)?;
@@ -252,7 +295,7 @@ pub(crate) fn price_branches(
             covers,
         } = branch;
         if !keep {
-            let total = run.minimum.offer(base_cost, &flow, || Purchase {
+            let total = run.minimum.offer(index, base_cost, &flow, || Purchase {
                 cut: network.cut(&flow).views,
                 covers,
                 provenance: problem.provenance,
@@ -274,11 +317,13 @@ pub(crate) fn price_branches(
                 .saturating_add(pricer.prices().get(v))),
             "cover views must re-sum to the branch base cost"
         );
-        let total = run.minimum.offer(base_cost, &solved.flow, || Purchase {
-            cut: solved.network.cut(&solved.flow).views,
-            covers,
-            provenance: solved.provenance.clone(),
-        });
+        let total = run
+            .minimum
+            .offer(index, base_cost, &solved.flow, || Purchase {
+                cut: solved.network.cut(&solved.flow).views,
+                covers,
+                provenance: solved.provenance.clone(),
+            });
         run.floor = run.floor.min(total);
         run.kept.push(solved);
     }
@@ -339,6 +384,65 @@ mod tests {
         assert_eq!(kept.minimum.price, Price::dollars(3));
         assert_eq!(sorted(cold.minimum.views()), earlier);
         assert_eq!(sorted(kept.minimum.views()), earlier);
+    }
+
+    /// `Q(x, y) :- R(x, y)` over `{0, 1, 2}` with `R.X` views at `x`
+    /// dollars each and `R.Y` views at `y`: Step 3's branch 0 covers `R.X`
+    /// (cover cost `3x`, cut 0), branch 1 skips it (cover cost 0, cut
+    /// `3y`). The cold path solves branch 1 first, as its cover is the
+    /// cheaper; branch 0 is solved only when its cover cost could still
+    /// win, and at a tie it does, as the earlier branch.
+    #[test]
+    fn cold_branch_and_bound_matches_the_kept_minimum() {
+        let col = Column::int_range(0, 3);
+        let cat = CatalogBuilder::new()
+            .uniform_relation("R", &["X", "Y"], &col)
+            .build()
+            .unwrap();
+        let r = cat.schema().rel_id("R").unwrap();
+        let mut d = cat.empty_instance();
+        d.insert_all(r, [tuple![0, 1], tuple![1, 2], tuple![2, 0]])
+            .unwrap();
+        let q = parse_rule(cat.schema(), "Q(x, y) :- R(x, y)").unwrap();
+        let covers_x: Vec<SelectionView> = (0..3)
+            .map(|v| SelectionView::new(AttrRef::new(r, 0), v as i64))
+            .collect();
+        let all_y: Vec<SelectionView> = (0..3)
+            .map(|v| SelectionView::new(AttrRef::new(r, 1), v as i64))
+            .collect();
+        let sorted = |mut views: Vec<SelectionView>| {
+            views.sort();
+            views
+        };
+        // (R.X price, R.Y price, cold flow solves, winning views)
+        let cases = [
+            (1, 1, 2, &covers_x),
+            (1, 2, 2, &covers_x),
+            (2, 1, 1, &all_y),
+        ];
+        for (x, y, solves, winner) in cases {
+            let mut prices = PriceList::uniform(&cat, Price::dollars(y));
+            for view in &covers_x {
+                prices.set(view.clone(), Price::dollars(x));
+            }
+            let pricer = Pricer::new(cat.clone(), d.clone(), prices).unwrap();
+            let unlimited = Budget::unlimited();
+
+            let kept = price_branches(&pricer, &q, &unlimited, true).unwrap();
+            assert_eq!(kept.kept.len(), 2, "keep solves every branch");
+            qbdp_obs::trace::begin();
+            let cold = price_branches(&pricer, &q, &unlimited, false).unwrap();
+            let spans = qbdp_obs::trace::finish();
+            let flows = spans.iter().filter(|s| s.name == "flow_solve").count();
+            assert_eq!(flows, solves, "flow solves at x = {x}, y = {y}");
+            assert!(cold.complete && cold.finished);
+            assert_eq!(cold.floor, cold.minimum.price);
+            let price = Price::dollars(3 * x.min(y));
+            assert_eq!(cold.minimum.price, price);
+            assert_eq!(kept.minimum.price, price);
+            assert_eq!(sorted(kept.minimum.views()), *winner);
+            assert_eq!(sorted(cold.minimum.views()), *winner);
+        }
     }
 
     #[test]

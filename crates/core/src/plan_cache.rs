@@ -4,7 +4,9 @@
 //! ## What is cached
 //!
 //! Pricing a generalized chain query runs one pipeline: reorder, Steps 1–3,
-//! one min-cut per Step 3 branch, then the minimum over branches. Every
+//! one min-cut per Step 3 branch, then the minimum over branches (cold
+//! pricing skips the branches whose cover cost alone cannot win; a plan
+//! solves every branch, since new prices may change the winner). Every
 //! piece of that work except the final flow values is
 //! **price-point-independent up to edge capacities**: the reduced branch
 //! problems, the Step 4 networks, and the edge ↔ view correspondence
@@ -456,7 +458,7 @@ impl PlanEntry {
                 .base_views
                 .iter()
                 .fold(Price::ZERO, |acc, v| acc.saturating_add(prices.get(v)));
-            minimum.offer(base_cost, &branch.flow, || i);
+            minimum.offer(i, base_cost, &branch.flow, || i);
         }
         let quote = minimum.quote(self.quote.class.clone(), |i| self.branches[i].0.views());
         self.prices = prices.clone();

@@ -27,7 +27,7 @@
 //! lock carries a level from [`lock`], so taking locks out of order, or
 //! pricing while the WAL, plan or a cache shard is held, fails to
 //! compile on every path that passes its caller's lock token. The `concurrent` test module hammers a market from multiple
-//! threads (crossbeam) to validate the locking.
+//! scoped `std` threads to validate the locking.
 //!
 //! Resource governance: a [`market::MarketPolicy`] bounds each pricing
 //! call with a fuel budget and/or wall-clock deadline, caps concurrent

@@ -6,13 +6,13 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use crossbeam::thread;
 use proptest::prelude::*;
 use qbdp_catalog::{tuple, Tuple, Value};
 use qbdp_core::{Price, Pricer};
 use qbdp_market::{Market, MarketPolicy, MarketQuote};
 use qbdp_workload::scenarios::business::{generate, BusinessConfig, BusinessMarket};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::thread;
 
 const QDP: &str = r#"
 schema R(X)
@@ -62,7 +62,7 @@ fn concurrent_quotes_and_inserts() {
 
     thread::scope(|scope| {
         // Seller: insert a trickle of data.
-        scope.spawn(|_| {
+        scope.spawn(|| {
             for i in 0..6i64 {
                 market.insert("R", [Tuple::new([Value::Int(i)])]).unwrap();
                 market
@@ -77,7 +77,7 @@ fn concurrent_quotes_and_inserts() {
         // Buyers: quote in a loop; each thread's observed prices must be
         // non-decreasing (full CQ + selection views, Prop 2.22).
         for t in 0..4 {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 let mut last = Price::ZERO;
                 for _ in 0..25 {
                     let quote = market.quote_str(query).unwrap();
@@ -92,8 +92,7 @@ fn concurrent_quotes_and_inserts() {
             });
             let _ = t;
         }
-    })
-    .unwrap();
+    });
 
     let global_after = market.quote_str(query).unwrap().price;
     assert!(global_after >= global_before);
@@ -117,14 +116,14 @@ fn quote_cache_never_serves_stale_prices() {
     thread::scope(|scope| {
         // Quoters hammer the cache-fill path…
         for _ in 0..4 {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 for _ in 0..50 {
                     let _ = market.quote_str(query).unwrap();
                 }
             });
         }
         // …while the seller races cache clears against their inserts.
-        scope.spawn(|_| {
+        scope.spawn(|| {
             for i in 0..6i64 {
                 market.insert("R", [Tuple::new([Value::Int(i)])]).unwrap();
                 market.insert("S", [tuple![i, (i + 3) % 6]]).unwrap();
@@ -133,8 +132,7 @@ fn quote_cache_never_serves_stale_prices() {
                     .unwrap();
             }
         });
-    })
-    .unwrap();
+    });
 
     // Cached path vs uncached path must agree now that updates stopped.
     let cached = market.quote_str(query).unwrap().price;
@@ -177,7 +175,7 @@ fn eight_thread_batch_purchase_insert_mix() {
         // 2 sellers: disjoint value ranges so inserts never conflict.
         for w in 0..2i64 {
             let market = &market;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for i in 0..3i64 {
                     let v = w * 3 + i;
                     market.insert("R", [Tuple::new([Value::Int(v)])]).unwrap();
@@ -192,7 +190,7 @@ fn eight_thread_batch_purchase_insert_mix() {
         // 0) must be monotone within each thread.
         for _ in 0..4 {
             let market = &market;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut last_join = Price::ZERO;
                 for _ in 0..20 {
                     let out = market.quote_batch(&MIX_QUERIES);
@@ -212,15 +210,14 @@ fn eight_thread_batch_purchase_insert_mix() {
         // 2 purchasers: exercise the write-lock path concurrently.
         for _ in 0..2 {
             let market = &market;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for _ in 0..10 {
                     let p = market.purchase_str("Q(x) :- R(x)").unwrap();
                     assert!(p.quote.price.is_finite());
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     // Writers are done: anything the cache now serves must equal the
     // uncached price computed from the final data.
@@ -301,7 +298,7 @@ fn price_update_storm(writers: usize) {
     thread::scope(|scope| {
         for w in 0..writers {
             let market = &market;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for round in 0..15u64 {
                     // Single-attribute relations: always consistent.
                     let v = (w as u64 + round) % 6;
@@ -317,7 +314,7 @@ fn price_update_storm(writers: usize) {
         }
         for t in 0..quoters {
             let market = &market;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for i in 0..30 {
                     let query = MIX_QUERIES[(t + i) % MIX_QUERIES.len()];
                     let quote = market.quote_str(query).unwrap();
@@ -325,8 +322,7 @@ fn price_update_storm(writers: usize) {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     // Writers are done: the cache must now serve the final price list.
     for query in MIX_QUERIES {
@@ -468,7 +464,7 @@ proptest! {
         thread::scope(|scope| {
             let market = &market;
             let schedule = &inserts;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for &(rel, a, b) in schedule {
                     match rel {
                         0 => market.insert("R", [Tuple::new([Value::Int(a)])]).unwrap(),
@@ -478,7 +474,7 @@ proptest! {
                 }
             });
             for _ in 0..3 {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for _ in 0..8 {
                         for slot in market.quote_batch(&MIX_QUERIES) {
                             assert!(slot.is_ok(), "{slot:?}");
@@ -486,8 +482,7 @@ proptest! {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         for query in MIX_QUERIES {
             let cached = market.quote_str(query).unwrap().price;
             prop_assert_eq!(

@@ -6,8 +6,10 @@
 //! need no noise margin.
 //!
 //! * A cold GChQ price (`Pricer::price_cq`) of a fixed, seeded set of
-//!   county slices of the business directory, pinned at its mean (≈289
-//!   allocations per price; ≈313 when the flow network gave every node
+//!   county slices of the business directory, pinned at its mean (≈236
+//!   allocations per price; ≈289 when every Step 3 branch was solved,
+//!   even one whose cover cost alone could not win, ≈313 when the flow
+//!   network gave every node
 //!   its own edge list and the partial answers were hash sets of values,
 //!   ≈600 when every relation kept each tuple twice and rebuilt every
 //!   index, Step 1 scanned the whole relation and Step 3 re-validated
@@ -15,9 +17,11 @@
 //!   string and Step 3 resolved every cover eagerly).
 //! * A cold price of the paper's §1 query, "restaurants in state S"
 //!   (`Q(n, c) :- Business(n, 'S', c), Restaurant(n)`), for each of the
-//!   directory's ten states: four Step 3 branches, each a network of
-//!   1,602 nodes. Pinned at its mean (≈422; ≈7,050 when every node owned
-//!   its edge list and every priced view was cloned into a map).
+//!   directory's ten states: four Step 3 branches, of which only the
+//!   winner, with no cover to buy, builds its network of 1,602 nodes.
+//!   Pinned at its mean (≈276; ≈422 when all four networks were built
+//!   and solved, ≈7,050 when every node owned its edge list and every
+//!   priced view was cloned into a map).
 //! * Quotes served by a `Market` (`quote_str`, one thread, a batch of
 //!   one): a chain-join miss after a price revision (a warm reprice of
 //!   its 120-view cut), a chain-join hit, a hit on a 410-view
@@ -48,10 +52,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Mean allocations per cold `price_cq` the suite accepts.
-const MAX_MEAN_ALLOCS: f64 = 289.205;
+const MAX_MEAN_ALLOCS: f64 = 235.61;
 
 /// Mean allocations per cold `price_cq` of a directory restaurant list.
-const MAX_RESTAURANT_COLD_ALLOCS: f64 = 421.8;
+const MAX_RESTAURANT_COLD_ALLOCS: f64 = 275.8;
 
 /// Mean allocations per served chain-join miss (revise, then quote).
 const MAX_CHAIN_MISS_ALLOCS: f64 = 88.0;
@@ -63,7 +67,7 @@ const MAX_CHAIN_HIT_ALLOCS: f64 = 42.0;
 const MAX_RESTAURANT_HIT_ALLOCS: f64 = 37.0;
 
 /// Mean allocations per served cold miss on a directory county slice.
-const MAX_COUNTY_MISS_ALLOCS: f64 = 352.09;
+const MAX_COUNTY_MISS_ALLOCS: f64 = 298.13;
 
 /// Mean allocations per record replayed by a cold durable reopen, net
 /// of the same open over an empty log (775 over 480 records; 1,175 when

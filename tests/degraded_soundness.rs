@@ -145,3 +145,56 @@ proptest! {
         }
     }
 }
+
+/// Cold GChQ pricing solves the Step 3 branches cheapest cover first and
+/// skips those whose cover cost cannot beat a finished branch. When the
+/// fuel runs out inside the cheapest-cover branch's flow, nothing has
+/// finished, so nothing may be skipped: every branch still opens a flow
+/// solve, and the degraded interval still brackets the exact price.
+#[test]
+fn fuel_running_out_on_the_cheapest_cover_prunes_nothing() {
+    let world = World {
+        r: vec![0, 1],
+        s: vec![(0, 0), (0, 1), (1, 2), (2, 2), (2, 0)],
+        t: vec![0, 2],
+        prices: vec![2, 3, 1, 4, 1, 2, 5, 1, 3, 2, 2, 4],
+    };
+    let (catalog, d, prices) = build(&world);
+    let pricer = Pricer::new(catalog.clone(), d, prices).unwrap();
+    let q = parse_rule(catalog.schema(), "Q(x, y) :- S(x, y)").unwrap();
+    let exact = pricer.price_cq(&q).unwrap();
+    assert!(exact.quality.is_exact());
+    let mut exercised = false;
+    for fuel in 0..2000 {
+        qbdp_obs::trace::begin();
+        let degraded = pricer
+            .price_cq_within(&q, &Budget::with_fuel(fuel))
+            .unwrap();
+        let spans = qbdp_obs::trace::finish();
+        let Some(normalize) = spans.iter().find(|s| s.name == "normalize") else {
+            continue;
+        };
+        let flows: Vec<_> = spans.iter().filter(|s| s.name == "flow_solve").collect();
+        // Spans close child-first, so the flows are in solve order.
+        let first_ran_dry = flows.first().is_some_and(|f| f.detail == "exhausted");
+        if normalize.detail != "steps_1_3" || !first_ran_dry {
+            continue;
+        }
+        exercised = true;
+        assert!(normalize.n >= 2, "the query has a cover and a skip branch");
+        assert_eq!(
+            flows.len() as u64,
+            normalize.n,
+            "an exhausted branch pruned another (fuel {fuel})"
+        );
+        assert!(!degraded.quality.is_exact());
+        assert!(
+            degraded.lower_bound <= exact.price && exact.price <= degraded.price,
+            "[{}, {}] misses the exact {} (fuel {fuel})",
+            degraded.lower_bound,
+            degraded.price,
+            exact.price
+        );
+    }
+    assert!(exercised, "no fuel ran out inside the first branch's flow");
+}

@@ -126,3 +126,36 @@ fn webgraph_market_end_to_end() {
     let explain = market.explain_str(src).unwrap();
     assert!(explain.contains("Cycle"), "{explain}");
 }
+
+/// The paper's §1 query, "restaurants in state S", on the served
+/// benchmark's directory (seed 2012, 10 states × 10 counties × 400
+/// businesses). Its four Step 3 branches buy covers of very different
+/// cost, and the one with no cover wins, so a cold price solves that
+/// branch's flow and skips the other three.
+#[test]
+fn a_cold_restaurant_list_price_solves_one_flow() {
+    let mut rng = StdRng::seed_from_u64(2012);
+    let m = business::generate(
+        &mut rng,
+        business::BusinessConfig {
+            states: 10,
+            counties_per_state: 10,
+            businesses: 400,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let pricer = Pricer::new(m.catalog, m.instance, m.prices).unwrap();
+    for s in &m.states {
+        let src = format!("Q(n, c) :- Business(n, '{s}', c), Restaurant(n)");
+        let q = parse_rule(pricer.catalog().schema(), &src).unwrap();
+        qbdp_obs::trace::begin();
+        let quote = pricer.price_cq(&q).unwrap();
+        let spans = qbdp_obs::trace::finish();
+        let branches = spans.iter().find(|s| s.name == "normalize").unwrap().n;
+        let flows = spans.iter().filter(|s| s.name == "flow_solve").count();
+        assert_eq!((branches, flows), (4, 1), "{src}");
+        assert_eq!(quote.method, PricingMethod::ChainFlow, "{src}");
+        assert!(quote.quality.is_exact() && quote.price.is_finite(), "{src}");
+    }
+}
