@@ -12,11 +12,16 @@
 //!   the loop.
 //! * Recovery (E15b): a cold open of a snapshot plus a 10k-event log
 //!   suffix (purchases forged straight into the WAL, so building the
-//!   fixture takes no purchase evaluation per event).
+//!   fixture takes no purchase evaluation per event, and no compaction
+//!   shortens the log: the worst-case replay).
+//! * Recovery after a revision history (E15c): a cold open after 10k
+//!   `set_price` calls through a `DurableMarket`, whose automatic
+//!   compaction keeps the log within a snapshot's size.
 //!
 //! Every measurement runs [`REPEATS`] times into `BENCH_chaos.json`
 //! (qbench's `qbench/1` schema). A run is correct when every purchase
-//! rig charged the same prices and recovery replayed every forged sale.
+//! rig charged the same prices, recovery replayed every forged sale, and
+//! the market reopened after the revisions equals the live one.
 
 #![allow(
     clippy::expect_used,
@@ -25,7 +30,7 @@
 
 use qbdp_bench::{metric, write_results, REPEATS};
 use qbdp_core::Price;
-use qbdp_market::{DurableMarket, DurableOptions, FsyncPolicy, Market, MarketOps};
+use qbdp_market::{fingerprint, DurableMarket, DurableOptions, FsyncPolicy, Market, MarketOps};
 use qbdp_store::{FaultFs, FaultPlan, MarketEvent, RealFs, RetryPolicy, Vfs, Wal};
 use qbdp_workload::scenarios::business::{generate, BusinessConfig};
 use qbench::report::RunResult;
@@ -40,6 +45,8 @@ const PURCHASES: u32 = 300;
 const WAL_APPENDS: u32 = 20_000;
 /// Forged purchases in the log suffix a recovery replays.
 const REPLAY_EVENTS: usize = 10_000;
+/// Durable price revisions before the E15c reopen.
+const REVISIONS: u64 = 10_000;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("qbdp_chaos_tax_{tag}_{}", std::process::id()));
@@ -165,6 +172,28 @@ fn recovery(qdp: &str) -> (f64, usize) {
     (seconds, sales)
 }
 
+/// Seconds for a cold open after [`REVISIONS`] durable `set_price`
+/// calls over the ten state views, and whether the reopened market
+/// equals the live one.
+fn recovery_after_revisions(qdp: &str) -> (f64, bool) {
+    let dir = scratch("revisions");
+    let dm = DurableMarket::create(&dir, qdp, FsyncPolicy::Never).expect("durable market");
+    for i in 0..REVISIONS {
+        let view = format!("Business.State=S{}", i % 10);
+        dm.set_price(&view, Price::cents(19_000 + (i * 37) % 900))
+            .expect("an accepted revision");
+    }
+    let live = fingerprint(dm.market());
+    drop(dm);
+    let start = Instant::now();
+    let dm = DurableMarket::open(&dir, FsyncPolicy::Never).expect("recovery");
+    let seconds = start.elapsed().as_secs_f64();
+    let same = fingerprint(dm.market()) == live;
+    drop(dm);
+    std::fs::remove_dir_all(&dir).ok();
+    (seconds, same)
+}
+
 /// One repeat of every rig.
 fn measure(qdp: &str, seed: u64) -> RunResult {
     let real = || -> Arc<dyn Vfs> { Arc::new(RealFs) };
@@ -184,6 +213,7 @@ fn measure(qdp: &str, seed: u64) -> RunResult {
     .collect();
     let (always, fault) = (rigs[2].1 .0, rigs[3].1 .0);
     let (recovery_s, sales) = recovery(qdp);
+    let (revisions_s, same) = recovery_after_revisions(qdp);
 
     let mut metrics = vec![
         metric("wal_append_real_fs_rps", "1/s", wal_real),
@@ -199,13 +229,15 @@ fn measure(qdp: &str, seed: u64) -> RunResult {
         metric("purchase_durability_tax_pct", "%", tax_pct(memory, always)),
         metric("purchase_seam_tax_pct", "%", tax_pct(always, fault)),
         metric("recovery_10k_replay_s", "s", recovery_s),
+        metric("recovery_after_10k_revisions_s", "s", revisions_s),
     ]);
     let purchases = reference.len() + rigs.iter().map(|(_, (_, c))| c.len()).sum::<usize>();
     RunResult {
         workload: "chaos_tax".to_string(),
         seed,
         correct: rigs.iter().all(|(_, (_, charged))| *charged == reference)
-            && sales == REPLAY_EVENTS,
+            && sales == REPLAY_EVENTS
+            && same,
         attempted: purchases as u64,
         failed: 0,
         metrics,
@@ -226,6 +258,7 @@ fn main() {
     );
     assert!(
         runs.iter().all(|r| r.correct),
-        "a purchase rig charged different prices, or recovery lost a forged sale"
+        "a purchase rig charged different prices, recovery lost a forged sale, \
+         or the market reopened after the revisions differs from the live one"
     );
 }

@@ -136,6 +136,9 @@ pub struct ChaosReport {
     pub degraded_quotes: u64,
     /// Faults the injector actually fired.
     pub faults_injected: u64,
+    /// Mutations after which the log was shorter than before: each ran
+    /// an automatic compaction that truncated the log.
+    pub compactions: u64,
     /// True when recovery surfaced the one uncertain tail event of a
     /// poisoning fsync (legal; counted to prove the window is real).
     pub recovered_pending_tail: bool,
@@ -155,13 +158,14 @@ impl std::fmt::Display for ChaosReport {
         write!(
             f,
             "{} op(s): {} acked, {} store error(s), {} degraded-refused, \
-             {} degraded quote(s), {} fault(s) injected{}",
+             {} degraded quote(s), {} fault(s) injected, {} compaction(s){}",
             self.ops_attempted,
             self.acked,
             self.store_errors,
             self.degraded_ops,
             self.degraded_quotes,
             self.faults_injected,
+            self.compactions,
             if self.recovered_pending_tail {
                 ", pending tail recovered"
             } else {
@@ -542,6 +546,7 @@ pub fn run_schedule(qdp: &str, dir: &Path, cfg: &ChaosConfig) -> Result<ChaosRep
             }
             continue;
         }
+        let logged = dm.wal_position();
         let result: Result<(), MarketError> = match &op {
             Op::Insert { relation, values } => dm
                 .insert(relation, [Tuple::new(values.clone())])
@@ -550,6 +555,9 @@ pub fn run_schedule(qdp: &str, dir: &Path, cfg: &ChaosConfig) -> Result<ChaosRep
             Op::Purchase { query } => dm.purchase_str(query).map(|_| ()),
             Op::Quote { .. } => Ok(()),
         };
+        if dm.wal_position() < logged {
+            report.compactions += 1;
+        }
         match result {
             Ok(()) => {
                 report.acked += 1;
@@ -758,16 +766,20 @@ price S.Y=b2 100
     fn faulty_schedules_hold_the_invariants() {
         let mut injected = 0;
         let mut refused = 0;
+        let mut compactions = 0;
         for seed in 0..8 {
             let dir = temp_dir("faulty");
             let report = run_schedule(QDP, &dir, &ChaosConfig::new(seed)).unwrap();
             assert!(report.is_sound(), "seed {seed}: {report}");
             injected += report.faults_injected;
             refused += report.store_errors + report.degraded_ops;
+            compactions += report.compactions;
         }
-        // The pass must not be vacuous: across the seeds, faults fired
-        // and the market actually refused work because of them.
+        // The pass must not be vacuous: across the seeds, faults fired,
+        // the market actually refused work because of them, and the log
+        // was compacted under them.
         assert!(injected > 0, "no faults injected across any seed");
         assert!(refused > 0, "no operation ever hit a fault");
+        assert!(compactions > 0, "no schedule ever compacted");
     }
 }

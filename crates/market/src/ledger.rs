@@ -2,7 +2,6 @@
 //! data-update events, with running revenue.
 
 use qbdp_core::Price;
-use std::time::Instant;
 
 /// One recorded event.
 #[derive(Clone, Debug)]
@@ -19,8 +18,6 @@ pub enum Transaction {
         answer_tuples: usize,
         /// Number of views in the receipt.
         views: usize,
-        /// When it happened (relative to ledger creation).
-        at: Instant,
     },
     /// A data update by the seller.
     Update {
@@ -30,8 +27,6 @@ pub enum Transaction {
         relation: String,
         /// Tuples added.
         added: usize,
-        /// When it happened.
-        at: Instant,
     },
 }
 
@@ -76,7 +71,6 @@ impl Ledger {
             price,
             answer_tuples,
             views,
-            at: Instant::now(),
         });
         id
     }
@@ -103,7 +97,6 @@ impl Ledger {
             price,
             answer_tuples,
             views,
-            at: Instant::now(),
         });
         Some(id)
     }
@@ -116,7 +109,6 @@ impl Ledger {
             id,
             relation,
             added,
-            at: Instant::now(),
         });
         id
     }
@@ -140,8 +132,7 @@ impl Ledger {
     }
 
     /// Serialize for a durable snapshot: one header line each for the
-    /// running totals, then one line per transaction. Timestamps are
-    /// process-relative [`Instant`]s and are deliberately not persisted.
+    /// running totals, then one line per transaction.
     pub fn to_snapshot_text(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("revenue {}\n", self.revenue.as_cents()));
@@ -154,7 +145,6 @@ impl Ledger {
                     price,
                     answer_tuples,
                     views,
-                    at: _,
                 } => {
                     out.push_str(&format!(
                         "sale {id} {} {answer_tuples} {views} {query}\n",
@@ -165,7 +155,6 @@ impl Ledger {
                     id,
                     relation,
                     added,
-                    at: _,
                 } => {
                     out.push_str(&format!("update {id} {added} {relation}\n"));
                 }
@@ -214,7 +203,6 @@ impl Ledger {
                         price,
                         answer_tuples,
                         views,
-                        at: Instant::now(),
                     });
                 }
                 "update" => {
@@ -233,7 +221,6 @@ impl Ledger {
                         id,
                         relation,
                         added,
-                        at: Instant::now(),
                     });
                 }
                 other => return Err(format!("unknown ledger line kind `{other}`")),

@@ -225,9 +225,9 @@
     reason = "the ordered wrappers are the crate's only raw locks"
 )]
 
-use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// The level of a thread that holds no market lock.
 pub enum Unlocked {}
@@ -360,15 +360,24 @@ impl<T, L> OrderedMutex<T, L> {
 
     /// Lock it under `parent`, which stays borrowed while the guard
     /// lives. Returns the guard and the token for the level reached.
+    /// A lock poisoned by a panicking holder is taken as whole (see
+    /// [`OrderedRwLock`]).
     pub fn lock<'b, P: LockBefore<L>>(
         &'b self,
         _parent: &'b mut Locked<'_, P>,
     ) -> (Guard<MutexGuard<'b, T>>, Locked<'b, P::Next>) {
-        (Guard::new(self.inner.lock()), Locked::new())
+        let guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        (Guard::new(guard), Locked::new())
     }
 }
 
 /// A reader-writer lock at level `L`.
+///
+/// Neither ordered lock reports poisoning: the next holder after a
+/// panicking one takes the value as it is ([`PoisonError::into_inner`]).
+/// The panics the market survives are the ones its `contain_panic`
+/// catches around pricing and evaluation, which mutate nothing they
+/// hold a lock on, so the value is whole and the market keeps serving.
 pub struct OrderedRwLock<T, L> {
     inner: RwLock<T>,
     _level: PhantomData<fn() -> L>,
@@ -388,7 +397,8 @@ impl<T, L> OrderedRwLock<T, L> {
         &'b self,
         _parent: &'b mut Locked<'_, P>,
     ) -> (Guard<RwLockReadGuard<'b, T>>, Locked<'b, P::Next>) {
-        (Guard::new(self.inner.read()), Locked::new())
+        let guard = self.inner.read().unwrap_or_else(PoisonError::into_inner);
+        (Guard::new(guard), Locked::new())
     }
 
     /// Exclusive access under `parent` (see [`OrderedMutex::lock`]).
@@ -396,7 +406,8 @@ impl<T, L> OrderedRwLock<T, L> {
         &'b self,
         _parent: &'b mut Locked<'_, P>,
     ) -> (Guard<RwLockWriteGuard<'b, T>>, Locked<'b, P::Next>) {
-        (Guard::new(self.inner.write()), Locked::new())
+        let guard = self.inner.write().unwrap_or_else(PoisonError::into_inner);
+        (Guard::new(guard), Locked::new())
     }
 }
 

@@ -271,8 +271,9 @@ impl Drop for InFlightGuard<'_> {
 }
 
 /// Run a pricing or evaluation call with panics contained at the market
-/// boundary. The lock is not poisoned (parking_lot) and nothing was
-/// mutated, so the market keeps serving after reporting the failure.
+/// boundary. Nothing was mutated, and the ordered locks take a lock the
+/// panic poisoned as whole (`lock::OrderedRwLock`), so the market keeps
+/// serving after reporting the failure.
 fn contain_panic<T, E>(f: impl FnOnce() -> Result<T, E>) -> Result<T, MarketError>
 where
     MarketError: From<E>,

@@ -8,6 +8,9 @@
 //! bytes per step with eight independent lookups instead of a chain of
 //! eight dependent ones. The bytes left over after the last whole group
 //! of eight take the bytewise loop. Both compute the same function.
+//!
+//! `Crc32` folds the same register over several pieces in turn, so a
+//! checksum over a concatenation never has to build it.
 
 /// `TABLES[0]` is the classic 256-entry table, one step of the bitwise
 /// algorithm per byte value; `TABLES[k][b]` is `TABLES[k - 1][b]`
@@ -48,11 +51,10 @@ fn step(crc: u32, b: u8) -> u32 {
     (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize]
 }
 
-/// CRC-32 of `data` (initial value all-ones, final complement — the
-/// standard "crc32" everyone else computes).
-pub fn crc32(data: &[u8]) -> u32 {
+/// The register advanced over `data`, eight bytes per step.
+fn update(crc: u32, data: &[u8]) -> u32 {
     let [t0, t1, t2, t3, t4, t5, t6, t7] = &TABLES;
-    let mut crc = u32::MAX;
+    let mut crc = crc;
     let mut groups = data.chunks_exact(8);
     for g in &mut groups {
         let lo = crc ^ u32::from_le_bytes([g[0], g[1], g[2], g[3]]);
@@ -65,7 +67,39 @@ pub fn crc32(data: &[u8]) -> u32 {
             ^ t1[g[6] as usize]
             ^ t0[g[7] as usize];
     }
-    !groups.remainder().iter().fold(crc, |crc, &b| step(crc, b))
+    groups.remainder().iter().fold(crc, |crc, &b| step(crc, b))
+}
+
+/// CRC-32 of `data` (initial value all-ones, final complement — the
+/// standard "crc32" everyone else computes).
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(data);
+    crc.finish()
+}
+
+/// CRC-32 over pieces fed in order: the result is [`crc32`] of their
+/// concatenation.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Crc32 {
+    register: u32,
+}
+
+impl Crc32 {
+    /// The register before any byte.
+    pub(crate) fn new() -> Crc32 {
+        Crc32 { register: u32::MAX }
+    }
+
+    /// Feed the next piece.
+    pub(crate) fn update(&mut self, data: &[u8]) {
+        self.register = update(self.register, data);
+    }
+
+    /// The checksum of everything fed so far.
+    pub(crate) fn finish(self) -> u32 {
+        !self.register
+    }
 }
 
 #[cfg(test)]
@@ -109,6 +143,23 @@ mod tests {
                 assert_eq!(crc32(data), bytewise(data), "start {start} len {len}");
             }
         }
+    }
+
+    /// Feeding pieces equals the checksum of their concatenation, at
+    /// every split of the input into three pieces.
+    #[test]
+    fn piecewise_matches_whole() {
+        let data: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
+        for a in 0..=data.len() {
+            for b in a..=data.len() {
+                let mut crc = Crc32::new();
+                crc.update(&data[..a]);
+                crc.update(&data[a..b]);
+                crc.update(&data[b..]);
+                assert_eq!(crc.finish(), crc32(&data), "split at {a} and {b}");
+            }
+        }
+        assert_eq!(Crc32::new().finish(), crc32(b""));
     }
 
     #[test]

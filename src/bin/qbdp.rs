@@ -23,9 +23,11 @@
 //! applied, and reopening the directory recovers the exact state. The
 //! first run needs `--from <market.qdp>` to seed the genesis snapshot;
 //! `--fsync always|every=N|never` picks the log's durability/throughput
-//! trade-off (default `always`). `replay` prints what recovery did,
-//! including §2.7 price-trajectory monotonicity verdicts for `--probe`
-//! queries.
+//! trade-off (default `always`). A durable market compacts its log on its
+//! own once the log outgrows the snapshot; `snapshot` compacts at once.
+//! `replay` prints what recovery did — the events logged since the last
+//! compaction — including §2.7 price-trajectory monotonicity verdicts for
+//! `--probe` queries.
 
 #![forbid(unsafe_code)]
 
@@ -43,7 +45,7 @@ fn usage() -> ExitCode {
          \x20      qbdp serve <dir> [--from <market.qdp>] [--fsync …] [--addr host:port]\n\
          \x20                 [--threads N] [--max-conns N]\n\
          \x20      qbdp snapshot <dir>\n\
-         \x20      qbdp replay <dir> [--probe <rule>]…\n\
+         \x20      qbdp replay <dir> [--probe <rule>]…   (events since the last compaction)\n\
          \x20      qbdp scrub <dir>\n\
          \x20      qbdp chaos [--seed N] [--schedules N] [--ops N]\n\
          \x20                 [--faults all|transient,enospc,fsync,torn] [market.qdp]\n\

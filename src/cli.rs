@@ -123,7 +123,8 @@ fn help_text() -> String {
      \x20 stats --json      telemetry registry as JSON\n\
      \x20 stats --flight    flight recorder: span trees of quotes that\n\
      \x20                   went wrong (slow/degraded/contended/panicked)\n\
-     \x20 compact           durable markets: snapshot + truncate the log\n\
+     \x20 compact           durable markets: snapshot + truncate the log now\n\
+     \x20                   (also automatic once the log outgrows the snapshot)\n\
      \x20 sync              durable markets: force the log to disk\n\
      \x20 quit              leave the repl\n\
      binary flags (before the .qdp path):\n\
@@ -490,6 +491,9 @@ pub fn serve_cmd(
 /// snapshot-load + log replay, reporting the recovered state and — for
 /// each probe query — the §2.7 price trajectory observed across the
 /// replayed insertions, with its Proposition 2.22 monotonicity verdict.
+/// The log holds only the events since the last compaction, explicit or
+/// automatic, so that is what the report counts and the trajectory
+/// spans; the snapshot holds the rest.
 pub fn replay_dir(dir: &str, probes: &[String]) -> String {
     use qbdp_core::dynamic::PriceTrajectory;
     use qbdp_market::{DurableMarket, DurableOptions, FsyncPolicy, MarketEvent, ReplayStep};

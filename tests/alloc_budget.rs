@@ -34,6 +34,7 @@
 //!   until it is delivered.
 //! * A cold reopen of a durable chain market (`DurableMarket::open`)
 //!   after a fixed log of price revisions (some refused) and purchases,
+//!   written straight to the WAL so that no compaction shortens it,
 //!   pinned at its mean allocations per replayed record, net of the
 //!   open's fixed cost (≈1.6; ≈2.4 when replay rendered the message of
 //!   each refused revision, ≈4.1 when recovery decoded the log twice).
@@ -360,7 +361,18 @@ fn a_cold_durable_reopen_stays_pinned_per_record() {
     let (dir, genesis) = (tmp("reopen"), tmp("genesis"));
     let qdp = chain_market().to_qdp();
     drop(DurableMarket::create(&genesis, &qdp, FsyncPolicy::Never).unwrap());
-    let dm = DurableMarket::create(&dir, &qdp, FsyncPolicy::Never).unwrap();
+    drop(DurableMarket::create(&dir, &qdp, FsyncPolicy::Never).unwrap());
+    // The log a durable market would write for these writes, appended
+    // straight to the WAL: a durable market compacts once its log
+    // outgrows the snapshot, and this row measures the replay of every
+    // record. The in-memory market gives each write its live verdict
+    // and each purchase its terms.
+    let live = Market::open_qdp(&qdp).unwrap();
+    let (mut wal, _) = qbdp::store::Wal::open(
+        dir.join(qbdp::market::durable::WAL_FILE),
+        FsyncPolicy::Never,
+    )
+    .unwrap();
     let queries = [
         "Q(y) :- S(3, y)",
         "Q(x, y) :- R(x), S(x, y), T(y)",
@@ -376,19 +388,39 @@ fn a_cold_durable_reopen_stays_pinned_per_record() {
             // Above the full cover of S.X: refused, logged all the same.
             _ => (format!("S.Y={k}"), 9_000),
         };
-        if dm.set_price(&view, Price::cents(cents)).is_err() {
+        wal.append(&MarketEvent::SetPrice {
+            view: view.clone(),
+            cents,
+        })
+        .unwrap();
+        if live.set_price(&view, Price::cents(cents)).is_err() {
             refused += 1;
         }
         if i % 5 == 0 {
-            dm.purchase_str(queries[(i / 5) as usize % queries.len()])
+            let sale = live
+                .purchase_str(queries[(i / 5) as usize % queries.len()])
                 .unwrap();
+            wal.append(&MarketEvent::Purchase {
+                query: sale.quote.query.clone(),
+                price_cents: sale.quote.price.as_cents(),
+                answer_tuples: sale.answer.len() as u64,
+                views: sale.quote.views().len() as u64,
+            })
+            .unwrap();
         }
     }
     assert_eq!(refused, 100);
-    drop(dm);
+    drop(wal);
     // The same open over the genesis snapshot and an empty log is the
     // fixed cost; the rest is the replay's.
     let replay = reopen_allocs(&dir) - reopen_allocs(&genesis);
+    let back = DurableMarket::open(&dir, FsyncPolicy::Never).unwrap();
+    assert_eq!(
+        qbdp::market::fingerprint(back.market()),
+        qbdp::market::fingerprint(&live),
+        "the forged log replays to the live market"
+    );
+    drop(back);
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&genesis).unwrap();
     let records = 400 + 80;
