@@ -102,7 +102,7 @@ pub fn scrub(vfs: &dyn Vfs, snapshot_path: &Path, wal_path: &Path) -> ScrubRepor
     let mut report = ScrubReport::default();
 
     match Snapshot::load_with(vfs, snapshot_path) {
-        Ok(snap) => {
+        Ok((snap, _)) => {
             report.snapshot_wal_pos = Some(snap.wal_pos);
             report.snapshot_sections = snap.sections.iter().map(|(n, _)| n.clone()).collect();
         }

@@ -62,7 +62,10 @@ use crate::vfs::{is_transient_kind, RealFs, RetryPolicy, Vfs, VfsFile};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// How often the log fsyncs.
+/// How often the log fsyncs its appends. The policy covers appends
+/// only: an explicit [`Wal::sync`], and a durable market's compaction
+/// (which calls it and fsyncs the snapshots it writes), fsync whatever
+/// the policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// `fsync` after every append: an acknowledged mutation survives
@@ -71,8 +74,9 @@ pub enum FsyncPolicy {
     /// `fsync` every `n` appends: at most `n-1` acknowledged mutations
     /// can be lost (`EveryN(0)` and `EveryN(1)` behave like `Always`).
     EveryN(u64),
-    /// Never `fsync` explicitly; the OS flushes when it pleases. A
-    /// process crash (not power loss) still loses nothing.
+    /// Never `fsync` an append; the OS flushes when it pleases. A
+    /// process crash (not power loss) still loses nothing. Compaction
+    /// still fsyncs (see the type's docs).
     Never,
 }
 
@@ -124,7 +128,7 @@ impl std::fmt::Debug for Wal {
 /// silently abandoned that tail — the one failure `EveryN`'s contract
 /// ("bounded loss on *power failure*", not on *clean shutdown*) does
 /// not permit. [`FsyncPolicy::Never`] is deliberately excluded — that
-/// policy is an explicit opt-out of fsync entirely, and `Always` never
+/// policy opts appends out of fsync, and `Always` never
 /// has a tail (`unsynced` returns to zero on every append). Best-effort
 /// by necessity (`Drop` cannot return an error): a failure here poisons
 /// nothing because the handle is gone, and callers that need the error
