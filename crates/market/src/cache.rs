@@ -1,70 +1,38 @@
-//! The sharded, column-epoch-validated quote cache.
+//! The sharded quote cache.
 //!
 //! Quoting is idempotent between data/price updates, and markets see the
 //! same queries repeatedly, so the common case should be a hash lookup.
-//! The cache lives *outside* the market's state lock: lookups and inserts
-//! take only a per-shard lock (level [`Shard`], the innermost), so a
-//! batch of workers filling the cache never serializes on the state
-//! lock, and two workers quoting different queries almost never touch
-//! the same shard.
 //!
-//! # Coherence protocol
+//! # Coherence
 //!
-//! Staleness is ruled out by epoch tagging rather than by lock ordering —
-//! but the epochs are **per column** (per [`AttrRef`]), not global, so an
-//! update invalidates only the quotes it can actually change:
+//! A quote is a pure function of the instance and the price list
+//! restricted to its **footprint** (Lemma 3.1): the columns its price is
+//! derived from, every attribute of every relation the query mentions
+//! (`qbdp_core::query_footprint`). A cached quote is sound exactly while
+//! no write to its footprint has landed, and one rule keeps it so: the
+//! cache is a field of the market's state, reached only through a guard
+//! of the state lock.
 //!
-//! * Every column of the catalog owns an `AtomicU64` **epoch**. A writer
-//!   (data insert, price revision) bumps the epochs of exactly the
-//!   columns it touches, *while it still holds the market's state write
-//!   lock* ([`ShardedQuoteCache::invalidate_columns`]).
-//! * A quote's **footprint** is the set of columns its price is derived
-//!   from (every attribute of every relation the query mentions — see
-//!   `qbdp_core::query_footprint`). Its **stamp** is the sum of its
-//!   footprint's column epochs.
-//! * A reader computes the stamp *under the state read lock* — so the
-//!   value it sees names exactly the data snapshot it prices against —
-//!   and tags its insert with it. [`ShardedQuoteCache::get`] recomputes
-//!   the stamp from the entry's stored footprint and serves the entry
-//!   only if it matches; [`ShardedQuoteCache::insert`] re-checks the
-//!   stamp under the shard write lock and discards the entry if any of
-//!   its columns has moved on.
+//! * A writer (data insert, price revision) holds the state write lock,
+//!   so it has the cache by `&mut`:
+//!   [`ShardedQuoteCache::invalidate_columns`] removes every entry whose
+//!   footprint meets the columns it touched, and takes no lock. Entries
+//!   whose footprint is disjoint from the write stay servable: repricing
+//!   `R.X=a` does not evict cached quotes over `S`.
+//! * A reader holds the state lock from lookup through pricing to fill.
+//!   A lookup that misses returns a [`Miss`] that borrows the cache, and
+//!   only a `Miss` can be filled, so a quote is filled under the same
+//!   state-lock acquisition it was priced under: no write can land in
+//!   between.
 //!
-//! Soundness of the sum: epochs only grow, so an unchanged sum means
-//! every term is unchanged — no footprint column was bumped since the
-//! quote was computed. (Sums use wrapping arithmetic; aliasing would
-//! need 2⁶⁴ bumps.) Any interleaving therefore serves only quotes
-//! computed against the live snapshot. The payoff over a global epoch is
-//! that entries whose footprint is **disjoint** from an update stay
-//! servable: repricing `R.X=a` does not evict cached quotes over `S`.
+//! Readers share the state lock, so the shards keep locks of their own
+//! (level [`Shard`], the innermost): a batch of workers filling the
+//! cache with different queries almost never touches the same shard.
 //!
-//! [`ShardedQuoteCache::invalidate_columns`] additionally sweeps the
-//! shards, removing entries whose footprint intersects the touched
-//! columns (bump-then-sweep: a racing insert tagged with the old stamp
-//! either lands before the sweep and is removed, or after and is
-//! discarded by its own stamp re-check), so no dead entry lingers and
-//! memory stays bounded by the live entries.
-//!
-//! The sweep only bounds memory — [`ShardedQuoteCache::get`] re-checks
-//! every stamp — so it is skipped while nothing can be in the shards. A
-//! `filled` flag says whether an insert has run since the last
-//! [`ShardedQuoteCache::reset`]: an insert raises it under its shard lock
-//! *before* its stamp re-check, `reset` lowers it *before* clearing the
-//! shards, and `invalidate_columns` reads it *after* its bumps. An
-//! insert whose re-check passed therefore raised the flag before the
-//! bump, so the invalidation sees it and sweeps (raising it only once
-//! the re-check passed would let a bump and a read of the still-lowered
-//! flag slip in between); and an insert racing a reset either lands in a
-//! shard still to be cleared or raises the flag again. A market replaying
-//! its log at recovery prices nothing, so its invalidations bump epochs
-//! and walk no shard; live serving fills the cache and sweeps as before.
-//! `crates/market/tests/loom_cache.rs` checks both orders and catches
-//! each one reversed.
-//!
-//! A separate **generation** counter is bumped once per mutation and
-//! exposed as [`ShardedQuoteCache::epoch`]: the durable market's
-//! purchase path revalidates quotes against it ("did *anything* change
-//! between pricing and logging?"), and recovery rewinds it to 0.
+//! A **generation** counter is bumped once per mutation and exposed as
+//! [`ShardedQuoteCache::epoch`]: the durable market's purchase path
+//! revalidates quotes against it ("did *anything* change between
+//! pricing and logging?"), and recovery rewinds it to 0.
 //!
 //! # Shard count
 //!
@@ -80,16 +48,14 @@ use crate::market::MarketQuote;
 use qbdp_catalog::fxhash::FxHasher;
 use qbdp_catalog::{AttrRef, FxHashMap};
 use std::hash::Hasher;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Number of independently locked shards. Must be a power of two (shard
 /// selection masks the key hash).
 pub(crate) const SHARDS: usize = 16;
 
+type ShardMap = FxHashMap<String, Entry>;
+
 struct Entry {
-    /// Sum of the footprint's column epochs when the quote was computed;
-    /// served only while every one of them is unchanged.
-    stamp: u64,
     /// The columns the quote's price is derived from.
     footprint: Vec<AttrRef>,
     /// Served by clone: the query text and one `Arc` to the receipt this
@@ -98,72 +64,71 @@ struct Entry {
 }
 
 /// A fixed array of lock-sharded maps from rendered (canonical) query
-/// text to stamp-tagged quotes, validated against per-column epochs.
-/// See the module docs for the protocol.
+/// text to quotes and their footprints. See the module docs for the
+/// coherence rule.
 pub(crate) struct ShardedQuoteCache {
     /// Bumped once per mutation; the durable revalidation token.
-    generation: AtomicU64,
-    /// One epoch per catalog column, fixed at construction (the schema
-    /// never changes after a market opens).
-    columns: FxHashMap<AttrRef, AtomicU64>,
-    /// Whether an insert has run since construction or the last
-    /// [`ShardedQuoteCache::reset`]; while it has not, the shards are
-    /// empty and invalidation skips their sweep (see the module docs).
-    filled: AtomicBool,
-    shards: [OrderedRwLock<FxHashMap<String, Entry>, Shard>; SHARDS],
+    generation: u64,
+    shards: [OrderedRwLock<ShardMap, Shard>; SHARDS],
+}
+
+/// A lookup that missed: the only way to fill its key. It borrows the
+/// cache, and with it the state guard the lookup ran under.
+pub(crate) struct Miss<'c> {
+    shard: &'c OrderedRwLock<ShardMap, Shard>,
+    key: String,
+}
+
+impl Miss<'_> {
+    /// The rendered query that missed.
+    pub(crate) fn key(&self) -> &str {
+        &self.key
+    }
+
+    /// Cache `quote`, priced over `footprint` since the lookup missed.
+    pub(crate) fn fill(
+        self,
+        token: &mut Locked<'_, impl LockBefore<Shard>>,
+        quote: MarketQuote,
+        footprint: Vec<AttrRef>,
+    ) {
+        self.shard
+            .write(token)
+            .0
+            .insert(self.key, Entry { footprint, quote });
+    }
 }
 
 impl ShardedQuoteCache {
-    /// Build a cache over the given catalog columns (every [`AttrRef`]
-    /// of the schema).
-    pub(crate) fn new(columns: impl IntoIterator<Item = AttrRef>) -> Self {
+    /// An empty cache at generation 0.
+    pub(crate) fn new() -> Self {
         ShardedQuoteCache {
-            generation: AtomicU64::new(0),
-            columns: columns
-                .into_iter()
-                .map(|a| (a, AtomicU64::new(0)))
-                .collect(),
-            filled: AtomicBool::new(false),
+            generation: 0,
             shards: std::array::from_fn(|_| OrderedRwLock::new(FxHashMap::default())),
         }
     }
 
-    fn shard(&self, key: &str) -> &OrderedRwLock<FxHashMap<String, Entry>, Shard> {
+    fn shard(&self, key: &str) -> &OrderedRwLock<ShardMap, Shard> {
         let mut h = FxHasher::default();
         h.write(key.as_bytes());
         &self.shards[(h.finish() as usize) & (SHARDS - 1)]
     }
 
-    /// The stamp of a footprint: the (wrapping) sum of its column
-    /// epochs. Compute it under the market's state **read lock** to pair
-    /// it with the data snapshot being priced.
-    // audit: bounded(footprint is one column list, fixed per query)
-    pub(crate) fn stamp(&self, footprint: &[AttrRef]) -> u64 {
-        footprint
-            .iter()
-            .map(|a| self.columns.get(a).map_or(0, |e| e.load(Ordering::SeqCst)))
-            .fold(0u64, u64::wrapping_add)
-    }
-
     /// The mutation generation. Bumped once per data/price update; the
     /// durable purchase path uses it to detect *any* intervening change.
     pub(crate) fn epoch(&self) -> u64 {
-        self.generation.load(Ordering::SeqCst)
+        self.generation
     }
 
-    /// Look up a quote; served only if none of the entry's footprint
-    /// columns has been bumped since it was computed. Call under the
-    /// market's state read lock so the comparison is against the live
-    /// snapshot.
+    /// Look up the quote cached under `key`, or the [`Miss`] that fills
+    /// it.
     pub(crate) fn get(
         &self,
         token: &mut Locked<'_, impl LockBefore<Shard>>,
-        key: &str,
-    ) -> Option<MarketQuote> {
-        let hit = self.get_inner(token, key);
-        // The registry is the single tally for cache effectiveness: a
-        // stamp-invalidated entry counts as a miss (it must be repriced),
-        // same as an absent one.
+        key: String,
+    ) -> Result<MarketQuote, Miss<'_>> {
+        let shard = self.shard(&key);
+        let hit = shard.read(token).0.get(&key).map(|e| e.quote.clone());
         qbdp_obs::record(
             if hit.is_some() {
                 qbdp_obs::Ctr::MarketCacheHits
@@ -172,82 +137,18 @@ impl ShardedQuoteCache {
             },
             1,
         );
-        hit
+        hit.ok_or(Miss { shard, key })
     }
 
-    fn get_inner(
-        &self,
-        token: &mut Locked<'_, impl LockBefore<Shard>>,
-        key: &str,
-    ) -> Option<MarketQuote> {
-        let (shard, _) = self.shard(key).read(token);
-        let entry = shard.get(key)?;
-        if entry.stamp == self.stamp(&entry.footprint) {
-            Some(entry.quote.clone())
-        } else {
-            None
-        }
-    }
-
-    /// Insert a quote computed under `stamp` over `footprint`; silently
-    /// discarded if any footprint column has been bumped since (caching
-    /// it would serve a stale price until the *next* touching update).
-    pub(crate) fn insert(
-        &self,
-        token: &mut Locked<'_, impl LockBefore<Shard>>,
-        key: String,
-        quote: MarketQuote,
-        footprint: Vec<AttrRef>,
-        stamp: u64,
-    ) {
-        let (mut shard, _) = self.shard(&key).write(token);
-        // Raised before the re-check: an invalidation bumping after the
-        // re-check read the old epochs must see it and sweep.
-        self.filled.store(true, Ordering::SeqCst);
-        // Re-check under the shard lock: an invalidation that has already
-        // swept this shard must not see the entry reappear.
-        if self.stamp(&footprint) == stamp {
-            shard.insert(
-                key,
-                Entry {
-                    stamp,
-                    footprint,
-                    quote,
-                },
-            );
-        }
-    }
-
-    /// Invalidate every cached quote whose footprint intersects `attrs`.
-    /// Call while holding the market's state **write lock** so the bumps
-    /// are ordered with the data mutation. Bump-then-sweep: a racing
-    /// insert tagged with the old stamp either lands before the sweep
-    /// (and is removed) or after (and is discarded by its own stamp
-    /// re-check), so no dead entry lingers. Entries disjoint from
-    /// `attrs` keep their stamps valid and stay servable. A cache no
-    /// insert has reached since the last reset has nothing to sweep, and
-    /// the shard walk is skipped.
-    pub(crate) fn invalidate_columns(
-        &self,
-        token: &mut Locked<'_, impl LockBefore<Shard>>,
-        attrs: &[AttrRef],
-    ) {
+    /// Remove every cached quote whose footprint intersects `attrs`, and
+    /// bump the generation. Entries disjoint from `attrs` stay servable.
+    pub(crate) fn invalidate_columns(&mut self, attrs: &[AttrRef]) {
         qbdp_obs::record(qbdp_obs::Ctr::MarketInvalidations, 1);
         qbdp_obs::record(qbdp_obs::Ctr::MarketColumnsInvalidated, attrs.len() as u64);
-        self.generation.fetch_add(1, Ordering::SeqCst);
-        for a in attrs {
-            if let Some(e) = self.columns.get(a) {
-                e.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        // Read after the bumps (see the module docs).
-        if !self.filled.load(Ordering::SeqCst) {
-            return;
-        }
-        for shard in &self.shards {
+        self.generation += 1;
+        for shard in &mut self.shards {
             shard
-                .write(token)
-                .0
+                .get_mut()
                 .retain(|_, e| !e.footprint.iter().any(|f| attrs.contains(f)));
         }
     }
@@ -257,22 +158,13 @@ impl ShardedQuoteCache {
         self.shards.iter().map(|s| s.read(token).0.len()).sum()
     }
 
-    /// Clear the shards and rewind every epoch to 0. Recovery uses this
-    /// after replay: the replayed mutations bumped the epochs many
-    /// times, but a recovered market starts with an empty cache and
-    /// should tag fresh quotes from zeroed epochs like a newly opened
-    /// one (pre-crash cache entries died with the process; none can
-    /// survive to here).
-    pub(crate) fn reset(&self, token: &mut Locked<'_, impl LockBefore<Shard>>) {
-        self.generation.store(0, Ordering::SeqCst);
-        for e in self.columns.values() {
-            e.store(0, Ordering::SeqCst);
-        }
-        // Lowered before the shards are cleared: an insert racing this
-        // either lands in a shard still to be cleared or raises it again.
-        self.filled.store(false, Ordering::SeqCst);
-        for shard in &self.shards {
-            shard.write(token).0.clear();
+    /// Clear the shards and rewind the generation to 0. Recovery uses
+    /// this after replay, so a recovered market starts like a newly
+    /// opened one.
+    pub(crate) fn reset(&mut self) {
+        self.generation = 0;
+        for shard in &mut self.shards {
+            shard.get_mut().clear();
         }
     }
 }
@@ -303,40 +195,32 @@ mod tests {
         }
     }
 
-    /// Two relations, two columns each: R.{0,1} and S.{0,1}.
-    fn attrs() -> Vec<AttrRef> {
-        vec![
-            AttrRef::new(RelId(0), 0),
-            AttrRef::new(RelId(0), 1),
-            AttrRef::new(RelId(1), 0),
-            AttrRef::new(RelId(1), 1),
-        ]
+    /// Look `key` up, which must miss, and fill it.
+    fn fill(cache: &ShardedQuoteCache, key: &str, price: Price, footprint: Vec<AttrRef>) {
+        let Err(miss) = cache.get(&mut Locked::root(), key.into()) else {
+            panic!("{key} was already cached");
+        };
+        miss.fill(&mut Locked::root(), quote(price), footprint);
     }
 
-    fn cache() -> ShardedQuoteCache {
-        ShardedQuoteCache::new(attrs())
+    fn get(cache: &ShardedQuoteCache, key: &str) -> Option<Price> {
+        cache
+            .get(&mut Locked::root(), key.into())
+            .ok()
+            .map(|q| q.price)
     }
 
     #[test]
-    fn serves_only_current_stamp() {
-        let cache = cache();
+    fn serves_until_a_footprint_column_is_invalidated() {
+        let mut cache = ShardedQuoteCache::new();
         let fp = vec![AttrRef::new(RelId(0), 0)];
-        let s = cache.stamp(&fp);
-        cache.insert(
-            &mut Locked::root(),
-            "q1".into(),
-            quote(Price::dollars(1)),
-            fp.clone(),
-            s,
-        );
+        fill(&cache, "q1", Price::dollars(1), fp.clone());
+        assert_eq!(get(&cache, "q1"), Some(Price::dollars(1)));
+        cache.invalidate_columns(&fp);
         assert_eq!(
-            cache.get(&mut Locked::root(), "q1").unwrap().price,
-            Price::dollars(1)
-        );
-        cache.invalidate_columns(&mut Locked::root(), &fp);
-        assert!(
-            cache.get(&mut Locked::root(), "q1").is_none(),
-            "stale stamp must not serve"
+            get(&cache, "q1"),
+            None,
+            "an invalidated entry must not serve"
         );
         assert_eq!(
             cache.len(&mut Locked::root()),
@@ -347,127 +231,48 @@ mod tests {
 
     #[test]
     fn disjoint_entries_survive_invalidation() {
-        let cache = cache();
+        let mut cache = ShardedQuoteCache::new();
         let over_r = vec![AttrRef::new(RelId(0), 0), AttrRef::new(RelId(0), 1)];
         let over_s = vec![AttrRef::new(RelId(1), 0), AttrRef::new(RelId(1), 1)];
-        let sr = cache.stamp(&over_r);
-        let ss = cache.stamp(&over_s);
-        cache.insert(
-            &mut Locked::root(),
-            "qr".into(),
-            quote(Price::dollars(1)),
-            over_r,
-            sr,
-        );
-        cache.insert(
-            &mut Locked::root(),
-            "qs".into(),
-            quote(Price::dollars(2)),
-            over_s,
-            ss,
-        );
+        fill(&cache, "qr", Price::dollars(1), over_r);
+        fill(&cache, "qs", Price::dollars(2), over_s);
         // Touching an R column kills the R quote but leaves the S quote
-        // servable — the whole point of column-scoped epochs.
-        cache.invalidate_columns(&mut Locked::root(), &[AttrRef::new(RelId(0), 1)]);
-        assert!(cache.get(&mut Locked::root(), "qr").is_none());
-        assert_eq!(
-            cache.get(&mut Locked::root(), "qs").unwrap().price,
-            Price::dollars(2)
-        );
+        // servable — the whole point of column-scoped invalidation.
+        cache.invalidate_columns(&[AttrRef::new(RelId(0), 1)]);
+        assert_eq!(get(&cache, "qr"), None);
+        assert_eq!(get(&cache, "qs"), Some(Price::dollars(2)));
         assert_eq!(cache.len(&mut Locked::root()), 1);
-    }
-
-    #[test]
-    fn stale_insert_is_discarded() {
-        let cache = cache();
-        let fp = vec![AttrRef::new(RelId(0), 0)];
-        let s = cache.stamp(&fp);
-        cache.invalidate_columns(&mut Locked::root(), &fp);
-        cache.insert(
-            &mut Locked::root(),
-            "q1".into(),
-            quote(Price::dollars(1)),
-            fp,
-            s,
-        );
-        assert!(cache.get(&mut Locked::root(), "q1").is_none());
-        assert_eq!(cache.len(&mut Locked::root()), 0);
     }
 
     #[test]
     fn generation_counts_every_mutation() {
-        let cache = cache();
+        let mut cache = ShardedQuoteCache::new();
         assert_eq!(cache.epoch(), 0);
-        cache.invalidate_columns(&mut Locked::root(), &[AttrRef::new(RelId(0), 0)]);
-        cache.invalidate_columns(&mut Locked::root(), &[AttrRef::new(RelId(1), 0)]);
+        fill(
+            &cache,
+            "q1",
+            Price::dollars(1),
+            vec![AttrRef::new(RelId(1), 1)],
+        );
+        cache.invalidate_columns(&[AttrRef::new(RelId(0), 0)]);
+        cache.invalidate_columns(&[AttrRef::new(RelId(1), 0)]);
         assert_eq!(cache.epoch(), 2, "one bump per mutation, any column");
-        cache.reset(&mut Locked::root());
-        assert_eq!(cache.epoch(), 0, "recovery rewinds to a cold cache");
-    }
-
-    #[test]
-    fn reset_rewinds_column_epochs_too() {
-        let cache = cache();
-        let fp = vec![AttrRef::new(RelId(0), 0)];
-        cache.invalidate_columns(&mut Locked::root(), &fp);
-        let bumped = cache.stamp(&fp);
-        assert_ne!(bumped, 0);
-        cache.reset(&mut Locked::root());
-        assert_eq!(cache.stamp(&fp), 0, "stamps restart from zero");
-        assert_eq!(cache.len(&mut Locked::root()), 0);
-    }
-
-    /// Invalidating a cache no insert has reached still bumps every
-    /// epoch, so a quote stamped before it is refused; the first insert
-    /// brings the sweep back, and a reset takes it away again.
-    #[test]
-    fn an_unfilled_cache_skips_only_the_sweep() {
-        let cache = cache();
-        let fp = vec![AttrRef::new(RelId(0), 0)];
-        let before = cache.stamp(&fp);
-        cache.invalidate_columns(&mut Locked::root(), &fp);
-        assert!(!cache.filled.load(Ordering::SeqCst));
-        assert_eq!(cache.epoch(), 1);
-        assert_ne!(cache.stamp(&fp), before);
-        cache.insert(
-            &mut Locked::root(),
-            "stale".into(),
-            quote(Price::dollars(1)),
-            fp.clone(),
-            before,
-        );
-        assert!(
-            cache.filled.load(Ordering::SeqCst),
-            "raised before the re-check"
-        );
-        assert_eq!(cache.len(&mut Locked::root()), 0);
-        let s = cache.stamp(&fp);
-        cache.insert(
-            &mut Locked::root(),
-            "q1".into(),
-            quote(Price::dollars(1)),
-            fp.clone(),
-            s,
-        );
         assert_eq!(cache.len(&mut Locked::root()), 1);
-        cache.invalidate_columns(&mut Locked::root(), &fp);
-        assert_eq!(cache.len(&mut Locked::root()), 0, "a filled cache is swept");
-        cache.reset(&mut Locked::root());
-        assert!(!cache.filled.load(Ordering::SeqCst));
+        cache.reset();
+        assert_eq!(cache.epoch(), 0, "recovery rewinds to a cold cache");
+        assert_eq!(cache.len(&mut Locked::root()), 0);
     }
 
     #[test]
     fn keys_spread_over_shards() {
-        let cache = cache();
+        let cache = ShardedQuoteCache::new();
         let fp = vec![AttrRef::new(RelId(0), 0)];
-        let s = cache.stamp(&fp);
         for i in 0..256u64 {
-            cache.insert(
-                &mut Locked::root(),
-                format!("Q{i}(x) :- R(x)"),
-                quote(Price::cents(i)),
+            fill(
+                &cache,
+                &format!("Q{i}(x) :- R(x)"),
+                Price::cents(i),
                 fp.clone(),
-                s,
             );
         }
         assert_eq!(cache.len(&mut Locked::root()), 256);
@@ -479,11 +284,8 @@ mod tests {
         assert!(occupied > SHARDS / 2, "fx-hash should spread: {occupied}");
         for i in 0..256u64 {
             assert_eq!(
-                cache
-                    .get(&mut Locked::root(), &format!("Q{i}(x) :- R(x)"))
-                    .unwrap()
-                    .price,
-                Price::cents(i)
+                get(&cache, &format!("Q{i}(x) :- R(x)")),
+                Some(Price::cents(i))
             );
         }
     }

@@ -25,10 +25,10 @@
 //!
 //! Every mutating call takes the WAL mutex, appends the event, and only
 //! then applies it to the in-memory market (which takes the state write
-//! lock internally, preserving the epoch/cache invalidation protocol —
-//! the cache epoch is still bumped under the state write lock by the
-//! apply itself). Holding the WAL mutex across append + apply makes log
-//! order equal apply order, so replay reproduces the live sequence. The
+//! lock internally, so the apply itself invalidates the quote cache and
+//! bumps its generation under that lock, as a live write does). Holding
+//! the WAL mutex across append + apply makes log order equal apply
+//! order, so replay reproduces the live sequence. The
 //! apply runs the market's `*_at` forms with the WAL's lock token
 //! ([`crate::lock::Wal`]); the state lock taken under it yields
 //! [`crate::lock::StateUnderWal`], and neither may price: pricing
@@ -79,10 +79,11 @@
 //! * **Checked books**: ledger replay uses checked revenue arithmetic;
 //!   an overflowing history surfaces [`MarketError::RevenueOverflow`]
 //!   instead of wrapping.
-//! * **Cold cache at epoch 0**: replay bumps the quote-cache epoch once
-//!   per mutation like live traffic would, and the epilogue resets the
-//!   (empty) cache to epoch 0 — a recovered market is indistinguishable
-//!   from a freshly opened one and cannot serve pre-crash entries.
+//! * **Cold cache at generation 0**: replay bumps the quote-cache
+//!   generation once per mutation like live traffic would, and the
+//!   epilogue resets the (empty) cache to generation 0 — a recovered
+//!   market is indistinguishable from a freshly opened one and cannot
+//!   serve pre-crash entries.
 
 use crate::error::MarketError;
 use crate::ledger::Ledger;
@@ -573,7 +574,7 @@ impl DurableMarket {
         self.ensure_writable()?;
         // audit: bounded(fixed retry cap; each round does one pricing call)
         for _ in 0..RETRIES {
-            let epoch = self.market.cache_epoch();
+            let epoch = self.market.cache_epoch_at(&mut root);
             let Served { out, spans, .. } = self.market.evaluate_purchase(&mut root, query);
             let out =
                 out.and_then(|(quote, answer)| self.log_purchase(&mut root, epoch, quote, answer));
@@ -605,7 +606,7 @@ impl DurableMarket {
     ) -> Result<Option<Purchase>, MarketError> {
         let (mut log, mut at_wal) = self.log.lock(token);
         self.ensure_writable()?;
-        if self.market.cache_epoch() != epoch {
+        if self.market.cache_epoch_at(&mut at_wal) != epoch {
             return Ok(None);
         }
         if self

@@ -19,15 +19,18 @@
 //!   revenue.
 //!
 //! Concurrency: quoting is read-only and proceeds under a shared lock;
-//! insertions take the write lock. Exact quotes are cached in a sharded,
-//! epoch-validated cache (`cache`, 16 lock shards outside the state
-//! lock) so a quote raced by a concurrent update is never served stale,
-//! and [`market::Market::quote_batch`] prices many queries at once on a
+//! insertions take the write lock. Exact quotes are cached in a sharded
+//! cache (`cache`, 16 lock shards) that lives under the state lock: a
+//! write invalidates it under the write lock, and a quote is filled
+//! under the read guard it was priced under, so a quote raced by a
+//! concurrent update is never served stale.
+//! [`market::Market::quote_batch`] prices many queries at once on a
 //! scoped worker pool ([`market::MarketPolicy::batch_workers`]). Every
 //! lock carries a level from [`lock`], so taking locks out of order, or
 //! pricing while the WAL, plan or a cache shard is held, fails to
-//! compile on every path that passes its caller's lock token. The `concurrent` test module hammers a market from multiple
-//! scoped `std` threads to validate the locking.
+//! compile on every path that passes its caller's lock token. The
+//! `concurrent` test module hammers a market from multiple scoped `std`
+//! threads to validate the locking.
 //!
 //! Resource governance: a [`market::MarketPolicy`] bounds each pricing
 //! call with a fuel budget and/or wall-clock deadline, caps concurrent

@@ -409,6 +409,13 @@ impl<T, L> OrderedRwLock<T, L> {
         let guard = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         (Guard::new(guard), Locked::new())
     }
+
+    /// The value, through an exclusive borrow of the lock itself: no
+    /// other holder can exist, so no lock is taken and no token needed.
+    /// A poisoned lock is taken as whole, as by [`OrderedRwLock::read`].
+    pub fn get_mut(&mut self) -> &mut T {
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// The debug-only count of ordered guards each thread holds.

@@ -37,7 +37,6 @@
 //! `*_at` forms take the caller's token; their public forms mint a root
 //! token.
 
-use crate::cache::ShardedQuoteCache;
 use crate::error::MarketError;
 use crate::ledger::Ledger;
 use crate::lock::{self, LockBefore, Locked, MayPrice, OrderedMutex, OrderedRwLock};
@@ -165,6 +164,7 @@ pub struct Purchase {
 
 mod state {
     use super::MarketPolicy;
+    use crate::cache::ShardedQuoteCache;
     use crate::ledger::Ledger;
     use crate::lock::{Locked, MayPrice};
     use qbdp_catalog::{Catalog, Instance, RelId, Tuple};
@@ -181,6 +181,13 @@ mod state {
     /// write applied under the WAL never holds a `&mut Pricer`.
     pub(super) struct State {
         pricer: Pricer,
+        /// Quote cache keyed by the *rendered* query (canonical form).
+        /// Held here so only a state guard reaches it: a write
+        /// invalidates it by `&mut`, and a reader fills it under the
+        /// guard it priced under (see [`crate::cache`]). Only
+        /// `Exact`-quality quotes are cached — a degraded quote is an
+        /// artifact of one budget run, not of the data.
+        pub(super) cache: ShardedQuoteCache,
         pub(super) ledger: Ledger,
         pub(super) policy: MarketPolicy,
     }
@@ -189,6 +196,7 @@ mod state {
         pub(super) fn new(pricer: Pricer) -> State {
             State {
                 pricer,
+                cache: ShardedQuoteCache::new(),
                 ledger: Ledger::new(),
                 policy: MarketPolicy::default(),
             }
@@ -237,13 +245,6 @@ mod state {
 /// A thread-safe, query-priced data marketplace.
 pub struct Market {
     state: OrderedRwLock<State, lock::State>,
-    /// Quote cache keyed by the *rendered* query (canonical form). Lives
-    /// outside the state lock — lookups and fills take only a per-shard
-    /// lock — and is kept coherent with the data via per-column epoch
-    /// tagging (see [`crate::cache`]). Only `Exact`-quality quotes are
-    /// cached — a degraded quote is an artifact of one budget run, not
-    /// of the data.
-    cache: ShardedQuoteCache,
     /// The incremental pricing engine: shape-keyed normalized plans plus
     /// solved flow networks, repriced by residual warm starts. Its mutex
     /// is locked *after* the state lock (never the other way around) and
@@ -391,10 +392,8 @@ impl Market {
                 .collect();
             return Err(MarketError::InconsistentPrices(rendered.join("; ")));
         }
-        let columns = pricer.catalog().schema().all_attrs();
         Ok(Market {
             state: OrderedRwLock::new(State::new(pricer)),
-            cache: ShardedQuoteCache::new(columns),
             plan: OrderedMutex::new(PlanCache::new()),
             in_flight: AtomicUsize::new(0),
         })
@@ -520,18 +519,12 @@ impl Market {
         };
         let schema = state.catalog().schema();
         // Parse every query and serve what the cache already has. Each
-        // miss carries its *own* footprint stamp, computed at its own
-        // lookup under the state lock: it names exactly the data
-        // snapshot the quote derives from, and the cache discards the
-        // insert if an update touching the footprint lands in between.
-        // One whole-batch stamp would be wrong at both granularities:
-        // queries have different footprints, and a stamp taken before
-        // the loop could tag a late slot with an epoch older than the
-        // lookup that missed for it.
+        // miss borrows the cache it missed in, so it is filled under
+        // this same state lock.
         let mut slots: Vec<Result<(ConjunctiveQuery, MarketQuote), MarketError>> =
             Vec::with_capacity(queries.len());
         let mut spans: Vec<Vec<Span>> = Vec::with_capacity(queries.len());
-        let mut misses: Vec<(usize, String, Vec<AttrRef>, u64)> = Vec::new();
+        let mut misses = Vec::new();
         let mut jobs: Vec<(ConjunctiveQuery, trace::Suspended)> = Vec::new();
         for (i, text) in queries.iter().enumerate() {
             if qbdp_obs::enabled() {
@@ -546,20 +539,20 @@ impl Market {
                 }
             };
             let key = pretty::render(&q, schema);
-            let hit = {
+            let lookup = {
                 let mut span = trace::span("cache_lookup");
-                let hit = self.cache.get(at_state, &key);
-                span.detail(if hit.is_some() { "hit" } else { "miss" });
-                hit
+                let lookup = state.cache.get(at_state, key);
+                span.detail(if lookup.is_ok() { "hit" } else { "miss" });
+                lookup
             };
-            if let Some(hit) = hit {
-                slots.push(Ok((q, hit)));
-                spans.push(trace::finish());
-                continue;
+            match lookup {
+                Ok(hit) => {
+                    slots.push(Ok((q, hit)));
+                    spans.push(trace::finish());
+                    continue;
+                }
+                Err(miss) => misses.push((i, miss)),
             }
-            let footprint = query_footprint(state.catalog(), &q);
-            let stamp = self.cache.stamp(&footprint);
-            misses.push((i, key, footprint, stamp));
             // The trace follows the miss onto its pool worker.
             jobs.push((q, trace::suspend()));
             slots.push(Err(MarketError::Internal(
@@ -582,17 +575,17 @@ impl Market {
                 let quote = self.price_miss(state, &mut token, &q, &budget);
                 (q, quote, trace::finish())
             });
-            for ((i, key, footprint, stamp), done) in misses.into_iter().zip(priced) {
+            for ((i, miss), done) in misses.into_iter().zip(priced) {
                 let Some((q, quote, tree)) = done else {
                     continue;
                 };
                 spans[i] = tree;
                 slots[i] = quote
-                    .and_then(|quote| Self::finish_quote(state, key.clone(), quote))
+                    .and_then(|quote| Self::finish_quote(state, miss.key().to_string(), quote))
                     .map(|quote| {
                         if quote.quality.is_exact() {
-                            self.cache
-                                .insert(at_state, key, quote.clone(), footprint, stamp);
+                            let footprint = query_footprint(state.catalog(), &q);
+                            miss.fill(at_state, quote.clone(), footprint);
                         }
                         (q, quote)
                     });
@@ -719,10 +712,7 @@ impl Market {
 
     pub(crate) fn insert_at(
         &self,
-        token: &mut Locked<
-            '_,
-            impl LockBefore<lock::State, Next: LockBefore<lock::Plan> + LockBefore<lock::Shard>>,
-        >,
+        token: &mut Locked<'_, impl LockBefore<lock::State, Next: LockBefore<lock::Plan>>>,
         relation: &str,
         tuples: impl IntoIterator<Item = Tuple>,
     ) -> Result<usize, MarketError> {
@@ -735,17 +725,16 @@ impl Market {
         let added = state
             .insert(rel, tuples)
             .map_err(|e| MarketError::Update(e.to_string()))?;
-        // Invalidate while still holding the write lock, so the epoch
-        // bumps are ordered with the data mutation (see `crate::cache`).
-        // Scope: every column of the inserted relation — a quote's
-        // footprint contains all columns of every relation it mentions,
-        // so this reaches exactly the quotes that could see the new
-        // tuples; quotes over disjoint relations stay cached. Plans are
-        // evicted rather than patched: new tuples change the flow
+        // Invalidate under the same write lock as the data mutation (see
+        // `crate::cache`). Scope: every column of the inserted relation —
+        // a quote's footprint contains all columns of every relation it
+        // mentions, so this reaches exactly the quotes that could see the
+        // new tuples; quotes over disjoint relations stay cached. Plans
+        // are evicted rather than patched: new tuples change the flow
         // network's topology, not just its capacities.
         let arity = state.catalog().schema().relation(rel).arity();
         let touched: Vec<AttrRef> = (0..arity).map(|i| AttrRef::new(rel, i as u32)).collect();
-        self.cache.invalidate_columns(&mut at_state, &touched);
+        state.cache.invalidate_columns(&touched);
         self.plan.lock(&mut at_state).0.invalidate_rels(&[rel]);
         state.ledger.record_update(relation.to_string(), added);
         Ok(added)
@@ -754,7 +743,9 @@ impl Market {
     /// Number of quotes currently held in the sharded cache (inspection
     /// aid; the count is momentary under concurrency).
     pub fn cached_quotes(&self) -> usize {
-        self.cache.len(&mut Locked::root())
+        let mut root = Locked::root();
+        let (state, mut at_state) = self.state.read(&mut root);
+        state.cache.len(&mut at_state)
     }
 
     /// The quote cache's current mutation generation: 0 for a fresh (or
@@ -764,7 +755,14 @@ impl Market {
     /// assert a recovered market starts from 0 rather than inheriting
     /// replay bumps.
     pub fn cache_epoch(&self) -> u64 {
-        self.cache.epoch()
+        self.cache_epoch_at(&mut Locked::root())
+    }
+
+    pub(crate) fn cache_epoch_at(
+        &self,
+        token: &mut Locked<'_, impl LockBefore<lock::State>>,
+    ) -> u64 {
+        self.state.read(token).0.cache.epoch()
     }
 
     /// Counters from the incremental pricing engine: plan-cache hits,
@@ -773,16 +771,17 @@ impl Market {
         self.plan.lock(&mut Locked::root()).0.stats()
     }
 
-    /// Clear the quote and plan caches and rewind every epoch to 0
-    /// (recovery epilogue). Plans are rebuilt lazily from the recovered
-    /// catalog/instance by the same first-miss-cold rule as a fresh
-    /// market's.
-    pub(crate) fn reset_cache<P: LockBefore<lock::Plan> + LockBefore<lock::Shard>>(
+    /// Clear the quote and plan caches and rewind the cache generation
+    /// to 0 (recovery epilogue). Plans are rebuilt lazily from the
+    /// recovered catalog/instance by the same first-miss-cold rule as a
+    /// fresh market's.
+    pub(crate) fn reset_cache(
         &self,
-        token: &mut Locked<'_, P>,
+        token: &mut Locked<'_, impl LockBefore<lock::State, Next: LockBefore<lock::Plan>>>,
     ) {
-        self.cache.reset(token);
-        self.plan.lock(token).0.clear();
+        let (mut state, mut at_state) = self.state.write(token);
+        state.cache.reset();
+        self.plan.lock(&mut at_state).0.clear();
     }
 
     /// Quote and evaluate a purchase without recording it — the durable
@@ -887,7 +886,7 @@ impl Market {
 
     pub(crate) fn set_price_at(
         &self,
-        token: &mut Locked<'_, impl LockBefore<lock::State, Next: LockBefore<lock::Shard>>>,
+        token: &mut Locked<'_, impl LockBefore<lock::State>>,
         view: &str,
         price: Price,
     ) -> Result<(), MarketError> {
@@ -902,12 +901,12 @@ impl Market {
     /// revision was refused, so it renders nothing.
     pub(crate) fn revise_at<R>(
         &self,
-        token: &mut Locked<'_, impl LockBefore<lock::State, Next: LockBefore<lock::Shard>>>,
+        token: &mut Locked<'_, impl LockBefore<lock::State>>,
         view: &str,
         price: Price,
         refused: impl FnOnce(&Catalog, ListArbitrage) -> R,
     ) -> Result<Result<(), R>, MarketError> {
-        let (mut state, mut at_state) = self.state.write(token);
+        let mut state = self.state.write(token).0;
         // `view` syntax: `R.X=a`.
         let (attr, value) = view.split_once('=').ok_or_else(|| {
             MarketError::Update(format!("price selector must be `R.X=a`, got `{view}`"))
@@ -934,7 +933,7 @@ impl Market {
         // no eviction here — it diffs its stored price vector against
         // the live one on every lookup and warm-starts (or rebuilds)
         // itself when they differ.
-        self.cache.invalidate_columns(&mut at_state, &[aref]);
+        state.cache.invalidate_columns(&[aref]);
         Ok(Ok(()))
     }
 
@@ -1092,6 +1091,41 @@ price T.Y=b3 100
             third.price,
             first.price
         );
+    }
+
+    /// A write reprices only the quotes whose footprint it touches
+    /// (Lemma 3.1): a revision in `S` and an insert into `R` leave the
+    /// cached `T` quote servable, and the `R` quote is priced again.
+    #[test]
+    fn writes_reprice_only_the_quotes_over_their_columns() {
+        let market = Market::open_qdp(FIG1_QDP).unwrap();
+        let (over_r, over_t) = ("Q(x) :- R(x)", "Q(y) :- T(y)");
+        let r = market.quote_str(over_r).unwrap();
+        let t = market.quote_str(over_t).unwrap();
+        market.set_price("S.X=a3", Price::cents(50)).unwrap();
+        let r_hit = market.quote_str(over_r).unwrap();
+        assert!(
+            Arc::ptr_eq(&r_hit.receipt, &r.receipt),
+            "a revision in S evicted the R quote"
+        );
+        market.insert("R", [tuple!["a3"]]).unwrap();
+        let t_hit = market.quote_str(over_t).unwrap();
+        assert!(
+            Arc::ptr_eq(&t_hit.receipt, &t.receipt),
+            "a write to S and R evicted the T quote"
+        );
+        let repriced = market.quote_str(over_r).unwrap();
+        assert!(
+            !Arc::ptr_eq(&repriced.receipt, &r.receipt),
+            "an insert into R left the R quote cached"
+        );
+        let cold = market.with_pricer(|p| {
+            let q = parse_rule(p.catalog().schema(), over_r).unwrap();
+            p.price_cq(&q).unwrap()
+        });
+        assert_eq!(repriced.price, cold.price);
+        assert_eq!(repriced.views(), cold.views);
+        assert_eq!(market.cached_quotes(), 2);
     }
 
     #[test]

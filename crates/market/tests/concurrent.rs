@@ -1,8 +1,9 @@
 //! Concurrency stress: many buyer threads quoting (serially and in
 //! batches) and purchasing while the seller inserts data. Validates the
-//! locking discipline, the sharded quote cache's epoch coherence, and
-//! that observed prices never decrease over time (Proposition 2.22 for
-//! full CQs under selection-view prices).
+//! locking discipline, the sharded quote cache's coherence (no served
+//! quote is stale, entries disjoint from a write stay cached), and that
+//! observed prices never decrease over time (Proposition 2.22 for full
+//! CQs under selection-view prices).
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -102,12 +103,13 @@ fn concurrent_quotes_and_inserts() {
     assert_eq!(market.sales(), 1);
 }
 
-/// Regression for the quote-cache staleness race: `quote_str` computes a
-/// quote outside the write lock, so an interleaved `insert` could clear
-/// the cache and then have the *pre-update* quote cached against the
-/// *post-update* data — served stale forever after. The epoch counter
-/// must prevent that: after all updates land, the cached quote must equal
-/// a freshly computed (uncached) one.
+/// Regression for the quote-cache staleness race: were a quote filled
+/// after its pricing's read lock was released, an interleaved `insert`
+/// could clear the cache and then have the *pre-update* quote cached
+/// against the *post-update* data — served stale forever after. Filling
+/// under the read guard the quote was priced under must prevent that:
+/// after all updates land, the cached quote must equal a freshly
+/// computed (uncached) one.
 #[test]
 fn quote_cache_never_serves_stale_prices() {
     let market = Market::open_qdp(QDP).unwrap();
@@ -166,7 +168,7 @@ const MIX_QUERIES: [&str; 4] = [
 ///   resurfacing an old, lower price);
 /// * every slot of every batch succeeds;
 /// * once the writers are done, cached quotes equal freshly computed
-///   ones for every query — no quote served from a stale epoch.
+///   ones for every query — no quote served from stale data.
 #[test]
 fn eight_thread_batch_purchase_insert_mix() {
     let market = Market::open_qdp(QDP).unwrap();
@@ -453,9 +455,9 @@ proptest! {
     /// Cache-coherence property: for ANY interleaving of a random insert
     /// schedule with concurrent batch quoting, once the writer finishes,
     /// the cache serves exactly the prices of the final data — never a
-    /// quote from a stale epoch. (The threads' scheduling is the random
-    /// part the proptest seed can't control; the insert schedule varies
-    /// the epochs and data it races against.)
+    /// quote priced against older data. (The threads' scheduling is the
+    /// random part the proptest seed can't control; the insert schedule
+    /// varies the data it races against.)
     #[test]
     fn cache_coherent_under_random_insert_schedules(
         inserts in proptest::collection::vec((0u8..3, 0i64..6, 0i64..6), 1..12),

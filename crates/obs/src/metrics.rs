@@ -290,10 +290,10 @@ catalog! {
         MarketQuotes => ("qbdp_market_quotes_total", "Quotes served (exact or degraded)"),
         MarketQuotesDegraded => ("qbdp_market_quotes_degraded_total", "Quotes served with a degraded [lower, upper] interval"),
         MarketPurchases => ("qbdp_market_purchases_total", "Completed purchases"),
-        MarketCacheHits => ("qbdp_market_cache_hits_total", "Sharded quote-cache hits (fresh stamp)"),
-        MarketCacheMisses => ("qbdp_market_cache_misses_total", "Sharded quote-cache misses (absent or stale stamp)"),
+        MarketCacheHits => ("qbdp_market_cache_hits_total", "Sharded quote-cache hits"),
+        MarketCacheMisses => ("qbdp_market_cache_misses_total", "Sharded quote-cache misses (absent or invalidated)"),
         MarketInvalidations => ("qbdp_market_invalidations_total", "Cache invalidation sweeps (one per data/price mutation)"),
-        MarketColumnsInvalidated => ("qbdp_market_columns_invalidated_total", "Column epochs bumped across all invalidations"),
+        MarketColumnsInvalidated => ("qbdp_market_columns_invalidated_total", "Columns touched across all invalidations"),
         MarketAdmissionRejects => ("qbdp_market_admission_rejects_total", "Quotes refused by max_in_flight admission control"),
         MarketHealthFlips => ("qbdp_market_health_flips_total", "MarketHealth transitions to ReadOnly"),
         MarketPanicsContained => ("qbdp_market_panics_contained_total", "Pricing panics caught and converted to MarketError::Internal"),

@@ -248,4 +248,5 @@ fn every_n_clean_drop_keeps_the_unsynced_tail() {
         recovered, events,
         "the acked-but-unfsynced EveryN tail must survive a clean drop"
     );
+    std::fs::remove_file(&path).ok();
 }
