@@ -51,7 +51,7 @@ mod receipt;
 
 pub use api::MarketOps;
 pub use chaos::{fingerprint, ChaosConfig, ChaosReport, FaultMix, Fingerprint};
-pub use durable::{DurableMarket, DurableOptions, MarketHealth, ReplayStep};
+pub use durable::{DurableMarket, DurableOptions, MarketHealth, RecoveryProfile, ReplayStep};
 pub use error::MarketError;
 pub use ledger::{Ledger, Transaction};
 pub use market::{Market, MarketPolicy, MarketQuote, Purchase};

@@ -36,9 +36,16 @@
 //!   after a fixed log of price revisions (some refused) and purchases,
 //!   written straight to the WAL so that no compaction shortens it,
 //!   pinned at its mean allocations per replayed record, net of the
-//!   open's fixed cost (≈1.6; ≈2.4 when replay rendered the message of
-//!   each refused revision, ≈4.1 when recovery decoded the log twice).
-//!   A second decode pass adds one allocation per record.
+//!   open's fixed cost (≈1.46; ≈1.6 when each replayed purchase copied
+//!   its query text into the ledger, ≈2.4 when replay rendered the
+//!   message of each refused revision, ≈4.1 when recovery decoded the
+//!   log twice). A second decode pass adds one allocation per record.
+//! * A cold `Market::open_qdp` of the directory's `.qdp` text (1,396
+//!   lines), pinned at its allocations per input line (≈0.45: one text
+//!   per distinct column value and a fixed number of tables; ≈4.7 when
+//!   the reader allocated every token, each tuple's name and values,
+//!   and every column twice). A token that allocates again adds at
+//!   least 0.3 per line.
 //!
 //! A change that brings those copies back fails here rather than only in
 //! a benchmark. Run with `cargo test --test alloc_budget -- --nocapture`
@@ -71,10 +78,16 @@ const MAX_RESTAURANT_HIT_ALLOCS: f64 = 37.0;
 const MAX_COUNTY_MISS_ALLOCS: f64 = 298.13;
 
 /// Mean allocations per record replayed by a cold durable reopen, net
-/// of the same open over an empty log (775 over 480 records; 1,175 when
-/// the 100 refused revisions were rendered, 1,964 when the log was
-/// decoded twice and a revision summed its relation's columns).
-const MAX_REOPEN_ALLOCS_PER_RECORD: f64 = 1.615;
+/// of the same open over an empty log (699 over 480 records; 775 when
+/// each of the 80 purchases copied its query, 1,175 when the 100
+/// refused revisions were rendered, 1,964 when the log was decoded
+/// twice and a revision summed its relation's columns).
+const MAX_REOPEN_ALLOCS_PER_RECORD: f64 = 1.457;
+
+/// Allocations per input line of a cold `Market::open_qdp` of the
+/// directory text (633 over 1,396 lines; 6,589 when every token
+/// allocated).
+const MAX_OPEN_QDP_ALLOCS_PER_LINE: f64 = 0.454;
 
 /// Served quotes measured per row.
 const QUOTES: usize = 100;
@@ -340,6 +353,25 @@ fn a_served_county_slice_miss_stays_pinned() {
     // Every quote is a slice the market has not seen: a cold miss.
     let miss = mean_allocs(|_| {}, || market.quote_str(next.next().unwrap()).unwrap());
     assert_pinned("served county-slice miss", miss, MAX_COUNTY_MISS_ALLOCS);
+}
+
+#[test]
+fn a_cold_directory_open_qdp_stays_pinned_per_line() {
+    let m = directory();
+    let text = Market::open(m.catalog, m.instance, m.prices)
+        .unwrap()
+        .to_qdp();
+    let lines = text.lines().count();
+    let start = allocs();
+    let market = Market::open_qdp(&text).unwrap();
+    let n = allocs() - start;
+    assert_eq!(market.sales(), 0);
+    drop(market);
+    assert_pinned(
+        "input line of a cold directory open_qdp",
+        n as f64 / lines as f64,
+        MAX_OPEN_QDP_ALLOCS_PER_LINE,
+    );
 }
 
 /// Allocations of one cold `DurableMarket::open` of `dir`.
