@@ -890,6 +890,7 @@ fn e13() {
         priced as f64 / t.elapsed().as_secs_f64()
     };
     let (batch1, batch4) = (batch(1), batch(4));
+    let (cold_p50, cold_q1, cold_q3) = restaurant_cold_price_us();
     println!("uncached pricing : {uncached:>8.0} quotes/s  (parse + Min-Cut each call)");
     println!("cached sequential: {seq:>8.0} quotes/s  (quote cache, invalidated on update)");
     println!(
@@ -904,6 +905,53 @@ fn e13() {
         "batch, 4 workers : {batch4:>8.0} quotes/s  (x{:.1}; the pool speeds up with cores)",
         batch4 / batch1
     );
+    println!(
+        "cold restaurants : {cold_p50:>8.1} us/price_cq  [{cold_q1:.1}, {cold_q3:.1}]  (directory, {RESTAURANT_ROUNDS} rounds; median [q1, q3])"
+    );
+}
+
+/// Rounds of [`restaurant_cold_price_us`].
+const RESTAURANT_ROUNDS: usize = 41;
+
+/// The cold `Pricer::price_cq` of the §1 query "restaurants in state S"
+/// (`Q(n, c) :- Business(n, 'S', c), Restaurant(n)`) on qbench's
+/// `directory` market (seed 2012, 10 states × 10 counties × 400
+/// businesses): each round prices the ten states' queries once, and its
+/// time per price is one sample. Returns the median, first and third
+/// quartile over the rounds, in µs.
+fn restaurant_cold_price_us() -> (f64, f64, f64) {
+    let mut rng = StdRng::seed_from_u64(2012);
+    let m = gen_business(
+        &mut rng,
+        BusinessConfig {
+            states: 10,
+            counties_per_state: 10,
+            businesses: 400,
+            ..Default::default()
+        },
+    )
+    .expect("bench setup");
+    let pricer = Pricer::new(m.catalog.clone(), m.instance, m.prices).expect("bench setup");
+    let queries: Vec<_> = m
+        .states
+        .iter()
+        .map(|s| {
+            let text = format!("Q(n, c) :- Business(n, '{s}', c), Restaurant(n)");
+            parse_rule(m.catalog.schema(), &text).expect("query parses")
+        })
+        .collect();
+    let mut samples = Vec::with_capacity(RESTAURANT_ROUNDS);
+    for _ in 0..RESTAURANT_ROUNDS {
+        let t = Instant::now();
+        for q in &queries {
+            let quote = pricer.price_cq(q).expect("pricing succeeds");
+            assert!(quote.price.is_finite());
+        }
+        samples.push(t.elapsed().as_secs_f64() * 1e6 / queries.len() as f64);
+    }
+    let median = qbench::report::median(&samples).unwrap_or(0.0);
+    let (q1, q3) = qbench::report::quartiles(&samples).unwrap_or((0.0, 0.0));
+    (median, q1, q3)
 }
 
 // --------------------------------------------------------------- E14 ----

@@ -10,6 +10,30 @@ use crate::schema::{AttrId, AttrRef, RelId, Schema};
 use crate::value::Value;
 use std::sync::Arc;
 
+/// A catalog and an instance that satisfies its inclusion constraints
+/// `R.X ⊆ Col_{R.X}` (paper §3). Only [`Catalog::check`], which checks
+/// every tuple, and the `.qdp` reader ([`crate::QdpFile::read`]), which
+/// resolves every tuple value through its column as it reads, make one;
+/// so holding one proves the check, and its consumer need not repeat it.
+#[derive(Debug)]
+pub struct CheckedInstance {
+    catalog: Catalog,
+    instance: Instance,
+}
+
+impl CheckedInstance {
+    /// Wrap a catalog and an instance the caller has checked as it built
+    /// them. Crate-private: the proof is only as good as its makers.
+    pub(crate) fn new(catalog: Catalog, instance: Instance) -> Self {
+        CheckedInstance { catalog, instance }
+    }
+
+    /// The catalog and the instance, unwrapped.
+    pub fn into_parts(self) -> (Catalog, Instance) {
+        (self.catalog, self.instance)
+    }
+}
+
 /// Schema + columns. Immutable after construction (columns "always remain
 /// fixed when the database is updated", paper §3). Each relation's columns
 /// sit behind an [`Arc`], so a clone copies one pointer per relation and a
@@ -104,6 +128,36 @@ impl Catalog {
         for (rid, _) in self.schema.iter() {
             for t in d.relation(rid).iter() {
                 self.check_tuple(rid, t)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// [`Catalog::check_instance`], keeping the proof: the catalog and
+    /// the instance, checked.
+    pub fn check(self, instance: Instance) -> Result<CheckedInstance, CatalogError> {
+        self.check_instance(&instance)?;
+        Ok(CheckedInstance {
+            catalog: self,
+            instance,
+        })
+    }
+
+    /// Verify that every column value can be written as `.qdp` text that
+    /// reads back as the same value ([`crate::qdp`]'s grammar leaves two
+    /// kinds of text without such a literal). Returns the first text that
+    /// cannot.
+    pub fn check_literals(&self) -> Result<(), CatalogError> {
+        for attr in self.schema.all_attrs() {
+            if let Some(v) = self
+                .column(attr)
+                .iter()
+                .find(|v| !crate::qdp::reads_back(v))
+            {
+                return Err(CatalogError::UnwritableText {
+                    attr: self.schema.show_attr(attr).to_string(),
+                    value: format!("{:?}", v.to_string()),
+                });
             }
         }
         Ok(())

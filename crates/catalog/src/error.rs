@@ -34,6 +34,15 @@ pub enum CatalogError {
         /// The offending value, rendered.
         value: String,
     },
+    /// A column text whose `.qdp` literal does not read back as the text
+    /// (see [`crate::qdp`]'s grammar), so the catalog could not be written
+    /// and reopened.
+    UnwritableText {
+        /// The attribute position `R.X`, rendered.
+        attr: String,
+        /// The offending text, as a Rust string literal.
+        value: String,
+    },
     /// No column was declared for an attribute that needs one.
     MissingColumn(String),
     /// A parse error in the `.qdp` text format.
@@ -74,6 +83,12 @@ impl fmt::Display for CatalogError {
             }
             CatalogError::ValueOutsideColumn { attr, value } => {
                 write!(f, "value {value} is outside the declared column of {attr}")
+            }
+            CatalogError::UnwritableText { attr, value } => {
+                write!(
+                    f,
+                    "text {value} in the column of {attr} has no .qdp literal that reads back"
+                )
             }
             CatalogError::MissingColumn(a) => write!(f, "no column declared for {a}"),
             CatalogError::Parse { line, message } => {

@@ -32,7 +32,7 @@ pub mod tuple;
 pub mod value;
 
 pub use builder::CatalogBuilder;
-pub use catalog::Catalog;
+pub use catalog::{Catalog, CheckedInstance};
 pub use column::Column;
 pub use error::CatalogError;
 pub use fxhash::{FxHashMap, FxHashSet};

@@ -56,7 +56,7 @@
 //! read. Rows go into the instance from one reused buffer.
 
 use crate::builder::CatalogBuilder;
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, CheckedInstance};
 use crate::column::Column;
 use crate::error::CatalogError;
 use crate::fxhash::FxHashMap;
@@ -76,6 +76,10 @@ pub struct QdpFile {
     /// `price R.X=a <cents>` directives, resolved against the schema.
     pub prices: Vec<(AttrRef, Value, u64)>,
 }
+
+/// A `.qdp` document as [`QdpFile::read`] returns it: the catalog and
+/// instance, checked as they were read, and the `price` directives.
+pub type CheckedQdp = (CheckedInstance, Vec<(AttrRef, Value, u64)>);
 
 /// A `column` directive: its attribute, its literals in [`Pass1::lits`],
 /// and its `{…}` text, which identifies it for sharing.
@@ -116,15 +120,26 @@ impl QdpFile {
     /// Parse a full `.qdp` document (see the module docs for the grammar
     /// and the order of checks).
     pub fn parse(text: &str) -> Result<QdpFile, CatalogError> {
-        let pass1 = Pass1::read(text)?;
-        let catalog = pass1.catalog()?;
-        let instance = pass1.instance(&catalog)?;
-        let prices = pass1.prices(&catalog)?;
+        let (checked, prices) = QdpFile::read(text)?;
+        let (catalog, instance) = checked.into_parts();
         Ok(QdpFile {
             catalog,
             instance,
             prices,
         })
+    }
+
+    /// [`QdpFile::parse`], keeping the proof that the instance satisfies
+    /// the catalog's inclusion constraints: the reader resolves every
+    /// tuple value through its column and refuses one the column does not
+    /// hold, so the catalog and instance come back as a
+    /// [`CheckedInstance`], beside the price directives.
+    pub fn read(text: &str) -> Result<CheckedQdp, CatalogError> {
+        let pass1 = Pass1::read(text)?;
+        let catalog = pass1.catalog()?;
+        let instance = pass1.instance(&catalog)?;
+        let prices = pass1.prices(&catalog)?;
+        Ok((CheckedInstance::new(catalog, instance), prices))
     }
 
     /// Serialize back to `.qdp` text (stable ordering; reparses to an equal
@@ -485,6 +500,33 @@ fn closing_quote(s: &str) -> Option<usize> {
     None
 }
 
+/// Whether `value`'s literal reads back as `value` wherever the writer
+/// puts it: inside a column set or a tuple, last in either, and before a
+/// price's amount. An integer or bare literal always does. A quoted one
+/// does unless its text holds a line break, or a `'` that [`closing_quote`]
+/// takes for the end of the string or for the opening of the next item.
+pub(crate) fn reads_back(value: &Value) -> bool {
+    let Value::Text(text) = value else {
+        return true;
+    };
+    let mut line = String::with_capacity(text.len() + 8);
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "writing to a String cannot fail"
+    )]
+    let _ = value.write_literal(&mut line);
+    let end = line.len();
+    if !line.starts_with('\'') {
+        return true;
+    }
+    !text.contains('\n')
+        && [", x}", "}", ")", " 100"].into_iter().all(|after| {
+            line.truncate(end);
+            line.push_str(after);
+            closing_quote(&line) == Some(end)
+        })
+}
+
 /// Read the literals of a `…, …)` or `…, …}` list up to its `closer`
 /// into `out`; returns the text after the closer, or `None` on a bad
 /// literal, an empty item, a missing closer or anything but a comment
@@ -697,6 +739,69 @@ price T.Y=b3 250
         let f = QdpFile::parse("schema R(X)\ncolumn R.X = {'a,', 'b, '}\n").unwrap();
         let col = f.catalog.column(AttrRef::new(RelId(0), 0));
         assert_eq!(col, &Column::texts(["a,", "b, "]));
+    }
+
+    /// `reads_back` says of a text exactly whether a one-attribute file
+    /// holding it in its column, a tuple and a price reads back as written;
+    /// `check_literals` refuses the texts it says cannot.
+    #[test]
+    fn reads_back_agrees_with_the_reader() {
+        let texts = [
+            "ok",
+            "it's",
+            "a'b",
+            "",
+            "'",
+            "x')",
+            "},",
+            "a' }",
+            "5' 3",
+            "a', b",
+            "a, 'b",
+            "x')#",
+            "a' 5#",
+            "p' 100",
+            "a',b",
+            "two\nlines",
+            "#",
+            "a # b",
+        ];
+        let mut unwritable = 0;
+        for text in texts {
+            let column = Column::texts([text, "zz"]);
+            let catalog = CatalogBuilder::new()
+                .relation("R", &[("X", column.clone())])
+                .build()
+                .unwrap();
+            let r = RelId(0);
+            let mut instance = catalog.empty_instance();
+            instance.insert(r, Tuple::new([Value::text(text)])).unwrap();
+            let value = Value::text(text);
+            let written = QdpFile {
+                catalog: catalog.clone(),
+                instance,
+                prices: vec![(AttrRef::new(r, 0), value.clone(), 100)],
+            }
+            .to_text();
+            let back = QdpFile::parse(&written).ok().filter(|f| {
+                f.catalog.column(AttrRef::new(r, 0)) == &column
+                    && f.instance
+                        .relation(r)
+                        .contains(std::slice::from_ref(&value))
+                    && f.prices == [(AttrRef::new(r, 0), value.clone(), 100)]
+            });
+            assert_eq!(reads_back(&value), back.is_some(), "{text:?} in {written}");
+            if back.is_none() {
+                unwritable += 1;
+                assert!(matches!(
+                    catalog.check_literals(),
+                    Err(CatalogError::UnwritableText { .. })
+                ));
+            } else {
+                assert!(catalog.check_literals().is_ok(), "{text:?}");
+            }
+        }
+        assert_eq!(unwritable, 6, "the tricky texts include unwritable ones");
     }
 
     #[test]

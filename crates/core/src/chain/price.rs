@@ -5,9 +5,10 @@ use crate::budget::{Budget, Metered};
 use crate::error::PricingError;
 use crate::money::Price;
 use crate::normalize::Problem;
+use crate::price_points::PriceList;
 use qbdp_determinacy::selection::SelectionView;
 use qbdp_flow::{Interrupted, MaxFlowResult};
-use qbdp_query::chain::ChainQuery;
+use qbdp_query::chain::{ChainQuery, PartialAnswers};
 
 /// Result of pricing a chain query.
 #[derive(Clone, Debug)]
@@ -65,18 +66,42 @@ pub(crate) fn solve_chain(
     problem: &Problem,
     budget: &Budget,
 ) -> Result<Metered<(ChainGraph, MaxFlowResult)>, PricingError> {
-    let chain = ChainQuery::from_cq(&problem.query)
-        .map_err(|e| PricingError::NotApplicable(e.to_string()))?;
-    if !budget.charge(64 + problem.instance.total_tuples() as u64) {
+    solve_branch(problem, &problem.prices, &mut None, budget)
+}
+
+/// A chain problem's Step 4 member: its chain query and partial answers.
+/// Both depend only on the catalog, instance and query, so every Step 3
+/// branch of one problem shares them.
+pub(crate) type ChainMember = [(ChainQuery, PartialAnswers); 1];
+
+/// [`solve_chain`] for `shared`'s catalog, instance and query priced by
+/// `prices` (a Step 3 branch's). The member is built on the first call
+/// and kept in `member` for the next; each call is charged the instance
+/// scan, as one branch's network.
+pub(crate) fn solve_branch(
+    shared: &Problem,
+    prices: &PriceList,
+    member: &mut Option<ChainMember>,
+    budget: &Budget,
+) -> Result<Metered<(ChainGraph, MaxFlowResult)>, PricingError> {
+    if !budget.charge(64 + shared.instance.total_tuples() as u64) {
         return Ok(Metered::Exhausted {
             lower_bound: Price::ZERO,
         });
     }
-    let span = qbdp_obs::trace::span("partial_answers");
-    let pa = chain.partial_answers(&problem.catalog, &problem.instance);
-    drop(span);
+    let member = match member {
+        Some(member) => member,
+        None => {
+            let chain = ChainQuery::from_cq(&shared.query)
+                .map_err(|e| PricingError::NotApplicable(e.to_string()))?;
+            let span = qbdp_obs::trace::span("partial_answers");
+            let pa = chain.partial_answers(&shared.catalog, &shared.instance);
+            drop(span);
+            member.insert([(chain, pa)])
+        }
+    };
     let span = qbdp_obs::trace::span("flow_build");
-    let network = ChainGraph::build(&problem.catalog, &problem.prices, &[(chain, pa)], None);
+    let network = ChainGraph::build(&shared.catalog, prices, member, None);
     drop(span);
     Ok(match network.solve(budget) {
         Ok(flow) => Metered::Done((network, flow)),

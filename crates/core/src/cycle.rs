@@ -310,12 +310,10 @@ pub fn unrolled_problem(
     // to the original views.
     let mut prices = crate::price_points::PriceList::new();
     let mut provenance = crate::normalize::Provenance::identity();
-    for v in col_x1.iter() {
-        for cap in [cap_a, cap_b] {
-            let attr = AttrRef::new(cap, 0);
-            prices.set(SelectionView::new(attr, v.clone()), Price::ZERO);
-            provenance.record(attr, v.clone(), Vec::new());
-        }
+    for cap in [cap_a, cap_b] {
+        let attr = AttrRef::new(cap, 0);
+        prices.set_free(attr, col_x1.clone());
+        provenance.set_free(attr);
     }
     for (view, price) in problem.prices.iter() {
         if let Some(&(ai, flipped)) = order

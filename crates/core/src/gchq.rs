@@ -2,18 +2,18 @@
 //! one pipeline that prices them (Theorem 3.7). Cold pricing runs it under
 //! the caller's budget as a branch and bound: the Step 3 branches are
 //! solved cheapest cover first, and a branch whose cover cost alone
-//! cannot beat the best finished total is skipped before Step 4. A
+//! cannot beat the best finished total is skipped before it is built. A
 //! [`crate::plan_cache`] build runs it under an unlimited budget, solves
 //! every branch and keeps each one's network and flow, which warm
 //! reprices patch and hand to the same branch-minimum rule.
 
 use crate::budget::{Budget, Metered, QuoteQuality};
 use crate::chain::graph::{with_dinic_arena, ChainGraph};
-use crate::chain::price::solve_chain;
+use crate::chain::price::solve_branch;
 use crate::dichotomy::QueryClass;
 use crate::error::PricingError;
 use crate::money::Price;
-use crate::normalize::step3_hanging::{cover_views, Cover, ReducedBranch};
+use crate::normalize::step3_hanging::{cover_views, Branch, Cover};
 use crate::normalize::{step1_predicates, step2_repeated, step3_hanging, Provenance};
 use crate::pricer::{Pricer, PricingMethod, Quote};
 use qbdp_determinacy::selection::SelectionView;
@@ -223,12 +223,12 @@ pub(crate) struct Branches {
 /// Without `keep` the branches are a branch and bound: they are solved in
 /// ascending `(base_cost, Step 3 index)` order, and a branch that
 /// [`BranchMinimum::prunes`] — its cover cost alone does not beat the
-/// best finished total — is skipped before Step 4 builds its network. A
-/// cut costs at least zero, so a pruned branch could not have won; it
-/// spends no fuel, and an exhausted branch prunes nothing. Each flow
-/// returns to this thread's Dinic arena as soon as its branch is offered.
+/// best finished total — is skipped before Step 3 builds it. A cut
+/// costs at least zero, so a pruned branch could not have won; it spends
+/// no fuel, and an exhausted branch prunes nothing. Each flow returns to
+/// this thread's Dinic arena as soon as its branch is offered.
 ///
-/// With `keep` every branch is solved, in Step 3 order, and comes back
+/// With `keep` every branch is built and solved, in Step 3 order, and comes back
 /// with its network, its flow and its cover views resolved: a warm
 /// reprice changes prices, so a branch that lost today may win then.
 pub(crate) fn price_branches(
@@ -251,13 +251,14 @@ pub(crate) fn price_branches(
         ordered,
     )?;
     let problem = step2_repeated::apply(problem)?;
-    let (branches, complete) = step3_hanging::branches_within(problem, budget)?;
+    let expansion = step3_hanging::expand(problem, budget)?;
+    let complete = expansion.is_complete();
     norm_span.detail(if complete {
         "steps_1_3"
     } else {
         "step3_exhausted"
     });
-    norm_span.n(branches.len() as u64);
+    norm_span.n(expansion.len() as u64);
     drop(norm_span);
     let mut run = Branches {
         minimum: BranchMinimum::default(),
@@ -266,39 +267,52 @@ pub(crate) fn price_branches(
         floor: Price::INFINITE,
         kept: Vec::new(),
     };
-    let mut branches: Vec<(usize, ReducedBranch)> = branches.into_iter().enumerate().collect();
+    let mut order: Vec<(usize, Price)> = (0..expansion.len())
+        .map(|index| (index, expansion.base_cost(index)))
+        .collect();
     if !keep {
         // Stable: equal cover costs stay in Step 3 order.
-        branches.sort_by_key(|(_, branch)| branch.base_cost);
+        order.sort_by_key(|&(_, base_cost)| base_cost);
     }
-    for (index, branch) in branches {
-        if !keep && run.minimum.prunes(index, branch.base_cost) {
+    // Every branch shares the Step 4 member: its chain query and partial
+    // answers, built for the first branch solved.
+    let shared = expansion.problem();
+    let mut member = None;
+    for (index, base_cost) in order {
+        if !keep && run.minimum.prunes(index, base_cost) {
             continue;
         }
         let mut span = qbdp_obs::trace::span("flow_solve");
         let fuel_before = budget.consumed_fuel();
-        let metered = solve_chain(&branch.problem, budget)?;
+        // A branch the budget cannot build costs at least its covers.
+        let metered = match expansion.build(index, budget) {
+            Some(branch) => match solve_branch(shared, &branch.prices, &mut member, budget)? {
+                Metered::Done(solved) => Metered::Done((branch, solved)),
+                Metered::Exhausted { lower_bound } => Metered::Exhausted { lower_bound },
+            },
+            None => Metered::Exhausted {
+                lower_bound: Price::ZERO,
+            },
+        };
         span.fuel(budget.consumed_fuel().saturating_sub(fuel_before));
-        let (network, flow) = match metered {
+        let (branch, (network, flow)) = match metered {
             Metered::Done(solved) => solved,
             Metered::Exhausted { lower_bound } => {
                 span.detail("exhausted");
                 run.finished = false;
-                run.floor = run.floor.min(branch.base_cost.saturating_add(lower_bound));
+                run.floor = run.floor.min(base_cost.saturating_add(lower_bound));
                 continue;
             }
         };
         span.detail("done");
-        let ReducedBranch {
-            problem,
-            base_cost,
-            covers,
+        let Branch {
+            provenance, covers, ..
         } = branch;
         if !keep {
             let total = run.minimum.offer(index, base_cost, &flow, || Purchase {
                 cut: network.cut(&flow).views,
                 covers,
-                provenance: problem.provenance,
+                provenance,
             });
             run.floor = run.floor.min(total);
             with_dinic_arena(|a| a.recycle(flow));
@@ -306,7 +320,7 @@ pub(crate) fn price_branches(
         }
         let solved = SolvedBranch {
             base_views: cover_views(&covers),
-            provenance: problem.provenance,
+            provenance,
             network,
             flow,
         };

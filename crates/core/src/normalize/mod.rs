@@ -13,7 +13,8 @@
 //!   minimum of the originals;
 //! * **Step 3** ([`step3_hanging`]): each hanging variable branches into
 //!   "buy the full cover of its attribute" vs "never touch that attribute",
-//!   projecting the attribute away either way (Lemmas 3.10/3.11).
+//!   projecting the attribute away either way (Lemmas 3.10/3.11); every
+//!   branch shares the one projection.
 //!
 //! Each reduced view keeps **provenance**: the original views a purchase of
 //! it stands for, so quotes can always be expressed against the seller's
@@ -25,10 +26,12 @@
 //! relation a step leaves alone, and the [`PriceList`] and [`Provenance`]
 //! share every attribute's map (see their docs). So Step 1 copies the
 //! columns and prices of the attributes its predicates shrink and the
-//! surviving rows of their relations, Step 2 the merged attribute's prices
-//! and its relation's diagonal rows, and Step 3 the free attribute's
-//! prices. Dropping an attribute copies the projected relation's rows and
-//! moves the later positions' maps down without copying them
+//! surviving rows of their relations, and Step 2 the merged attribute's
+//! prices and its relation's diagonal rows. Step 3 copies no price map: a
+//! cover gives its free attribute out as one rule in the branch's
+//! [`PriceList`] and one in its [`Provenance`], whatever the column's
+//! length. Dropping an attribute copies the projected relation's rows and
+//! moves the later positions' maps and rules down without copying them
 //! ([`drop_attribute`]). By Lemma 3.1 every rewrite stays inside the
 //! relation it names, so the untouched relations reach the flow network
 //! as the very rows and price maps the pricer holds.
@@ -43,8 +46,10 @@
 //! per shared price map and column ([`PriceList::full_cover_price`]).
 //!
 //! Copying a row or a view copies no string: a text [`Value`] shares its
-//! string behind an [`Arc`]. Each Step 3 node projects once, and its two
-//! children share the projected relation; a full cover is recorded as a
+//! string behind an [`Arc`]. Step 3 projects its `h` hanging attributes
+//! once, as one chain, and all `2^h` branches share the result; a branch
+//! is built (the shared prices and provenance cloned, its free rules
+//! added) only when it is solved, and a full cover is recorded as a
 //! [`step3_hanging::Cover`], not resolved to original views until a quote
 //! needs them (see [`step3_hanging`]). A query shares its name and
 //! variable table with the queries derived from it, and re-validating a
@@ -65,17 +70,21 @@ use qbdp_query::ast::ConjunctiveQuery;
 use std::sync::Arc;
 
 /// Maps a view of the *reduced* problem to the original views it stands
-/// for. A view resolves through, in order: an explicit entry for it (Step
-/// 2's minima, Step 3's free covers), the rename of its attribute (an
-/// attribute that [`drop_attribute`] shifted stands for the same value of
-/// its original attribute), or itself. Explicit entries are kept per
-/// attribute behind an [`Arc`], like a [`PriceList`]'s prices, so cloning a
-/// provenance copies no entry.
+/// for. A view resolves through, in order: its attribute's free rule (a
+/// view of an attribute given out free, as by Step 3's covers, stands for
+/// nothing: it was paid for elsewhere), an explicit entry for it (Step
+/// 2's minima), the rename of its attribute (an attribute that
+/// [`drop_attribute`] shifted stands for the same value of its original
+/// attribute), or itself. Explicit entries are kept per attribute behind
+/// an [`Arc`], like a [`PriceList`]'s prices, so cloning a provenance
+/// copies no entry.
 #[derive(Clone, Debug, Default)]
 pub struct Provenance {
     map: FxHashMap<AttrRef, Arc<FxHashMap<Value, Vec<SelectionView>>>>,
     /// Reduced attribute → the original attribute it was shifted from.
     renames: FxHashMap<AttrRef, AttrRef>,
+    /// The attributes given out free, one rule each.
+    free: Vec<AttrRef>,
 }
 
 impl Provenance {
@@ -85,9 +94,20 @@ impl Provenance {
     }
 
     /// Record that reduced view `(attr, value)` stands for `originals`
-    /// (empty = "already paid for elsewhere", e.g. Step 3's free covers).
+    /// (empty = "already paid for elsewhere").
     pub fn record(&mut self, attr: AttrRef, value: Value, originals: Vec<SelectionView>) {
         Arc::make_mut(self.map.entry(attr).or_default()).insert(value, originals);
+    }
+
+    /// Record that every view of `attr` stands for nothing: the attribute
+    /// is given out free, paid for elsewhere (Step 3's covers, the cycle's
+    /// caps). One rule, whatever the column's length; it replaces the
+    /// attribute's explicit entries.
+    pub(crate) fn set_free(&mut self, attr: AttrRef) {
+        self.map.remove(&attr);
+        if !self.free.contains(&attr) {
+            self.free.push(attr);
+        }
     }
 
     /// Resolve a reduced view to original views.
@@ -100,6 +120,9 @@ impl Provenance {
     /// Append the original views reduced view `(attr, value)` stands for
     /// to `out`.
     pub(crate) fn resolve_into(&self, attr: AttrRef, value: &Value, out: &mut Vec<SelectionView>) {
+        if self.free.contains(&attr) {
+            return;
+        }
         if let Some(orig) = self.map.get(&attr).and_then(|m| m.get(value)) {
             out.extend_from_slice(orig);
             return;
@@ -121,19 +144,25 @@ impl Provenance {
     }
 
     /// Project position `pos` out of relation `rel` (of arity `arity`):
-    /// its entries are dropped, and each later position moves down one,
-    /// keeping its entries and recording one rename back to the original
-    /// attribute.
+    /// its entries and free rule are dropped, and each later position
+    /// moves down one, keeping its entries and free rule and recording one
+    /// rename back to the original attribute.
     fn drop_position(&mut self, rel: RelId, pos: usize, arity: usize) {
         let at = |p: usize| AttrRef::new(rel, p as u32);
         self.map.remove(&at(pos));
         self.renames.remove(&at(pos));
+        self.free.retain(|&a| a != at(pos));
         for p in pos + 1..arity {
             if let Some(m) = self.map.remove(&at(p)) {
                 self.map.insert(at(p - 1), m);
             }
             let original = self.renames.remove(&at(p)).unwrap_or(at(p));
             self.renames.insert(at(p - 1), original);
+        }
+        for attr in &mut self.free {
+            if attr.rel == rel && attr.attr.0 as usize > pos {
+                *attr = at(attr.attr.0 as usize - 1);
+            }
         }
     }
 }
@@ -277,11 +306,12 @@ mod tests {
     }
 
     /// Steps 1–3 copy only what they rewrite: `T`'s tuples and prices stay
-    /// the input's, each shifted attribute is one rename, sibling Step 3
-    /// branches share their node's projection, and every view resolves as
-    /// it did when each step rebuilt the whole problem (the expected tables
-    /// were recorded from that implementation; cover views are read
-    /// through [`step3_hanging::ReducedBranch::base_views`]).
+    /// the input's, each shifted attribute is one rename, every Step 3
+    /// branch shares the one projection, a free cover is a rule rather than
+    /// an entry per value, and every view resolves as it did when each step
+    /// rebuilt the whole problem (the expected tables were recorded from
+    /// that implementation; cover views are read through
+    /// [`step3_hanging::ReducedBranch::base_views`]).
     #[test]
     fn steps_share_untouched_maps_and_resolve_as_before() {
         let input = two_relation_fixture();
@@ -360,25 +390,32 @@ mod tests {
             assert_eq!(bought, views);
             assert_eq!(resolve_table(&b.problem), table);
             // `R` is down to `R(C)`: one rename, whatever was shifted on
-            // the way, and explicit entries only for a free cover.
+            // the way, and no explicit entry: a free cover is one rule in
+            // the prices and one in the provenance, not an entry per value.
+            let rc = AttrRef::new(r, 0);
             assert_eq!(b.problem.provenance.renames.len(), 1);
+            assert!(b.problem.provenance.map.is_empty());
+            let covered = cost > Price::ZERO;
             assert_eq!(
-                b.problem.provenance.map.len(),
-                usize::from(cost > Price::ZERO)
+                b.problem.provenance.free,
+                if covered { vec![rc] } else { vec![] }
             );
+            assert_eq!(b.problem.prices.attr_prices(rc).is_none(), covered);
         }
-        // The last Step 3 node projects `R` once: its cover and skip
-        // children hold the same projected relation.
-        for pair in branches.chunks(2) {
+        // Step 3 projects once for all branches: every branch holds the
+        // one projected relation, and shares its catalog's columns.
+        let first = &branches[0].problem;
+        for b in &branches {
             assert!(std::ptr::eq(
-                pair[0].problem.instance.relation(r),
-                pair[1].problem.instance.relation(r)
+                b.problem.instance.relation(r),
+                first.instance.relation(r)
             ));
+            assert!(b
+                .problem
+                .catalog
+                .column(AttrRef::new(r, 0))
+                .ptr_eq(first.catalog.column(AttrRef::new(r, 0))));
         }
-        assert!(!std::ptr::eq(
-            branches[0].problem.instance.relation(r),
-            branches[2].problem.instance.relation(r)
-        ));
     }
 
     #[test]

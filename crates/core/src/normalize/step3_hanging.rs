@@ -14,21 +14,34 @@
 //! remaining problem has hanging variables only in unary atoms
 //! (single-atom queries), which the chain reduction prices directly.
 //!
-//! Both branches of a node start from the same projection, so a node
-//! projects once: the skip branch takes the projected problem, and the
-//! cover branch a clone of it (sharing every relation, column and price
-//! map) whose free attribute it then zeroes. A cover branch records what
-//! it bought as a [`Cover`] — the attribute, its column and the node's
-//! provenance, all shared — rather than the original views of every
-//! covered value. Only the branch that wins the minimum needs those
-//! views, so [`crate::gchq`] resolves the winner's covers alone (and a
-//! plan build, which re-sums every branch's base cost on warm reprices,
-//! resolves every branch it keeps).
+//! # By reference
+//!
+//! Every branch projects the same attributes away in the same order, so
+//! all `2^h` branches end on one catalog, instance and query, and differ
+//! only in prices and provenance. [`expand`] therefore projects the `h`
+//! hanging attributes once, as one chain, and keeps the result as the
+//! [`Expansion`]'s shared problem. A branch is a choice of covers: its
+//! base cost and covers are known from the chain alone, and its problem
+//! is the shared one with each free attribute recorded as one rule in
+//! the price list and the provenance ([`PriceList`]'s free attributes),
+//! whatever the column's length. An [`Expansion`] builds a branch
+//! only when asked, so a branch and bound builds the branches it solves
+//! and no others.
+//!
+//! A cover branch records what it bought as a [`Cover`] — the attribute,
+//! its column and the chain's provenance at that attribute, all shared —
+//! rather than the original views of every covered value. Only the branch
+//! that wins the minimum needs those views, so [`crate::gchq`] resolves
+//! the winner's covers alone (and a plan build, which re-sums every
+//! branch's base cost on warm reprices, resolves every branch it keeps).
+//!
+//! [`PriceList`]: crate::price_points::PriceList
 
 use super::{drop_attribute, Problem, Provenance};
 use crate::budget::Budget;
 use crate::error::PricingError;
 use crate::money::Price;
+use crate::price_points::PriceList;
 use qbdp_catalog::{AttrRef, Column};
 use qbdp_determinacy::selection::SelectionView;
 use qbdp_query::analysis;
@@ -55,11 +68,11 @@ impl ReducedBranch {
     }
 }
 
-/// A full cover `Σ_{R.X}` bought at one Step 3 node: the attribute, its
-/// column and the node's provenance, each shared with the node. It is
-/// recorded, not resolved: however long its column, a cover costs one
-/// allocation to record and two reference counts to clone until someone
-/// asks for its original views.
+/// A full cover `Σ_{R.X}` bought at one Step 3 site: the attribute, its
+/// column and the chain's provenance there, each shared by every branch
+/// that covers the site. It is recorded, not resolved: however long its
+/// column, a cover costs two reference counts to clone until someone asks
+/// for its original views.
 #[derive(Clone, Debug)]
 pub struct Cover {
     attr: AttrRef,
@@ -89,40 +102,239 @@ pub(crate) fn cover_views(covers: &[Cover]) -> Vec<SelectionView> {
 /// paper notes).
 pub const MAX_HANGING: usize = 12;
 
-/// Expand a problem into its Step 3 branches.
+/// One hanging attribute of the projection chain.
+#[derive(Debug)]
+struct Site {
+    /// What covering the attribute buys; its `attr` is in the coordinates
+    /// of the chain stage it is projected out of.
+    cover: Cover,
+    /// The cover's price when no earlier cover left the attribute free
+    /// (`INFINITE`: not for sale, so only such a branch may cover it).
+    cover_price: Price,
+    /// The attribute a cover gives out free, in the coordinates of the
+    /// stage after the projection.
+    free: AttrRef,
+}
+
+/// A branch of an [`Expansion`] as pricing needs it: the shared problem's
+/// prices and provenance with the branch's free attributes, and what its
+/// covers bought.
+#[derive(Debug)]
+pub(crate) struct Branch {
+    /// The branch's prices over the shared problem.
+    pub(crate) prices: PriceList,
+    /// Reduced-view → original-view mapping of the branch.
+    pub(crate) provenance: Provenance,
+    /// Price already paid for full covers.
+    pub(crate) base_cost: Price,
+    /// The full covers bought, outermost first.
+    pub(crate) covers: Vec<Cover>,
+}
+
+/// Step 3 of one problem, by reference: the projection chain every branch
+/// shares, and the `2^h` branches as cover choices with their base costs,
+/// in Step 3 order (the cover branch of each site before its skip
+/// branch, outermost site first). A cover that is not for sale has no
+/// branch.
+#[derive(Debug)]
+pub struct Expansion {
+    /// Every hanging attribute projected away and no cover bought: the
+    /// last branch's problem, and every branch's catalog, instance and
+    /// query.
+    shared: Problem,
+    sites: Vec<Site>,
+    /// Each branch's covered sites (bit `h − 1 − i` for site `i`) and
+    /// base cost.
+    branches: Vec<(u32, Price)>,
+    complete: bool,
+}
+
+impl Expansion {
+    /// The catalog, instance and query every branch shares (with the
+    /// prices and provenance of the branch that covers nothing).
+    pub fn problem(&self) -> &Problem {
+        &self.shared
+    }
+
+    /// Number of branches.
+    pub fn len(&self) -> usize {
+        self.branches.len()
+    }
+
+    /// Whether there is no branch.
+    pub fn is_empty(&self) -> bool {
+        self.branches.is_empty()
+    }
+
+    /// Whether every branch is listed: the projection chain finished
+    /// within the budget.
+    pub fn is_complete(&self) -> bool {
+        self.complete
+    }
+
+    /// The price branch `index`'s covers cost.
+    pub fn base_cost(&self, index: usize) -> Price {
+        self.branches[index].1
+    }
+
+    /// Build branch `index` under `budget`, which is charged for it;
+    /// `None` when the budget is spent.
+    pub(crate) fn build(&self, index: usize, budget: &Budget) -> Option<Branch> {
+        if !budget.charge(16) {
+            return None;
+        }
+        let (covered, base_cost) = self.branches[index];
+        let mut covers = Vec::new();
+        let mut free = Vec::new();
+        self.replay(covered, &mut free, |site| covers.push(site.cover.clone()));
+        let mut prices = self.shared.prices.clone();
+        let mut provenance = self.shared.provenance.clone();
+        for attr in free {
+            prices.set_free(attr, self.shared.catalog.column(attr).clone());
+            provenance.set_free(attr);
+        }
+        Some(Branch {
+            prices,
+            provenance,
+            base_cost,
+            covers,
+        })
+    }
+
+    /// Walk the chain covering the sites in `covered`: returns the covers'
+    /// price (`None` when one is not for sale) and leaves the branch's
+    /// free attributes, in the shared problem's coordinates, in `free`.
+    /// `bought` sees each cover that costs something; a cover of an
+    /// attribute an earlier cover left free costs 0 and buys nothing.
+    fn replay(
+        &self,
+        covered: u32,
+        free: &mut Vec<AttrRef>,
+        mut bought: impl FnMut(&Site),
+    ) -> Option<Price> {
+        free.clear();
+        let h = self.sites.len();
+        let mut cost = Price::ZERO;
+        for (i, site) in self.sites.iter().enumerate() {
+            let attr = site.cover.attr;
+            let was_free = free.contains(&attr);
+            free.retain(|&a| a != attr);
+            for a in free.iter_mut() {
+                if a.rel == attr.rel && a.attr > attr.attr {
+                    *a = AttrRef::new(a.rel, a.attr.0 - 1);
+                }
+            }
+            if covered >> (h - 1 - i) & 1 == 0 {
+                continue;
+            }
+            if !was_free {
+                if !site.cover_price.is_finite() {
+                    return None;
+                }
+                cost = cost.saturating_add(site.cover_price);
+                bought(site);
+            }
+            if !free.contains(&site.free) {
+                free.push(site.free);
+            }
+        }
+        Some(cost)
+    }
+}
+
+/// Expand a problem into its Step 3 branches, every one built.
 pub fn branches(problem: Problem) -> Result<Vec<ReducedBranch>, PricingError> {
-    let (out, complete) = branches_within(problem, &Budget::unlimited())?;
-    debug_assert!(complete, "unlimited budgets never exhaust");
+    let unlimited = Budget::unlimited();
+    let expansion = expand(problem, &unlimited)?;
+    let shared = expansion.problem();
+    let mut out = Vec::with_capacity(expansion.len());
+    for index in 0..expansion.len() {
+        let Some(branch) = expansion.build(index, &unlimited) else {
+            unreachable!("unlimited budgets never exhaust");
+        };
+        out.push(ReducedBranch {
+            problem: Problem {
+                catalog: shared.catalog.clone(),
+                instance: shared.instance.clone(),
+                prices: branch.prices,
+                query: shared.query.clone(),
+                provenance: branch.provenance,
+            },
+            base_cost: branch.base_cost,
+            covers: branch.covers,
+        });
+    }
     Ok(out)
 }
 
-/// [`branches`] under a [`Budget`]. Returns the branches produced before
-/// the budget ran out plus a completeness flag. Every returned branch is a
-/// genuine purchase strategy, so the minimum over a *partial* branch list
-/// still upper-bounds the true price; only the `complete = true` minimum
-/// is exact. A limited budget also lifts the `2^h` cap error: too many
-/// hanging attributes simply yield `(empty, false)` and the caller falls
-/// back structurally.
-pub fn branches_within(
-    problem: Problem,
-    budget: &Budget,
-) -> Result<(Vec<ReducedBranch>, bool), PricingError> {
-    let h = count_hanging(&problem.query);
+/// Run a problem's projection chain under a [`Budget`] and list its
+/// branches. Each projection is charged about one instance scan, its cost
+/// in the worst case. When the budget runs out inside the chain, the
+/// expansion is incomplete and lists no branch; so it is when there are
+/// more than [`MAX_HANGING`] hanging attributes under a limited budget,
+/// and the caller falls back structurally. Under an unlimited budget that
+/// many is an error.
+pub fn expand(problem: Problem, budget: &Budget) -> Result<Expansion, PricingError> {
+    let h = hang_sites(&problem.query).len();
+    let incomplete = |shared| Expansion {
+        shared,
+        sites: Vec::new(),
+        branches: Vec::new(),
+        complete: false,
+    };
     if h > MAX_HANGING {
         if budget.is_limited() {
-            return Ok((Vec::new(), false));
+            return Ok(incomplete(problem));
         }
         return Err(PricingError::LimitExceeded(format!(
             "{h} hanging attributes exceed the 2^h branch cap (max {MAX_HANGING})"
         )));
     }
-    let mut out = Vec::new();
-    let complete = expand(problem, Price::ZERO, Vec::new(), &mut out, budget)?;
-    Ok((out, complete))
-}
-
-fn count_hanging(q: &ConjunctiveQuery) -> usize {
-    hang_sites(q).len()
+    let mut stage = problem;
+    let mut sites = Vec::with_capacity(h);
+    while let Some(&(var, (atom_idx, pos))) = hang_sites(&stage.query).first() {
+        if !budget.charge(16 + stage.instance.total_tuples() as u64) {
+            return Ok(incomplete(stage));
+        }
+        let rel = stage.query.atoms()[atom_idx].rel;
+        let attr = AttrRef::new(rel, pos as u32);
+        let cover_price = stage.prices.full_cover_price(&stage.catalog, attr);
+        let next = project_out(&stage, rel, atom_idx, pos, var)?;
+        // A cover gives the relation out for free on one *surviving*
+        // attribute — a join position where there is one, so that later
+        // projections of this relation do not erase the freebie.
+        let free = AttrRef::new(rel, choose_free_position(&next.query, atom_idx) as u32);
+        sites.push(Site {
+            cover: Cover {
+                attr,
+                column: stage.catalog.column(attr).clone(),
+                provenance: Arc::new(stage.provenance),
+            },
+            cover_price,
+            free,
+        });
+        stage = next;
+    }
+    // A site's projection can leave another hanging attribute's atom
+    // unary, so the chain may have fewer sites than `h`.
+    let h = sites.len();
+    let mut expansion = Expansion {
+        shared: stage,
+        sites,
+        branches: Vec::with_capacity(1 << h),
+        complete: true,
+    };
+    // Counting up through the skip masks walks the branches in Step 3
+    // order: site 0, the outermost, is the highest bit.
+    let all = (1u32 << h) - 1;
+    let mut free = Vec::with_capacity(h);
+    for skipped in 0..=all {
+        let covered = !skipped & all;
+        if let Some(cost) = expansion.replay(covered, &mut free, |_| {}) {
+            expansion.branches.push((covered, cost));
+        }
+    }
+    Ok(expansion)
 }
 
 /// The (atom, position) of each hanging variable eligible for removal, in
@@ -140,70 +352,6 @@ fn hang_sites(q: &ConjunctiveQuery) -> Vec<(Var, (usize, usize))> {
         .collect();
     sites.sort_unstable_by_key(|&(v, _)| v);
     sites
-}
-
-fn expand(
-    problem: Problem,
-    base_cost: Price,
-    covers: Vec<Cover>,
-    out: &mut Vec<ReducedBranch>,
-    budget: &Budget,
-) -> Result<bool, PricingError> {
-    // Each expansion node is charged about one instance scan, the cost of
-    // the projection below in the worst case.
-    if !budget.charge(16 + problem.instance.total_tuples() as u64) {
-        return Ok(false);
-    }
-    // Find the next removable hanging variable.
-    let next = hang_sites(&problem.query).first().copied();
-    let Some((var, (atom_idx, pos))) = next else {
-        out.push(ReducedBranch {
-            problem,
-            base_cost,
-            covers,
-        });
-        return Ok(true);
-    };
-    let rel = problem.query.atoms()[atom_idx].rel;
-    let attr = AttrRef::new(rel, pos as u32);
-    // Both branches project R.X away: project once, and let branch A
-    // share the projected relation with branch B.
-    let reduced = project_out(&problem, rel, atom_idx, pos, var)?;
-
-    // ---- Branch A: buy the full cover Σ_{R.X}. ----
-    let cover_price = problem.prices.full_cover_price(&problem.catalog, attr);
-    if cover_price.is_finite() {
-        let mut covered = reduced.clone();
-        // Give the relation out for free on one *surviving* attribute —
-        // prefer a join position so later hanging-removals of this relation
-        // don't erase the freebie.
-        let free_pos = choose_free_position(&covered.query, atom_idx);
-        let free_attr = AttrRef::new(rel, free_pos as u32);
-        covered
-            .prices
-            .set_attr_uniform(&covered.catalog, free_attr, Price::ZERO);
-        for v in covered.catalog.column(free_attr).iter() {
-            covered.provenance.record(free_attr, v.clone(), Vec::new());
-        }
-        let mut with_cover = covers.clone();
-        with_cover.push(Cover {
-            attr,
-            column: problem.catalog.column(attr).clone(),
-            provenance: Arc::new(problem.provenance),
-        });
-        if !expand(
-            covered,
-            base_cost.saturating_add(cover_price),
-            with_cover,
-            out,
-            budget,
-        )? {
-            return Ok(false);
-        }
-    }
-
-    // ---- Branch B: never touch R.X. ----
-    expand(reduced, base_cost, covers, out, budget)
 }
 
 /// Position of the reduced atom whose variable is not hanging (a join

@@ -268,9 +268,17 @@ impl PartialEq for AttrPrices {
 /// Each map keeps the price of its attribute's full cover once summed
 /// ([`PriceList::full_cover_price`]), so a quote that shares the map with
 /// the pricer's list reads the sum instead of re-adding the column.
+///
+/// An attribute given out **free** (Step 3's covers, the cycle's caps) is
+/// one rule, not a map: every view over its column costs 0, its full
+/// cover costs 0 × its length, and recording it costs the same whatever
+/// the column's length.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PriceList {
     prices: FxHashMap<AttrRef, Arc<AttrPrices>>,
+    /// The free attributes with their columns, sorted by attribute. An
+    /// attribute is in at most one of `prices` and `free`.
+    free: Vec<(AttrRef, Column)>,
     len: usize,
 }
 
@@ -306,6 +314,7 @@ impl PriceList {
     /// attribute's memoized full-cover price is adjusted, not dropped
     /// (see [`PriceList::full_cover_price`]).
     pub fn set(&mut self, view: SelectionView, price: Price) -> &mut Self {
+        self.thaw(view.attr);
         let attr = Arc::make_mut(self.prices.entry(view.attr).or_default());
         if attr.set(view.value, price) {
             self.len += 1;
@@ -315,13 +324,13 @@ impl PriceList {
 
     /// Remove a view from sale. Returns whether it was priced.
     pub fn remove(&mut self, view: &SelectionView) -> bool {
-        let Some(m) = self.prices.get_mut(&view.attr) else {
-            return false;
-        };
-        if !m.map.contains_key(&view.value) {
+        if !self.is_priced(view) {
             return false;
         }
-        Arc::make_mut(m).map_mut().remove(&view.value);
+        self.thaw(view.attr);
+        if let Some(m) = self.prices.get_mut(&view.attr) {
+            Arc::make_mut(m).map_mut().remove(&view.value);
+        }
         self.len -= 1;
         true
     }
@@ -331,10 +340,42 @@ impl PriceList {
         if let Some(m) = self.prices.remove(&attr) {
             self.len -= m.map.len();
         }
+        if let Some(i) = self.free_index(attr) {
+            self.len -= self.free.remove(i).1.len();
+        }
     }
 
-    /// Replace every price on an attribute with `prices` (Step 2's minima,
-    /// Step 3's free cover).
+    /// Give every view of `attr` over `column` out free, replacing the
+    /// attribute's previous prices: one rule, whatever the column's
+    /// length (Step 3's full-cover branch, the cycle's caps).
+    pub(crate) fn set_free(&mut self, attr: AttrRef, column: Column) {
+        self.remove_attr(attr);
+        self.len += column.len();
+        let at = self.free.partition_point(|(a, _)| *a < attr);
+        self.free.insert(at, (attr, column));
+    }
+
+    /// Where `attr` sits in the free rules, if it is free.
+    fn free_index(&self, attr: AttrRef) -> Option<usize> {
+        self.free.iter().position(|(a, _)| *a == attr)
+    }
+
+    /// The column over which `attr` is given out free, if it is.
+    fn free_column(&self, attr: AttrRef) -> Option<&Column> {
+        self.free.iter().find(|(a, _)| *a == attr).map(|(_, c)| c)
+    }
+
+    /// Turn a free attribute back into a map of zero prices, so a write
+    /// to one of its views can follow.
+    fn thaw(&mut self, attr: AttrRef) {
+        if let Some(i) = self.free_index(attr) {
+            let (attr, column) = self.free.remove(i);
+            let map = column.iter().map(|v| (v.clone(), Price::ZERO)).collect();
+            self.prices.insert(attr, Arc::new(AttrPrices::new(map)));
+        }
+    }
+
+    /// Replace every price on an attribute with `prices` (Step 2's minima).
     pub(crate) fn replace_attr(&mut self, attr: AttrRef, prices: PriceMap) {
         self.remove_attr(attr);
         if !prices.is_empty() {
@@ -347,6 +388,7 @@ impl PriceList {
     /// 1). When every priced value survives, the attribute's map stays
     /// shared.
     pub(crate) fn retain_on(&mut self, attr: AttrRef, column: &Column) {
+        self.thaw(attr);
         let Some(m) = self.prices.get(&attr) else {
             return;
         };
@@ -362,13 +404,19 @@ impl PriceList {
     }
 
     /// Project position `pos` out of relation `rel` (of arity `arity`):
-    /// its prices are removed and the later positions' maps move down by
-    /// one, still shared.
+    /// its prices are removed and the later positions' maps and free
+    /// rules move down by one, still shared.
     pub(crate) fn drop_position(&mut self, rel: RelId, pos: usize, arity: usize) {
         self.remove_attr(AttrRef::new(rel, pos as u32));
         for p in pos + 1..arity {
             if let Some(m) = self.prices.remove(&AttrRef::new(rel, p as u32)) {
                 self.prices.insert(AttrRef::new(rel, (p - 1) as u32), m);
+            }
+        }
+        // Shifting down within one relation keeps the rules sorted.
+        for (attr, _) in &mut self.free {
+            if attr.rel == rel && attr.attr.0 as usize > pos {
+                *attr = AttrRef::new(rel, attr.attr.0 - 1);
             }
         }
     }
@@ -379,12 +427,18 @@ impl PriceList {
         self.prices.get(&attr)
     }
 
-    /// The price lookup for one attribute, which finds the attribute's map
-    /// once for any number of values ([`Price::INFINITE`] when not for
-    /// sale).
+    /// The price lookup for the values of one attribute's column, which
+    /// finds the attribute's map once for any number of values
+    /// ([`Price::INFINITE`] when not for sale). A free attribute prices
+    /// every value at 0 without a lookup, so pass only values of the
+    /// column the list prices it over.
     pub(crate) fn prices_on(&self, attr: AttrRef) -> impl '_ + Fn(&Value) -> Price {
-        let m = self.prices.get(&attr);
+        let free = self.free_column(attr).is_some();
+        let m = if free { None } else { self.prices.get(&attr) };
         move |v| {
+            if free {
+                return Price::ZERO;
+            }
             m.and_then(|m| m.map.get(v))
                 .copied()
                 .unwrap_or(Price::INFINITE)
@@ -398,6 +452,9 @@ impl PriceList {
 
     /// Whether a view is on the list (at any price).
     pub fn is_priced(&self, view: &SelectionView) -> bool {
+        if let Some(column) = self.free_column(view.attr) {
+            return column.contains(&view.value);
+        }
         self.prices
             .get(&view.attr)
             .is_some_and(|m| m.map.contains_key(&view.value))
@@ -405,7 +462,14 @@ impl PriceList {
 
     /// Price of `σ_{attr=value}`.
     pub fn get_at(&self, attr: AttrRef, value: &Value) -> Price {
-        self.prices_on(attr)(value)
+        // An attribute is listed or free, never both: look the map up first.
+        if let Some(m) = self.prices.get(&attr) {
+            return m.map.get(value).copied().unwrap_or(Price::INFINITE);
+        }
+        match self.free_column(attr) {
+            Some(column) if column.contains(value) => Price::ZERO,
+            _ => Price::INFINITE,
+        }
     }
 
     /// Number of priced views.
@@ -425,6 +489,14 @@ impl PriceList {
     /// [`PriceList::set`] keeps it current in O(1).
     pub fn full_cover_price(&self, catalog: &Catalog, attr: AttrRef) -> Price {
         let column = catalog.column(attr);
+        if let Some(free) = self.free_column(attr) {
+            let covered = free.ptr_eq(column) || column.iter().all(|v| free.contains(v));
+            return if covered {
+                Price::ZERO
+            } else {
+                Price::INFINITE
+            };
+        }
         match self.prices.get(&attr) {
             Some(m) => m.cover_price(column, || column.iter().map(self.prices_on(attr)).sum()),
             // Nothing priced: every value is unpriced.
@@ -470,30 +542,30 @@ impl PriceList {
 
     /// Iterate over the priced views.
     pub fn iter(&self) -> impl Iterator<Item = (SelectionView, Price)> + '_ {
-        self.prices.iter().flat_map(|(attr, m)| {
-            m.map.iter().map(move |(v, p)| {
-                (
-                    SelectionView {
-                        attr: *attr,
-                        value: v.clone(),
-                    },
-                    *p,
-                )
-            })
-        })
+        let listed = self
+            .prices
+            .iter()
+            .flat_map(|(attr, m)| m.map.iter().map(move |(v, p)| (*attr, v, *p)));
+        let free = self
+            .free
+            .iter()
+            .flat_map(|(attr, c)| c.iter().map(move |v| (*attr, v, Price::ZERO)));
+        listed
+            .chain(free)
+            .map(|(attr, v, p)| (SelectionView::new(attr, v.clone()), p))
     }
 
     /// The priced views on one attribute.
     pub fn views_on(&self, attr: AttrRef) -> impl Iterator<Item = (&Value, Price)> + '_ {
-        self.prices
-            .get(&attr)
-            .into_iter()
+        let listed = self.prices.get(&attr).into_iter();
+        let free = self.free_column(attr).into_iter();
+        listed
             .flat_map(|m| m.map.iter().map(|(v, p)| (v, *p)))
+            .chain(free.flat_map(|c| c.iter().map(|v| (v, Price::ZERO))))
     }
 
     /// Price every view of an attribute (over the catalog's column) at one
-    /// fixed price, replacing the attribute's previous prices. `Price::ZERO`
-    /// encodes "given out for free" in Step 3's full-cover branch.
+    /// fixed price, replacing the attribute's previous prices.
     pub fn set_attr_uniform(&mut self, catalog: &Catalog, attr: AttrRef, price: Price) {
         let column = catalog.column(attr).iter();
         self.replace_attr(attr, column.map(|v| (v.clone(), price)).collect());
@@ -603,7 +675,7 @@ mod tests {
             v == snapshot && pl.len() == 8
         };
         type Edit = fn(&mut PriceList, &Catalog);
-        let edits: [(&str, Edit, usize); 7] = [
+        let edits: [(&str, Edit, usize); 8] = [
             (
                 "set",
                 |pl, c| {
@@ -657,6 +729,14 @@ mod tests {
                 },
                 8,
             ),
+            (
+                "set_free",
+                |pl, c| {
+                    let sx = c.schema().resolve_attr("S.X").unwrap();
+                    pl.set_free(sx, c.column(sx).clone());
+                },
+                8,
+            ),
         ];
         for (name, edit, len) in edits {
             let mut copy = base.clone();
@@ -687,6 +767,68 @@ mod tests {
             base.attr_prices(sy).unwrap()
         ));
         assert!(dropped.attr_prices(sy).is_none());
+    }
+
+    /// A free attribute is one rule over its column: it prices, lists and
+    /// covers like a map of zeros over that column, and survives a
+    /// projection; a write to one of its views turns it back into a map.
+    #[test]
+    fn a_free_attribute_prices_like_zeros_over_its_column() {
+        let c = cat();
+        let s = c.schema().rel_id("S").unwrap();
+        let sx = c.schema().resolve_attr("S.X").unwrap();
+        let sy = c.schema().resolve_attr("S.Y").unwrap();
+        let base = PriceList::uniform(&c, Price::dollars(2));
+        let mut free = base.clone();
+        free.set_free(sx, c.column(sx).clone());
+        let mut zeros = base.clone();
+        zeros.set_attr_uniform(&c, sx, Price::ZERO);
+        let sorted = |pl: &PriceList| {
+            let mut v: Vec<_> = pl.iter().collect();
+            v.sort_by(|a, b| a.0.cmp(&b.0));
+            v
+        };
+        assert_eq!(sorted(&free), sorted(&zeros));
+        assert_eq!(free.len(), zeros.len());
+        assert_eq!(free.views_on(sx).count(), 3);
+        assert!(
+            free.attr_prices(sx).is_none(),
+            "no map for a free attribute"
+        );
+        for v in 0..4 {
+            let view = sel(&c, "S.X", v);
+            assert_eq!(free.get(&view), zeros.get(&view), "S.X={v}");
+            assert_eq!(free.is_priced(&view), zeros.is_priced(&view), "S.X={v}");
+        }
+        assert_eq!(free.prices_on(sx)(&Value::Int(1)), Price::ZERO);
+        assert_eq!(free.full_cover_price(&c, sx), Price::ZERO);
+        assert!(free.relation_sellable(&c, s));
+        // A column the rule does not cover is not given out free.
+        let wider = c.with_column(sx, Column::int_range(0, 4));
+        assert!(free.full_cover_price(&wider, sx).is_infinite());
+        // A projection moves the rule down with its position.
+        let mut projected = free.clone();
+        projected.drop_position(s, 0, 2);
+        assert!(
+            projected.free.is_empty(),
+            "the dropped attribute's rule goes"
+        );
+        let mut shifted = free.clone();
+        shifted.set_free(sy, c.column(sy).clone());
+        shifted.drop_position(s, 0, 2);
+        assert_eq!(shifted.get(&sel(&c, "S.X", 1)), Price::ZERO);
+        assert_eq!(shifted.len(), 3 + 2);
+        // A write thaws the rule into zeros, then applies.
+        let mut written = free.clone();
+        written.set(sel(&c, "S.X", 1), Price::dollars(5));
+        zeros.set(sel(&c, "S.X", 1), Price::dollars(5));
+        assert_eq!(written, zeros);
+        assert!(written.remove(&sel(&c, "S.X", 0)));
+        assert!(!free.clone().remove(&sel(&c, "S.X", 9)));
+        let mut removed = free.clone();
+        removed.remove_attr(sx);
+        assert_eq!(removed.len(), base.len() - 3);
+        assert!(removed.get(&sel(&c, "S.X", 0)).is_infinite());
     }
 
     /// The full cover's price re-summed over the column, bypassing the

@@ -15,7 +15,7 @@ use crate::exact::ExactResult;
 use crate::money::Price;
 use crate::normalize::Problem;
 use crate::price_points::PriceList;
-use qbdp_catalog::{Catalog, Instance};
+use qbdp_catalog::{Catalog, CheckedInstance, Instance};
 use qbdp_determinacy::selection::SelectionView;
 use qbdp_query::analysis;
 use qbdp_query::ast::{ConjunctiveQuery, Ucq};
@@ -196,12 +196,19 @@ impl Pricer {
         instance: Instance,
         prices: PriceList,
     ) -> Result<Self, PricingError> {
-        catalog.check_instance(&instance)?;
-        Ok(Pricer {
+        Ok(Pricer::checked(catalog.check(instance)?, prices))
+    }
+
+    /// [`Pricer::new`] over an instance already checked against its
+    /// catalog (by [`Catalog::check`] or the `.qdp` reader), so the check
+    /// is not run again.
+    pub fn checked(data: CheckedInstance, prices: PriceList) -> Self {
+        let (catalog, instance) = data.into_parts();
+        Pricer {
             catalog,
             instance,
             prices,
-        })
+        }
     }
 
     /// The catalog.

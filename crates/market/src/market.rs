@@ -41,6 +41,7 @@ use crate::error::MarketError;
 use crate::ledger::Ledger;
 use crate::lock::{self, LockBefore, Locked, MayPrice, OrderedMutex, OrderedRwLock};
 use crate::receipt::Receipt;
+use qbdp_catalog::qdp::CheckedQdp;
 use qbdp_catalog::{AttrRef, Catalog, Instance, QdpFile, RelId, Tuple};
 use qbdp_core::batch::{default_workers, fan_out, panic_message};
 use qbdp_core::consistency::ListArbitrage;
@@ -48,7 +49,7 @@ use qbdp_core::dichotomy::QueryClass;
 use qbdp_core::price_points::PriceList;
 use qbdp_core::{
     price_planned, query_footprint, shape_key, Budget, PlanCache, PlanStats, Price, Pricer,
-    PricingMethod, QuoteQuality,
+    PricingError, PricingMethod, QuoteQuality,
 };
 use qbdp_determinacy::selection::SelectionView;
 use qbdp_obs::trace::{self, Span};
@@ -376,13 +377,23 @@ fn only<T>(mut served: Vec<Served<T>>) -> Served<T> {
 impl Market {
     /// Open a market. Rejects price lists that admit arbitrage among the
     /// explicit price points (Proposition 3.2) — by Theorem 2.15 no valid
-    /// pricing function would exist.
+    /// pricing function would exist — and catalogs with a column text
+    /// whose `.qdp` literal does not read back
+    /// ([`CatalogError::UnwritableText`]), which [`Market::to_qdp`] could
+    /// not write for a reopen.
+    ///
+    /// [`CatalogError::UnwritableText`]: qbdp_catalog::CatalogError::UnwritableText
     pub fn open(
         catalog: Catalog,
         instance: Instance,
         prices: PriceList,
     ) -> Result<Market, MarketError> {
-        let pricer = Pricer::new(catalog, instance, prices)?;
+        catalog.check_literals().map_err(PricingError::from)?;
+        Market::open_pricer(Pricer::new(catalog, instance, prices)?)
+    }
+
+    /// Open a market over a pricer: check its list's consistency.
+    fn open_pricer(pricer: Pricer) -> Result<Market, MarketError> {
         let violations = pricer.check_consistency();
         if !violations.is_empty() {
             let rendered: Vec<String> = violations
@@ -451,22 +462,22 @@ impl Market {
         Market::open_file(Market::read_qdp(text)?)
     }
 
-    /// Read a `.qdp` document ([`QdpFile::parse`]), the first half of
+    /// Read a `.qdp` document ([`QdpFile::read`]), the first half of
     /// [`Market::open_qdp`].
-    pub(crate) fn read_qdp(text: &str) -> Result<QdpFile, MarketError> {
-        QdpFile::parse(text).map_err(|e| MarketError::Update(e.to_string()))
+    pub(crate) fn read_qdp(text: &str) -> Result<CheckedQdp, MarketError> {
+        QdpFile::read(text).map_err(|e| MarketError::Update(e.to_string()))
     }
 
     /// Open a market over a read `.qdp` document, the second half of
     /// [`Market::open_qdp`]: build the pricer and check the list's
-    /// consistency.
-    pub(crate) fn open_file(file: QdpFile) -> Result<Market, MarketError> {
-        let prices = file
-            .prices
+    /// consistency. The reader checked every tuple against its column and
+    /// read every text from a literal, so neither check runs again.
+    pub(crate) fn open_file((data, prices): CheckedQdp) -> Result<Market, MarketError> {
+        let prices = prices
             .into_iter()
             .map(|(attr, value, cents)| (SelectionView::new(attr, value), Price::cents(cents)))
             .collect();
-        Market::open(file.catalog, file.instance, prices)
+        Market::open_pricer(Pricer::checked(data, prices))
     }
 
     /// Quote a query given in datalog syntax
@@ -974,7 +985,35 @@ impl Market {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qbdp_catalog::tuple;
+    use qbdp_catalog::{tuple, CatalogBuilder, CatalogError, Column};
+
+    /// A text whose `.qdp` literal does not read back is refused when the
+    /// market opens, so every open market's `to_qdp` reopens.
+    #[test]
+    fn open_refuses_a_text_that_does_not_read_back() {
+        let catalog = |texts: &[&str]| {
+            CatalogBuilder::new()
+                .relation("R", &[("X", Column::texts(texts.iter().copied()))])
+                .build()
+                .unwrap()
+        };
+        let bad = catalog(&["a', b", "x')", "ok"]);
+        let prices = PriceList::uniform(&bad, Price::dollars(1));
+        let err = Market::open(bad.clone(), bad.empty_instance(), prices).err();
+        match err {
+            Some(MarketError::Pricing(PricingError::Catalog(CatalogError::UnwritableText {
+                attr,
+                value,
+            }))) => assert_eq!((attr.as_str(), value.as_str()), ("R.X", r#""a', b""#)),
+            other => panic!("expected UnwritableText, got {other:?}"),
+        }
+        // Without that text the same market opens and reopens from its text.
+        let good = catalog(&["x')", "ok"]);
+        let prices = PriceList::uniform(&good, Price::dollars(1));
+        let market = Market::open(good.clone(), good.empty_instance(), prices).unwrap();
+        let back = Market::open_qdp(&market.to_qdp()).unwrap();
+        assert_eq!(back.to_qdp(), market.to_qdp());
+    }
 
     const FIG1_QDP: &str = r#"
 schema R(X)

@@ -6,8 +6,9 @@
 //! need no noise margin.
 //!
 //! * A cold GChQ price (`Pricer::price_cq`) of a fixed, seeded set of
-//!   county slices of the business directory, pinned at its mean (≈236
-//!   allocations per price; ≈289 when every Step 3 branch was solved,
+//!   county slices of the business directory, pinned at its mean (≈163
+//!   allocations per price; ≈236 when Step 3 projected once per branch
+//!   node and built every branch, ≈289 when every Step 3 branch was solved,
 //!   even one whose cover cost alone could not win, ≈313 when the flow
 //!   network gave every node
 //!   its own edge list and the partial answers were hash sets of values,
@@ -18,10 +19,16 @@
 //! * A cold price of the paper's §1 query, "restaurants in state S"
 //!   (`Q(n, c) :- Business(n, 'S', c), Restaurant(n)`), for each of the
 //!   directory's ten states: four Step 3 branches, of which only the
-//!   winner, with no cover to buy, builds its network of 1,602 nodes.
-//!   Pinned at its mean (≈276; ≈422 when all four networks were built
+//!   winner, with no cover to buy, is built and builds its network of
+//!   1,602 nodes. Pinned at its mean (≈192; ≈276 when all four branches
+//!   were built, each cover writing a zero price and a provenance entry
+//!   per `Business.name` value, ≈422 when all four networks were built
 //!   and solved, ≈7,050 when every node owned its edge list and every
 //!   priced view was cloned into a map).
+//! * Step 3 alone (`step3_hanging::branches`) on a query whose cover
+//!   gives a relation out free: the same allocations and bytes whether
+//!   the free attribute's column holds 100 values or 10,000, since a
+//!   free attribute is one rule, not a price per value.
 //! * Quotes served by a `Market` (`quote_str`, one thread, a batch of
 //!   one): a chain-join miss after a price revision (a warm reprice of
 //!   its 120-view cut), a chain-join hit, a hit on a 410-view
@@ -53,6 +60,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use qbdp::core::normalize::{step3_hanging, Problem};
 use qbdp::prelude::*;
 use qbdp::workload::scenarios::business::{generate, BusinessConfig, BusinessMarket};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -60,10 +68,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Mean allocations per cold `price_cq` the suite accepts.
-const MAX_MEAN_ALLOCS: f64 = 235.61;
+const MAX_MEAN_ALLOCS: f64 = 163.31;
 
 /// Mean allocations per cold `price_cq` of a directory restaurant list.
-const MAX_RESTAURANT_COLD_ALLOCS: f64 = 275.8;
+const MAX_RESTAURANT_COLD_ALLOCS: f64 = 191.8;
 
 /// Mean allocations per served chain-join miss (revise, then quote).
 const MAX_CHAIN_MISS_ALLOCS: f64 = 88.0;
@@ -75,7 +83,7 @@ const MAX_CHAIN_HIT_ALLOCS: f64 = 42.0;
 const MAX_RESTAURANT_HIT_ALLOCS: f64 = 37.0;
 
 /// Mean allocations per served cold miss on a directory county slice.
-const MAX_COUNTY_MISS_ALLOCS: f64 = 298.13;
+const MAX_COUNTY_MISS_ALLOCS: f64 = 225.95;
 
 /// Mean allocations per record replayed by a cold durable reopen, net
 /// of the same open over an empty log (699 over 480 records; 775 when
@@ -99,6 +107,15 @@ thread_local! {
     /// Allocations made by this thread so far. `const`-initialized and
     /// free of destructors, so reading it never allocates.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations asked for (a reallocation counts its new
+    /// size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one allocation of `size` bytes against this thread.
+fn count(size: usize) {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+    BYTES.with(|n| n.set(n.get() + size as u64));
 }
 
 /// The system allocator, counting each allocation and reallocation
@@ -110,13 +127,13 @@ struct Counting;
 // counter update neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        count(layout.size());
         // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        count(layout.size());
         // SAFETY: forwarded unchanged; the caller upholds `alloc_zeroed`'s
         // contract.
         unsafe { System.alloc_zeroed(layout) }
@@ -129,7 +146,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        count(new_size);
         // SAFETY: forwarded unchanged; the caller upholds `realloc`'s
         // contract for a block `System` allocated.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -141,6 +158,10 @@ static COUNTING: Counting = Counting;
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
 }
 
 /// Mean allocations of `quote` over `QUOTES` calls, with `before` run
@@ -159,7 +180,7 @@ fn mean_allocs(mut before: impl FnMut(usize), mut quote: impl FnMut() -> MarketQ
 
 #[track_caller]
 fn assert_pinned(row: &str, mean: f64, max: f64) {
-    println!("mean allocations per {row}: {mean:.1}");
+    println!("mean allocations per {row}: {mean:.2}");
     assert!(
         mean <= max,
         "a {row} makes {mean:.1} allocations on average, over the budget of {max}"
@@ -264,11 +285,55 @@ fn cold_directory_prices_stay_within_the_allocation_budget() {
         assert!(quote.price.is_finite() && !quote.views.is_empty());
     }
     let mean = total as f64 / queries.len() as f64;
-    println!("mean allocations per cold price_cq: {mean:.1}");
+    println!("mean allocations per cold price_cq: {mean:.2}");
     assert!(
         mean <= MAX_MEAN_ALLOCS,
         "a cold directory price makes {mean:.1} allocations on average, over the budget of {MAX_MEAN_ALLOCS}"
     );
+}
+
+/// The allocations and bytes of Step 3 (`step3_hanging::branches`,
+/// every branch built) for `Q(x, y) :- R(x, y), T(y)`, whose cover of the
+/// hanging `R.X` gives `R.Y` out free, when `R.Y` and `T.Y` hold
+/// `values` column values. The rows are the same whatever `values` is.
+fn step3_cost(values: i64) -> (u64, u64) {
+    let wide = Column::int_range(0, values);
+    let catalog = CatalogBuilder::new()
+        .relation("R", &[("X", Column::int_range(0, 10)), ("Y", wide.clone())])
+        .relation("T", &[("Y", wide)])
+        .build()
+        .unwrap();
+    let (r, t) = (RelId(0), RelId(1));
+    let mut instance = catalog.empty_instance();
+    for i in 0..10 {
+        instance.insert(r, tuple![i, i]).unwrap();
+        instance.insert(t, tuple![i]).unwrap();
+    }
+    let prices = PriceList::uniform(&catalog, Price::dollars(1));
+    let q = parse_rule(catalog.schema(), "Q(x, y) :- R(x, y), T(y)").unwrap();
+    let problem = Problem::new(catalog, instance, prices, q);
+    let (start, start_bytes) = (allocs(), bytes());
+    let branches = step3_hanging::branches(problem).unwrap();
+    let cost = (allocs() - start, bytes() - start_bytes);
+    assert_eq!(branches.len(), 2);
+    let free = AttrRef::new(r, 0);
+    assert_eq!(
+        branches[0].problem.prices.views_on(free).count() as i64,
+        values
+    );
+    cost
+}
+
+/// A cover gives its relation out free as one rule, so Step 3 costs the
+/// same whatever the length of the free attribute's column.
+#[test]
+fn step3_does_not_grow_with_the_free_column() {
+    let (narrow, narrow_bytes) = step3_cost(100);
+    let (wide, wide_bytes) = step3_cost(10_000);
+    println!("step 3 over a 100-value free column: {narrow} allocations, {narrow_bytes} bytes");
+    println!("step 3 over a 10,000-value free column: {wide} allocations, {wide_bytes} bytes");
+    assert_eq!(wide, narrow, "allocations grew with the free column");
+    assert_eq!(wide_bytes, narrow_bytes, "bytes grew with the free column");
 }
 
 #[test]
