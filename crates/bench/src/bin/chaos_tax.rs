@@ -129,6 +129,7 @@ fn wal_append_rate(vfs: Arc<dyn Vfs>, tag: &str) -> f64 {
         dir.join("bench.wal"),
         FsyncPolicy::Never,
         RetryPolicy::default(),
+        &mut Vec::new(),
     )
     .expect("wal opens");
     let ops = rate(WAL_APPENDS, || {
@@ -234,7 +235,7 @@ struct Layered {
 /// buyers make them: `fx`'s own request mix, seeded, keeping the
 /// purchases; each logged with its query's rendered text and price, as
 /// a live purchase logs it.
-fn drawn_sales(fx: &Fixture) -> Vec<MarketEvent> {
+fn drawn_sales(fx: &Fixture) -> Vec<MarketEvent<'static>> {
     let live = Market::open_qdp(&fx.qdp).expect("market opens");
     let mut logged: Vec<Option<MarketEvent>> = vec![None; fx.queries.len()];
     let mut rng = StdRng::seed_from_u64(SALES_SEED);
@@ -251,7 +252,7 @@ fn drawn_sales(fx: &Fixture) -> Vec<MarketEvent> {
                 views: quote.views().len() as u64,
                 price_cents: quote.price.as_cents(),
                 answer_tuples: 1,
-                query: quote.query,
+                query: quote.query.into(),
             }
         });
         sales.push(sale.clone());
@@ -265,7 +266,7 @@ fn repeat_pct(sales: &[MarketEvent]) -> f64 {
     let repeats = sales
         .iter()
         .filter(|e| match e {
-            MarketEvent::Purchase { query, .. } => !seen.insert(query.as_str()),
+            MarketEvent::Purchase { query, .. } => !seen.insert(query.as_ref()),
             _ => false,
         })
         .count();
@@ -319,7 +320,8 @@ fn layered_markets() -> Vec<Layered> {
                 query: format!(
                     "Q{i}{}",
                     query.strip_prefix('Q').expect("a query headed `Q`")
-                ),
+                )
+                .into(),
                 price_cents: *price_cents,
                 answer_tuples: *answer_tuples,
                 views: *views,

@@ -427,7 +427,7 @@ pub fn fingerprint(m: &Market) -> Fingerprint {
 /// maybe-durable event turned out to have reached the platter.
 fn clone_state(token: &mut Locked<'_, Unlocked>, m: &Market) -> Result<Market, MarketError> {
     let clone = Market::open_qdp(&m.to_qdp())?;
-    let ledger = Ledger::from_snapshot_text(&m.with_ledger(Ledger::to_snapshot_text))
+    let ledger = Ledger::from_snapshot_text(m.with_ledger(Ledger::to_snapshot_text))
         .map_err(|e| MarketError::Internal(format!("ledger clone: {e}")))?;
     clone.restore_ledger(token, ledger);
     clone.set_policy(m.policy());

@@ -19,20 +19,26 @@
 //! Recovery reads text, so its cost is per token. The `.qdp` reader
 //! builds each column once and resolves every tuple and price token to
 //! the value its column already holds, checking membership as it reads
-//! ([`qbdp_catalog::qdp`]); the ledger keeps one copy of each distinct
-//! query text sold, so a restored or replayed sale of a query already
-//! sold allocates no string ([`crate::ledger`]). Each recovery times its
-//! layers — the snapshot load and CRC, the `.qdp` read, the pricer with
-//! its consistency check, the ledger restore, the log scan and the
-//! replay — into a [`RecoveryProfile`]
-//! ([`DurableMarket::recovery_profile`]).
+//! ([`qbdp_catalog::qdp`]). The ledger's history *is* its snapshot
+//! section's text: the restore checks the section in one scan over its
+//! bytes and keeps the string it is handed, so it builds no object and
+//! makes no allocation per sale, and a replayed sale appends one line
+//! ([`crate::ledger`]). Each recovery times its layers — the snapshot
+//! load and CRC, the `.qdp` read, the pricer with its consistency check,
+//! the log scan, the ledger restore and the replay — into a
+//! [`RecoveryProfile`] ([`DurableMarket::recovery_profile`]).
 //!
 //! The log is read and decoded **once** per recovery: opening it
 //! ([`Wal::open_with`]) scans every record from offset 0 — checking each
 //! CRC, finding the clean end, truncating a torn tail — and returns the
 //! decoded records, and the replay takes the suffix past the snapshot's
-//! `wal_pos` from those ([`records_from`]). A damaged record fails the
-//! open at its offset, also when the snapshot already covers it.
+//! `wal_pos` from those ([`records_from`]). A decoded record borrows its
+//! texts from the log's bytes, so neither the scan nor the replay copies
+//! a view, a query or a literal. A damaged record fails the open at its
+//! offset, also when the snapshot already covers it. The log is opened
+//! before the ledger is restored, because a snapshot whose position lies
+//! past the log's end is rewritten whole, and the restore takes the
+//! ledger section out of it.
 //!
 //! # Write protocol
 //!
@@ -123,7 +129,7 @@ pub enum ReplayStep<'a> {
     /// The snapshot has been loaded; no log events applied yet.
     SnapshotLoaded,
     /// One log event has just been applied.
-    Applied(&'a MarketEvent),
+    Applied(&'a MarketEvent<'a>),
 }
 
 /// Whether the durable market is accepting mutations. See
@@ -195,10 +201,10 @@ pub struct RecoveryProfile {
     /// Building the pricer over it, with the price list's consistency
     /// check.
     pub pricer: Duration,
-    /// Restoring the ledger and the policy from their sections.
-    pub ledger: Duration,
     /// Opening the log: reading, checking and decoding every record.
     pub wal_scan: Duration,
+    /// Restoring the ledger and the policy from their sections.
+    pub ledger: Duration,
     /// Replaying the records the snapshot does not cover, and resetting
     /// the quote cache.
     pub replay: Duration,
@@ -207,7 +213,7 @@ pub struct RecoveryProfile {
 impl RecoveryProfile {
     /// The sum of the layers.
     pub fn total(&self) -> Duration {
-        self.snapshot + self.qdp + self.pricer + self.ledger + self.wal_scan + self.replay
+        self.snapshot + self.qdp + self.pricer + self.wal_scan + self.ledger + self.replay
     }
 }
 
@@ -298,7 +304,7 @@ fn parse_policy(text: &str) -> Result<MarketPolicy, StoreError> {
     })
 }
 
-fn policy_event(p: &MarketPolicy) -> MarketEvent {
+fn policy_event(p: &MarketPolicy) -> MarketEvent<'static> {
     MarketEvent::PolicyChange {
         deadline_ms: p.deadline.map(|d| d.as_millis() as u64),
         fuel: p.fuel,
@@ -416,7 +422,7 @@ impl DurableMarket {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(MarketError::Store(e.into())),
         }
-        let (wal, _) = Wal::open_with(Arc::clone(&vfs), &wal_path, fsync, retry)?;
+        let (wal, _) = Wal::open_with(Arc::clone(&vfs), &wal_path, fsync, retry, &mut Vec::new())?;
         let mut snapshot = Snapshot::new(0);
         snapshot.push_section("market", market.to_qdp());
         snapshot.push_section("ledger", Ledger::new().to_snapshot_text());
@@ -464,17 +470,9 @@ impl DurableMarket {
         let qdp_took = lap.lap();
         let market = Market::open_file(file)?;
         let pricer_took = lap.lap();
-        let ledger_text = snapshot
-            .section("ledger")
-            .ok_or_else(|| StoreError::CorruptSnapshot("missing `ledger` section".into()))?;
-        let ledger = Ledger::from_snapshot_text(ledger_text)
-            .map_err(|m| StoreError::CorruptSnapshot(format!("ledger section: {m}")))?;
-        market.restore_ledger(token, ledger);
-        if let Some(text) = snapshot.section("policy") {
-            market.set_policy_at(token, parse_policy(text)?);
-        }
-        let ledger_took = lap.lap();
-        let (wal, records) = Wal::open_with(Arc::clone(&vfs), dir.join(WAL_FILE), fsync, retry)?;
+        let mut log = Vec::new();
+        let (wal, records) =
+            Wal::open_with(Arc::clone(&vfs), dir.join(WAL_FILE), fsync, retry, &mut log)?;
         // Compaction crash window: a crash between `wal.reset()` and the
         // final snapshot rewrite in `compact()` leaves the snapshot
         // claiming a position past the now-empty log. The *state* is
@@ -492,6 +490,18 @@ impl DurableMarket {
             snapshot_bytes = snapshot.write_with(vfs.as_ref(), dir.join(SNAPSHOT_FILE), &retry)?;
         }
         let wal_took = lap.lap();
+        // The ledger keeps its section's text as its history: handed
+        // over, not copied, once nothing writes the snapshot again.
+        let ledger_text = snapshot
+            .take_section("ledger")
+            .ok_or_else(|| StoreError::CorruptSnapshot("missing `ledger` section".into()))?;
+        let ledger = Ledger::from_snapshot_text(ledger_text)
+            .map_err(|m| StoreError::CorruptSnapshot(format!("ledger section: {m}")))?;
+        market.restore_ledger(token, ledger);
+        if let Some(text) = snapshot.section("policy") {
+            market.set_policy_at(token, parse_policy(text)?);
+        }
+        let ledger_took = lap.lap();
         observe(ReplayStep::SnapshotLoaded, &market);
         for record in records_from(&records, snapshot.wal_pos)? {
             apply_event(&market, token, &record.event, record.start)?;
@@ -502,8 +512,8 @@ impl DurableMarket {
             snapshot: snapshot_took,
             qdp: qdp_took,
             pricer: pricer_took,
-            ledger: ledger_took,
             wal_scan: wal_took,
+            ledger: ledger_took,
             replay: lap.lap(),
         };
         Ok(DurableMarket {
@@ -612,8 +622,8 @@ impl DurableMarket {
             // the market; that tuple stands, this one is refused.
             self.ensure_writable()?;
             let event = MarketEvent::InsertTuple {
-                relation: relation.to_string(),
-                values: tuple.iter().map(Value::render_literal).collect(),
+                relation: relation.into(),
+                values: tuple.iter().map(|v| v.render_literal().into()).collect(),
             };
             log.wal.append(&event).map_err(|e| self.degrade_on(e))?;
             let applied = self.market.insert_at(&mut at_wal, relation, [tuple]);
@@ -630,7 +640,7 @@ impl DurableMarket {
         self.ensure_writable()?;
         log.wal
             .append(&MarketEvent::SetPrice {
-                view: view.to_string(),
+                view: view.into(),
                 cents: price.as_cents(),
             })
             .map_err(|e| self.degrade_on(e))?;
@@ -703,7 +713,7 @@ impl DurableMarket {
         }
         log.wal
             .append(&MarketEvent::Purchase {
-                query: quote.query.clone(),
+                query: quote.query.as_str().into(),
                 price_cents: quote.price.as_cents(),
                 answer_tuples: answer.len() as u64,
                 views: quote.views().len() as u64,
@@ -847,7 +857,7 @@ impl DurableMarket {
 fn apply_event(
     market: &Market,
     token: &mut Locked<'_, lock::Unlocked>,
-    event: &MarketEvent,
+    event: &MarketEvent<'_>,
     offset: u64,
 ) -> Result<(), MarketError> {
     match event {
@@ -876,6 +886,15 @@ fn apply_event(
             answer_tuples,
             views,
         } => {
+            // A ledger line ends at a line break: a sale whose text holds
+            // one could be recorded but never read back. (A fold, not
+            // `any`: without an early exit the loop is vectorized.)
+            if query
+                .bytes()
+                .fold(false, |seen, b| seen | (b == b'\n') | (b == b'\r'))
+            {
+                return Err(corrupt(offset, "purchased query text holds a line break"));
+            }
             market.apply_recorded_sale(
                 token,
                 query,
@@ -1098,6 +1117,46 @@ price T.Y=b3 100
                 }
                 other => panic!("wal_pos {wal_pos}: expected CorruptRecord, got {other:?}"),
             }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A ledger line ends at a line break. A query whose quoted constant
+    /// holds one is refused before it is sold, so the market still
+    /// compacts and reopens; a log that holds such a purchase all the
+    /// same is refused at its offset, not replayed into a snapshot that
+    /// could not be read back.
+    #[test]
+    fn a_line_break_in_a_query_never_reaches_the_ledger() {
+        let dir = temp_dir("line_break");
+        let dm = DurableMarket::create(&dir, QDP, FsyncPolicy::Never).unwrap();
+        for text in ["Q(x) :- R(x), x = 'a\nb'", "Q(x) :- R(x), x = 'a\rb'"] {
+            assert!(dm.purchase_str(text).is_err(), "{text:?}");
+        }
+        dm.purchase_str("Q(x) :- R(x)").unwrap();
+        dm.compact().unwrap();
+        let ledger = dm.market().with_ledger(Ledger::to_snapshot_text);
+        drop(dm);
+        let back = DurableMarket::open(&dir, FsyncPolicy::Never).unwrap();
+        assert_eq!(back.market().sales(), 1);
+        assert_eq!(back.market().with_ledger(Ledger::to_snapshot_text), ledger);
+        drop(back);
+        let (mut wal, _) = Wal::open(dir.join(WAL_FILE), FsyncPolicy::Never).unwrap();
+        let at = wal.position();
+        wal.append(&MarketEvent::Purchase {
+            query: "Q(x) :- R(x), x = 'a\nb'".into(),
+            price_cents: 100,
+            answer_tuples: 0,
+            views: 1,
+        })
+        .unwrap();
+        drop(wal);
+        match DurableMarket::open(&dir, FsyncPolicy::Never) {
+            Err(MarketError::Store(StoreError::CorruptRecord { offset, reason })) => {
+                assert_eq!(offset, at);
+                assert!(reason.contains("line break"), "{reason}");
+            }
+            other => panic!("expected CorruptRecord, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();
     }

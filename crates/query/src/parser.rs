@@ -106,7 +106,7 @@ fn parse_term(
     if is_identifier(src) {
         return Ok(Term::Var(intern(src, var_names)));
     }
-    Value::parse_literal(src)
+    literal(src)
         .map(Term::Const)
         .ok_or_else(|| QueryError::Parse {
             message: format!("bad term `{src}`"),
@@ -131,7 +131,7 @@ fn parse_pred(
         }
         let vals: Option<Vec<Value>> = rhs[1..rhs.len() - 1]
             .split(',')
-            .map(|s| Value::parse_literal(s.trim()))
+            .map(|s| literal(s.trim()))
             .collect();
         let vals = vals.ok_or_else(|| err(format!("bad value in set: `{rhs}`")))?;
         return Ok(PredAtom {
@@ -147,8 +147,8 @@ fn parse_pred(
             if !is_identifier(lhs) {
                 return Err(err(format!("predicate lhs must be a variable: `{src}`")));
             }
-            let value = Value::parse_literal(rhs)
-                .ok_or_else(|| err(format!("bad literal `{rhs}` in `{src}`")))?;
+            let value =
+                literal(rhs).ok_or_else(|| err(format!("bad literal `{rhs}` in `{src}`")))?;
             let pred = build(value).map_err(|m| err(format!("{m} in `{src}`")))?;
             return Ok(PredAtom {
                 var: intern(lhs, var_names),
@@ -157,6 +157,14 @@ fn parse_pred(
         }
     }
     Err(err(format!("cannot parse body item `{src}`")))
+}
+
+/// A constant's literal syntax read as a value, or `None` when it is not
+/// one ([`Value::parse_literal`]). A quoted text may hold no line break:
+/// no column can hold one, since the `.qdp` format is line-based, and a
+/// sold query's rendered text is one line of the market's ledger.
+fn literal(src: &str) -> Option<Value> {
+    Value::parse_literal(src).filter(|v| !matches!(v, Value::Text(t) if t.contains(['\n', '\r'])))
 }
 
 type PredBuilder = fn(Value) -> Result<Pred, String>;
@@ -326,6 +334,25 @@ mod tests {
             .unwrap();
         let q = parse_rule(c.schema(), "Q(x) :- N(x), x != 'a,b'").unwrap();
         assert_eq!(q.preds()[0].pred, Pred::Ne(Value::text("a,b")));
+    }
+
+    #[test]
+    fn a_quoted_constant_holds_no_line_break() {
+        let col = Column::texts(["a", "b"]);
+        let c = CatalogBuilder::new()
+            .relation("N", &[("X", col)])
+            .build()
+            .unwrap();
+        for text in [
+            "Q(x) :- N(x), x = 'a\nb'",
+            "Q(x) :- N(x), x != 'a\rb'",
+            "Q(x) :- N(x), x in {a, 'a\nb'}",
+            "Q() :- N('a\r\nb')",
+        ] {
+            assert!(parse_rule(c.schema(), text).is_err(), "{text:?}");
+        }
+        // A line break outside every constant is white space.
+        assert!(parse_rule(c.schema(), "Q(x) :-\n  N(x), x = 'a b'").is_ok());
     }
 
     #[test]

@@ -13,32 +13,37 @@
 //! UTF-8 bytes; `Option<u64>` is a presence byte + value; lists are a
 //! `u32` count + elements. The encoding is self-contained per event —
 //! framing, length, and checksum belong to [`crate::wal`].
+//!
+//! An event's texts are [`Cow`]s: a writer lends its own strings to the
+//! event it appends, and [`MarketEvent::decode`] lends the payload's
+//! bytes, so neither copies a text it only passes through.
 
 use crate::error::StoreError;
+use std::borrow::Cow;
 
-/// One durable market mutation.
+/// One durable market mutation, borrowing its texts for `'a`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MarketEvent {
+pub enum MarketEvent<'a> {
     /// The seller set (or added) the price of one selection view.
     /// `view` is the `R.X=a` selector syntax; `cents` the new price.
     SetPrice {
         /// Selector in `R.X=a` syntax.
-        view: String,
+        view: Cow<'a, str>,
         /// New price in cents.
         cents: u64,
     },
     /// The seller inserted one tuple.
     InsertTuple {
         /// Relation name.
-        relation: String,
+        relation: Cow<'a, str>,
         /// Values as `.qdp` literals, in attribute order.
-        values: Vec<String>,
+        values: Vec<Cow<'a, str>>,
     },
     /// A buyer completed a purchase. The quoted terms are recorded so
     /// replay can restore the ledger without re-pricing.
     Purchase {
         /// The query, rendered canonically.
-        query: String,
+        query: Cow<'a, str>,
         /// The price paid, in cents.
         price_cents: u64,
         /// Answer tuples delivered.
@@ -135,10 +140,12 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "string is not UTF-8".to_string())
+        std::str::from_utf8(bytes)
+            .map(Cow::Borrowed)
+            .map_err(|_| "string is not UTF-8".to_string())
     }
 
     fn done(&self) -> Result<(), String> {
@@ -153,7 +160,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-impl MarketEvent {
+impl<'a> MarketEvent<'a> {
     /// Serialize to the wire format (payload only; no framing).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32);
@@ -205,13 +212,14 @@ impl MarketEvent {
         out
     }
 
-    /// Decode one event from a CRC-validated payload. `offset` is the
-    /// record's position in the log, used only to type the error.
-    pub fn decode(payload: &[u8], offset: u64) -> Result<MarketEvent, StoreError> {
+    /// Decode one event from a CRC-validated payload, borrowing its
+    /// texts from `payload`. `offset` is the record's position in the
+    /// log, used only to type the error.
+    pub fn decode(payload: &'a [u8], offset: u64) -> Result<MarketEvent<'a>, StoreError> {
         Self::decode_inner(payload).map_err(|reason| StoreError::CorruptRecord { offset, reason })
     }
 
-    fn decode_inner(payload: &[u8]) -> Result<MarketEvent, String> {
+    fn decode_inner(payload: &'a [u8]) -> Result<MarketEvent<'a>, String> {
         let mut r = Reader {
             data: payload,
             pos: 0,
@@ -259,6 +267,46 @@ impl MarketEvent {
         Ok(event)
     }
 
+    /// The same event owning its texts.
+    pub fn into_owned(self) -> MarketEvent<'static> {
+        let own = |s: Cow<'_, str>| Cow::Owned(s.into_owned());
+        match self {
+            MarketEvent::SetPrice { view, cents } => MarketEvent::SetPrice {
+                view: own(view),
+                cents,
+            },
+            MarketEvent::InsertTuple { relation, values } => MarketEvent::InsertTuple {
+                relation: own(relation),
+                values: values.into_iter().map(own).collect(),
+            },
+            MarketEvent::Purchase {
+                query,
+                price_cents,
+                answer_tuples,
+                views,
+            } => MarketEvent::Purchase {
+                query: own(query),
+                price_cents,
+                answer_tuples,
+                views,
+            },
+            MarketEvent::PolicyChange {
+                deadline_ms,
+                fuel,
+                sell_degraded,
+                max_in_flight,
+                batch_workers,
+            } => MarketEvent::PolicyChange {
+                deadline_ms,
+                fuel,
+                sell_degraded,
+                max_in_flight,
+                batch_workers,
+            },
+            MarketEvent::SnapshotMark { wal_pos } => MarketEvent::SnapshotMark { wal_pos },
+        }
+    }
+
     /// Short human name for logs and `replay` summaries.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -275,7 +323,7 @@ impl MarketEvent {
 mod tests {
     use super::*;
 
-    fn samples() -> Vec<MarketEvent> {
+    fn samples() -> Vec<MarketEvent<'static>> {
         vec![
             MarketEvent::SetPrice {
                 view: "S.Y=b1".into(),
@@ -312,6 +360,17 @@ mod tests {
             let bytes = ev.encode();
             let back = MarketEvent::decode(&bytes, 0).unwrap();
             assert_eq!(ev, back);
+            // Every text of the decoded event is a slice of the payload.
+            let texts: Vec<&Cow<'_, str>> = match &back {
+                MarketEvent::SetPrice { view, .. } => vec![view],
+                MarketEvent::InsertTuple { relation, values } => {
+                    std::iter::once(relation).chain(values).collect()
+                }
+                MarketEvent::Purchase { query, .. } => vec![query],
+                _ => vec![],
+            };
+            assert!(texts.iter().all(|t| matches!(t, Cow::Borrowed(_))));
+            assert_eq!(back.into_owned(), ev);
         }
     }
 

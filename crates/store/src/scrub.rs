@@ -206,7 +206,7 @@ mod tests {
         let (mut wal, _) = Wal::open(&wal_path, FsyncPolicy::Always).unwrap();
         for i in 0..3 {
             wal.append(&MarketEvent::SetPrice {
-                view: format!("R.X=a{i}"),
+                view: format!("R.X=a{i}").into(),
                 cents: 100 + i,
             })
             .unwrap();

@@ -66,6 +66,16 @@ impl Snapshot {
             .map(|(_, b)| b.as_str())
     }
 
+    /// The body of the first section called `name`, handed over by
+    /// value: the section stays, empty, so the snapshot no longer
+    /// describes the state it was read with.
+    pub fn take_section(&mut self, name: &str) -> Option<String> {
+        self.sections
+            .iter_mut()
+            .find(|(n, _)| n == name)
+            .map(|(_, b)| std::mem::take(b))
+    }
+
     /// CRC-32 over `wal_pos` (little-endian) and each section's name
     /// and body, each followed by a zero byte, folded piece by piece.
     fn checksum(&self) -> u32 {

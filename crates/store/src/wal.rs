@@ -19,7 +19,9 @@
 //! the final record missing (the kernel persists appends in order within
 //! one file). [`Wal::open`] therefore scans the whole log — once: the
 //! same pass that finds the clean end decodes every record and hands
-//! them to the caller, so recovery never reads the file again — and
+//! them to the caller, so recovery never reads the file again (the
+//! records borrow their texts from the log's bytes, which
+//! [`Wal::open_with`] leaves with its caller) — and
 //!
 //! * truncates a trailing *incomplete* frame (header short, or payload
 //!   shorter than `len`) — that is the expected residue of a crash, and
@@ -80,15 +82,27 @@ pub enum FsyncPolicy {
     Never,
 }
 
-/// One decoded log record with its byte extent.
+/// One decoded log record with its byte extent, borrowing its texts
+/// from the log's bytes for `'a`.
 #[derive(Clone, Debug)]
-pub struct LogRecord {
+pub struct LogRecord<'a> {
     /// Offset of the record's frame header.
     pub start: u64,
     /// Offset one past the record (= position of the next record).
     pub end: u64,
     /// The decoded event.
-    pub event: MarketEvent,
+    pub event: MarketEvent<'a>,
+}
+
+impl LogRecord<'_> {
+    /// The same record owning its texts.
+    pub fn into_owned(self) -> LogRecord<'static> {
+        LogRecord {
+            start: self.start,
+            end: self.end,
+            event: self.event.into_owned(),
+        }
+    }
 }
 
 /// Records larger than this are rejected as corrupt rather than
@@ -149,10 +163,11 @@ impl Drop for Wal {
     }
 }
 
-/// Scan `bytes`, returning the decoded records plus the clean length
-/// (the offset the log should be truncated to). A complete-but-invalid
-/// frame is a hard error; an incomplete one ends the scan.
-pub(crate) fn scan(bytes: &[u8]) -> Result<(Vec<LogRecord>, u64), StoreError> {
+/// Scan `bytes`, returning the decoded records, which borrow their texts
+/// from `bytes`, plus the clean length (the offset the log should be
+/// truncated to). A complete-but-invalid frame is a hard error; an
+/// incomplete one ends the scan.
+pub(crate) fn scan(bytes: &[u8]) -> Result<(Vec<LogRecord<'_>>, u64), StoreError> {
     let mut records = Vec::new();
     let mut pos = 0usize;
     while pos < bytes.len() {
@@ -207,7 +222,10 @@ pub(crate) fn scan(bytes: &[u8]) -> Result<(Vec<LogRecord>, u64), StoreError> {
 /// snapshot may legitimately cover more log than survived truncation —
 /// and an offset inside a record is refused as
 /// [`StoreError::CorruptRecord`].
-pub fn records_from(records: &[LogRecord], from: u64) -> Result<&[LogRecord], StoreError> {
+pub fn records_from<'r, 'a>(
+    records: &'r [LogRecord<'a>],
+    from: u64,
+) -> Result<&'r [LogRecord<'a>], StoreError> {
     let first = records.partition_point(|r| r.start < from);
     let aligned = match records.get(first) {
         Some(r) => r.start == from,
@@ -225,30 +243,46 @@ pub fn records_from(records: &[LogRecord], from: u64) -> Result<&[LogRecord], St
 
 impl Wal {
     /// Open (or create) the log at `path` on the real filesystem with
-    /// the default retry policy. See [`Wal::open_with`].
+    /// the default retry policy, returning records that own their texts:
+    /// the form for tools and tests. See [`Wal::open_with`].
     pub fn open(
         path: impl AsRef<Path>,
         policy: FsyncPolicy,
-    ) -> Result<(Wal, Vec<LogRecord>), StoreError> {
-        Self::open_with(Arc::new(RealFs), path, policy, RetryPolicy::default())
+    ) -> Result<(Wal, Vec<LogRecord<'static>>), StoreError> {
+        let mut bytes = Vec::new();
+        let (wal, records) = Self::open_with(
+            Arc::new(RealFs),
+            path,
+            policy,
+            RetryPolicy::default(),
+            &mut bytes,
+        )?;
+        Ok((
+            wal,
+            records.into_iter().map(LogRecord::into_owned).collect(),
+        ))
     }
 
     /// Open (or create) the log at `path` on `vfs`, truncating a torn
     /// tail. Returns the handle positioned at the end of the last clean
     /// record, and every clean record, oldest first: the one scan that
     /// finds the clean end also decodes them, from offset 0, so a
-    /// damaged record anywhere in the log fails the open. Transient
-    /// faults during the open are retried per `retry`.
-    pub fn open_with(
+    /// damaged record anywhere in the log fails the open. The log's
+    /// bytes are read into `bytes`, and the records borrow their texts
+    /// from there, so decoding copies none. Transient faults during the
+    /// open are retried per `retry`.
+    pub fn open_with<'b>(
         vfs: Arc<dyn Vfs>,
         path: impl AsRef<Path>,
         policy: FsyncPolicy,
         retry: RetryPolicy,
-    ) -> Result<(Wal, Vec<LogRecord>), StoreError> {
+        bytes: &'b mut Vec<u8>,
+    ) -> Result<(Wal, Vec<LogRecord<'b>>), StoreError> {
         let path = path.as_ref().to_path_buf();
         let mut file = retry.run("wal-open", &path, || vfs.open_rw(&path))?;
-        let bytes = retry.run("wal-scan", &path, || vfs.read_file(&path))?;
-        let (records, clean_len) = scan(&bytes)?;
+        *bytes = retry.run("wal-scan", &path, || vfs.read_file(&path))?;
+        let bytes: &'b Vec<u8> = bytes;
+        let (records, clean_len) = scan(bytes)?;
         if clean_len < bytes.len() as u64 {
             retry.run("wal-repair", &path, || file.set_len(clean_len))?;
             retry.run("wal-repair-sync", &path, || file.sync_all())?;
@@ -304,7 +338,7 @@ impl Wal {
     /// and if even that truncation fails — or the policy-mandated fsync
     /// does — the handle is poisoned and refuses further appends with
     /// [`StoreError::Poisoned`], naming the offset and path.
-    pub fn append(&mut self, event: &MarketEvent) -> Result<u64, StoreError> {
+    pub fn append(&mut self, event: &MarketEvent<'_>) -> Result<u64, StoreError> {
         let sw = qbdp_obs::Stopwatch::start();
         if let Some(e) = self.poisoned_error() {
             return Err(e);
@@ -524,11 +558,11 @@ mod tests {
 
     /// Every record of the log at `path`, read back through a second
     /// open (the handle under test stays open).
-    fn logged(path: &Path) -> Vec<LogRecord> {
+    fn logged(path: &Path) -> Vec<LogRecord<'static>> {
         Wal::open(path, FsyncPolicy::Never).unwrap().1
     }
 
-    fn sample_events() -> Vec<MarketEvent> {
+    fn sample_events() -> Vec<MarketEvent<'static>> {
         vec![
             MarketEvent::InsertTuple {
                 relation: "T".into(),
@@ -764,6 +798,7 @@ mod tests {
             &path,
             FsyncPolicy::Always,
             fast_retry(),
+            &mut Vec::new(),
         )
         .unwrap();
         // Both scripted transients hit this one append; it still lands.
@@ -790,6 +825,7 @@ mod tests {
             &path,
             FsyncPolicy::Never,
             fast_retry(),
+            &mut Vec::new(),
         )
         .unwrap();
         let end1 = wal.append(&sample_events()[0]).unwrap();
@@ -825,6 +861,7 @@ mod tests {
             &path,
             FsyncPolicy::Always,
             fast_retry(),
+            &mut Vec::new(),
         )
         .unwrap();
         let end1 = wal.append(&sample_events()[0]).unwrap();
@@ -850,8 +887,15 @@ mod tests {
         // Recovery after reopen yields at most the acked prefix plus
         // the one uncertain tail event.
         drop(wal);
-        let (_, records) =
-            Wal::open_with(Arc::new(fs), &path, FsyncPolicy::Never, fast_retry()).unwrap();
+        let mut bytes = Vec::new();
+        let (_, records) = Wal::open_with(
+            Arc::new(fs),
+            &path,
+            FsyncPolicy::Never,
+            fast_retry(),
+            &mut bytes,
+        )
+        .unwrap();
         let n = records.len();
         assert!(n == 1 || n == 2, "prefix of attempted history, got {n}");
         std::fs::remove_file(&path).ok();

@@ -29,21 +29,21 @@ const VALS: [&str; 4] = ["a1", "b2", "c3", "quoted value"];
 /// A strategy over single events, covering every variant (strings picked
 /// from fixed pools — the event codec's own unit tests cover arbitrary
 /// text; here the subject is framing).
-fn event_strategy() -> impl Strategy<Value = MarketEvent> {
+fn event_strategy() -> impl Strategy<Value = MarketEvent<'static>> {
     prop_oneof![
         (0usize..3, 0u64..10_000).prop_map(|(r, cents)| MarketEvent::SetPrice {
-            view: format!("{}.X=a1", RELS[r]),
+            view: format!("{}.X=a1", RELS[r]).into(),
             cents,
         }),
         (0usize..3, proptest::collection::vec(0usize..4, 1..3)).prop_map(|(r, vs)| {
             MarketEvent::InsertTuple {
-                relation: RELS[r].to_string(),
-                values: vs.iter().map(|&v| VALS[v].to_string()).collect(),
+                relation: RELS[r].into(),
+                values: vs.iter().map(|&v| VALS[v].into()).collect(),
             }
         }),
         (0u64..10_000, 0u64..50, 0u64..10).prop_map(|(price_cents, answer_tuples, views)| {
             MarketEvent::Purchase {
-                query: "Q(x, y) :- R(x), S(x, y)".to_string(),
+                query: "Q(x, y) :- R(x), S(x, y)".into(),
                 price_cents,
                 answer_tuples,
                 views,
@@ -78,7 +78,7 @@ fn committed_bytes(tag: &str, events: &[MarketEvent]) -> Vec<u8> {
 
 /// Reopen a WAL whose file contains exactly `bytes`; return the replayed
 /// events or the typed error.
-fn recover(tag: &str, bytes: &[u8]) -> Result<Vec<MarketEvent>, StoreError> {
+fn recover(tag: &str, bytes: &[u8]) -> Result<Vec<MarketEvent<'static>>, StoreError> {
     let path = temp_path(tag);
     std::fs::write(&path, bytes).unwrap();
     let result = Wal::open(&path, FsyncPolicy::Never)
@@ -217,7 +217,7 @@ fn every_n_clean_drop_keeps_the_unsynced_tail() {
     let path = temp_path("every_n_tail");
     let events: Vec<MarketEvent> = (0..7)
         .map(|i| MarketEvent::SetPrice {
-            view: format!("R.X=a{i}"),
+            view: format!("R.X=a{i}").into(),
             cents: 100 + i,
         })
         .collect();
@@ -227,6 +227,7 @@ fn every_n_clean_drop_keeps_the_unsynced_tail() {
             &path,
             FsyncPolicy::EveryN(5),
             RetryPolicy::none(),
+            &mut Vec::new(),
         )
         .unwrap();
         for e in &events {
@@ -236,11 +237,13 @@ fn every_n_clean_drop_keeps_the_unsynced_tail() {
         // boundary, 5..=6 acked but sitting in the unsynced tail.
     } // clean shutdown: Drop must flush the tail
     fs.simulate_crash(42).unwrap();
+    let mut bytes = Vec::new();
     let (_, records) = Wal::open_with(
         fs.clone() as Arc<dyn qbdp_store::Vfs>,
         &path,
         FsyncPolicy::EveryN(5),
         RetryPolicy::none(),
+        &mut bytes,
     )
     .unwrap();
     let recovered: Vec<MarketEvent> = records.into_iter().map(|r| r.event).collect();

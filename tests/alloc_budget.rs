@@ -43,10 +43,17 @@
 //!   after a fixed log of price revisions (some refused) and purchases,
 //!   written straight to the WAL so that no compaction shortens it,
 //!   pinned at its mean allocations per replayed record, net of the
-//!   open's fixed cost (≈1.46; ≈1.6 when each replayed purchase copied
-//!   its query text into the ledger, ≈2.4 when replay rendered the
-//!   message of each refused revision, ≈4.1 when recovery decoded the
-//!   log twice). A second decode pass adds one allocation per record.
+//!   open's fixed cost (≈0.45; ≈1.46 when each decoded record owned its
+//!   texts, ≈1.6 when each replayed purchase also copied its query text
+//!   into the ledger, ≈2.4 when replay rendered the message of each
+//!   refused revision, ≈4.1 when recovery decoded the log twice into
+//!   owned texts). A record that copies its text again adds one
+//!   allocation per record.
+//! * A cold reopen of the same market whose snapshot's ledger holds 56
+//!   sales and one whose ledger holds 5,600, each sale under a query
+//!   text of its own: the same allocations, since the ledger keeps its
+//!   snapshot section's text as its history instead of building an
+//!   object per sale.
 //! * A cold `Market::open_qdp` of the directory's `.qdp` text (1,396
 //!   lines), pinned at its allocations per input line (≈0.45: one text
 //!   per distinct column value and a fixed number of tables; ≈4.7 when
@@ -86,11 +93,12 @@ const MAX_RESTAURANT_HIT_ALLOCS: f64 = 37.0;
 const MAX_COUNTY_MISS_ALLOCS: f64 = 225.95;
 
 /// Mean allocations per record replayed by a cold durable reopen, net
-/// of the same open over an empty log (699 over 480 records; 775 when
-/// each of the 80 purchases copied its query, 1,175 when the 100
-/// refused revisions were rendered, 1,964 when the log was decoded
-/// twice and a revision summed its relation's columns).
-const MAX_REOPEN_ALLOCS_PER_RECORD: f64 = 1.457;
+/// of the same open over an empty log (217 over 480 records; 699 when
+/// each decoded record owned its texts, 775 when each of the 80
+/// purchases also copied its query, 1,175 when the 100 refused
+/// revisions were rendered, 1,964 when the log was decoded twice and a
+/// revision summed its relation's columns).
+const MAX_REOPEN_ALLOCS_PER_RECORD: f64 = 0.453;
 
 /// Allocations per input line of a cold `Market::open_qdp` of the
 /// directory text (633 over 1,396 lines; 6,589 when every token
@@ -486,7 +494,7 @@ fn a_cold_durable_reopen_stays_pinned_per_record() {
             _ => (format!("S.Y={k}"), 9_000),
         };
         wal.append(&MarketEvent::SetPrice {
-            view: view.clone(),
+            view: view.as_str().into(),
             cents,
         })
         .unwrap();
@@ -498,7 +506,7 @@ fn a_cold_durable_reopen_stays_pinned_per_record() {
                 .purchase_str(queries[(i / 5) as usize % queries.len()])
                 .unwrap();
             wal.append(&MarketEvent::Purchase {
-                query: sale.quote.query.clone(),
+                query: sale.quote.query.as_str().into(),
                 price_cents: sale.quote.price.as_cents(),
                 answer_tuples: sale.answer.len() as u64,
                 views: sale.quote.views().len() as u64,
@@ -525,5 +533,44 @@ fn a_cold_durable_reopen_stays_pinned_per_record() {
         "record replayed by a cold durable reopen",
         replay as f64 / records as f64,
         MAX_REOPEN_ALLOCS_PER_RECORD,
+    );
+}
+
+/// Allocations of a cold reopen of a durable chain market whose
+/// snapshot's ledger holds `sales` sales, each under a query text of its
+/// own, and an empty log.
+fn reopen_over_sales(sales: usize) -> u64 {
+    let dir =
+        std::env::temp_dir().join(format!("qbdp_alloc_ledger_{sales}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    drop(DurableMarket::create(&dir, &chain_market().to_qdp(), FsyncPolicy::Never).unwrap());
+    let mut ledger = qbdp::market::Ledger::new();
+    for i in 0..sales {
+        let query = format!("Q{i}(x) :- R(x)");
+        ledger.record_sale(&query, Price::cents(100 + i as u64 % 7), 3, 4);
+    }
+    let path = dir.join(qbdp::market::durable::SNAPSHOT_FILE);
+    let mut snapshot = qbdp::store::Snapshot::load(&path).unwrap();
+    for (name, body) in &mut snapshot.sections {
+        if name == "ledger" {
+            *body = ledger.to_snapshot_text();
+        }
+    }
+    snapshot.write(&path).unwrap();
+    let n = reopen_allocs(&dir);
+    let back = DurableMarket::open(&dir, FsyncPolicy::Never).unwrap();
+    assert_eq!(back.market().sales(), sales);
+    drop(back);
+    std::fs::remove_dir_all(&dir).unwrap();
+    n
+}
+
+#[test]
+fn a_restored_ledger_allocates_nothing_per_sale() {
+    let (few, many) = (reopen_over_sales(56), reopen_over_sales(5_600));
+    println!("allocations of a cold durable reopen over 56 sales: {few}; over 5,600: {many}");
+    assert_eq!(
+        few, many,
+        "restoring 5,600 sales allocates more than restoring 56"
     );
 }
